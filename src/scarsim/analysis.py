@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import ConfigError, NumericalError
-from .evolve import QuenchResult
+from .evolve import QuenchResult, _g17
 from .hilbert import MicrostateOrdering
 
 # The fixed modulation-frequency grid (units of Omega) over which subharmonic
@@ -297,10 +297,6 @@ def subharmonic_rigidity(omegam_over_omega: np.ndarray | list[float],
     if w.shape != grid.shape:
         raise ConfigError("weights and grid lengths differ")
     return float(w.sum())
-
-
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def spectrum_to_csv(spectrum: Spectrum) -> str:

@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,16 +46,25 @@ from .config import (
     set_by_path,
 )
 from .errors import CapacityError, ConfigError, GeometryError, NumericalError, ScarsimError
-from .evolve import EvolutionConfig, QuenchResult, quench_from_csv, quench_to_csv, run_quench
+from .evolve import (
+    EvolutionConfig,
+    QuenchResult,
+    _g17,
+    quench_from_csv,
+    quench_to_csv,
+    run_quench,
+)
 from .floquet import pulsed_subharmonic_map, revival_fidelity_map
 from .hamiltonian import DriveProfile, DriveShape, build_pxp, build_rydberg, build_sw2
 from .hilbert import (
-    canonical_states,
     enumerate_blockaded,
+    named_state,
     order_microstates,
     reflection_grouping,
 )
 from .lattice import (
+    REF_ALPHA,
+    REF_BETA,
     Lattice,
     blockade_radius,
     decay_predictors,
@@ -64,17 +74,18 @@ from .lattice import (
 )
 from .presets import NOTES, get_preset, preset_names
 
-_REF_ALPHA, _REF_BETA, _REF_INV_TAU0 = 0.72, 0.58, 0.4
-
-
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
+_REF_INV_TAU0 = 0.4
 
 
 def _csv_field(s: str) -> str:
     if any(ch in s for ch in ',"\r\n'):
         return '"' + s.replace('"', '""') + '"'
     return s
+
+
+def _grid_field(v) -> str:
+    """A sweep grid value as a CSV cell; non-numbers are written as text."""
+    return _g17(v) if isinstance(v, (int, float)) else _csv_field(str(v))
 
 
 def _load_document(args) -> dict:
@@ -117,10 +128,7 @@ def _build_system(cfg: ExperimentConfig) -> SystemBundle:
     else:
         parts = build_sw2(lat, basis, cfg.physical)
     drive = cfg.resolve_drive(lat)
-    af1, af2, ggg = canonical_states(lat)
-    state = {"AF1": af1, "AF2": af2, "GGG": ggg}[cfg.initial_state]
-    psi0 = np.zeros(basis.dim, dtype=complex)
-    psi0[basis.index_of(state)] = 1.0
+    psi0 = named_state(lat, basis, cfg.initial_state)
     return SystemBundle(lat=lat, basis=basis, parts=parts, drive=drive, psi0=psi0)
 
 
@@ -159,7 +167,7 @@ def _geometry_report(cfg: ExperimentConfig) -> dict:
             "rb_over_a": rb,
             "a_over_rb": arb,
             "predicted_tau_us": predict_lifetime(
-                x, y, _REF_ALPHA, _REF_BETA, 1.0 / _REF_INV_TAU0),
+                x, y, REF_ALPHA, REF_BETA, 1.0 / _REF_INV_TAU0),
         })
     return report
 
@@ -272,7 +280,12 @@ def _sweep_points(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _sweep_worker(payload: tuple[str, dict]) -> dict:
-    """Run one sweep point; returns an aggregate row (never raises)."""
+    """Run one sweep point; returns an aggregate row (never raises).
+
+    Any exception, not only a ScarsimError, becomes an error row, so one
+    bad point cannot abort the sweep; unexpected ones also print their
+    traceback to stderr.
+    """
     doc_json, overrides = payload
     row: dict = {"status": "ok", "error": ""}
     try:
@@ -294,7 +307,9 @@ def _sweep_worker(payload: tuple[str, dict]) -> dict:
         row["harm_weight"] = analysis.get("harmonic_weight")
         row["fourth_weight"] = analysis.get("fourth_subharmonic_weight")
         row["quench_csv"] = quench_to_csv(result)
-    except ScarsimError as exc:
+    except Exception as exc:
+        if not isinstance(exc, ScarsimError):
+            traceback.print_exc()
         row["status"] = "error"
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -325,7 +340,7 @@ def cmd_sweep(doc: dict, out: Path, jobs: int | None) -> int:
         if csv_text is not None:
             _write(out / f"point_{k:03d}" / "quench.csv", csv_text, outputs)
             outputs[-1] = f"point_{k:03d}/quench.csv"
-        vals = [str(k)] + [_g17(pt[name]) for name in axis_names]
+        vals = [str(k)] + [_grid_field(pt[name]) for name in axis_names]
         vals += [row["status"], _csv_field(row.get("error", ""))]
         for col in _AGG_COLUMNS:
             v = row.get(col)
@@ -356,6 +371,7 @@ def _rigidity_table(cfg: ExperimentConfig, points: list[dict],
     for ax in cfg.sweep:
         if ax.parameter == "drive.omegam_over_omega" and \
                 len(ax.grid) == len(RIGIDITY_GRID) and \
+                all(isinstance(v, (int, float)) for v in ax.grid) and \
                 np.allclose(ax.grid, RIGIDITY_GRID, atol=1e-9):
             freq_axis = ax
         else:
@@ -373,7 +389,7 @@ def _rigidity_table(cfg: ExperimentConfig, points: list[dict],
     for key, ws in groups.items():
         if len(ws) != len(RIGIDITY_GRID):
             return None
-        lines.append(f"{_g17(key) if key != '' else ''},{_g17(sum(ws))}")
+        lines.append(f"{_grid_field(key) if key != '' else ''},{_g17(sum(ws))}")
     return "\r\n".join(lines) + "\r\n"
 
 

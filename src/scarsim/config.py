@@ -131,20 +131,9 @@ def _scaled_value(d: dict, name: str, p: PhysicalParams, lat: Lattice | None,
 
 
 def _resolve_drive(d: dict, p: PhysicalParams, lat: Lattice) -> DriveProfile:
+    """Build the drive; parse_config has already checked its shape."""
     path = "drive"
-    shape = _get(d, path, "shape", required=True)
-    _expect(shape in [s.value for s in DriveShape], f"{path}.shape",
-            f"unknown shape {shape!r}")
-    if shape == "pulsed":
-        theta = d.get("theta")
-        if theta is None and "epsilon" in d:
-            theta = math.pi + float(d["epsilon"])
-        _expect(theta is not None, path, "pulsed drive needs theta or epsilon")
-        tau = d.get("tau_omega")
-        if tau is None and "tau_over_2pi" in d:
-            tau = math.tau * float(d["tau_over_2pi"])
-        _expect(tau is not None, path, "pulsed drive needs tau_omega or tau_over_2pi")
-        return DriveProfile.pulsed(theta=float(theta), tau=float(tau))
+    shape = d["shape"]
     delta0 = _scaled_value(d, "delta0", p, lat, path, allow_opt=True)
     _expect(delta0 is not None, path, "delta0 is required")
     if shape == "constant":
@@ -175,12 +164,17 @@ def _parse_evolution(d: dict) -> EvolutionSpec:
     total = _get(d, path, "total_time", required=True)
     _expect(isinstance(total, (int, float)) and total > 0, f"{path}.total_time",
             "must be positive")
-    return EvolutionSpec(
-        total_time=float(total),
-        dt=float(d.get("dt", 0.002)),
-        record_stride=int(d.get("record_stride", 1)),
-        krylov_dim=int(d.get("krylov_dim", 16)),
-    )
+    dt = d.get("dt", 0.002)
+    _expect(isinstance(dt, (int, float)) and dt > 0, f"{path}.dt",
+            "must be a positive number")
+    stride = d.get("record_stride", 1)
+    _expect(isinstance(stride, int) and stride >= 1, f"{path}.record_stride",
+            "must be an integer >= 1")
+    kdim = d.get("krylov_dim", 16)
+    _expect(isinstance(kdim, int) and kdim >= 4, f"{path}.krylov_dim",
+            "must be an integer >= 4")
+    return EvolutionSpec(total_time=float(total), dt=float(dt),
+                         record_stride=stride, krylov_dim=kdim)
 
 
 def _parse_observables(d: dict) -> ObservablesSpec:
@@ -282,9 +276,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     drive_raw = doc.get("drive")
     if drive_raw is not None:
         _expect(isinstance(drive_raw, dict), "drive", "must be an object")
-        if drive_raw.get("shape") == "pulsed":
-            _expect(model == "pxp", "drive.shape",
-                    "the pulsed drive requires model 'pxp'")
+        shape = _get(drive_raw, "drive", "shape", required=True)
+        _expect(shape in [s.value for s in DriveShape], "drive.shape",
+                f"unknown shape {shape!r}")
         for name in ("delta0", "deltam", "omegam"):
             keys = [k for k in (f"{name}_over_omega", f"{name}_over_v0",
                                 f"{name}_mhz", name) if k in drive_raw]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ConfigError, NumericalError
-from .hamiltonian import DriveProfile, DriveShape, HamiltonianParts, detuning_at
+from .hamiltonian import DriveProfile, HamiltonianParts, detuning_at
 from .hilbert import ConstrainedBasis
 from .lattice import Lattice
 
@@ -162,8 +162,6 @@ def run_quench(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
         raise ConfigError("state, basis, and operator dimensions disagree")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ConfigError("initial state must be normalized")
-    if drive.shape is DriveShape.PULSED:
-        raise ConfigError("pulsed drives are handled by the stroboscopic driver")
 
     nsub = 1
     period = drive.period
@@ -263,6 +261,7 @@ def entanglement_entropy(rho: np.ndarray, clip: float = 1e-14) -> float:
 
 
 def _g17(x: float) -> str:
+    """Shortest-exact text of a float, shared by every CSV writer."""
     return format(float(x), ".17g")
 
 

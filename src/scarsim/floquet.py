@@ -19,9 +19,14 @@ import numpy as np
 import scipy.linalg as la
 
 from .errors import CapacityError, ConfigError
-from .evolve import _krylov_apply, DENSE_DIM_LIMIT
+from .evolve import _krylov_apply, _site_bit_table, DENSE_DIM_LIMIT
 from .hamiltonian import HamiltonianParts, build_pxp
-from .hilbert import ConstrainedBasis, MicrostateOrdering, enumerate_blockaded
+from .hilbert import (
+    ConstrainedBasis,
+    MicrostateOrdering,
+    enumerate_blockaded,
+    named_state,
+)
 from .lattice import Lattice, PhysicalParams, build_lattice
 
 TAU_C = 0.755 * math.tau
@@ -97,21 +102,9 @@ class _StroboscopicEngine:
         h = parts.dense(0.0)
         self.evals, self.q = np.linalg.eigh(h)
         self.popcounts = np.bitwise_count(self.basis.states)
-        shifts = np.arange(l)
-        self.bits = ((self.basis.states[:, None] >> shifts) & 1).astype(float)
+        self.bits = _site_bit_table(self.basis)
         self.a_sites = self.lat.sites_of(0)
         self.b_sites = self.lat.sites_of(1)
-
-    def named_state(self, name: str) -> np.ndarray:
-        from .hilbert import canonical_states
-
-        af1, af2, ggg = canonical_states(self.lat)
-        s = {"AF1": af1, "AF2": af2, "GGG": ggg}.get(name.upper())
-        if s is None:
-            raise ConfigError(f"unknown initial state {name!r}")
-        psi = np.zeros(self.basis.dim, dtype=complex)
-        psi[self.basis.index_of(s)] = 1.0
-        return psi
 
     def period_operator(self, theta: float, tau: float):
         phase_tau = np.exp(-1j * tau * self.evals)
@@ -140,7 +133,7 @@ def revival_fidelity_map(l: int, boundary: str, epsilons, taus,
     theta = pi + epsilons[i], tau = taus[j].
     """
     eng = _StroboscopicEngine(l, boundary)
-    psi0 = eng.named_state(initial_state)
+    psi0 = named_state(eng.lat, eng.basis, initial_state)
     out = np.empty((len(epsilons), len(taus)))
     for i, eps in enumerate(epsilons):
         for j, tau in enumerate(taus):
@@ -166,7 +159,7 @@ def pulsed_subharmonic_map(l: int, boundary: str, epsilons, taus,
     from .analysis import fourier_spectrum, weight_at
 
     eng = _StroboscopicEngine(l, boundary)
-    psi0 = eng.named_state(initial_state)
+    psi0 = named_state(eng.lat, eng.basis, initial_state)
     times = np.arange(n_periods + 1, dtype=float)
     out = np.empty((len(epsilons), len(taus)))
     for i, eps in enumerate(epsilons):

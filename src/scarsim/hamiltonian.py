@@ -14,15 +14,14 @@ second-order corrections when enabled.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError
 from .hilbert import ConstrainedBasis
 from .lattice import Lattice, PhysicalParams, nn_spacing, pair_distances, SHELL_RTOL
 
@@ -31,36 +30,25 @@ class DriveShape(str, Enum):
     CONSTANT = "constant"
     COSINE = "cosine"
     SQUARE = "square"
-    PULSED = "pulsed"
 
 
 @dataclass(frozen=True)
 class DriveProfile:
-    """Detuning waveform parameters; angular frequencies in rad/us.
+    """Detuning waveform delta0 + deltam * f(omegam t); rates in rad/us.
 
-    Periodic shapes use (delta0, deltam, omegam); the pulsed shape instead
-    carries a kick angle theta (rad) and inter-kick evolution time tau (us)
-    and leaves the delta fields unused.
+    The constant shape uses delta0 only.
     """
 
     shape: DriveShape
     delta0: float = 0.0
     deltam: float = 0.0
     omegam: float = 0.0
-    theta: float | None = None
-    tau: float | None = None
 
     def __post_init__(self) -> None:
         shape = DriveShape(self.shape)
         object.__setattr__(self, "shape", shape)
-        if shape in (DriveShape.COSINE, DriveShape.SQUARE):
-            if not self.omegam > 0:
-                raise ConfigError(f"{shape.value} drive requires omegam > 0")
-        if shape is DriveShape.PULSED:
-            if self.theta is None or self.tau is None:
-                raise ConfigError("pulsed drive requires theta and tau")
-            if self.delta0 or self.deltam or self.omegam:
-                raise ConfigError("pulsed drive does not use delta0/deltam/omegam")
+        if shape is not DriveShape.CONSTANT and not self.omegam > 0:
+            raise ConfigError(f"{shape.value} drive requires omegam > 0")
 
     @classmethod
     def constant(cls, delta0: float) -> "DriveProfile":
@@ -76,19 +64,15 @@ class DriveProfile:
         return cls(shape=DriveShape.SQUARE, delta0=delta0, deltam=deltam,
                    omegam=omegam)
 
-    @classmethod
-    def pulsed(cls, theta: float, tau: float) -> "DriveProfile":
-        return cls(shape=DriveShape.PULSED, theta=theta, tau=tau)
-
     @property
     def period(self) -> float | None:
-        if self.shape in (DriveShape.COSINE, DriveShape.SQUARE):
-            return math.tau / self.omegam
-        return None
+        if self.shape is DriveShape.CONSTANT:
+            return None
+        return math.tau / self.omegam
 
 
 def detuning_at(drive: DriveProfile, t: float) -> float:
-    """Instantaneous detuning of a periodic (or constant) drive, rad/us.
+    """Instantaneous detuning of the drive, rad/us.
 
     The square wave uses the convention step(0) = 1, so the waveform starts
     on its high plateau exactly like the cosine.
@@ -97,9 +81,7 @@ def detuning_at(drive: DriveProfile, t: float) -> float:
         return drive.delta0
     if drive.shape is DriveShape.COSINE:
         return drive.delta0 + drive.deltam * math.cos(drive.omegam * t)
-    if drive.shape is DriveShape.SQUARE:
-        return drive.delta0 + drive.deltam * _square_sign(math.cos(drive.omegam * t))
-    raise ConfigError("pulsed drives have no instantaneous detuning waveform")
+    return drive.delta0 + drive.deltam * _square_sign(math.cos(drive.omegam * t))
 
 
 def _square_sign(c: float) -> float:
@@ -108,37 +90,9 @@ def _square_sign(c: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
-    """CSR matrix plus a hermiticity flag, in constrained-basis indices."""
+    """CSR matrix in constrained-basis indices."""
 
     matrix: sp.csr_matrix
-    hermitian: bool = True
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def to_coo_text(self) -> str:
-        """Coordinate triplet text (row col re im), one entry per line."""
-        coo = self.matrix.tocoo()
-        buf = io.StringIO()
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            v = complex(v)
-            buf.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")
-        return buf.getvalue()
-
-
-def operator_from_coo_text(text: str, dimension: int,
-                           hermitian: bool = True) -> SparseOperator:
-    rows, cols, vals = [], [], []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        r, c, re_, im_ = line.split()
-        rows.append(int(r))
-        cols.append(int(c))
-        vals.append(float(re_) + 1j * float(im_))
-    m = sp.csr_matrix((vals, (rows, cols)), shape=(dimension, dimension))
-    return SparseOperator(matrix=m, hermitian=hermitian)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,8 +126,7 @@ class HamiltonianParts:
     def spectral_bound(self, delta: float) -> float:
         """Gershgorin-style bound on the spectral radius of H at detuning delta."""
         off = self.offdiagonal()
-        row_sums = np.abs(off).sum(axis=1).A1 if hasattr(np.abs(off).sum(axis=1), "A1") \
-            else np.asarray(np.abs(off).sum(axis=1)).ravel()
+        row_sums = np.asarray(abs(off).sum(axis=1)).ravel()
         return float(np.max(row_sums + np.abs(self.diagonal(delta))))
 
 

@@ -8,7 +8,6 @@ used for the grouped microstate tables.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +16,6 @@ from .errors import CapacityError, ConfigError, GeometryError
 from .lattice import Lattice
 
 DEFAULT_MAX_DIM = 1 << 24
-
-# Vectorized filtering over all 2^n bit patterns is used up to this size.
-_VECTOR_SITE_LIMIT = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,19 +84,6 @@ def _neighbour_masks(lat: Lattice) -> np.ndarray:
     return masks
 
 
-def _enumerate_vectorized(n: int, pairs: np.ndarray, max_dim: int) -> np.ndarray:
-    states = np.arange(1 << n, dtype=np.int64)
-    ok = np.ones(states.shape, dtype=bool)
-    for i, j in pairs:
-        ok &= ((states >> int(i)) & (states >> int(j)) & 1) == 0
-    valid = states[ok]
-    if len(valid) > max_dim:
-        raise CapacityError(
-            f"constrained basis has {len(valid)} states, over the {max_dim} bound"
-        )
-    return valid
-
-
 def _enumerate_dfs(n: int, nn_masks: np.ndarray, max_dim: int) -> np.ndarray:
     """Depth-first enumeration in ascending integer order, aborting at max_dim."""
     out: list[int] = []
@@ -139,10 +122,7 @@ def enumerate_blockaded(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> Constra
             f"constrained basis of {n} sites has at least 2**{largest} states, "
             f"over the {max_dim} bound"
         )
-    if n <= _VECTOR_SITE_LIMIT:
-        states = _enumerate_vectorized(n, lat.nn_pairs, max_dim)
-    else:
-        states = _enumerate_dfs(n, masks, max_dim)
+    states = _enumerate_dfs(n, masks, max_dim)
     return ConstrainedBasis(n_sites=n, states=states, nn_masks=masks)
 
 
@@ -171,6 +151,16 @@ def canonical_states(lat: Lattice) -> tuple[int, int, int]:
     return af1, af2, 0
 
 
+def named_state(lat: Lattice, basis: ConstrainedBasis, name: str) -> np.ndarray:
+    """Unit vector of the AF1, AF2 or GGG product state (name case-insensitive)."""
+    state = dict(zip(("AF1", "AF2", "GGG"), canonical_states(lat))).get(name.upper())
+    if state is None:
+        raise ConfigError(f"unknown initial state {name!r}")
+    psi = np.zeros(basis.dim, dtype=complex)
+    psi[basis.index_of(state)] = 1.0
+    return psi
+
+
 def mirror_state(state: int, n_sites: int) -> int:
     """Spatial reflection of a chain configuration (site i -> n-1-i)."""
     out = 0
@@ -178,14 +168,6 @@ def mirror_state(state: int, n_sites: int) -> int:
         if (state >> i) & 1:
             out |= 1 << (n_sites - 1 - i)
     return out
-
-
-def hamming_from(state: int, reference: int, n_sites: int | None = None) -> int:
-    """Number of differing bits; lengths must agree when given."""
-    if n_sites is not None:
-        if state >> n_sites or reference >> n_sites:
-            raise ConfigError("state does not fit the declared length")
-    return int(state ^ reference).bit_count()
 
 
 def _class_key(states: tuple[int, ...], mask_a: int, mask_b: int,
@@ -250,30 +232,3 @@ def order_microstates(grouping: MicrostateOrdering) -> MicrostateOrdering:
         class_states=tuple(grouping.class_states[k] for k in order),
         keys=tuple(grouping.keys[k] for k in order),
     )
-
-
-def basis_to_csv(basis: ConstrainedBasis, lat: Lattice) -> str:
-    """CSV listing: index, bitstring, n_A, n_B (1-based index)."""
-    mask_a = sublattice_mask(lat, 0)
-    mask_b = sublattice_mask(lat, 1)
-    buf = io.StringIO()
-    buf.write("index,bitstring,n_A,n_B\r\n")
-    for k, s in enumerate(basis.states):
-        s = int(s)
-        buf.write(f"{k + 1},{state_to_string(s, basis.n_sites)},"
-                  f"{(s & mask_a).bit_count()},{(s & mask_b).bit_count()}\r\n")
-    return buf.getvalue()
-
-
-def ordering_to_csv(ordering: MicrostateOrdering, lat: Lattice) -> str:
-    """CSV listing of ordered classes: index, representative bitstring, n_A, n_B."""
-    mask_a = sublattice_mask(lat, 0)
-    mask_b = sublattice_mask(lat, 1)
-    buf = io.StringIO()
-    buf.write("index,bitstring,n_A,n_B\r\n")
-    for k, members in enumerate(ordering.class_states):
-        rep = min(state_to_string(st, ordering.n_sites) for st in members)
-        s = members[0]
-        buf.write(f"{k + 1},{rep},{(s & mask_a).bit_count()},"
-                  f"{(s & mask_b).bit_count()}\r\n")
-    return buf.getvalue()

@@ -62,7 +62,7 @@ class TestConfigParsing:
             parse_config(bad)
         bad = json.loads(json.dumps(SMALL_QUENCH))
         bad["drive"] = {"shape": "pulsed", "theta": 3.14, "tau_omega": 1.0}
-        with pytest.raises(ConfigError, match="pxp"):
+        with pytest.raises(ConfigError, match="unknown shape 'pulsed'"):
             parse_config(bad)
         bad = json.loads(json.dumps(SMALL_QUENCH))
         bad["lattice"]["kind"] = "square"
@@ -168,6 +168,15 @@ class TestQuenchCommand:
                      "--out", str(out)]) == 0
         assert (out / "spectrum.csv").exists()
 
+    @pytest.mark.parametrize("key,value", [("dt", "x"), ("record_stride", 2.5),
+                                           ("krylov_dim", "16")])
+    def test_malformed_evolution_exits_2(self, tmp_path, capsys, key, value):
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["evolution"][key] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["quench", "--config", cfg, "--out", str(tmp_path / "q")]) == 2
+        assert f"evolution.{key}" in capsys.readouterr().err
+
     def test_exit_codes(self, tmp_path):
         bad = write_config(tmp_path, {"lattice": {"kind": "nope", "extent": 2}},
                            "bad.json")
@@ -235,6 +244,47 @@ class TestSweepCommand:
         assert manifest["status"] == "partial"
         assert (out / "point_000" / "quench.csv").exists()
         assert not (out / "point_001").exists()
+
+    def test_malformed_point_is_an_error_row(self, tmp_path):
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["observables"] = {}
+        doc["evolution"]["total_time"] = 0.2
+        doc["sweep"] = [{"parameter": "evolution.record_stride", "grid": [1, "x"]}]
+        cfg = write_config(tmp_path, doc)
+        outs = [tmp_path / "j1", tmp_path / "j2"]
+        for jobs, out in zip(("1", "2"), outs):
+            assert main(["sweep", "--config", cfg, "--out", str(out),
+                         "--jobs", jobs]) == 0
+            lines = (out / "aggregate.csv").read_text().strip().splitlines()
+            assert len(lines) == 3
+            assert lines[1].startswith("0,1,ok,")
+            assert lines[2].startswith("1,x,error,ConfigError: evolution.record_stride")
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["status"] == "partial"
+        assert (outs[0] / "aggregate.csv").read_bytes() == \
+            (outs[1] / "aggregate.csv").read_bytes()
+
+    def test_rigidity_skips_non_numeric_grid(self):
+        import scarsim.cli as cli
+
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        grid = [0.75, 0.85, 0.95, 1.05, 1.15, 1.25, 1.35, 1.45, 1.55, 1.65, "x"]
+        doc["sweep"] = [{"parameter": "drive.omegam_over_omega", "grid": grid}]
+        cfg = parse_config(doc)
+        rows = [{"status": "ok", "sub_weight": 0.1}] * len(grid)
+        assert cli._rigidity_table(cfg, cli._sweep_points(cfg), rows) is None
+
+    def test_worker_records_any_exception(self, monkeypatch, capsys):
+        import scarsim.cli as cli
+
+        def boom(cfg):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli, "_run_single_quench", boom)
+        row = cli._sweep_worker((json.dumps(SMALL_QUENCH), {}))
+        assert row["status"] == "error"
+        assert row["error"] == "ZeroDivisionError: division by zero"
+        assert "Traceback" in capsys.readouterr().err
 
     def test_parallel_matches_serial(self, tmp_path):
         doc = json.loads(json.dumps(SMALL_QUENCH))

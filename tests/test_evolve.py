@@ -223,10 +223,6 @@ class TestRunQuench:
             run_quench(lat, basis, parts, DriveProfile.constant(0.0),
                        np.ones(basis.dim, dtype=complex), cfg)
         with pytest.raises(ConfigError):
-            run_quench(lat, basis, parts,
-                       DriveProfile.pulsed(theta=math.pi, tau=1.0),
-                       random_state(basis.dim, 7), cfg)
-        with pytest.raises(ConfigError):
             EvolutionConfig(total_time=1.0, dt=-0.1)
         with pytest.raises(ConfigError):
             EvolutionConfig(total_time=1.0, krylov_dim=2)

@@ -14,7 +14,13 @@ from scarsim.floquet import (
     revival_fidelity_map,
 )
 from scarsim.hamiltonian import build_pxp
-from scarsim.hilbert import canonical_states, enumerate_blockaded, order_microstates, reflection_grouping
+from scarsim.hilbert import (
+    canonical_states,
+    enumerate_blockaded,
+    named_state,
+    order_microstates,
+    reflection_grouping,
+)
 from scarsim.lattice import PhysicalParams, build_lattice
 
 
@@ -161,7 +167,7 @@ class TestEigenstateOverlap:
         fe = floquet_eigenstate_overlap(pp, basis, parts, ordering=ordering)
         assert fe.class_probs_symmetric is not None
         eng = _StroboscopicEngine(9, "open")
-        psi0 = eng.named_state("AF1")
+        psi0 = named_state(eng.lat, eng.basis, "AF1")
         coef = fe.vectors.conj().T @ psi0
         # the AF-dominant pair captures most of the initial state
         assert (np.abs(coef) ** 2).sum() > 0.75

@@ -12,7 +12,6 @@ from scarsim.hamiltonian import (
     build_sw2,
     detuning_at,
     hermiticity_defect,
-    operator_from_coo_text,
     parity_diagonal,
 )
 from scarsim.hilbert import canonical_states, enumerate_blockaded, string_to_state
@@ -177,23 +176,9 @@ class TestDriveProfile:
         with pytest.raises(ConfigError):
             DriveProfile.cosine(1.0, 0.5, 0.0)
         with pytest.raises(ConfigError):
-            DriveProfile(shape="pulsed")
-        with pytest.raises(ConfigError):
-            DriveProfile(shape="pulsed", theta=3.1, tau=1.0, delta0=0.5)
-        with pytest.raises(ConfigError):
-            detuning_at(DriveProfile.pulsed(theta=math.pi, tau=1.0), 0.0)
+            DriveProfile.square(1.0, 0.5, -1.0)
 
     def test_period(self):
         d = DriveProfile.cosine(0.0, 1.0, 4.0)
         assert d.period == pytest.approx(math.tau / 4.0)
         assert DriveProfile.constant(1.0).period is None
-
-
-class TestCooExport:
-    def test_round_trip(self, p):
-        lat = build_lattice("chain", 6)
-        basis = enumerate_blockaded(lat)
-        parts = build_sw2(lat, basis, p)
-        text = parts.sw2_extra.to_coo_text()
-        back = operator_from_coo_text(text, basis.dim)
-        assert (back.matrix != parts.sw2_extra.matrix).nnz == 0
