@@ -47,7 +47,6 @@ from .config import (
 )
 from .errors import CapacityError, ConfigError, GeometryError, NumericalError, ScarsimError
 from .evolve import (
-    EvolutionConfig,
     QuenchResult,
     _g17,
     quench_from_csv,
@@ -227,13 +226,9 @@ def _run_single_quench(cfg: ExperimentConfig) -> tuple[SystemBundle, QuenchResul
     if cfg.evolution is None:
         raise ConfigError("evolution: section is required for quench runs")
     sys_ = _build_system(cfg)
-    ev = cfg.evolution
-    run_cfg = EvolutionConfig(total_time=ev.total_time, dt=ev.dt,
-                              record_stride=ev.record_stride,
-                              krylov_dim=ev.krylov_dim)
     cuts = _resolve_cuts(cfg, sys_.lat)
     result = run_quench(sys_.lat, sys_.basis, sys_.parts, sys_.drive, sys_.psi0,
-                        run_cfg, entropy_cuts=cuts,
+                        cfg.evolution, entropy_cuts=cuts,
                         record_probs=cfg.observables.microstates)
     analysis, spectrum_csv = _analyze_quench(result, sys_.drive)
     return sys_, result, analysis, spectrum_csv

@@ -18,6 +18,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError
+from .evolve import EvolutionConfig
 from .hamiltonian import DriveProfile, DriveShape
 from .lattice import Lattice, PhysicalParams, build_lattice, optimal_detuning
 
@@ -26,10 +27,22 @@ INITIAL_STATES = ("AF1", "AF2", "GGG")
 
 _SWEEPABLE_PREFIXES = ("lattice.", "physical.", "drive.", "evolution.")
 
+# Relative tolerance of the total_time / dt whole-multiple check.
+_GRID_RTOL = 1e-9
+
 
 def _expect(cond: bool, path: str, msg: str) -> None:
     if not cond:
         raise ConfigError(f"{path}: {msg}")
+
+
+def _numbers(values, path: str) -> tuple[float, ...]:
+    """A nonempty list of numbers as floats; names the first bad entry."""
+    _expect(isinstance(values, list) and len(values) > 0, path,
+            "must be a nonempty list of numbers")
+    for k, v in enumerate(values):
+        _expect(isinstance(v, (int, float)), f"{path}[{k}]", "must be a number")
+    return tuple(float(v) for v in values)
 
 
 def _get(d: dict, path: str, key: str, default=None, required=False):
@@ -49,14 +62,6 @@ class LatticeSpec:
     def build(self) -> Lattice:
         return build_lattice(self.kind, self.extent, self.zigzag_nnn_ratio,
                              periodic=self.periodic)
-
-
-@dataclass(frozen=True)
-class EvolutionSpec:
-    total_time: float
-    dt: float = 0.002
-    record_stride: int = 1
-    krylov_dim: int = 16
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,7 @@ class ExperimentConfig:
     cutoff: float | None
     drive_raw: dict | None
     initial_state: str
-    evolution: EvolutionSpec | None
+    evolution: EvolutionConfig | None
     observables: ObservablesSpec
     sweep: tuple[SweepAxis, ...]
     floquet: FloquetSpec | None
@@ -159,22 +164,28 @@ def _parse_lattice(d: dict) -> LatticeSpec:
                        periodic=periodic)
 
 
-def _parse_evolution(d: dict) -> EvolutionSpec:
+def _parse_evolution(d: dict) -> EvolutionConfig:
+    """EvolutionConfig checks each field; the parser adds the time-grid checks.
+
+    A total_time that is not a whole multiple of dt, or a record_stride that
+    does not divide the step count, would be silently truncated by the
+    integrator, so both are rejected here (with a relative tolerance, since
+    e.g. 0.7 / 0.002 is 349.99999999999994).
+    """
     path = "evolution"
-    total = _get(d, path, "total_time", required=True)
-    _expect(isinstance(total, (int, float)) and total > 0, f"{path}.total_time",
-            "must be positive")
-    dt = d.get("dt", 0.002)
-    _expect(isinstance(dt, (int, float)) and dt > 0, f"{path}.dt",
-            "must be a positive number")
-    stride = d.get("record_stride", 1)
-    _expect(isinstance(stride, int) and stride >= 1, f"{path}.record_stride",
-            "must be an integer >= 1")
-    kdim = d.get("krylov_dim", 16)
-    _expect(isinstance(kdim, int) and kdim >= 4, f"{path}.krylov_dim",
-            "must be an integer >= 4")
-    return EvolutionSpec(total_time=float(total), dt=float(dt),
-                         record_stride=stride, krylov_dim=kdim)
+    _expect(isinstance(d, dict), path, "must be an object")
+    ev = EvolutionConfig(total_time=_get(d, path, "total_time", required=True),
+                         dt=d.get("dt", 0.002),
+                         record_stride=d.get("record_stride", 1),
+                         krylov_dim=d.get("krylov_dim", 16))
+    ratio = ev.total_time / ev.dt
+    n_steps = round(ratio)
+    _expect(abs(ratio - n_steps) <= _GRID_RTOL * ratio,
+            f"{path}.total_time",
+            f"must be a whole multiple of dt = {ev.dt} (ratio {ratio!r})")
+    _expect(n_steps % ev.record_stride == 0, f"{path}.record_stride",
+            f"must divide the step count {n_steps}")
+    return ev
 
 
 def _parse_observables(d: dict) -> ObservablesSpec:
@@ -213,26 +224,30 @@ def _parse_sweep(entries: list) -> tuple[SweepAxis, ...]:
 
 def _parse_floquet(d: dict) -> FloquetSpec:
     path = "floquet"
-    l = int(_get(d, path, "l", required=True))
+    _expect(isinstance(d, dict), path, "must be an object")
+    l = _get(d, path, "l", required=True)
+    _expect(isinstance(l, int) and l >= 1, f"{path}.l", "must be an integer >= 1")
     boundary = _get(d, path, "boundary", "periodic")
     _expect(boundary in ("open", "periodic"), f"{path}.boundary",
             "must be 'open' or 'periodic'")
     kind = _get(d, path, "map", required=True)
     _expect(kind in ("revival", "subharmonic"), f"{path}.map",
             "must be 'revival' or 'subharmonic'")
-    eps = _get(d, path, "epsilons", required=True)
+    eps = _numbers(_get(d, path, "epsilons", required=True), f"{path}.epsilons")
     if "taus_omega" in d:
-        taus = tuple(float(t) for t in d["taus_omega"])
+        taus = _numbers(d["taus_omega"], f"{path}.taus_omega")
     elif "taus_over_2pi" in d:
-        taus = tuple(math.tau * float(t) for t in d["taus_over_2pi"])
+        taus = tuple(math.tau * t for t in
+                     _numbers(d["taus_over_2pi"], f"{path}.taus_over_2pi"))
     else:
         raise ConfigError(f"{path}: needs taus_omega or taus_over_2pi")
-    n_per = int(d.get("n_periods", 100 if kind == "revival" else 400))
+    n_per = d.get("n_periods", 100 if kind == "revival" else 400)
+    _expect(isinstance(n_per, int) and n_per >= 1, f"{path}.n_periods",
+            "must be an integer >= 1")
     init = d.get("initial_state", "AF1")
     _expect(init in INITIAL_STATES, f"{path}.initial_state",
             f"must be one of {INITIAL_STATES}")
-    return FloquetSpec(l=l, boundary=boundary, map=kind,
-                       epsilons=tuple(float(e) for e in eps), taus=taus,
+    return FloquetSpec(l=l, boundary=boundary, map=kind, epsilons=eps, taus=taus,
                        n_periods=n_per, initial_state=init)
 
 
@@ -259,6 +274,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         _expect(isinstance(pd, dict), "physical", "must be an object")
         om = _get(pd, "physical", "omega_mhz", required=True)
         v0 = _get(pd, "physical", "v0_mhz", required=True)
+        _expect(isinstance(om, (int, float)), "physical.omega_mhz", "must be a number")
+        _expect(isinstance(v0, (int, float)), "physical.v0_mhz", "must be a number")
         try:
             physical = PhysicalParams.from_mhz(float(om), float(v0))
         except ConfigError as exc:

@@ -30,7 +30,11 @@ _STEPS_PER_PERIOD = 200
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Step size, subspace size, recording stride, and total quench time (us)."""
+    """Step size, subspace size, recording stride, and total quench time (us).
+
+    Also the parsed ``evolution`` section of a config document, so every
+    field check lives here and names its ``evolution.<field>`` path.
+    """
 
     total_time: float
     dt: float = 0.002
@@ -38,14 +42,16 @@ class EvolutionConfig:
     record_stride: int = 1
 
     def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ConfigError("dt must be positive")
-        if self.krylov_dim < 4:
-            raise ConfigError("krylov_dim must be at least 4")
-        if self.record_stride < 1:
-            raise ConfigError("record_stride must be at least 1")
-        if not self.total_time > 0:
-            raise ConfigError("total_time must be positive")
+        if not (isinstance(self.total_time, (int, float)) and self.total_time > 0):
+            raise ConfigError("evolution.total_time: must be a positive number")
+        if not (isinstance(self.dt, (int, float)) and self.dt > 0):
+            raise ConfigError("evolution.dt: must be a positive number")
+        if not (isinstance(self.record_stride, int) and self.record_stride >= 1):
+            raise ConfigError("evolution.record_stride: must be an integer >= 1")
+        if not (isinstance(self.krylov_dim, int) and self.krylov_dim >= 4):
+            raise ConfigError("evolution.krylov_dim: must be an integer >= 4")
+        object.__setattr__(self, "total_time", float(self.total_time))
+        object.__setattr__(self, "dt", float(self.dt))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,9 +222,12 @@ def reduced_density_matrix(psi: np.ndarray, basis: ConstrainedBasis,
                            subset: tuple[int, ...] | list[int]) -> np.ndarray:
     """Trace out the complement of ``subset`` sites.
 
-    Amplitudes are regrouped over the unconstrained 2^|subset| space of the
-    kept sites, with complement configurations indexed by their distinct
-    valid patterns, so the cost is 2^|subset| times the basis dimension.
+    Rows and columns are the distinct subsystem patterns that occur in the
+    basis, i.e. the blockade-valid patterns of the kept sites, in ascending
+    pattern order; when every pattern occurs, as for a single site, this is
+    the full 2^|subset| layout.  Complement configurations are indexed the
+    same way, so the cost is (valid subsystem patterns) times the basis
+    dimension.
     """
     subset = tuple(sorted(set(int(s) for s in subset)))
     if not subset:
@@ -228,18 +237,12 @@ def reduced_density_matrix(psi: np.ndarray, basis: ConstrainedBasis,
     if len(subset) >= basis.n_sites:
         raise ConfigError("subset must be a proper subset of the sites")
 
-    states = basis.states
-    sub_index = np.zeros(basis.dim, dtype=np.int64)
-    for pos, site in enumerate(subset):
-        sub_index |= ((states >> site) & 1) << pos
-    comp_mask = 0
-    for site in range(basis.n_sites):
-        if site not in subset:
-            comp_mask |= 1 << site
-    comp_pattern = states & comp_mask
-    uniq, comp_index = np.unique(comp_pattern, return_inverse=True)
+    # masking keeps the bit order, so rows ascend by subsystem pattern
+    sub_mask = sum(1 << site for site in subset)
+    sub_uniq, sub_index = np.unique(basis.states & sub_mask, return_inverse=True)
+    comp_uniq, comp_index = np.unique(basis.states & ~sub_mask, return_inverse=True)
 
-    m = np.zeros((1 << len(subset), len(uniq)), dtype=complex)
+    m = np.zeros((len(sub_uniq), len(comp_uniq)), dtype=complex)
     m[sub_index, comp_index] = psi
     rho = m @ m.conj().T
     rho = 0.5 * (rho + rho.conj().T)

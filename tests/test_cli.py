@@ -177,6 +177,32 @@ class TestQuenchCommand:
         assert main(["quench", "--config", cfg, "--out", str(tmp_path / "q")]) == 2
         assert f"evolution.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("omega_mhz", "x"), ("v0_mhz", [51.0])])
+    def test_malformed_physical_exits_2(self, tmp_path, capsys, key, value):
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["physical"][key] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["quench", "--config", cfg, "--out", str(tmp_path / "q")]) == 2
+        assert f"physical.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("total_time,stride,field", [
+        (0.011, 1, "evolution.total_time"),    # would silently run to t = 0.012
+        (1.0, 3, "evolution.record_stride"),   # 500 steps
+    ])
+    def test_truncated_time_grid_exits_2(self, tmp_path, capsys, total_time,
+                                         stride, field):
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["evolution"].update(total_time=total_time, record_stride=stride)
+        cfg = write_config(tmp_path, doc)
+        assert main(["quench", "--config", cfg, "--out", str(tmp_path / "q")]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_time_grid_tolerates_rounding(self):
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["evolution"].update(total_time=0.7, dt=0.002, record_stride=50)
+        assert 0.7 / 0.002 == 349.99999999999994
+        assert parse_config(doc).evolution.total_time == 0.7
+
     def test_exit_codes(self, tmp_path):
         bad = write_config(tmp_path, {"lattice": {"kind": "nope", "extent": 2}},
                            "bad.json")
@@ -264,6 +290,18 @@ class TestSweepCommand:
         assert (outs[0] / "aggregate.csv").read_bytes() == \
             (outs[1] / "aggregate.csv").read_bytes()
 
+    def test_truncated_time_grid_point_is_an_error_row(self, tmp_path):
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["observables"] = {}
+        doc["sweep"] = [{"parameter": "evolution.total_time", "grid": [0.2, 0.011]}]
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
+        lines = (out / "aggregate.csv").read_text().strip().splitlines()
+        assert lines[1].startswith("0,0.20000000000000001,ok,")
+        assert lines[2].startswith(
+            "1,0.010999999999999999,error,ConfigError: evolution.total_time")
+
     def test_rigidity_skips_non_numeric_grid(self):
         import scarsim.cli as cli
 
@@ -330,6 +368,22 @@ class TestFloquetCommand:
         assert np.allclose(values, 1.0, atol=1e-9)
         meta = json.loads((out / "map_meta.json").read_text())
         assert meta["l"] == 8 and meta["map"] == "revival"
+
+    @pytest.mark.parametrize("key,value,field", [
+        ("l", "x", "floquet.l"),
+        ("epsilons", [0.0, "x"], "floquet.epsilons[1]"),
+        ("taus_over_2pi", "0.5", "floquet.taus_over_2pi"),
+        ("taus_omega", [None], "floquet.taus_omega[0]"),
+        ("n_periods", 2.5, "floquet.n_periods"),
+    ])
+    def test_malformed_floquet_exits_2(self, tmp_path, capsys, key, value, field):
+        doc = {"floquet": {"l": 8, "boundary": "periodic", "map": "revival",
+                           "epsilons": [0.0], "taus_over_2pi": [0.4],
+                           "n_periods": 10}}
+        doc["floquet"][key] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["floquet", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert field in capsys.readouterr().err
 
     def test_capacity_guard(self, tmp_path):
         doc = {"floquet": {"l": 20, "boundary": "periodic", "map": "revival",

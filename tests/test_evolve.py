@@ -287,6 +287,37 @@ class TestReducedDensityMatrix:
             entanglement_entropy(np.diag([1.2, -0.2]))
         assert entanglement_entropy(np.diag([0.5, 0.5])) == pytest.approx(math.log(2))
 
+    @pytest.mark.parametrize("kind,extent,periodic,subset,n_valid", [
+        ("chain", 16, True, tuple(range(8)), 55),    # half of the 16-site ring
+        ("chain", 9, False, (0, 2, 3, 7), 12),        # non-contiguous chain cut
+        ("square", 4, False, (0, 1, 4, 5, 10), 14),  # 2x2 block plus one site
+    ])
+    def test_rows_are_valid_patterns(self, kind, extent, periodic, subset, n_valid):
+        lat = build_lattice(kind, extent, periodic=periodic)
+        basis = enumerate_blockaded(lat)
+        # count blockade-valid patterns of the kept sites from the bond list
+        bonds = [(int(i), int(j)) for i, j in lat.nn_pairs
+                 if i in subset and j in subset]
+        valid = [occ for occ in np.ndindex(*(2,) * len(subset))
+                 if not any(occ[subset.index(i)] and occ[subset.index(j)]
+                            for i, j in bonds)]
+        assert len(valid) == n_valid
+        psi = random_state(basis.dim, 6)
+        rho = reduced_density_matrix(psi, basis, subset)
+        assert rho.shape == (n_valid, n_valid)
+        # reference: Schmidt values of the amplitude matrix psi[kept, rest]
+        mask = sum(1 << s for s in subset)
+        rows: dict[int, int] = {}
+        cols: dict[int, int] = {}
+        amp = np.zeros((n_valid, basis.dim), dtype=complex)
+        for state, c in zip(basis.states.tolist(), psi):
+            r = rows.setdefault(state & mask, len(rows))
+            amp[r, cols.setdefault(state & ~mask, len(cols))] = c
+        p = np.linalg.svd(amp, compute_uv=False) ** 2
+        p = p[p >= 1e-14]
+        expect = float(-(p * np.log(p)).sum())
+        assert abs(entanglement_entropy(rho) - expect) < 1e-12
+
 
 class TestQuenchCsv:
     def test_round_trip_exact(self, p, chain9, chain9_states):
