@@ -13,6 +13,7 @@ callers pass ``calibration_omega`` (usually half the modulation frequency).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -229,6 +230,19 @@ def _normalized_intensity(values: np.ndarray, times: np.ndarray,
     return stilde**2 / (2.0 * total * window / math.tau), stilde
 
 
+@functools.lru_cache(maxsize=8)
+def _calibration_peak(tt_bytes: bytes, omegas_bytes: bytes, omega_ref: float) -> float:
+    """Peak at omega_ref of the pipeline applied to cos(omega_ref t).
+
+    It depends only on the time grid and omega_ref, so the series of a map,
+    which share both, compute it once.
+    """
+    tt = np.frombuffer(tt_bytes)
+    omegas = np.frombuffer(omegas_bytes)
+    ref_s2, _ = _normalized_intensity(np.cos(omega_ref * tt), tt, omegas)
+    return float(np.interp(omega_ref, omegas, ref_s2))
+
+
 def fourier_spectrum(values: np.ndarray, times: np.ndarray, *,
                      calibration_omega: float | None = None,
                      grid_points_per_bin: int = 8) -> Spectrum:
@@ -262,9 +276,7 @@ def fourier_spectrum(values: np.ndarray, times: np.ndarray, *,
         omega_ref = float(omegas[int(np.argmax(s2))])
     if omega_ref <= 0:
         return Spectrum(omegas=omegas, s2=s2, window=window, stilde=stilde)
-    ref_values = np.cos(omega_ref * tt)
-    ref_s2, _ = _normalized_intensity(ref_values, tt, omegas)
-    ref_peak = float(np.interp(omega_ref, omegas, ref_s2))
+    ref_peak = _calibration_peak(tt.tobytes(), omegas.tobytes(), float(omega_ref))
     if ref_peak <= 0:
         raise NumericalError("spectral calibration failed: zero reference peak")
     return Spectrum(omegas=omegas, s2=s2 / ref_peak, window=window, stilde=stilde)

@@ -159,7 +159,10 @@ def _parse_lattice(d: dict) -> LatticeSpec:
     _expect(isinstance(extent, (int, float)) and extent > 0, f"{path}.extent",
             "must be a positive number")
     ratio = d.get("zigzag_nnn_ratio")
-    periodic = bool(d.get("periodic", False))
+    _expect(ratio is None or isinstance(ratio, (int, float)),
+            f"{path}.zigzag_nnn_ratio", "must be a number")
+    periodic = d.get("periodic", False)
+    _expect(isinstance(periodic, bool), f"{path}.periodic", "must be true or false")
     return LatticeSpec(kind=kind, extent=extent, zigzag_nnn_ratio=ratio,
                        periodic=periodic)
 

@@ -8,6 +8,13 @@ frequency.  Unit conversion belongs to the CLI layer.
 
 At theta = pi the kick anticommutes the generator (particle-hole symmetry),
 so two periods form an exact many-body echo: U(pi, tau)^2 = identity.
+
+The (eps, tau) maps run on one engine.  The PXP Hamiltonian is real
+symmetric, so it is diagonalized once with real eigenvectors Q, and every
+grid point advances together as one column of a (dim, P) block: a period is
+the real GEMM Q^T @ block, a per-column multiply by exp(-i tau E), the real
+GEMM Q @ block and a per-column multiply by the kick.  ``apply_period`` is
+the independent Krylov path for a single state, used as a reference.
 """
 
 from __future__ import annotations
@@ -32,6 +39,15 @@ from .lattice import Lattice, PhysicalParams, build_lattice
 TAU_C = 0.755 * math.tau
 
 _PERIODIC_SITE_LIMIT = 18
+
+# period-operator eigenvalues closer than this count as one eigenspace
+_DEGENERACY_TOL = 1e-8
+
+# a map holds about this many complex (dim, points) arrays at once (state,
+# eigenbasis coefficients, phases, kicks, a temporary); refuse maps whose
+# arrays would exceed the byte limit
+_BLOCK_ARRAYS = 5
+_BLOCK_BYTES_LIMIT = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -81,8 +97,31 @@ def apply_period(psi: np.ndarray, params: PulsedParams, basis: ConstrainedBasis,
     return out / np.linalg.norm(out)
 
 
+def _pxp_eigensystem(parts: HamiltonianParts) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and real orthonormal eigenvectors of H at zero detuning.
+
+    The blockade Hamiltonian is real symmetric, so its eigenvectors are real
+    and complex states are propagated with real matrix products.
+    """
+    h = parts.offdiagonal().toarray()
+    h[np.diag_indices_from(h)] += parts.diagonal(0.0)
+    return np.linalg.eigh(h)
+
+
+def _real_matmul(a: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``a @ block`` for real ``a`` and a C-contiguous complex block, as one
+    real GEMM over the block's interleaved real/imaginary columns."""
+    return (a @ block.view(np.float64)).view(np.complex128)
+
+
 class _StroboscopicEngine:
-    """Dense eigenbasis propagation of the pulsed drive for one chain."""
+    """Dense real-eigenbasis propagation of the pulsed drive for one chain.
+
+    A (dim, P) block holds one state per column; column p is driven with
+    kick angle ``thetas[p]`` and evolution time ``taus[p]``.  One period is
+    two real GEMMs with the eigenvector matrix and two per-column diagonal
+    multiplies, so a whole (eps, tau) map advances together.
+    """
 
     def __init__(self, l: int, boundary: str):
         if boundary not in ("open", "periodic"):
@@ -99,28 +138,48 @@ class _StroboscopicEngine:
                 f"pulsed maps need dim <= {DENSE_DIM_LIMIT}, got {self.basis.dim}"
             )
         parts = build_pxp(self.lat, self.basis, PhysicalParams(omega=1.0, v0=1.0))
-        h = parts.dense(0.0)
-        self.evals, self.q = np.linalg.eigh(h)
+        self.evals, self.q = _pxp_eigensystem(parts)
         self.popcounts = np.bitwise_count(self.basis.states)
-        self.bits = _site_bit_table(self.basis)
-        self.a_sites = self.lat.sites_of(0)
-        self.b_sites = self.lat.sites_of(1)
+        bits = _site_bit_table(self.basis)
+        # imbalance = A-site mean minus B-site mean of the site occupations
+        self.imbalance_weights = (bits[:, self.lat.sites_of(0)].mean(axis=1)
+                                  - bits[:, self.lat.sites_of(1)].mean(axis=1))
 
-    def period_operator(self, theta: float, tau: float):
-        phase_tau = np.exp(-1j * tau * self.evals)
-        kick = np.exp(-1j * theta * self.popcounts)
-        q = self.q
-        qh = q.conj().T
+    def drive(self, thetas, taus) -> tuple[np.ndarray, np.ndarray]:
+        """Per-column eigenphases exp(-i tau E) and kicks exp(-i theta N)."""
+        phases = np.exp(-1j * np.outer(self.evals, taus))
+        kicks = np.exp(-1j * np.outer(self.popcounts, thetas))
+        return phases, kicks
 
-        def one_period(psi: np.ndarray) -> np.ndarray:
-            return kick * (q @ (phase_tau * (qh @ psi)))
+    def apply(self, block: np.ndarray, phases: np.ndarray,
+              kicks: np.ndarray) -> np.ndarray:
+        """One driving period on every column of a (dim, P) complex block."""
+        coef = _real_matmul(self.q.T, block)
+        coef *= phases
+        out = _real_matmul(self.q, coef)
+        out *= kicks
+        return out
 
-        return one_period
+    def imbalance(self, block: np.ndarray) -> np.ndarray:
+        """Sublattice imbalance of every column."""
+        return self.imbalance_weights @ (np.abs(block) ** 2)
 
-    def imbalance(self, psi: np.ndarray) -> float:
-        pr = np.abs(psi) ** 2
-        site = pr @ self.bits
-        return float(site[self.a_sites].mean() - site[self.b_sites].mean())
+
+def _start_grid(eng: _StroboscopicEngine, epsilons, taus, initial_state: str):
+    """Initial block, one column per (eps, tau) point in row-major order."""
+    eps = np.asarray(epsilons, dtype=float)
+    taus = np.asarray(taus, dtype=float)
+    n_points = len(eps) * len(taus)
+    if _BLOCK_ARRAYS * 16 * eng.basis.dim * n_points > _BLOCK_BYTES_LIMIT:
+        raise CapacityError(
+            f"a {len(eps)}x{len(taus)} map at dim {eng.basis.dim} needs more than "
+            f"{_BLOCK_BYTES_LIMIT >> 30} GiB of state blocks"
+        )
+    phases, kicks = eng.drive(np.repeat(math.pi + eps, len(taus)),
+                              np.tile(taus, len(eps)))
+    psi0 = named_state(eng.lat, eng.basis, initial_state)
+    block = np.repeat(psi0[:, None], n_points, axis=1)
+    return psi0, block, phases, kicks
 
 
 def revival_fidelity_map(l: int, boundary: str, epsilons, taus,
@@ -133,18 +192,12 @@ def revival_fidelity_map(l: int, boundary: str, epsilons, taus,
     theta = pi + epsilons[i], tau = taus[j].
     """
     eng = _StroboscopicEngine(l, boundary)
-    psi0 = named_state(eng.lat, eng.basis, initial_state)
-    out = np.empty((len(epsilons), len(taus)))
-    for i, eps in enumerate(epsilons):
-        for j, tau in enumerate(taus):
-            step = eng.period_operator(math.pi + eps, tau)
-            psi = psi0
-            acc = 0.0
-            for _ in range(n_periods):
-                psi = step(step(psi))
-                acc += abs(np.vdot(psi0, psi)) ** 2
-            out[i, j] = acc / n_periods
-    return out
+    psi0, block, phases, kicks = _start_grid(eng, epsilons, taus, initial_state)
+    acc = np.zeros(block.shape[1])
+    for _ in range(n_periods):
+        block = eng.apply(eng.apply(block, phases, kicks), phases, kicks)
+        acc += np.abs(psi0.conj() @ block) ** 2
+    return (acc / n_periods).reshape(len(epsilons), len(taus))
 
 
 def pulsed_subharmonic_map(l: int, boundary: str, epsilons, taus,
@@ -159,21 +212,18 @@ def pulsed_subharmonic_map(l: int, boundary: str, epsilons, taus,
     from .analysis import fourier_spectrum, weight_at
 
     eng = _StroboscopicEngine(l, boundary)
-    psi0 = named_state(eng.lat, eng.basis, initial_state)
+    _, block, phases, kicks = _start_grid(eng, epsilons, taus, initial_state)
+    series = np.empty((block.shape[1], n_periods + 1))
+    series[:, 0] = eng.imbalance(block)
+    for n in range(1, n_periods + 1):
+        block = eng.apply(block, phases, kicks)
+        series[:, n] = eng.imbalance(block)
     times = np.arange(n_periods + 1, dtype=float)
-    out = np.empty((len(epsilons), len(taus)))
-    for i, eps in enumerate(epsilons):
-        for j, tau in enumerate(taus):
-            step = eng.period_operator(math.pi + eps, tau)
-            psi = psi0
-            series = np.empty(n_periods + 1)
-            series[0] = eng.imbalance(psi)
-            for n in range(1, n_periods + 1):
-                psi = step(psi)
-                series[n] = eng.imbalance(psi)
-            spec = fourier_spectrum(series, times, calibration_omega=math.pi)
-            out[i, j] = weight_at(spec, math.pi)
-    return out
+    out = np.empty(block.shape[1])
+    for p, values in enumerate(series):
+        spec = fourier_spectrum(values, times, calibration_omega=math.pi)
+        out[p] = weight_at(spec, math.pi)
+    return out.reshape(len(epsilons), len(taus))
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,6 +255,10 @@ def floquet_eigenstate_overlap(params: PulsedParams, basis: ConstrainedBasis,
     so the AF1 overlap is real nonnegative).  Chain site labeling is
     assumed: sublattice A sits on even sites.
     """
+    # imported here: only this analysis needs it, and every CLI process
+    # imports this module
+    from scipy.sparse.csgraph import connected_components
+
     if basis.dim > DENSE_DIM_LIMIT:
         raise CapacityError(
             f"dense period-operator analysis guarded to dim <= {DENSE_DIM_LIMIT}"
@@ -214,14 +268,22 @@ def floquet_eigenstate_overlap(params: PulsedParams, basis: ConstrainedBasis,
     af2 = sum(1 << i for i in range(1, n, 2))
     i1, i2 = basis.index_of(af1), basis.index_of(af2)
 
-    h = parts_pxp.dense(0.0)
-    evals, q = np.linalg.eigh(h)
-    u_tau = (q * np.exp(-1j * params.tau * evals)) @ q.conj().T
+    evals, q = _pxp_eigensystem(parts_pxp)
+    u_tau = (q * np.exp(-1j * params.tau * evals)) @ q.T
     u_f = _kick_phases(basis, params.theta)[:, None] * u_tau
     # unitary matrices are normal, so the complex Schur form is diagonal and
     # the Schur vectors are an orthonormal eigenbasis
     t, z = la.schur(u_f, output="complex")
     phases = np.diag(t)
+    # a degenerate eigenvalue (the echo point is an involution) leaves its
+    # Schur vectors an arbitrary basis of the eigenspace: rotate each such
+    # cluster so that its leading vectors carry all of its AF1/AF2 weight
+    close = np.abs(phases[:, None] - phases[None, :]) < _DEGENERACY_TOL
+    _, labels = connected_components(close, directed=False)
+    for c in np.flatnonzero(np.bincount(labels) > 1):
+        cols = np.flatnonzero(labels == c)
+        rot, _, _ = np.linalg.svd(z[[i1, i2]][:, cols].conj().T)
+        z[:, cols] = z[:, cols] @ rot
     score = np.abs(z[i1, :]) ** 2 + np.abs(z[i2, :]) ** 2
     top = np.argsort(score)[::-1][:2]
     vecs = z[:, top].copy()

@@ -125,6 +125,23 @@ class TestSpectrum:
             spec = fourier_spectrum(np.cos(w0 * self.t), self.t)
             assert weight_at(spec, w0) == pytest.approx(1.0, abs=1e-6)
 
+    def test_calibration_is_shared_but_exact(self):
+        # the reference cosine's peak is computed once per time grid and
+        # frequency; every later series must scale by exactly that value
+        from scarsim.analysis import _normalized_intensity
+
+        rng = np.random.default_rng(4)
+        tt = self.t - self.t[0]
+        for omega_ref in (math.pi, None):
+            for _ in range(3):
+                values = rng.normal(size=len(self.t))
+                spec = fourier_spectrum(values, self.t, calibration_omega=omega_ref)
+                raw, _ = _normalized_intensity(values, tt, spec.omegas)
+                w = omega_ref if omega_ref is not None else spec.omegas[np.argmax(raw)]
+                ref, _ = _normalized_intensity(np.cos(w * tt), tt, spec.omegas)
+                expected = raw / float(np.interp(w, spec.omegas, ref))
+                assert np.array_equal(spec.s2, expected)
+
     def test_constant_series_is_zero(self):
         spec = fourier_spectrum(np.full_like(self.t, 2.2), self.t)
         assert np.allclose(spec.s2, 0.0)

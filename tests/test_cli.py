@@ -127,6 +127,18 @@ class TestLatticeCommand:
         report = json.loads((out / "geometry.json").read_text())
         assert report["delta_q_opt_over_v0"] == pytest.approx(0.15, rel=0.03)
 
+    @pytest.mark.parametrize("lattice,field", [
+        ({"kind": "chain", "extent": 8, "periodic": "false"}, "lattice.periodic"),
+        ({"kind": "chain", "extent": 8, "periodic": 0}, "lattice.periodic"),
+        ({"kind": "zigzag_chain", "extent": 9, "zigzag_nnn_ratio": "x"},
+         "lattice.zigzag_nnn_ratio"),
+    ])
+    def test_malformed_lattice_exits_2(self, tmp_path, capsys, lattice, field):
+        cfg = write_config(tmp_path, {"lattice": lattice})
+        assert main(["lattice", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o" / "lattice.json").exists()
+
     def test_list_presets(self, capsys, tmp_path):
         assert main(["lattice", "--list-presets"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

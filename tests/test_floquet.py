@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from scarsim.analysis import fourier_spectrum, weight_at
 from scarsim.errors import CapacityError, ConfigError
 from scarsim.floquet import (
     TAU_C,
@@ -109,6 +110,9 @@ class TestRevivalMap:
     def test_guards(self):
         with pytest.raises(CapacityError):
             revival_fidelity_map(20, "periodic", [0.0], [1.0], n_periods=1)
+        with pytest.raises(CapacityError, match="200x100 map at dim 843"):
+            revival_fidelity_map(14, "periodic", [0.1] * 200, [1.0] * 100,
+                                 n_periods=1)
         with pytest.raises(ConfigError):
             revival_fidelity_map(10, "twisted", [0.0], [1.0], n_periods=1)
 
@@ -143,6 +147,76 @@ class TestSubharmonicMap:
         assert amp[k] > 0.85
 
 
+GRID_EPS = [0.0, 0.35, 1.1]
+GRID_TAUS = [0.9, TAU_C, 5.0]
+MAPS = {"revival": revival_fidelity_map, "subharmonic": pulsed_subharmonic_map}
+N_PERIODS = {"revival": 12, "subharmonic": 30}
+
+
+def krylov_map(kind, l, boundary, epsilons, taus, n_periods):
+    """Per-point reference through apply_period (Krylov), one point at a time."""
+    lat = build_lattice("chain", l, periodic=boundary == "periodic")
+    basis = enumerate_blockaded(lat)
+    parts = build_pxp(lat, basis, PhysicalParams(omega=1.0, v0=1.0))
+    psi0 = named_state(lat, basis, "AF1")
+    bits = ((basis.states[:, None] >> np.arange(l)) & 1).astype(float)
+    a_sites, b_sites = lat.sites_of(0), lat.sites_of(1)
+
+    def imbalance(psi):
+        site = (np.abs(psi) ** 2) @ bits
+        return site[a_sites].mean() - site[b_sites].mean()
+
+    out = np.empty((len(epsilons), len(taus)))
+    for i, eps in enumerate(epsilons):
+        for j, tau in enumerate(taus):
+            pp = PulsedParams.from_epsilon(eps, tau)
+            psi = psi0
+            if kind == "revival":
+                acc = 0.0
+                for _ in range(n_periods):
+                    psi = apply_period(apply_period(psi, pp, basis, parts), pp,
+                                       basis, parts)
+                    acc += abs(np.vdot(psi0, psi)) ** 2
+                out[i, j] = acc / n_periods
+            else:
+                series = [imbalance(psi)]
+                for _ in range(n_periods):
+                    psi = apply_period(psi, pp, basis, parts)
+                    series.append(imbalance(psi))
+                spec = fourier_spectrum(np.array(series),
+                                        np.arange(n_periods + 1, dtype=float),
+                                        calibration_omega=math.pi)
+                out[i, j] = weight_at(spec, math.pi)
+    return out
+
+
+@pytest.mark.parametrize("l,boundary", [(10, "periodic"), (9, "open")])
+class TestBatchedMaps:
+    """The whole grid advances as one block; columns must not interact."""
+
+    @pytest.mark.parametrize("kind", sorted(MAPS))
+    def test_matches_krylov_reference(self, kind, l, boundary):
+        n = N_PERIODS[kind]
+        got = MAPS[kind](l, boundary, GRID_EPS, GRID_TAUS, n_periods=n)
+        ref = krylov_map(kind, l, boundary, GRID_EPS, GRID_TAUS, n)
+        assert got.shape == (3, 3)
+        assert np.abs(got - ref).max() < 1e-9
+
+    @pytest.mark.parametrize("kind", sorted(MAPS))
+    def test_point_alone_equals_point_in_grid(self, kind, l, boundary):
+        n = N_PERIODS[kind]
+        full = MAPS[kind](l, boundary, GRID_EPS, GRID_TAUS, n_periods=n)
+        for i, eps in enumerate(GRID_EPS):
+            for j, tau in enumerate(GRID_TAUS):
+                alone = MAPS[kind](l, boundary, [eps], [tau], n_periods=n)
+                assert abs(alone[0, 0] - full[i, j]) < 1e-12
+
+    def test_echo_row(self, l, boundary):
+        m = revival_fidelity_map(l, boundary, GRID_EPS, GRID_TAUS,
+                                 n_periods=N_PERIODS["revival"])
+        assert np.abs(m[0] - 1.0).max() < 1e-9
+
+
 class TestEigenstateOverlap:
     def test_norms_and_echo_point_pairing(self):
         lat = build_lattice("chain", 9)
@@ -171,11 +245,12 @@ class TestEigenstateOverlap:
         coef = fe.vectors.conj().T @ psi0
         # the AF-dominant pair captures most of the initial state
         assert (np.abs(coef) ** 2).sum() > 0.75
-        step = eng.period_operator(pp.theta, pp.tau)
-        psi = psi0
+        phases, kicks = eng.drive([pp.theta], [pp.tau])
+        block = psi0[:, None]
         errs = []
         for n in range(1, 41):
-            psi = step(psi)
+            block = eng.apply(block, phases, kicks)
+            psi = block[:, 0]
             recon = fe.vectors @ (fe.eigenvalues**n * coef)
             errs.append(np.abs(_class_probabilities(psi, ordering)
                                - _class_probabilities(recon, ordering)).sum())
