@@ -13,11 +13,9 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
-import math
 import sys
 import time
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +62,6 @@ from .hilbert import (
 from .lattice import (
     REF_ALPHA,
     REF_BETA,
-    Lattice,
     blockade_radius,
     decay_predictors,
     lattice_to_json,
@@ -106,19 +103,9 @@ def _load_document(args) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
-@dataclass
-class SystemBundle:
-    lat: Lattice
-    basis: object
-    parts: object
-    drive: DriveProfile
-    psi0: np.ndarray
-
-
-def _build_system(cfg: ExperimentConfig) -> SystemBundle:
-    if cfg.physical is None:
-        raise ConfigError("physical: section is required for dynamics commands")
-    lat = cfg.lattice.build()
+def _build_system(cfg: ExperimentConfig):
+    """Basis, Hamiltonian parts and initial state of the configured lattice."""
+    lat = cfg.lattice
     basis = enumerate_blockaded(lat)
     if cfg.model == "rydberg":
         parts = build_rydberg(lat, basis, cfg.physical, cutoff=cfg.cutoff)
@@ -126,23 +113,11 @@ def _build_system(cfg: ExperimentConfig) -> SystemBundle:
         parts = build_pxp(lat, basis, cfg.physical)
     else:
         parts = build_sw2(lat, basis, cfg.physical)
-    drive = cfg.resolve_drive(lat)
-    psi0 = named_state(lat, basis, cfg.initial_state)
-    return SystemBundle(lat=lat, basis=basis, parts=parts, drive=drive, psi0=psi0)
-
-
-def _resolve_cuts(cfg: ExperimentConfig, lat: Lattice) -> tuple:
-    cuts = []
-    for cut in cfg.observables.entropy_cuts:
-        if cut == "half":
-            cuts.append(tuple(range(lat.n_sites // 2)))
-        else:
-            cuts.append(tuple(cut))
-    return tuple(cuts)
+    return basis, parts, named_state(lat, basis, cfg.initial_state)
 
 
 def _geometry_report(cfg: ExperimentConfig) -> dict:
-    lat = cfg.lattice.build()
+    lat = cfg.lattice
     report: dict = {
         "kind": lat.kind,
         "n_sites": lat.n_sites,
@@ -171,27 +146,30 @@ def _geometry_report(cfg: ExperimentConfig) -> dict:
     return report
 
 
-def _write(path: Path, text: str, outputs: list[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    outputs.append(path.name)
-
-
-def cmd_lattice(doc: dict, out: Path) -> int:
-    cfg = parse_config(doc)
+def _run(command, doc: dict, out: Path, *args) -> int:
+    """Parse ``doc``, run one command on it, and write the files it returns
+    (relative path -> text) plus ``resolved_config.json`` and ``manifest.json``."""
     t0 = time.perf_counter()
-    report = _geometry_report(cfg)
-    lat = cfg.lattice.build()
-    outputs: list[str] = []
-    _write(out / "lattice.json", lattice_to_json(lat) + "\n", outputs)
-    _write(out / "geometry.json", json.dumps(report, sort_keys=True, indent=2) + "\n",
-           outputs)
-    _write(out / "resolved_config.json", serialize_config(cfg), outputs)
+    cfg = parse_config(doc)
+    files, status, message = command(cfg, *args)
+    files["resolved_config.json"] = serialize_config(cfg)
+    for name, text in files.items():
+        path = out / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
     manifest = RunManifest(config_hash=config_hash(doc), toolkit_version=__version__,
-                           outputs=outputs, wall_clock_s=time.perf_counter() - t0)
+                           outputs=list(files), wall_clock_s=time.perf_counter() - t0,
+                           status=status)
     (out / "manifest.json").write_text(manifest.to_json())
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(message)
     return 0
+
+
+def cmd_lattice(cfg: ExperimentConfig) -> tuple[dict, str, str]:
+    report = json.dumps(_geometry_report(cfg), sort_keys=True, indent=2)
+    files = {"lattice.json": lattice_to_json(cfg.lattice) + "\n",
+             "geometry.json": report + "\n"}
+    return files, "complete", report
 
 
 def _analyze_quench(result: QuenchResult, drive: DriveProfile) -> tuple[dict, str | None]:
@@ -222,40 +200,33 @@ def _analyze_quench(result: QuenchResult, drive: DriveProfile) -> tuple[dict, st
     return analysis, spectrum_csv
 
 
-def _run_single_quench(cfg: ExperimentConfig) -> tuple[SystemBundle, QuenchResult, dict, str | None]:
+def _run_single_quench(cfg: ExperimentConfig):
+    """Basis, quench result, analysis dict and spectrum csv (or None)."""
     if cfg.evolution is None:
         raise ConfigError("evolution: section is required for quench runs")
-    sys_ = _build_system(cfg)
-    cuts = _resolve_cuts(cfg, sys_.lat)
-    result = run_quench(sys_.lat, sys_.basis, sys_.parts, sys_.drive, sys_.psi0,
-                        cfg.evolution, entropy_cuts=cuts,
+    if cfg.drive is None:
+        raise ConfigError("drive: section is required for quench runs")
+    basis, parts, psi0 = _build_system(cfg)
+    result = run_quench(cfg.lattice, basis, parts, cfg.drive, psi0, cfg.evolution,
+                        entropy_cuts=cfg.observables.entropy_cuts,
                         record_probs=cfg.observables.microstates)
-    analysis, spectrum_csv = _analyze_quench(result, sys_.drive)
-    return sys_, result, analysis, spectrum_csv
+    analysis, spectrum_csv = _analyze_quench(result, cfg.drive)
+    return basis, result, analysis, spectrum_csv
 
 
-def cmd_quench(doc: dict, out: Path) -> int:
-    cfg = parse_config(doc)
-    t0 = time.perf_counter()
-    sys_, result, analysis, spectrum_csv = _run_single_quench(cfg)
-    outputs: list[str] = []
-    _write(out / "quench.csv", quench_to_csv(result), outputs)
-    _write(out / "lattice.json", lattice_to_json(sys_.lat) + "\n", outputs)
-    _write(out / "resolved_config.json", serialize_config(cfg), outputs)
+def cmd_quench(cfg: ExperimentConfig) -> tuple[dict, str, str]:
+    basis, result, analysis, spectrum_csv = _run_single_quench(cfg)
+    files = {"quench.csv": quench_to_csv(result),
+             "lattice.json": lattice_to_json(cfg.lattice) + "\n",
+             "analysis.json": json.dumps(analysis, sort_keys=True, indent=2) + "\n"}
     if spectrum_csv is not None:
-        _write(out / "spectrum.csv", spectrum_csv, outputs)
-    _write(out / "analysis.json",
-           json.dumps(analysis, sort_keys=True, indent=2) + "\n", outputs)
+        files["spectrum.csv"] = spectrum_csv
     if cfg.observables.microstates:
-        ordering = order_microstates(reflection_grouping(sys_.basis, sys_.lat))
+        ordering = order_microstates(reflection_grouping(basis, cfg.lattice))
         matrix = microstate_matrix(result, ordering)
-        _write(out / "microstates.csv",
-               microstate_matrix_to_csv(result.times, matrix), outputs)
-    manifest = RunManifest(config_hash=config_hash(doc), toolkit_version=__version__,
-                           outputs=outputs, wall_clock_s=time.perf_counter() - t0)
-    (out / "manifest.json").write_text(manifest.to_json())
-    print(f"quench complete: {len(result.times)} snapshots, dim {sys_.basis.dim}")
-    return 0
+        files["microstates.csv"] = microstate_matrix_to_csv(result.times, matrix)
+    return files, "complete", \
+        f"quench complete: {len(result.times)} snapshots, dim {basis.dim}"
 
 
 def _sweep_points(cfg: ExperimentConfig) -> list[dict]:
@@ -288,9 +259,9 @@ def _sweep_worker(payload: tuple[str, dict]) -> dict:
         for path, value in overrides.items():
             doc = set_by_path(doc, path, value)
         cfg = parse_config(doc)
-        sys_, result, analysis, _ = _run_single_quench(cfg)
-        x, y = decay_predictors(sys_.lat, cfg.physical)
-        row["dim"] = sys_.basis.dim
+        basis, result, analysis, _ = _run_single_quench(cfg)
+        x, y = decay_predictors(cfg.lattice, cfg.physical)
+        row["dim"] = basis.dim
         row["x_mhz"] = x
         row["y_mhz"] = y
         fit = analysis.get("fit")
@@ -314,11 +285,9 @@ _AGG_COLUMNS = ("dim", "omega_tilde", "tau", "inv_tau", "sub_weight",
                 "harm_weight", "fourth_weight", "x_mhz", "y_mhz")
 
 
-def cmd_sweep(doc: dict, out: Path, jobs: int | None) -> int:
-    cfg = parse_config(doc)
-    t0 = time.perf_counter()
+def cmd_sweep(cfg: ExperimentConfig, jobs: int | None) -> tuple[dict, str, str]:
     points = _sweep_points(cfg)
-    doc_json = json.dumps(doc, sort_keys=True)
+    doc_json = json.dumps(cfg.raw, sort_keys=True)
     payloads = [(doc_json, pt) for pt in points]
     if jobs is not None and jobs <= 1:
         rows = [_sweep_worker(pl) for pl in payloads]
@@ -326,35 +295,28 @@ def cmd_sweep(doc: dict, out: Path, jobs: int | None) -> int:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_worker, payloads))
 
-    outputs: list[str] = []
+    files: dict = {}
     axis_names = [ax.parameter for ax in cfg.sweep]
     header = ["point"] + axis_names + ["status", "error"] + list(_AGG_COLUMNS)
     lines = [",".join(header)]
     for k, (pt, row) in enumerate(zip(points, rows)):
         csv_text = row.pop("quench_csv", None)
         if csv_text is not None:
-            _write(out / f"point_{k:03d}" / "quench.csv", csv_text, outputs)
-            outputs[-1] = f"point_{k:03d}/quench.csv"
+            files[f"point_{k:03d}/quench.csv"] = csv_text
         vals = [str(k)] + [_grid_field(pt[name]) for name in axis_names]
         vals += [row["status"], _csv_field(row.get("error", ""))]
         for col in _AGG_COLUMNS:
             v = row.get(col)
             vals.append("" if v is None else _g17(v))
         lines.append(",".join(vals))
-    _write(out / "aggregate.csv", "\r\n".join(lines) + "\r\n", outputs)
+    files["aggregate.csv"] = "\r\n".join(lines) + "\r\n"
 
     rigidity_csv = _rigidity_table(cfg, points, rows)
     if rigidity_csv is not None:
-        _write(out / "rigidity.csv", rigidity_csv, outputs)
-
-    _write(out / "resolved_config.json", serialize_config(cfg), outputs)
+        files["rigidity.csv"] = rigidity_csv
     n_err = sum(1 for r in rows if r["status"] != "ok")
-    manifest = RunManifest(config_hash=config_hash(doc), toolkit_version=__version__,
-                           outputs=outputs, wall_clock_s=time.perf_counter() - t0,
-                           status="complete" if n_err == 0 else "partial")
-    (out / "manifest.json").write_text(manifest.to_json())
-    print(f"sweep complete: {len(points)} points, {n_err} failed")
-    return 0
+    return files, "complete" if n_err == 0 else "partial", \
+        f"sweep complete: {len(points)} points, {n_err} failed"
 
 
 def _rigidity_table(cfg: ExperimentConfig, points: list[dict],
@@ -388,32 +350,24 @@ def _rigidity_table(cfg: ExperimentConfig, points: list[dict],
     return "\r\n".join(lines) + "\r\n"
 
 
-def cmd_floquet(doc: dict, out: Path) -> int:
-    cfg = parse_config(doc)
+def cmd_floquet(cfg: ExperimentConfig) -> tuple[dict, str, str]:
     if cfg.floquet is None:
         raise ConfigError("floquet: section is required for the floquet command")
     fq = cfg.floquet
-    t0 = time.perf_counter()
     fn = revival_fidelity_map if fq.map == "revival" else pulsed_subharmonic_map
     values = fn(fq.l, fq.boundary, fq.epsilons, fq.taus,
                 n_periods=fq.n_periods, initial_state=fq.initial_state)
-    outputs: list[str] = []
     lines = ["epsilon,tau_omega,value"]
     for i, eps in enumerate(fq.epsilons):
         for j, tau in enumerate(fq.taus):
             lines.append(f"{_g17(eps)},{_g17(tau)},{_g17(values[i, j])}")
-    _write(out / "map.csv", "\r\n".join(lines) + "\r\n", outputs)
     meta = {"l": fq.l, "boundary": fq.boundary, "map": fq.map,
             "n_periods": fq.n_periods, "initial_state": fq.initial_state,
             "epsilons": list(fq.epsilons), "taus_omega": list(fq.taus)}
-    _write(out / "map_meta.json", json.dumps(meta, sort_keys=True, indent=2) + "\n",
-           outputs)
-    _write(out / "resolved_config.json", serialize_config(cfg), outputs)
-    manifest = RunManifest(config_hash=config_hash(doc), toolkit_version=__version__,
-                           outputs=outputs, wall_clock_s=time.perf_counter() - t0)
-    (out / "manifest.json").write_text(manifest.to_json())
-    print(f"floquet map complete: {values.shape[0]}x{values.shape[1]} points")
-    return 0
+    files = {"map.csv": "\r\n".join(lines) + "\r\n",
+             "map_meta.json": json.dumps(meta, sort_keys=True, indent=2) + "\n"}
+    return files, "complete", \
+        f"floquet map complete: {values.shape[0]}x{values.shape[1]} points"
 
 
 def cmd_analyze(paths: list[str], mode: str, out: Path | None,
@@ -519,16 +473,9 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{name}\t{note}")
             return 0
         doc = _load_document(args)
-        out = Path(args.out)
-        if args.command == "lattice":
-            return cmd_lattice(doc, out)
-        if args.command == "quench":
-            return cmd_quench(doc, out)
-        if args.command == "sweep":
-            return cmd_sweep(doc, out, args.jobs)
-        if args.command == "floquet":
-            return cmd_floquet(doc, out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        # looked up in the module globals at call time, so a wrapped cmd_* runs
+        extra = (args.jobs,) if args.command == "sweep" else ()
+        return _run(globals()[f"cmd_{args.command}"], doc, Path(args.out), *extra)
     except (ConfigError, GeometryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -13,9 +13,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any
-
-import numpy as np
 
 from .errors import ConfigError
 from .evolve import EvolutionConfig
@@ -29,6 +26,11 @@ _SWEEPABLE_PREFIXES = ("lattice.", "physical.", "drive.", "evolution.")
 
 # Relative tolerance of the total_time / dt whole-multiple check.
 _GRID_RTOL = 1e-9
+
+# A drive quantity carries its unit in its key; the bare key takes only "opt".
+_UNITS = ("_over_omega", "_over_v0", "_mhz", "")
+_DRIVE_QUANTITIES = ("delta0", "deltam", "omegam")
+_DRIVE_FIELDS = {"shape"} | {q + u for q in _DRIVE_QUANTITIES for u in _UNITS}
 
 
 def _expect(cond: bool, path: str, msg: str) -> None:
@@ -52,22 +54,17 @@ def _get(d: dict, path: str, key: str, default=None, required=False):
     return d[key]
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    kind: str
-    extent: float
-    zigzag_nnn_ratio: float | None = None
-    periodic: bool = False
-
-    def build(self) -> Lattice:
-        return build_lattice(self.kind, self.extent, self.zigzag_nnn_ratio,
-                             periodic=self.periodic)
+def _fields(d, path: str, known) -> None:
+    """Check that section ``d`` is an object with no field outside ``known``."""
+    _expect(isinstance(d, dict), path, "must be an object")
+    for key in d:
+        _expect(key in known, f"{path}.{key}", "unknown field")
 
 
 @dataclass(frozen=True)
 class ObservablesSpec:
     microstates: bool = False
-    entropy_cuts: tuple = ()   # entries: "half" or tuple of site indices
+    entropy_cuts: tuple[tuple[int, ...], ...] = ()   # "half" already expanded
 
 
 @dataclass(frozen=True)
@@ -89,13 +86,15 @@ class FloquetSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated configuration plus the normalized raw document."""
+    """A validated configuration resolved to the objects a run uses, plus the
+    normalized raw document.  Floquet-only documents get the chain or ring of
+    ``floquet.l`` as their lattice."""
 
-    lattice: LatticeSpec
+    lattice: Lattice
     physical: PhysicalParams | None
     model: str
     cutoff: float | None
-    drive_raw: dict | None
+    drive: DriveProfile | None
     initial_state: str
     evolution: EvolutionConfig | None
     observables: ObservablesSpec
@@ -103,29 +102,19 @@ class ExperimentConfig:
     floquet: FloquetSpec | None
     raw: dict
 
-    def resolve_drive(self, lat: Lattice) -> DriveProfile:
-        if self.drive_raw is None:
-            raise ConfigError("drive: missing drive section")
-        if self.physical is None:
-            raise ConfigError("physical: section required to resolve a drive")
-        return _resolve_drive(self.drive_raw, self.physical, lat)
 
-
-def _scaled_value(d: dict, name: str, p: PhysicalParams, lat: Lattice | None,
-                  path: str, allow_opt: bool = False) -> float | None:
+def _scaled_value(d: dict, name: str, p: PhysicalParams, lat: Lattice,
+                  path: str) -> float | None:
     """Read one frequency-like quantity given in any one supported unit."""
-    keys = [k for k in (f"{name}_over_omega", f"{name}_over_v0", f"{name}_mhz", name)
-            if k in d]
+    keys = [name + unit for unit in _UNITS if name + unit in d]
     if not keys:
         return None
     _expect(len(keys) == 1, path, f"{name} given in more than one unit: {keys}")
     key = keys[0]
     val = d[key]
     if key == name:
-        _expect(allow_opt and val == "opt", f"{path}.{key}",
+        _expect(name == "delta0" and val == "opt", f"{path}.{key}",
                 'only the literal "opt" is accepted here')
-        if lat is None:
-            raise ConfigError(f"{path}.{key}: cannot resolve 'opt' without a lattice")
         return optimal_detuning(lat, p)
     _expect(isinstance(val, (int, float)), f"{path}.{key}", "must be a number")
     if key.endswith("_over_omega"):
@@ -135,25 +124,29 @@ def _scaled_value(d: dict, name: str, p: PhysicalParams, lat: Lattice | None,
     return math.tau * float(val)
 
 
-def _resolve_drive(d: dict, p: PhysicalParams, lat: Lattice) -> DriveProfile:
-    """Build the drive; parse_config has already checked its shape."""
+def _resolve_drive(d, p: PhysicalParams | None, lat: Lattice) -> DriveProfile:
+    """The drive section in rad/us; delta0, deltam and omegam are read and
+    checked for every shape, although a constant drive uses delta0 only."""
     path = "drive"
-    shape = d["shape"]
-    delta0 = _scaled_value(d, "delta0", p, lat, path, allow_opt=True)
+    _expect(isinstance(d, dict), path, "must be an object")
+    shape = _get(d, path, "shape", required=True)
+    _expect(shape in [s.value for s in DriveShape], f"{path}.shape",
+            f"unknown shape {shape!r}")
+    _fields(d, path, _DRIVE_FIELDS)
+    _expect(p is not None, "physical", "section required to resolve a drive")
+    delta0, deltam, omegam = (_scaled_value(d, name, p, lat, path)
+                              for name in _DRIVE_QUANTITIES)
     _expect(delta0 is not None, path, "delta0 is required")
     if shape == "constant":
         return DriveProfile.constant(delta0)
-    deltam = _scaled_value(d, "deltam", p, lat, path)
-    omegam = _scaled_value(d, "omegam", p, lat, path)
     _expect(deltam is not None and omegam is not None, path,
             f"{shape} drive needs deltam and omegam")
-    factory = DriveProfile.cosine if shape == "cosine" else DriveProfile.square
-    return factory(delta0, deltam, omegam)
+    return DriveProfile(shape, delta0, deltam, omegam)
 
 
-def _parse_lattice(d: dict) -> LatticeSpec:
+def _parse_lattice(d) -> Lattice:
     path = "lattice"
-    _expect(isinstance(d, dict), path, "must be an object")
+    _fields(d, path, ("kind", "extent", "zigzag_nnn_ratio", "periodic"))
     kind = _get(d, path, "kind", required=True)
     extent = _get(d, path, "extent", required=True)
     _expect(isinstance(extent, (int, float)) and extent > 0, f"{path}.extent",
@@ -163,11 +156,23 @@ def _parse_lattice(d: dict) -> LatticeSpec:
             f"{path}.zigzag_nnn_ratio", "must be a number")
     periodic = d.get("periodic", False)
     _expect(isinstance(periodic, bool), f"{path}.periodic", "must be true or false")
-    return LatticeSpec(kind=kind, extent=extent, zigzag_nnn_ratio=ratio,
-                       periodic=periodic)
+    return build_lattice(kind, extent, ratio, periodic=periodic)
 
 
-def _parse_evolution(d: dict) -> EvolutionConfig:
+def _parse_physical(d) -> PhysicalParams:
+    path = "physical"
+    _fields(d, path, ("omega_mhz", "v0_mhz"))
+    om = _get(d, path, "omega_mhz", required=True)
+    v0 = _get(d, path, "v0_mhz", required=True)
+    _expect(isinstance(om, (int, float)), f"{path}.omega_mhz", "must be a number")
+    _expect(isinstance(v0, (int, float)), f"{path}.v0_mhz", "must be a number")
+    try:
+        return PhysicalParams.from_mhz(float(om), float(v0))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _parse_evolution(d) -> EvolutionConfig:
     """EvolutionConfig checks each field; the parser adds the time-grid checks.
 
     A total_time that is not a whole multiple of dt, or a record_stride that
@@ -176,7 +181,7 @@ def _parse_evolution(d: dict) -> EvolutionConfig:
     e.g. 0.7 / 0.002 is 349.99999999999994).
     """
     path = "evolution"
-    _expect(isinstance(d, dict), path, "must be an object")
+    _fields(d, path, ("total_time", "dt", "record_stride", "krylov_dim"))
     ev = EvolutionConfig(total_time=_get(d, path, "total_time", required=True),
                          dt=d.get("dt", 0.002),
                          record_stride=d.get("record_stride", 1),
@@ -191,12 +196,20 @@ def _parse_evolution(d: dict) -> EvolutionConfig:
     return ev
 
 
-def _parse_observables(d: dict) -> ObservablesSpec:
+def _parse_observables(d, lat: Lattice) -> ObservablesSpec:
     path = "observables"
+    _fields(d, path, ("microstates", "entropy_cuts"))
+    microstates = d.get("microstates", False)
+    _expect(isinstance(microstates, bool), f"{path}.microstates",
+            "must be true or false")
+    _expect(not microstates or lat.kind in ("chain", "zigzag_chain"),
+            f"{path}.microstates", "microstate grouping is only defined for chains")
+    entries = d.get("entropy_cuts", [])
+    _expect(isinstance(entries, list), f"{path}.entropy_cuts", "must be a list")
     cuts = []
-    for k, cut in enumerate(d.get("entropy_cuts", [])):
+    for k, cut in enumerate(entries):
         if cut == "half":
-            cuts.append("half")
+            cuts.append(tuple(range(lat.n_sites // 2)))
         elif isinstance(cut, list) and all(isinstance(s, int) for s in cut):
             _expect(len(cut) > 0, f"{path}.entropy_cuts[{k}]", "cut must be nonempty")
             cuts.append(tuple(cut))
@@ -204,15 +217,15 @@ def _parse_observables(d: dict) -> ObservablesSpec:
             raise ConfigError(
                 f'{path}.entropy_cuts[{k}]: must be "half" or a list of site indices'
             )
-    return ObservablesSpec(microstates=bool(d.get("microstates", False)),
-                           entropy_cuts=tuple(cuts))
+    return ObservablesSpec(microstates=microstates, entropy_cuts=tuple(cuts))
 
 
-def _parse_sweep(entries: list) -> tuple[SweepAxis, ...]:
+def _parse_sweep(entries) -> tuple[SweepAxis, ...]:
+    _expect(isinstance(entries, list), "sweep", "must be a list of axes")
     axes = []
     for k, ent in enumerate(entries):
         path = f"sweep[{k}]"
-        _expect(isinstance(ent, dict), path, "must be an object")
+        _fields(ent, path, ("parameter", "grid"))
         par = _get(ent, path, "parameter", required=True)
         _expect(isinstance(par, str) and par.startswith(_SWEEPABLE_PREFIXES),
                 f"{path}.parameter",
@@ -225,9 +238,10 @@ def _parse_sweep(entries: list) -> tuple[SweepAxis, ...]:
     return tuple(axes)
 
 
-def _parse_floquet(d: dict) -> FloquetSpec:
+def _parse_floquet(d) -> FloquetSpec:
     path = "floquet"
-    _expect(isinstance(d, dict), path, "must be an object")
+    _fields(d, path, ("l", "boundary", "map", "epsilons", "taus_omega",
+                      "taus_over_2pi", "n_periods", "initial_state"))
     l = _get(d, path, "l", required=True)
     _expect(isinstance(l, int) and l >= 1, f"{path}.l", "must be an integer >= 1")
     boundary = _get(d, path, "boundary", "periodic")
@@ -255,34 +269,18 @@ def _parse_floquet(d: dict) -> FloquetSpec:
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    """Validate a raw configuration document."""
-    _expect(isinstance(doc, dict), "config", "top level must be an object")
-    known = {"lattice", "physical", "model", "cutoff", "drive", "initial_state",
-             "evolution", "observables", "sweep", "floquet"}
-    for key in doc:
-        _expect(key in known, key, "unknown top-level field")
-
+    """Validate a raw configuration document and build what a run uses."""
+    _fields(doc, "config", ("lattice", "physical", "model", "cutoff", "drive",
+                            "initial_state", "evolution", "observables", "sweep",
+                            "floquet"))
     floquet = _parse_floquet(doc["floquet"]) if "floquet" in doc else None
+    if "lattice" in doc or floquet is None:
+        lattice = _parse_lattice(_get(doc, "config", "lattice", required=True))
+    else:
+        lattice = build_lattice("chain", floquet.l,
+                                periodic=floquet.boundary == "periodic")
 
-    lattice = _parse_lattice(_get(doc, "config", "lattice", required=floquet is None,
-                                  default={"kind": "chain", "extent": 9})) \
-        if ("lattice" in doc or floquet is None) else None
-    if lattice is None:
-        lattice = LatticeSpec(kind="chain", extent=floquet.l,
-                              periodic=floquet.boundary == "periodic")
-
-    physical = None
-    if "physical" in doc:
-        pd = doc["physical"]
-        _expect(isinstance(pd, dict), "physical", "must be an object")
-        om = _get(pd, "physical", "omega_mhz", required=True)
-        v0 = _get(pd, "physical", "v0_mhz", required=True)
-        _expect(isinstance(om, (int, float)), "physical.omega_mhz", "must be a number")
-        _expect(isinstance(v0, (int, float)), "physical.v0_mhz", "must be a number")
-        try:
-            physical = PhysicalParams.from_mhz(float(om), float(v0))
-        except ConfigError as exc:
-            raise ConfigError(f"physical: {exc}") from exc
+    physical = _parse_physical(doc["physical"]) if "physical" in doc else None
 
     model = doc.get("model", "rydberg")
     _expect(model in MODELS, "model", f"must be one of {MODELS}")
@@ -293,32 +291,21 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 "must be a number >= 1")
         cutoff = float(cutoff)
 
-    drive_raw = doc.get("drive")
-    if drive_raw is not None:
-        _expect(isinstance(drive_raw, dict), "drive", "must be an object")
-        shape = _get(drive_raw, "drive", "shape", required=True)
-        _expect(shape in [s.value for s in DriveShape], "drive.shape",
-                f"unknown shape {shape!r}")
-        for name in ("delta0", "deltam", "omegam"):
-            keys = [k for k in (f"{name}_over_omega", f"{name}_over_v0",
-                                f"{name}_mhz", name) if k in drive_raw]
-            _expect(len(keys) <= 1, "drive",
-                    f"{name} given in more than one unit: {keys}")
+    drive = doc.get("drive")
+    if drive is not None:
+        drive = _resolve_drive(drive, physical, lattice)
 
     initial_state = doc.get("initial_state", "AF1")
     _expect(initial_state in INITIAL_STATES, "initial_state",
             f"must be one of {INITIAL_STATES}")
 
     evolution = _parse_evolution(doc["evolution"]) if "evolution" in doc else None
-    observables = _parse_observables(doc.get("observables", {}))
-    if observables.microstates:
-        _expect(lattice.kind in ("chain", "zigzag_chain"), "observables.microstates",
-                "microstate grouping is only defined for chains")
+    observables = _parse_observables(doc.get("observables", {}), lattice)
     sweep = _parse_sweep(doc.get("sweep", []))
 
     return ExperimentConfig(
         lattice=lattice, physical=physical, model=model, cutoff=cutoff,
-        drive_raw=drive_raw, initial_state=initial_state, evolution=evolution,
+        drive=drive, initial_state=initial_state, evolution=evolution,
         observables=observables, sweep=sweep, floquet=floquet,
         raw=normalize_document(doc),
     )

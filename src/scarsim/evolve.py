@@ -116,22 +116,14 @@ def _lanczos_expm(matvec, psi: np.ndarray, dt: float, m: int,
     return y @ v[:k]
 
 
-def _krylov_apply(matvec, psi: np.ndarray, dt: float, m: int,
-                  spectral_bound: float) -> np.ndarray:
-    """exp(-i H dt) psi with automatic substepping for large ||H|| dt."""
-    nsub = max(1, int(math.ceil(abs(dt) * spectral_bound / _KRYLOV_STEP_BUDGET)))
-    out = psi
-    for _ in range(nsub):
-        out = _lanczos_expm(matvec, out, dt / nsub, m)
-    return out
-
-
 def propagate_step(parts: HamiltonianParts, drive: DriveProfile, psi: np.ndarray,
                    t: float, dt: float, krylov_dim: int = 16) -> np.ndarray:
     """One step psi -> exp(-i H(t + dt/2) dt) psi, renormalized.
 
     The drive is sampled once at the step midpoint; callers that need finer
-    drive resolution should subdivide dt themselves.
+    drive resolution should subdivide dt themselves.  The Krylov
+    application is substepped so that each substep keeps ||H|| dt within
+    the budget.
     """
     delta = detuning_at(drive, t + dt / 2.0)
     off = parts.offdiagonal()
@@ -140,7 +132,11 @@ def propagate_step(parts: HamiltonianParts, drive: DriveProfile, psi: np.ndarray
     def matvec(v: np.ndarray) -> np.ndarray:
         return off @ v + diag * v
 
-    out = _krylov_apply(matvec, psi, dt, krylov_dim, parts.spectral_bound(delta))
+    nsub = max(1, int(math.ceil(abs(dt) * parts.spectral_bound(delta)
+                                / _KRYLOV_STEP_BUDGET)))
+    out = psi
+    for _ in range(nsub):
+        out = _lanczos_expm(matvec, out, dt / nsub, krylov_dim)
     nrm = float(np.linalg.norm(out))
     if abs(nrm - 1.0) > 1e-6:
         raise NumericalError(f"propagation lost normalization: |psi| = {nrm}")

@@ -14,7 +14,8 @@ symmetric, so it is diagonalized once with real eigenvectors Q, and every
 grid point advances together as one column of a (dim, P) block: a period is
 the real GEMM Q^T @ block, a per-column multiply by exp(-i tau E), the real
 GEMM Q @ block and a per-column multiply by the kick.  ``apply_period`` is
-the independent Krylov path for a single state, used as a reference.
+the independent path for a single state, used as a reference: one
+``evolve.propagate_step`` at zero detuning followed by the kick.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import numpy as np
 import scipy.linalg as la
 
 from .errors import CapacityError, ConfigError
-from .evolve import _krylov_apply, _site_bit_table, DENSE_DIM_LIMIT
-from .hamiltonian import HamiltonianParts, build_pxp
+from .evolve import DENSE_DIM_LIMIT, _site_bit_table, propagate_step
+from .hamiltonian import DriveProfile, HamiltonianParts, build_pxp
 from .hilbert import (
     ConstrainedBasis,
     MicrostateOrdering,
@@ -56,19 +57,14 @@ class PulsedParams:
 
     theta: float
     tau: float
-    n_periods: int = 1
-
-    def __post_init__(self) -> None:
-        if self.n_periods < 1:
-            raise ConfigError("n_periods must be at least 1")
 
     @property
     def epsilon(self) -> float:
         return self.theta - math.pi
 
     @classmethod
-    def from_epsilon(cls, epsilon: float, tau: float, n_periods: int = 1) -> "PulsedParams":
-        return cls(theta=math.pi + epsilon, tau=tau, n_periods=n_periods)
+    def from_epsilon(cls, epsilon: float, tau: float) -> "PulsedParams":
+        return cls(theta=math.pi + epsilon, tau=tau)
 
 
 def _kick_phases(basis: ConstrainedBasis, theta: float) -> np.ndarray:
@@ -76,25 +72,16 @@ def _kick_phases(basis: ConstrainedBasis, theta: float) -> np.ndarray:
 
 
 def apply_period(psi: np.ndarray, params: PulsedParams, basis: ConstrainedBasis,
-                 parts_pxp: HamiltonianParts, omega: float = 1.0) -> np.ndarray:
-    """One driving period via Krylov evolution followed by the diagonal kick.
+                 parts_pxp: HamiltonianParts) -> np.ndarray:
+    """One driving period: Krylov evolution at zero detuning, then the kick.
 
-    ``parts_pxp`` must be built for the Rabi frequency ``omega`` so that the
-    dimensionless ``params.tau`` corresponds to the physical time tau/omega.
+    ``parts_pxp`` must be built with Omega = 1, so that the dimensionless
+    ``params.tau`` is the evolution time.
     """
     if len(psi) != basis.dim or parts_pxp.dim != basis.dim:
         raise ConfigError("state, basis, and operator dimensions disagree")
-    t_phys = params.tau / omega
-    off = parts_pxp.offdiagonal()
-    diag = parts_pxp.diagonal(0.0)
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        return off @ v + diag * v
-
-    out = _krylov_apply(matvec, psi.astype(complex), t_phys, 16,
-                        parts_pxp.spectral_bound(0.0))
-    out = _kick_phases(basis, params.theta) * out
-    return out / np.linalg.norm(out)
+    out = propagate_step(parts_pxp, DriveProfile.constant(0.0), psi, 0.0, params.tau)
+    return _kick_phases(basis, params.theta) * out
 
 
 def _pxp_eigensystem(parts: HamiltonianParts) -> tuple[np.ndarray, np.ndarray]:

@@ -44,16 +44,15 @@ class TestConfigParsing:
         doc = json.loads(json.dumps(SMALL_QUENCH))
         doc["drive"] = {"shape": "constant", "delta0_mhz": 2.0}
         cfg = parse_config(doc)
-        lat = cfg.lattice.build()
-        assert cfg.resolve_drive(lat).delta0 == pytest.approx(math.tau * 2.0)
+        assert cfg.drive.delta0 == pytest.approx(math.tau * 2.0)
         doc["drive"] = {"shape": "constant", "delta0_over_v0": 0.017}
         cfg = parse_config(doc)
-        assert parse_config(doc).resolve_drive(lat).delta0 == pytest.approx(
-            0.017 * cfg.physical.v0)
+        assert cfg.drive.delta0 == pytest.approx(0.017 * cfg.physical.v0)
         doc["drive"] = {"shape": "constant", "delta0": "opt"}
-        got = parse_config(doc).resolve_drive(lat).delta0
+        cfg = parse_config(doc)
         from scarsim.lattice import optimal_detuning
-        assert got == pytest.approx(optimal_detuning(lat, cfg.physical))
+        assert cfg.drive.delta0 == pytest.approx(
+            optimal_detuning(cfg.lattice, cfg.physical))
 
     def test_rejections(self):
         bad = json.loads(json.dumps(SMALL_QUENCH))
@@ -78,6 +77,52 @@ class TestConfigParsing:
         bad["typo_section"] = {}
         with pytest.raises(ConfigError, match="typo_section"):
             parse_config(bad)
+
+
+class TestSectionChecks:
+    """Malformed or misspelled section contents exit 2 and name the field."""
+
+    @pytest.mark.parametrize("command,section,value,field", [
+        ("quench", "observables", [], "observables"),
+        ("quench", "observables", {"microstates": "false"}, "observables.microstates"),
+        ("quench", "observables", {"entropy_cuts": "half"}, "observables.entropy_cuts"),
+        ("sweep", "sweep", 5, "sweep"),
+        ("sweep", "sweep", [{"parameter": "drive.omegam_over_omega", "grid": [1.0],
+                             "gird": [2.0]}], "sweep[0].gird"),
+        ("lattice", "drive", {"shape": "constant", "delta0_mhz": 1.0,
+                              "deltam_over_omega": "x"}, "drive.deltam_over_omega"),
+        ("lattice", "drive", {"shape": "constant", "delta0_mhz": 1.0, "phase": 0.0},
+         "drive.phase"),
+    ])
+    def test_malformed_section_exits_2(self, tmp_path, capsys, command, section,
+                                       value, field):
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc[section] = value
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_drive_without_physical_exits_2(self, tmp_path, capsys):
+        doc = {"lattice": {"kind": "chain", "extent": 7},
+               "drive": {"shape": "constant", "delta0_over_omega": 0.5}}
+        cfg = write_config(tmp_path, doc)
+        for command in ("lattice", "quench"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert "physical:" in capsys.readouterr().err
+
+    def test_sweep_over_unknown_field_gives_error_rows(self, tmp_path):
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["observables"] = {}
+        doc["evolution"]["total_time"] = 0.2
+        doc["sweep"] = [{"parameter": "evolution.record_strid", "grid": [1, 2]}]
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", write_config(tmp_path, doc),
+                     "--out", str(out), "--jobs", "1"]) == 0
+        lines = (out / "aggregate.csv").read_text().strip().splitlines()
+        assert [ln.split(",")[2] for ln in lines[1:]] == ["error", "error"]
+        assert all("evolution.record_strid: unknown field" in ln for ln in lines[1:])
 
 
 class TestPresets:
@@ -132,6 +177,7 @@ class TestLatticeCommand:
         ({"kind": "chain", "extent": 8, "periodic": 0}, "lattice.periodic"),
         ({"kind": "zigzag_chain", "extent": 9, "zigzag_nnn_ratio": "x"},
          "lattice.zigzag_nnn_ratio"),
+        ({"kind": "chain", "extent": 8, "perodic": True}, "lattice.perodic"),
     ])
     def test_malformed_lattice_exits_2(self, tmp_path, capsys, lattice, field):
         cfg = write_config(tmp_path, {"lattice": lattice})
@@ -181,7 +227,7 @@ class TestQuenchCommand:
         assert (out / "spectrum.csv").exists()
 
     @pytest.mark.parametrize("key,value", [("dt", "x"), ("record_stride", 2.5),
-                                           ("krylov_dim", "16")])
+                                           ("krylov_dim", "16"), ("record_strid", 5)])
     def test_malformed_evolution_exits_2(self, tmp_path, capsys, key, value):
         doc = json.loads(json.dumps(SMALL_QUENCH))
         doc["evolution"][key] = value
@@ -189,7 +235,8 @@ class TestQuenchCommand:
         assert main(["quench", "--config", cfg, "--out", str(tmp_path / "q")]) == 2
         assert f"evolution.{key}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value", [("omega_mhz", "x"), ("v0_mhz", [51.0])])
+    @pytest.mark.parametrize("key,value", [("omega_mhz", "x"), ("v0_mhz", [51.0]),
+                                           ("v0", 51.0)])
     def test_malformed_physical_exits_2(self, tmp_path, capsys, key, value):
         doc = json.loads(json.dumps(SMALL_QUENCH))
         doc["physical"][key] = value
@@ -387,6 +434,7 @@ class TestFloquetCommand:
         ("taus_over_2pi", "0.5", "floquet.taus_over_2pi"),
         ("taus_omega", [None], "floquet.taus_omega[0]"),
         ("n_periods", 2.5, "floquet.n_periods"),
+        ("n_period", 3, "floquet.n_period"),
     ])
     def test_malformed_floquet_exits_2(self, tmp_path, capsys, key, value, field):
         doc = {"floquet": {"l": 8, "boundary": "periodic", "map": "revival",
@@ -403,6 +451,49 @@ class TestFloquetCommand:
                            "n_periods": 2}}
         cfg = write_config(tmp_path, doc)
         assert main(["floquet", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+
+
+def _assert_manifest_lists_every_file(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert set(manifest["outputs"]) == written - {"manifest.json"}
+    assert len(manifest["outputs"]) == len(set(manifest["outputs"]))
+    return manifest
+
+
+class TestRunnerBookkeeping:
+    def test_lattice_outputs(self, tmp_path):
+        out = tmp_path / "lat"
+        assert main(["lattice", "--preset", "fig2-chain", "--out", str(out)]) == 0
+        manifest = _assert_manifest_lists_every_file(out)
+        assert set(manifest["outputs"]) == {"lattice.json", "geometry.json",
+                                            "resolved_config.json"}
+        assert manifest["status"] == "complete"
+
+    def test_floquet_outputs(self, tmp_path):
+        doc = {"floquet": {"l": 8, "map": "revival", "epsilons": [0.0],
+                           "taus_over_2pi": [0.4], "n_periods": 2}}
+        out = tmp_path / "fl"
+        assert main(["floquet", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        manifest = _assert_manifest_lists_every_file(out)
+        assert set(manifest["outputs"]) == {"map.csv", "map_meta.json",
+                                            "resolved_config.json"}
+        assert manifest["config_hash"] == config_hash(doc)
+
+    def test_two_point_sweep_outputs(self, tmp_path):
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["observables"] = {}
+        doc["evolution"]["total_time"] = 0.2
+        doc["sweep"] = [{"parameter": "drive.omegam_over_omega", "grid": [1.0, 1.2]}]
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", write_config(tmp_path, doc),
+                     "--out", str(out), "--jobs", "1"]) == 0
+        manifest = _assert_manifest_lists_every_file(out)
+        assert set(manifest["outputs"]) == {
+            "point_000/quench.csv", "point_001/quench.csv", "aggregate.csv",
+            "resolved_config.json"}
+        assert manifest["status"] == "complete"
 
 
 class TestNormalization:

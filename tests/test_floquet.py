@@ -76,8 +76,6 @@ class TestApplyPeriod:
         pp = PulsedParams.from_epsilon(0.3, 1.0)
         assert pp.theta == pytest.approx(math.pi + 0.3)
         assert pp.epsilon == pytest.approx(0.3)
-        with pytest.raises(ConfigError):
-            PulsedParams(theta=1.0, tau=1.0, n_periods=0)
 
 
 class TestDiagonalIdentities:
