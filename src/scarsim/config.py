@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, is_int, is_number
 from .evolve import EvolutionConfig
 from .hamiltonian import DriveProfile, DriveShape
 from .lattice import Lattice, PhysicalParams, build_lattice, optimal_detuning
@@ -43,7 +43,7 @@ def _numbers(values, path: str) -> tuple[float, ...]:
     _expect(isinstance(values, list) and len(values) > 0, path,
             "must be a nonempty list of numbers")
     for k, v in enumerate(values):
-        _expect(isinstance(v, (int, float)), f"{path}[{k}]", "must be a number")
+        _expect(is_number(v), f"{path}[{k}]", "must be a number")
     return tuple(float(v) for v in values)
 
 
@@ -116,7 +116,7 @@ def _scaled_value(d: dict, name: str, p: PhysicalParams, lat: Lattice,
         _expect(name == "delta0" and val == "opt", f"{path}.{key}",
                 'only the literal "opt" is accepted here')
         return optimal_detuning(lat, p)
-    _expect(isinstance(val, (int, float)), f"{path}.{key}", "must be a number")
+    _expect(is_number(val), f"{path}.{key}", "must be a number")
     if key.endswith("_over_omega"):
         return float(val) * p.omega
     if key.endswith("_over_v0"):
@@ -149,10 +149,10 @@ def _parse_lattice(d) -> Lattice:
     _fields(d, path, ("kind", "extent", "zigzag_nnn_ratio", "periodic"))
     kind = _get(d, path, "kind", required=True)
     extent = _get(d, path, "extent", required=True)
-    _expect(isinstance(extent, (int, float)) and extent > 0, f"{path}.extent",
+    _expect(is_number(extent) and extent > 0, f"{path}.extent",
             "must be a positive number")
     ratio = d.get("zigzag_nnn_ratio")
-    _expect(ratio is None or isinstance(ratio, (int, float)),
+    _expect(ratio is None or is_number(ratio),
             f"{path}.zigzag_nnn_ratio", "must be a number")
     periodic = d.get("periodic", False)
     _expect(isinstance(periodic, bool), f"{path}.periodic", "must be true or false")
@@ -164,8 +164,8 @@ def _parse_physical(d) -> PhysicalParams:
     _fields(d, path, ("omega_mhz", "v0_mhz"))
     om = _get(d, path, "omega_mhz", required=True)
     v0 = _get(d, path, "v0_mhz", required=True)
-    _expect(isinstance(om, (int, float)), f"{path}.omega_mhz", "must be a number")
-    _expect(isinstance(v0, (int, float)), f"{path}.v0_mhz", "must be a number")
+    _expect(is_number(om), f"{path}.omega_mhz", "must be a number")
+    _expect(is_number(v0), f"{path}.v0_mhz", "must be a number")
     try:
         return PhysicalParams.from_mhz(float(om), float(v0))
     except ConfigError as exc:
@@ -210,7 +210,7 @@ def _parse_observables(d, lat: Lattice) -> ObservablesSpec:
     for k, cut in enumerate(entries):
         if cut == "half":
             cuts.append(tuple(range(lat.n_sites // 2)))
-        elif isinstance(cut, list) and all(isinstance(s, int) for s in cut):
+        elif isinstance(cut, list) and all(is_int(s) for s in cut):
             _expect(len(cut) > 0, f"{path}.entropy_cuts[{k}]", "cut must be nonempty")
             cuts.append(tuple(cut))
         else:
@@ -243,7 +243,7 @@ def _parse_floquet(d) -> FloquetSpec:
     _fields(d, path, ("l", "boundary", "map", "epsilons", "taus_omega",
                       "taus_over_2pi", "n_periods", "initial_state"))
     l = _get(d, path, "l", required=True)
-    _expect(isinstance(l, int) and l >= 1, f"{path}.l", "must be an integer >= 1")
+    _expect(is_int(l) and l >= 1, f"{path}.l", "must be an integer >= 1")
     boundary = _get(d, path, "boundary", "periodic")
     _expect(boundary in ("open", "periodic"), f"{path}.boundary",
             "must be 'open' or 'periodic'")
@@ -251,15 +251,13 @@ def _parse_floquet(d) -> FloquetSpec:
     _expect(kind in ("revival", "subharmonic"), f"{path}.map",
             "must be 'revival' or 'subharmonic'")
     eps = _numbers(_get(d, path, "epsilons", required=True), f"{path}.epsilons")
-    if "taus_omega" in d:
-        taus = _numbers(d["taus_omega"], f"{path}.taus_omega")
-    elif "taus_over_2pi" in d:
-        taus = tuple(math.tau * t for t in
-                     _numbers(d["taus_over_2pi"], f"{path}.taus_over_2pi"))
-    else:
-        raise ConfigError(f"{path}: needs taus_omega or taus_over_2pi")
+    units = [key for key in ("taus_omega", "taus_over_2pi") if key in d]
+    _expect(len(units) > 0, path, "needs taus_omega or taus_over_2pi")
+    values = [_numbers(d[key], f"{path}.{key}") for key in units]
+    _expect(len(units) == 1, path, f"tau given in more than one unit: {units}")
+    taus = values[0] if units[0] == "taus_omega" else tuple(math.tau * t for t in values[0])
     n_per = d.get("n_periods", 100 if kind == "revival" else 400)
-    _expect(isinstance(n_per, int) and n_per >= 1, f"{path}.n_periods",
+    _expect(is_int(n_per) and n_per >= 1, f"{path}.n_periods",
             "must be an integer >= 1")
     init = d.get("initial_state", "AF1")
     _expect(init in INITIAL_STATES, f"{path}.initial_state",
@@ -287,7 +285,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     cutoff = doc.get("cutoff")
     if cutoff is not None:
-        _expect(isinstance(cutoff, (int, float)) and cutoff >= 1, "cutoff",
+        _expect(is_number(cutoff) and cutoff >= 1, "cutoff",
                 "must be a number >= 1")
         cutoff = float(cutoff)
 

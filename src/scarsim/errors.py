@@ -1,9 +1,20 @@
-"""Exception taxonomy shared across the toolkit.
+"""Exception taxonomy shared across the toolkit, and the type predicates of
+the checks that raise :class:`ConfigError`.
 
 The CLI maps these to distinct exit codes, so commands stay scriptable:
 config problems, capacity-guard refusals, and numerical-guard violations
 are distinguishable without parsing stderr.
 """
+
+
+def is_int(value) -> bool:
+    """An integer that is not a bool (JSON true/false load as Python bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """An int or float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class ScarsimError(Exception):

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, NumericalError
-from .hamiltonian import DriveProfile, HamiltonianParts, detuning_at
-from .hilbert import ConstrainedBasis
+from .errors import CapacityError, ConfigError, NumericalError, is_int, is_number
+from .hamiltonian import DriveProfile, HamiltonianParts, detuning_at, restrict_parts
+from .hilbert import ConstrainedBasis, ring_symmetric_isometry
 from .lattice import Lattice
 
 DENSE_DIM_LIMIT = 1 << 10
@@ -26,6 +26,10 @@ _KRYLOV_STEP_BUDGET = 1.2
 
 # Enforced resolution of periodic drives: at least this many steps per period.
 _STEPS_PER_PERIOD = 200
+
+# A ring quench is propagated in the symmetric subspace only when the
+# initial state's projection onto it has unit norm to within this tolerance.
+_SUBSPACE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -42,13 +46,13 @@ class EvolutionConfig:
     record_stride: int = 1
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.total_time, (int, float)) and self.total_time > 0):
+        if not (is_number(self.total_time) and self.total_time > 0):
             raise ConfigError("evolution.total_time: must be a positive number")
-        if not (isinstance(self.dt, (int, float)) and self.dt > 0):
+        if not (is_number(self.dt) and self.dt > 0):
             raise ConfigError("evolution.dt: must be a positive number")
-        if not (isinstance(self.record_stride, int) and self.record_stride >= 1):
+        if not (is_int(self.record_stride) and self.record_stride >= 1):
             raise ConfigError("evolution.record_stride: must be an integer >= 1")
-        if not (isinstance(self.krylov_dim, int) and self.krylov_dim >= 4):
+        if not (is_int(self.krylov_dim) and self.krylov_dim >= 4):
             raise ConfigError("evolution.krylov_dim: must be an integer >= 4")
         object.__setattr__(self, "total_time", float(self.total_time))
         object.__setattr__(self, "dt", float(self.dt))
@@ -159,6 +163,12 @@ def run_quench(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     modulation period; when cfg.dt is coarser, each step is subdivided
     internally so the snapshot grid stays at exact multiples of
     dt * record_stride.
+
+    On a ring, a state invariant under translation by two sites and
+    inversion (AF1, AF2, GGG) is propagated in that symmetric subspace
+    (see :func:`scarsim.hilbert.ring_symmetric_isometry`) whenever the
+    restricted Hamiltonian is exact; each snapshot expands the state back to
+    the full basis, so every recorded quantity is a full-basis one.
     """
     if parts.dim != basis.dim or len(psi0) != basis.dim:
         raise ConfigError("state, basis, and operator dimensions disagree")
@@ -172,6 +182,16 @@ def run_quench(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     n_steps = int(round(cfg.total_time / cfg.dt))
 
     psi = psi0.astype(complex).copy()
+    iso = ring_symmetric_isometry(lat, basis)
+    reduced = None
+    if iso is not None and abs(np.linalg.norm(iso.T @ psi) - 1.0) <= _SUBSPACE_TOL:
+        reduced = restrict_parts(parts, iso)
+    if reduced is not None:
+        parts, psi = reduced, iso.T @ psi
+
+    def full_state() -> np.ndarray:
+        return psi if reduced is None else iso @ psi
+
     bits = _site_bit_table(basis)
     a_sites = lat.sites_of(0)
     b_sites = lat.sites_of(1)
@@ -179,7 +199,8 @@ def run_quench(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     times, pops, nas, nbs, probs_list, ent_list = [], [], [], [], [], []
 
     def snapshot(step: int) -> None:
-        pr = np.abs(psi) ** 2
+        psi_full = full_state()
+        pr = np.abs(psi_full) ** 2
         site = pr @ bits
         times.append(step * cfg.dt)
         pops.append(site)
@@ -189,7 +210,7 @@ def run_quench(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
             probs_list.append(pr)
         if entropy_cuts:
             ent_list.append([
-                entanglement_entropy(reduced_density_matrix(psi, basis, cut))
+                entanglement_entropy(reduced_density_matrix(psi_full, basis, cut))
                 for cut in entropy_cuts
             ])
 
@@ -210,7 +231,7 @@ def run_quench(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
         probs=np.array(probs_list) if record_probs else None,
         entropies=np.array(ent_list) if entropy_cuts else None,
         entropy_cuts=tuple(tuple(c) for c in entropy_cuts),
-        final_state=psi,
+        final_state=full_state(),
     )
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -97,7 +98,11 @@ class SparseOperator:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianParts:
-    """Separable pieces of H(t) over a constrained basis (see module docs)."""
+    """Separable pieces of H(t) over a constrained basis (see module docs).
+
+    The combined off-diagonal matrix and its absolute row sums are computed
+    once per instance, on first use.
+    """
 
     basis: ConstrainedBasis
     flip: SparseOperator
@@ -109,11 +114,19 @@ class HamiltonianParts:
     def dim(self) -> int:
         return self.basis.dim
 
-    def offdiagonal(self) -> sp.csr_matrix:
-        """All non-drive sparse content combined (flip plus sw2 terms)."""
+    @cached_property
+    def _offdiag(self) -> sp.csr_matrix:
         if self.sw2_extra is None:
             return self.flip.matrix
         return (self.flip.matrix + self.sw2_extra.matrix).tocsr()
+
+    @cached_property
+    def _abs_row_sums(self) -> np.ndarray:
+        return np.asarray(abs(self._offdiag).sum(axis=1)).ravel()
+
+    def offdiagonal(self) -> sp.csr_matrix:
+        """All non-drive sparse content combined (flip plus sw2 terms)."""
+        return self._offdiag
 
     def diagonal(self, delta: float) -> np.ndarray:
         return self.diag_static - delta * self.diag_number
@@ -125,9 +138,47 @@ class HamiltonianParts:
 
     def spectral_bound(self, delta: float) -> float:
         """Gershgorin-style bound on the spectral radius of H at detuning delta."""
-        off = self.offdiagonal()
-        row_sums = np.asarray(abs(off).sum(axis=1)).ravel()
-        return float(np.max(row_sums + np.abs(self.diagonal(delta))))
+        return float(np.max(self._abs_row_sums + np.abs(self.diagonal(delta))))
+
+
+# Relative tolerance of the exactness checks in restrict_parts.
+_RESTRICT_RTOL = 1e-12
+
+
+def restrict_parts(parts: HamiltonianParts, iso: sp.csr_matrix) -> HamiltonianParts | None:
+    """H restricted to the range of an orbit isometry, or None if not exact.
+
+    ``iso`` has one nonzero per row (see
+    :func:`scarsim.hilbert.ring_symmetric_isometry`), and its columns ascend
+    by orbit representative, the smallest state of each orbit.  The sparse
+    pieces become P^T O P and the diagonals are taken at the representatives.
+    The restriction is returned only when it is exact: both diagonals are
+    constant on every orbit and ||O P - P P^T O P|| <= 1e-12 ||O|| for each
+    sparse piece O.
+    """
+    orbit = iso.indices
+    first = np.unique(orbit, return_index=True)[1]
+    for diag in (parts.diag_static, parts.diag_number):
+        spread = np.abs(diag - diag[first][orbit])
+        if spread.max(initial=0.0) > _RESTRICT_RTOL * np.abs(diag).max(initial=0.0):
+            return None
+
+    def restrict(op: SparseOperator) -> SparseOperator | None:
+        small = (iso.T @ op.matrix @ iso).tocsr()
+        err = np.linalg.norm((op.matrix @ iso - iso @ small).data)
+        if err > _RESTRICT_RTOL * np.linalg.norm(op.matrix.data):
+            return None
+        return SparseOperator(small)
+
+    flip = restrict(parts.flip)
+    sw2 = None if parts.sw2_extra is None else restrict(parts.sw2_extra)
+    if flip is None or (parts.sw2_extra is not None and sw2 is None):
+        return None
+    basis = parts.basis
+    reps = ConstrainedBasis(n_sites=basis.n_sites, states=basis.states[first],
+                            nn_masks=basis.nn_masks)
+    return HamiltonianParts(basis=reps, flip=flip, diag_static=parts.diag_static[first],
+                            diag_number=parts.diag_number[first], sw2_extra=sw2)
 
 
 def _check_basis(lat: Lattice, basis: ConstrainedBasis) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import CapacityError, ConfigError, GeometryError
 from .lattice import Lattice
@@ -159,6 +160,37 @@ def named_state(lat: Lattice, basis: ConstrainedBasis, name: str) -> np.ndarray:
     psi = np.zeros(basis.dim, dtype=complex)
     psi[basis.index_of(state)] = 1.0
     return psi
+
+
+def ring_symmetric_isometry(lat: Lattice, basis: ConstrainedBasis) -> sp.csr_matrix | None:
+    """Isometry onto the ring states invariant under G = <T^2, R>, or None
+    when the lattice is not a ring.
+
+    T shifts site i to i + 1 and R reflects i to -i (mod L); for odd L, T^2
+    generates every translation.  A state's orbit representative is the
+    smallest of its images under G, and column o of the (dim, n_orbits)
+    result is the indicator of orbit o divided by sqrt(|o|), so each row has
+    one nonzero and P^T P = I.  Columns ascend by representative.
+    """
+    if not (lat.kind == "chain" and lat.periodic):
+        return None
+    n = basis.n_sites
+    # unsigned, so that rotations of rings over 31 sites wrap instead of overflow
+    states = basis.states.astype(np.uint64)
+    full = np.uint64((1 << n) - 1)
+    reversed_ = np.zeros_like(states)
+    for i in range(n):
+        reversed_ |= ((states >> i) & 1) << (n - 1 - i)
+    # R is the bit reversal i -> n - 1 - i followed by a shift by one site
+    shifts = {2 * j % n for j in range(n)}
+    rep = states.copy()
+    for image, offset in ((states, 0), (reversed_, 1)):
+        for k in shifts:
+            k = (k + offset) % n
+            np.minimum(rep, ((image << k) | (image >> (n - k))) & full, out=rep)
+    _, orbit, counts = np.unique(rep, return_inverse=True, return_counts=True)
+    return sp.csr_matrix((1.0 / np.sqrt(counts[orbit]), (np.arange(basis.dim), orbit)),
+                         shape=(basis.dim, len(counts)))
 
 
 def mirror_state(state: int, n_sites: int) -> int:

@@ -93,6 +93,12 @@ class TestSectionChecks:
                               "deltam_over_omega": "x"}, "drive.deltam_over_omega"),
         ("lattice", "drive", {"shape": "constant", "delta0_mhz": 1.0, "phase": 0.0},
          "drive.phase"),
+        # JSON booleans are not numbers
+        ("lattice", "drive", {"shape": "constant", "delta0_mhz": True},
+         "drive.delta0_mhz"),
+        ("quench", "observables", {"entropy_cuts": [[0, True]]},
+         "observables.entropy_cuts[0]"),
+        ("quench", "cutoff", True, "cutoff"),
     ])
     def test_malformed_section_exits_2(self, tmp_path, capsys, command, section,
                                        value, field):
@@ -178,6 +184,9 @@ class TestLatticeCommand:
         ({"kind": "zigzag_chain", "extent": 9, "zigzag_nnn_ratio": "x"},
          "lattice.zigzag_nnn_ratio"),
         ({"kind": "chain", "extent": 8, "perodic": True}, "lattice.perodic"),
+        ({"kind": "chain", "extent": True}, "lattice.extent"),
+        ({"kind": "zigzag_chain", "extent": 9, "zigzag_nnn_ratio": True},
+         "lattice.zigzag_nnn_ratio"),
     ])
     def test_malformed_lattice_exits_2(self, tmp_path, capsys, lattice, field):
         cfg = write_config(tmp_path, {"lattice": lattice})
@@ -227,7 +236,10 @@ class TestQuenchCommand:
         assert (out / "spectrum.csv").exists()
 
     @pytest.mark.parametrize("key,value", [("dt", "x"), ("record_stride", 2.5),
-                                           ("krylov_dim", "16"), ("record_strid", 5)])
+                                           ("krylov_dim", "16"), ("record_strid", 5),
+                                           ("total_time", True), ("dt", True),
+                                           ("record_stride", True),
+                                           ("krylov_dim", True)])
     def test_malformed_evolution_exits_2(self, tmp_path, capsys, key, value):
         doc = json.loads(json.dumps(SMALL_QUENCH))
         doc["evolution"][key] = value
@@ -236,7 +248,8 @@ class TestQuenchCommand:
         assert f"evolution.{key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [("omega_mhz", "x"), ("v0_mhz", [51.0]),
-                                           ("v0", 51.0)])
+                                           ("v0", 51.0), ("omega_mhz", True),
+                                           ("v0_mhz", False)])
     def test_malformed_physical_exits_2(self, tmp_path, capsys, key, value):
         doc = json.loads(json.dumps(SMALL_QUENCH))
         doc["physical"][key] = value
@@ -435,6 +448,10 @@ class TestFloquetCommand:
         ("taus_omega", [None], "floquet.taus_omega[0]"),
         ("n_periods", 2.5, "floquet.n_periods"),
         ("n_period", 3, "floquet.n_period"),
+        ("l", True, "floquet.l"),
+        ("epsilons", [0.0, True], "floquet.epsilons[1]"),
+        ("taus_over_2pi", [False], "floquet.taus_over_2pi[0]"),
+        ("n_periods", True, "floquet.n_periods"),
     ])
     def test_malformed_floquet_exits_2(self, tmp_path, capsys, key, value, field):
         doc = {"floquet": {"l": 8, "boundary": "periodic", "map": "revival",
@@ -444,6 +461,15 @@ class TestFloquetCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["floquet", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert field in capsys.readouterr().err
+
+    def test_taus_in_two_units_exits_2(self, tmp_path, capsys):
+        doc = {"floquet": {"l": 8, "boundary": "periodic", "map": "revival",
+                           "epsilons": [0.0], "taus_omega": [1.0],
+                           "taus_over_2pi": [0.4, 0.5], "n_periods": 10}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["floquet", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert "floquet: tau given in more than one unit" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "map.csv").exists()
 
     def test_capacity_guard(self, tmp_path):
         doc = {"floquet": {"l": 20, "boundary": "periodic", "map": "revival",

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import scarsim.evolve
 from scarsim.errors import CapacityError, ConfigError, NumericalError
 from scarsim.evolve import (
     EvolutionConfig,
@@ -14,8 +16,21 @@ from scarsim.evolve import (
     reduced_density_matrix,
     run_quench,
 )
-from scarsim.hamiltonian import DriveProfile, build_pxp, build_rydberg, detuning_at
-from scarsim.hilbert import canonical_states, enumerate_blockaded
+from scarsim.hamiltonian import (
+    DriveProfile,
+    SparseOperator,
+    build_pxp,
+    build_rydberg,
+    build_sw2,
+    detuning_at,
+    restrict_parts,
+)
+from scarsim.hilbert import (
+    canonical_states,
+    enumerate_blockaded,
+    named_state,
+    ring_symmetric_isometry,
+)
 from scarsim.lattice import PhysicalParams, build_lattice, optimal_detuning
 
 
@@ -317,6 +332,117 @@ class TestReducedDensityMatrix:
         p = p[p >= 1e-14]
         expect = float(-(p * np.log(p)).sum())
         assert abs(entanglement_entropy(rho) - expect) < 1e-12
+
+
+@pytest.fixture
+def step_dims(monkeypatch):
+    """Dimension of the operator each propagate_step call of run_quench gets."""
+    dims = []
+    step = scarsim.evolve.propagate_step
+
+    def spy(parts, *args, **kwargs):
+        dims.append(parts.dim)
+        return step(parts, *args, **kwargs)
+
+    monkeypatch.setattr(scarsim.evolve, "propagate_step", spy)
+    return dims
+
+
+class TestRingSymmetricSubspace:
+    """Ring quenches from symmetric states propagate in the orbit subspace."""
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    @pytest.mark.parametrize("build", [build_pxp, build_rydberg, build_sw2])
+    def test_restriction_is_exact(self, p, ring_of, n, build):
+        lat = ring_of(n)
+        basis = enumerate_blockaded(lat)
+        parts = build(lat, basis, p)
+        iso = ring_symmetric_isometry(lat, basis)
+        small = restrict_parts(parts, iso)
+        assert small is not None and small.dim == iso.shape[1]
+        dense_iso = iso.toarray()
+        for delta in (0.0, 0.7 * p.omega):
+            err = parts.dense(delta) @ dense_iso - dense_iso @ small.dense(delta)
+            assert np.abs(err).max() < 1e-13
+
+    def test_restriction_refuses_broken_symmetry(self, p, ring_of):
+        lat = ring_of(12)
+        basis = enumerate_blockaded(lat)
+        parts = build_pxp(lat, basis, p)
+        iso = ring_symmetric_isometry(lat, basis)
+        site0 = ((basis.states & 1) * 0.3).astype(float)
+        pinned = dataclasses.replace(parts, diag_static=parts.diag_static + site0)
+        assert restrict_parts(pinned, iso) is None
+        flip = parts.flip.matrix.tolil()
+        flip[0, 1] = flip[1, 0] = 0.5 * flip[0, 1]
+        bent = dataclasses.replace(parts, flip=SparseOperator(flip.tocsr()))
+        assert restrict_parts(bent, iso) is None
+        assert restrict_parts(parts, iso) is not None
+
+    def _oracle(self, parts, drive, psi0s, cfg, nsub):
+        """Full-basis dense midpoint propagation of each column of psi0s, one
+        eigendecomposition per substep; the states on the record grid."""
+        h = cfg.dt / nsub
+        states, psi = [psi0s], psi0s.astype(complex)
+        for step in range(int(round(cfg.total_time / cfg.dt))):
+            for k in range(nsub):
+                t = step * cfg.dt + k * h
+                psi = dense_propagator(parts, detuning_at(drive, t + h / 2), h) @ psi
+            if (step + 1) % cfg.record_stride == 0:
+                states.append(psi)
+        return states
+
+    @pytest.mark.parametrize("model", [build_pxp, build_rydberg])
+    def test_matches_full_basis_dense_oracle(self, p, model, step_dims):
+        lat = build_lattice("chain", 12, periodic=True)
+        basis = enumerate_blockaded(lat)
+        parts = model(lat, basis, p)
+        drive = DriveProfile.cosine(0.5 * p.omega, p.omega, 1.33 * p.omega)
+        cfg = EvolutionConfig(total_time=0.02, dt=0.002, record_stride=2)
+        nsub = math.ceil(cfg.dt * 200 / drive.period)
+        assert nsub == 3
+        half = tuple(range(6))
+        bits = ((basis.states[:, None] >> np.arange(12)) & 1).astype(float)
+        names = ("AF1", "AF2", "GGG")
+        psi0s = np.column_stack([named_state(lat, basis, name) for name in names])
+        ref = self._oracle(parts, drive, psi0s, cfg, nsub)
+        for col in range(len(names)):
+            step_dims.clear()
+            res = run_quench(lat, basis, parts, drive, psi0s[:, col], cfg,
+                             entropy_cuts=(half,))
+            assert set(step_dims) == {47} and len(step_dims) == 30
+            states = [s[:, col] for s in ref]
+            probs = np.array([np.abs(s) ** 2 for s in states])
+            ents = [entanglement_entropy(reduced_density_matrix(s, basis, half))
+                    for s in states]
+            assert np.abs(res.probs - probs).max() < 1e-10
+            assert np.abs(res.site_pops - probs @ bits).max() < 1e-10
+            assert np.abs(res.entropies[:, 0] - ents).max() < 1e-10
+            assert np.abs(res.final_state - states[-1]).max() < 1e-10
+
+    def test_random_state_runs_unreduced(self, p, step_dims):
+        lat = build_lattice("chain", 12, periodic=True)
+        basis = enumerate_blockaded(lat)
+        parts = build_pxp(lat, basis, p)
+        drive = DriveProfile.cosine(0.5 * p.omega, p.omega, 1.33 * p.omega)
+        cfg = EvolutionConfig(total_time=0.01, dt=0.002)
+        psi0 = random_state(basis.dim, 3)
+        res = run_quench(lat, basis, parts, drive, psi0, cfg, entropy_cuts=((0, 1, 2),))
+        assert set(step_dims) == {basis.dim}
+        # the same lattice without the wrap flag has no isometry at all
+        plain = run_quench(dataclasses.replace(lat, periodic=False), basis, parts,
+                           drive, psi0, cfg, entropy_cuts=((0, 1, 2),))
+        for field in ("site_pops", "probs", "entropies", "final_state"):
+            assert np.array_equal(getattr(res, field), getattr(plain, field))
+
+    def test_open_chain_is_never_reduced(self, p, step_dims):
+        lat = build_lattice("chain", 12)
+        basis = enumerate_blockaded(lat)
+        parts = build_pxp(lat, basis, p)
+        run_quench(lat, basis, parts, DriveProfile.constant(0.0),
+                   named_state(lat, basis, "AF1"),
+                   EvolutionConfig(total_time=0.01, dt=0.002))
+        assert set(step_dims) == {basis.dim}
 
 
 class TestQuenchCsv:

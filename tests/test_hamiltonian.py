@@ -155,6 +155,20 @@ class TestSw2:
                            zero.diag_static - 1.7 * zero.diag_number)
 
 
+class TestStepInvariants:
+    def test_computed_once_with_unchanged_arithmetic(self, p, chain9):
+        lat, basis = chain9
+        parts = build_sw2(lat, basis, p)
+        off = parts.offdiagonal()
+        assert parts.offdiagonal() is off
+        ref = (parts.flip.matrix + parts.sw2_extra.matrix).tocsr()
+        assert (off != ref).nnz == 0
+        row_sums = np.asarray(abs(ref).sum(axis=1)).ravel()
+        for delta in (0.0, 0.5 * p.omega, -2.0 * p.omega):
+            want = float(np.max(row_sums + np.abs(parts.diagonal(delta))))
+            assert parts.spectral_bound(delta) == want
+
+
 class TestDriveProfile:
     def test_cosine_values(self):
         d = DriveProfile.cosine(1.0, 0.5, 2.0)

@@ -10,6 +10,7 @@ from scarsim.hilbert import (
     mirror_state,
     order_microstates,
     reflection_grouping,
+    ring_symmetric_isometry,
     state_to_string,
     string_to_state,
     sublattice_mask,
@@ -192,3 +193,51 @@ class TestHamming:
     def test_mirror_involution(self, s):
         assert mirror_state(mirror_state(s, 12), 12) == s
         assert bin(mirror_state(s, 12)).count("1") == bin(s).count("1")
+
+
+def _site_map(state, n, image_of_site):
+    return sum(1 << image_of_site(i) for i in range(n) if (state >> i) & 1)
+
+
+class TestRingSymmetricIsometry:
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_columns_are_normalized_orbits_of_t2_and_inversion(self, ring_of, n):
+        lat = ring_of(n)
+        basis = enumerate_blockaded(lat)
+        iso = ring_symmetric_isometry(lat, basis)
+        assert iso.shape[0] == basis.dim
+        assert np.array_equal(np.diff(iso.indptr), np.ones(basis.dim))
+        eye = np.eye(iso.shape[1])
+        assert np.abs((iso.T @ iso).toarray() - eye).max() < 1e-13
+        # reference orbits, closed under site maps i -> i + 2 and i -> -i
+        column = dict(zip(basis.states.tolist(), iso.indices.tolist()))
+        orbits = {}
+        for s in basis.states.tolist():
+            orbit, todo = {s}, [s]
+            while todo:
+                t = todo.pop()
+                for image in (_site_map(t, n, lambda i: (i + 2) % n),
+                              _site_map(t, n, lambda i: -i % n)):
+                    if image not in orbit:
+                        orbit.add(image)
+                        todo.append(image)
+            orbits[min(orbit)] = orbit
+        assert iso.shape[1] == len(orbits)
+        for rep, orbit in orbits.items():
+            assert {column[t] for t in orbit} == {column[rep]}
+        # columns ascend by representative
+        assert [column[rep] for rep in sorted(orbits)] == list(range(len(orbits)))
+
+    def test_orbit_counts_and_canonical_singletons(self):
+        for n, n_orbits in ((16, 187), (22, 1990)):
+            lat = build_lattice("chain", n, periodic=True)
+            basis = enumerate_blockaded(lat)
+            iso = ring_symmetric_isometry(lat, basis)
+            assert iso.shape == (basis.dim, n_orbits)
+            for state in canonical_states(lat):
+                k = basis.index_of(state)
+                assert iso[k, iso.indices[k]] == 1.0    # an orbit of one state
+
+    def test_open_chain_has_none(self):
+        lat = build_lattice("chain", 12)
+        assert ring_symmetric_isometry(lat, enumerate_blockaded(lat)) is None
