@@ -58,7 +58,10 @@ class PlaneFit:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Normalized in-phase intensity on a uniform angular-frequency grid."""
+    """Normalized in-phase intensity on a uniform angular-frequency grid.
+
+    ``s2`` and ``stilde`` have one row per series, or are 1-D for one series.
+    """
 
     omegas: np.ndarray
     s2: np.ndarray
@@ -66,6 +69,7 @@ class Spectrum:
     stilde: np.ndarray
 
     def peak_omega(self) -> float:
+        """Frequency of the largest intensity of a single-series spectrum."""
         return float(self.omegas[int(np.argmax(self.s2))])
 
 
@@ -208,26 +212,32 @@ def fit_decay_plane(points: np.ndarray | list[tuple[float, float, float]]) -> Pl
 
 def _inphase_transform(values: np.ndarray, times: np.ndarray,
                        omegas: np.ndarray) -> np.ndarray:
-    f = values - values.mean()
+    """In-phase transform of each series along the last axis of ``values``.
+
+    The frequency axis is chunked to bound the cos-table memory, and every
+    series reuses each chunk's table.
+    """
+    f = values - values.mean(axis=-1, keepdims=True)
     window = times[-1] - times[0]
-    # chunk the frequency axis to bound the cos-table memory
-    out = np.empty(len(omegas))
+    rows = f.reshape(-1, f.shape[-1])
+    out = np.empty((len(rows), len(omegas)))
     chunk = 512
     for k0 in range(0, len(omegas), chunk):
-        w = omegas[k0:k0 + chunk, None]
-        table = np.cos(w * times[None, :])
-        out[k0:k0 + chunk] = np.trapezoid(table * f[None, :], times, axis=1)
-    return (2.0 / window) * out
+        table = np.cos(omegas[k0:k0 + chunk, None] * times[None, :])
+        for r, row in enumerate(rows):
+            out[r, k0:k0 + chunk] = np.trapezoid(table * row[None, :], times, axis=1)
+    return (2.0 / window) * out.reshape(f.shape[:-1] + (len(omegas),))
 
 
 def _normalized_intensity(values: np.ndarray, times: np.ndarray,
                           omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     window = times[-1] - times[0]
     stilde = _inphase_transform(values, times, omegas)
-    total = np.trapezoid(stilde**2, omegas)
-    if total <= 0:
-        return np.zeros_like(stilde), stilde
-    return stilde**2 / (2.0 * total * window / math.tau), stilde
+    total = np.trapezoid(stilde**2, omegas, axis=-1)[..., None]
+    # a series with no spectral weight keeps an all-zero intensity
+    s2 = np.zeros_like(stilde)
+    np.divide(stilde**2, 2.0 * total * window / math.tau, out=s2, where=total > 0)
+    return s2, stilde
 
 
 @functools.lru_cache(maxsize=8)
@@ -246,12 +256,15 @@ def _calibration_peak(tt_bytes: bytes, omegas_bytes: bytes, omega_ref: float) ->
 def fourier_spectrum(values: np.ndarray, times: np.ndarray, *,
                      calibration_omega: float | None = None,
                      grid_points_per_bin: int = 8) -> Spectrum:
-    """Normalized in-phase power spectrum of a uniformly sampled series.
+    """Normalized in-phase power spectrum of uniformly sampled series.
 
-    The grid spans 0 to the sampling Nyquist frequency with spacing
-    2 pi / (grid_points_per_bin * T).  ``calibration_omega`` selects the
-    reference-cosine frequency; by default the dominant peak is used, so a
-    pure cosine at any grid frequency comes out with peak exactly 1.
+    ``values`` holds one series, or one series per row of a
+    (series, samples) array; the spectrum's ``s2`` and ``stilde`` then have
+    one row per series.  The grid spans 0 to the sampling Nyquist frequency
+    with spacing 2 pi / (grid_points_per_bin * T).  ``calibration_omega``
+    selects the reference-cosine frequency; by default each series' dominant
+    peak is used, so a pure cosine at any grid frequency comes out with peak
+    exactly 1.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -264,29 +277,38 @@ def fourier_spectrum(values: np.ndarray, times: np.ndarray, *,
     nyquist = math.pi / dt
     omegas = np.arange(0.0, nyquist + 0.5 * domega, domega)
 
-    if np.ptp(values) < 1e-12 * max(1.0, float(np.abs(values).max())):
-        zero = np.zeros_like(omegas)
-        return Spectrum(omegas=omegas, s2=zero, window=window, stilde=zero)
     s2, stilde = _normalized_intensity(values, tt, omegas)
-    if s2.max() <= 0:
-        return Spectrum(omegas=omegas, s2=s2, window=window, stilde=stilde)
+    flat = np.ptp(values, axis=-1) < 1e-12 * np.maximum(1.0, np.abs(values).max(axis=-1))
+    # row views: the per-series edits below land in s2 and stilde
+    s2_rows = s2.reshape(-1, len(omegas))
+    stilde_rows = stilde.reshape(-1, len(omegas))
+    for r, is_flat in enumerate(np.ravel(flat)):
+        if is_flat:
+            s2_rows[r] = 0.0
+            stilde_rows[r] = 0.0
+            continue
+        if s2_rows[r].max() <= 0:
+            continue
+        omega_ref = calibration_omega
+        if omega_ref is None:
+            omega_ref = float(omegas[int(np.argmax(s2_rows[r]))])
+        if omega_ref <= 0:
+            continue
+        ref_peak = _calibration_peak(tt.tobytes(), omegas.tobytes(), float(omega_ref))
+        if ref_peak <= 0:
+            raise NumericalError("spectral calibration failed: zero reference peak")
+        s2_rows[r] /= ref_peak
+    return Spectrum(omegas=omegas, s2=s2, window=window, stilde=stilde)
 
-    omega_ref = calibration_omega
-    if omega_ref is None:
-        omega_ref = float(omegas[int(np.argmax(s2))])
-    if omega_ref <= 0:
-        return Spectrum(omegas=omegas, s2=s2, window=window, stilde=stilde)
-    ref_peak = _calibration_peak(tt.tobytes(), omegas.tobytes(), float(omega_ref))
-    if ref_peak <= 0:
-        raise NumericalError("spectral calibration failed: zero reference peak")
-    return Spectrum(omegas=omegas, s2=s2 / ref_peak, window=window, stilde=stilde)
 
-
-def weight_at(spectrum: Spectrum, omega: float) -> float:
-    """Linearly interpolated intensity at an arbitrary frequency."""
+def weight_at(spectrum: Spectrum, omega: float) -> float | np.ndarray:
+    """Linearly interpolated intensity at an arbitrary frequency, one value
+    per series of the spectrum (a float for a single series)."""
     if not (spectrum.omegas[0] <= omega <= spectrum.omegas[-1]):
         raise ConfigError(f"frequency {omega} outside the spectral grid")
-    return float(np.interp(omega, spectrum.omegas, spectrum.s2))
+    w = np.apply_along_axis(lambda s2: np.interp(omega, spectrum.omegas, s2),
+                            -1, spectrum.s2)
+    return float(w) if w.ndim == 0 else w
 
 
 def subharmonic_weight(spectrum: Spectrum, omegam: float, order: int = 2) -> float:

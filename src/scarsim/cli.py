@@ -43,7 +43,14 @@ from .config import (
     serialize_config,
     set_by_path,
 )
-from .errors import CapacityError, ConfigError, GeometryError, NumericalError, ScarsimError
+from .errors import (
+    CapacityError,
+    ConfigError,
+    GeometryError,
+    NumericalError,
+    ScarsimError,
+    is_number,
+)
 from .evolve import (
     QuenchResult,
     _g17,
@@ -80,8 +87,11 @@ def _csv_field(s: str) -> str:
 
 
 def _grid_field(v) -> str:
-    """A sweep grid value as a CSV cell; non-numbers are written as text."""
-    return _g17(v) if isinstance(v, (int, float)) else _csv_field(str(v))
+    """A sweep grid value as a CSV cell: numbers exactly, booleans as JSON
+    writes them, anything else as text."""
+    if isinstance(v, bool):
+        return json.dumps(v)
+    return _g17(v) if is_number(v) else _csv_field(str(v))
 
 
 def _load_document(args) -> dict:
@@ -328,7 +338,7 @@ def _rigidity_table(cfg: ExperimentConfig, points: list[dict],
     for ax in cfg.sweep:
         if ax.parameter == "drive.omegam_over_omega" and \
                 len(ax.grid) == len(RIGIDITY_GRID) and \
-                all(isinstance(v, (int, float)) for v in ax.grid) and \
+                all(is_number(v) for v in ax.grid) and \
                 np.allclose(ax.grid, RIGIDITY_GRID, atol=1e-9):
             freq_axis = ax
         else:

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import CapacityError, ConfigError, NumericalError, is_int, is_number
 from .hamiltonian import DriveProfile, HamiltonianParts, detuning_at, restrict_parts
@@ -27,8 +28,8 @@ _KRYLOV_STEP_BUDGET = 1.2
 # Enforced resolution of periodic drives: at least this many steps per period.
 _STEPS_PER_PERIOD = 200
 
-# A ring quench is propagated in the symmetric subspace only when the
-# initial state's projection onto it has unit norm to within this tolerance.
+# A ring state is propagated in the symmetric subspace only when its
+# projection onto it has unit norm to within this tolerance.
 _SUBSPACE_TOL = 1e-12
 
 
@@ -147,6 +148,23 @@ def propagate_step(parts: HamiltonianParts, drive: DriveProfile, psi: np.ndarray
     return out / nrm
 
 
+def symmetric_restriction(lat: Lattice, basis: ConstrainedBasis,
+                          parts: HamiltonianParts, psi0: np.ndarray
+                          ) -> tuple[HamiltonianParts, sp.csr_matrix] | None:
+    """H restricted to the ring's <T^2, R>-symmetric subspace, with its isometry.
+
+    Returns ``(restricted parts, P)`` when the lattice is a ring, ``psi0``
+    lies in the subspace (||P^T psi0|| = 1 to within 1e-12) and the
+    restriction is exact (see :func:`scarsim.hamiltonian.restrict_parts`);
+    otherwise None.  A state psi_s of the subspace is P psi_s in the full basis.
+    """
+    iso = ring_symmetric_isometry(lat, basis)
+    if iso is None or abs(np.linalg.norm(iso.T @ psi0) - 1.0) > _SUBSPACE_TOL:
+        return None
+    reduced = restrict_parts(parts, iso)
+    return None if reduced is None else (reduced, iso)
+
+
 def _site_bit_table(basis: ConstrainedBasis) -> np.ndarray:
     """(dim, n_sites) float matrix of occupation bits."""
     shifts = np.arange(basis.n_sites)
@@ -182,15 +200,13 @@ def run_quench(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     n_steps = int(round(cfg.total_time / cfg.dt))
 
     psi = psi0.astype(complex).copy()
-    iso = ring_symmetric_isometry(lat, basis)
-    reduced = None
-    if iso is not None and abs(np.linalg.norm(iso.T @ psi) - 1.0) <= _SUBSPACE_TOL:
-        reduced = restrict_parts(parts, iso)
-    if reduced is not None:
-        parts, psi = reduced, iso.T @ psi
+    restricted = symmetric_restriction(lat, basis, parts, psi)
+    if restricted is not None:
+        parts, iso = restricted
+        psi = iso.T @ psi
 
     def full_state() -> np.ndarray:
-        return psi if reduced is None else iso @ psi
+        return psi if restricted is None else iso @ psi
 
     bits = _site_bit_table(basis)
     a_sites = lat.sites_of(0)

@@ -142,6 +142,24 @@ class TestSpectrum:
                 expected = raw / float(np.interp(w, spec.omegas, ref))
                 assert np.array_equal(spec.s2, expected)
 
+    @pytest.mark.parametrize("omega_ref", [math.pi, None])
+    def test_series_rows_equal_single_series(self, omega_ref):
+        # the rows of one call share each cosine-table chunk; every row,
+        # flat ones included, must equal its own single-series spectrum
+        rng = np.random.default_rng(5)
+        rows = np.vstack([rng.normal(size=(3, len(self.t))),
+                          np.full((1, len(self.t)), 2.2),
+                          np.cos(self.grid_frequency() * self.t)[None]])
+        spec = fourier_spectrum(rows, self.t, calibration_omega=omega_ref)
+        weights = weight_at(spec, 40.0)
+        assert spec.s2.shape == spec.stilde.shape == (5, len(spec.omegas))
+        assert weights.shape == (5,)
+        for r, values in enumerate(rows):
+            one = fourier_spectrum(values, self.t, calibration_omega=omega_ref)
+            assert np.array_equal(spec.s2[r], one.s2)
+            assert np.array_equal(spec.stilde[r], one.stilde)
+            assert weights[r] == weight_at(one, 40.0)
+
     def test_constant_series_is_zero(self):
         spec = fourier_spectrum(np.full_like(self.t, 2.2), self.t)
         assert np.allclose(spec.s2, 0.0)

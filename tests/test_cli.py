@@ -384,6 +384,20 @@ class TestSweepCommand:
         rows = [{"status": "ok", "sub_weight": 0.1}] * len(grid)
         assert cli._rigidity_table(cfg, cli._sweep_points(cfg), rows) is None
 
+    def test_boolean_grid_values_written_as_json(self, tmp_path):
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["lattice"]["extent"] = 6
+        doc["observables"] = {}
+        doc["evolution"]["total_time"] = 0.1
+        doc["sweep"] = [{"parameter": "lattice.periodic", "grid": [False, True]}]
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
+        lines = (out / "aggregate.csv").read_text().strip().splitlines()
+        assert lines[0].startswith("point,lattice.periodic,status,")
+        assert lines[1].startswith("0,false,ok,")
+        assert lines[2].startswith("1,true,ok,")
+
     def test_worker_records_any_exception(self, monkeypatch, capsys):
         import scarsim.cli as cli
 
@@ -472,7 +486,7 @@ class TestFloquetCommand:
         assert not (tmp_path / "x" / "map.csv").exists()
 
     def test_capacity_guard(self, tmp_path):
-        doc = {"floquet": {"l": 20, "boundary": "periodic", "map": "revival",
+        doc = {"floquet": {"l": 22, "boundary": "periodic", "map": "revival",
                            "epsilons": [0.0], "taus_over_2pi": [0.5],
                            "n_periods": 2}}
         cfg = write_config(tmp_path, doc)

@@ -8,6 +8,7 @@ from scarsim.errors import CapacityError, ConfigError
 from scarsim.floquet import (
     TAU_C,
     PulsedParams,
+    _StroboscopicEngine,
     apply_period,
     excitation_zz_affine_defect,
     floquet_eigenstate_overlap,
@@ -107,9 +108,10 @@ class TestRevivalMap:
 
     def test_guards(self):
         with pytest.raises(CapacityError):
-            revival_fidelity_map(20, "periodic", [0.0], [1.0], n_periods=1)
-        with pytest.raises(CapacityError, match="200x100 map at dim 843"):
-            revival_fidelity_map(14, "periodic", [0.1] * 200, [1.0] * 100,
+            revival_fidelity_map(22, "periodic", [0.0], [1.0], n_periods=1)
+        # the block guard counts the propagated dim: 89 on the 14-ring
+        with pytest.raises(CapacityError, match="1000x800 map at dim 89"):
+            revival_fidelity_map(14, "periodic", [0.1] * 1000, [1.0] * 800,
                                  n_periods=1)
         with pytest.raises(ConfigError):
             revival_fidelity_map(10, "twisted", [0.0], [1.0], n_periods=1)
@@ -215,6 +217,44 @@ class TestBatchedMaps:
         assert np.abs(m[0] - 1.0).max() < 1e-9
 
 
+class TestRingSubspaceMaps:
+    """Ring maps propagate in the <T^2, R>-symmetric subspace of AF1."""
+
+    def test_propagated_dims(self):
+        assert (_StroboscopicEngine(14, "periodic").dim,
+                _StroboscopicEngine(20, "periodic").dim) == (89, 881)
+        # open chains keep the full basis
+        eng = _StroboscopicEngine(9, "open")
+        assert eng.dim == eng.basis.dim == 89
+
+    # rings over 18 sites were refused while maps ran in the full basis
+    @pytest.mark.parametrize("l", [16, 18, 20])
+    @pytest.mark.parametrize("kind,n_periods", [("revival", 2), ("subharmonic", 5)])
+    def test_matches_full_basis_krylov_reference(self, l, kind, n_periods):
+        got = MAPS[kind](l, "periodic", [0.35], [0.9, TAU_C], n_periods=n_periods)
+        ref = krylov_map(kind, l, "periodic", [0.35], [0.9, TAU_C], n_periods)
+        assert got.shape == (1, 2)
+        assert np.abs(got - ref).max() < 1e-9
+
+    def test_echo_row_at_twenty_sites(self):
+        m = revival_fidelity_map(20, "periodic", [0.0], [0.9, TAU_C, 5.0],
+                                 n_periods=10)
+        assert np.abs(m - 1.0).max() < 1e-9
+
+    def test_no_full_basis_fallback(self, monkeypatch):
+        import scarsim.floquet as floquet
+
+        monkeypatch.setattr(floquet, "symmetric_restriction", lambda *args: None)
+        with pytest.raises(ConfigError, match="symmetric subspace"):
+            revival_fidelity_map(10, "periodic", [0.0], [1.0], n_periods=1)
+
+    def test_oversize_ring_refused_before_full_enumeration(self):
+        # 22 sites: |G| = 22, so enumeration stops past 22 * 1024 states,
+        # long before the 39,603-state full basis
+        with pytest.raises(CapacityError, match="22528 state bound"):
+            _StroboscopicEngine(22, "periodic")
+
+
 class TestEigenstateOverlap:
     def test_norms_and_echo_point_pairing(self):
         lat = build_lattice("chain", 9)
@@ -229,7 +269,7 @@ class TestEigenstateOverlap:
         assert np.allclose(fe.eigenvalues.imag, 0.0, atol=1e-9)
 
     def test_two_state_reconstruction_of_stroboscopic_dynamics(self):
-        from scarsim.floquet import _StroboscopicEngine, _class_probabilities
+        from scarsim.floquet import _class_probabilities
 
         lat = build_lattice("chain", 9)
         basis = enumerate_blockaded(lat)
