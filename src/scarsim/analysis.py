@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ConfigError, NumericalError
 from .evolve import QuenchResult, _g17
@@ -163,6 +162,8 @@ def fit_damped_cosine(values: np.ndarray, times: np.ndarray) -> DampedCosineFit:
     p0 = _initial_guess(tt, values)
     if tt[-1] < 2 * math.tau / max(p0[2], 1e-12):
         raise ConfigError("window must span at least two oscillation periods")
+
+    from scipy.optimize import least_squares  # imported here: only fits use it
 
     res = least_squares(
         lambda p: _model(tt, p) - values, p0,
@@ -330,7 +331,8 @@ def subharmonic_rigidity(omegam_over_omega: np.ndarray | list[float],
         )
     if w.shape != grid.shape:
         raise ConfigError("weights and grid lengths differ")
-    return float(w.sum())
+    # left to right in grid order; numpy's pairwise sum rounds differently
+    return float(sum(w.tolist()))
 
 
 def spectrum_to_csv(spectrum: Spectrum) -> str:

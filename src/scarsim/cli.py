@@ -32,6 +32,7 @@ from .analysis import (
     microstate_matrix_to_csv,
     plane_to_json,
     spectrum_to_csv,
+    subharmonic_rigidity,
     subharmonic_weight,
     weight_at,
 )
@@ -356,7 +357,8 @@ def _rigidity_table(cfg: ExperimentConfig, points: list[dict],
     for key, ws in groups.items():
         if len(ws) != len(RIGIDITY_GRID):
             return None
-        lines.append(f"{_grid_field(key) if key != '' else ''},{_g17(sum(ws))}")
+        rigidity = subharmonic_rigidity(freq_axis.grid, ws)
+        lines.append(f"{_grid_field(key) if key != '' else ''},{_g17(rigidity)}")
     return "\r\n".join(lines) + "\r\n"
 
 

@@ -1,9 +1,9 @@
 """Time evolution in the constrained basis.
 
-The workhorse is a Lanczos (Krylov) approximation of exp(-i H dt) |psi>
-with the drive sampled at the step midpoint, which makes the piecewise
-constant approximation second order in dt.  A dense eigendecomposition
-propagator is provided as an independent oracle for small dimensions.
+The workhorse is a Chebyshev series for exp(-i H dt) |psi>, cut where its
+dropped Bessel tail falls below 1e-15, with the drive sampled at the step
+midpoint, which makes the piecewise constant approximation second order in
+dt.  A dense eigendecomposition propagator is an independent oracle.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from .lattice import Lattice
 
 DENSE_DIM_LIMIT = 1 << 10
 
-# Target ||H|| * dt per Krylov substep; with a 16-dimensional subspace the
-# per-substep truncation error is then far below 1e-12.
-_KRYLOV_STEP_BUDGET = 1.2
+# A Chebyshev step stops where the dropped Bessel tail falls below this.
+_CHEBYSHEV_TAIL = 1e-15
 
 # Enforced resolution of periodic drives: at least this many steps per period.
 _STEPS_PER_PERIOD = 200
@@ -35,10 +34,11 @@ _SUBSPACE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Step size, subspace size, recording stride, and total quench time (us).
+    """Step size, recording stride, and total quench time (us).
 
     Also the parsed ``evolution`` section of a config document, so every
     field check lives here and names its ``evolution.<field>`` path.
+    ``krylov_dim`` is checked but unused: the Chebyshev step sizes itself.
     """
 
     total_time: float
@@ -78,70 +78,61 @@ class QuenchResult:
     final_state: np.ndarray | None = None
 
 
-def _lanczos_expm(matvec, psi: np.ndarray, dt: float, m: int,
-                  breakdown_tol: float = 1e-14) -> np.ndarray:
-    """One Krylov application of exp(-i H dt) to psi.
+def _chebyshev_coefficients(x: float) -> np.ndarray:
+    """Coefficients c_k of exp(-i x y) = sum_k c_k T_k(y) for y in [-1, 1].
 
-    Early termination on subspace breakdown (residual below tolerance) is
-    the expected behaviour for near-invariant states, not an error.
+    c_0 = J_0(x) and c_k = 2 (-i)^k J_k(x) (Jacobi-Anger).  The series stops
+    at the first degree whose dropped tail, the sum of |c_k| past it, is
+    below ``_CHEBYSHEV_TAIL``.
     """
-    nrm = float(np.linalg.norm(psi))
-    if nrm == 0.0:
-        return psi.copy()
-    n = psi.shape[0]
-    m = min(m, n)
-    v = np.empty((m, n), dtype=complex)
-    v[0] = psi / nrm
-    alphas: list[float] = []
-    betas: list[float] = []
-    w = matvec(v[0])
-    a = float(np.vdot(v[0], w).real)
-    w = w - a * v[0]
-    alphas.append(a)
-    for j in range(1, m):
-        b = float(np.linalg.norm(w))
-        if b < breakdown_tol * max(1.0, abs(a)):
-            break
-        v[j] = w / b
-        betas.append(b)
-        w = matvec(v[j]) - b * v[j - 1]
-        a = float(np.vdot(v[j], w).real)
-        w = w - a * v[j]
-        # one full reorthogonalization pass keeps the small basis clean
-        w = w - (v[: j + 1].conj() @ w) @ v[: j + 1]
-        alphas.append(a)
-    k = len(alphas)
-    if k == 1:
-        y = np.array([np.exp(-1j * alphas[0] * dt)]) * nrm
-    else:
-        t_mat = np.diag(alphas)
-        t_mat += np.diag(betas, 1) + np.diag(betas, -1)
-        evals, z = np.linalg.eigh(t_mat)
-        y = (z @ (np.exp(-1j * evals * dt) * z[0, :])) * nrm
-    return y @ v[:k]
+    from scipy.special import jv  # imported here: floquet runs never step
+
+    if not math.isfinite(x):
+        raise NumericalError(f"step has no finite spectral bound: b * dt = {x}")
+    # |J_k(x)| <= (|x|/2)^k / k!; past kmax >= |x| these bounds at least
+    # halve at every order, so the unevaluated orders add at most 2 * term.
+    # The bound is kept as a logarithm, which stays finite at large |x|.
+    ax = max(abs(x), 1e-300)
+
+    def log_bound(k: int) -> float:
+        return k * math.log(ax / 2) - math.lgamma(k + 1)
+
+    kmax = math.ceil(ax)
+    while log_bound(kmax) > math.log(1e-3 * _CHEBYSHEV_TAIL):
+        kmax += 1
+    term = math.exp(log_bound(kmax))
+    bessel = jv(np.arange(kmax + 1), x)
+    # lower the degree while the tail it drops stays below the tolerance
+    degree, dropped = kmax, 2.0 * term
+    while degree > 0 and dropped + 2.0 * abs(bessel[degree]) < _CHEBYSHEV_TAIL:
+        dropped += 2.0 * abs(bessel[degree])
+        degree -= 1
+    coef = 2.0 * (-1j) ** np.arange(degree + 1) * bessel[:degree + 1]
+    coef[0] /= 2.0
+    return coef
 
 
 def propagate_step(parts: HamiltonianParts, drive: DriveProfile, psi: np.ndarray,
-                   t: float, dt: float, krylov_dim: int = 16) -> np.ndarray:
+                   t: float, dt: float) -> np.ndarray:
     """One step psi -> exp(-i H(t + dt/2) dt) psi, renormalized.
 
     The drive is sampled once at the step midpoint; callers that need finer
-    drive resolution should subdivide dt themselves.  The Krylov
-    application is substepped so that each substep keeps ||H|| dt within
-    the budget.
+    drive resolution should subdivide dt themselves.  A step of any length
+    is one Chebyshev series in H / b, with b = ``parts.spectral_bound``
+    (Tal-Ezer & Kosloff 1984).
     """
     delta = detuning_at(drive, t + dt / 2.0)
     off = parts.offdiagonal()
     diag = parts.diagonal(delta)
+    bound = parts.spectral_bound(delta)
+    coef = _chebyshev_coefficients(bound * dt)
 
-    def matvec(v: np.ndarray) -> np.ndarray:
-        return off @ v + diag * v
-
-    nsub = max(1, int(math.ceil(abs(dt) * parts.spectral_bound(delta)
-                                / _KRYLOV_STEP_BUDGET)))
-    out = psi
-    for _ in range(nsub):
-        out = _lanczos_expm(matvec, out, dt / nsub, krylov_dim)
+    # T_{k+1}(H/b) psi = 2 (H/b) T_k(H/b) psi - T_{k-1}(H/b) psi
+    out, prev, cur = coef[0] * psi, None, psi
+    for c in coef[1:]:
+        h_cur = (off @ cur + diag * cur) / bound
+        prev, cur = cur, h_cur if prev is None else 2.0 * h_cur - prev
+        out += c * cur
     nrm = float(np.linalg.norm(out))
     if abs(nrm - 1.0) > 1e-6:
         raise NumericalError(f"propagation lost normalization: |psi| = {nrm}")
@@ -235,7 +226,7 @@ def run_quench(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
         t = step * cfg.dt
         for k in range(nsub):
             psi = propagate_step(parts, drive, psi, t + k * cfg.dt / nsub,
-                                 cfg.dt / nsub, cfg.krylov_dim)
+                                 cfg.dt / nsub)
         if (step + 1) % cfg.record_stride == 0:
             snapshot(step + 1)
 

@@ -44,6 +44,7 @@ from .hamiltonian import DriveProfile, HamiltonianParts, build_pxp
 from .hilbert import (
     ConstrainedBasis,
     MicrostateOrdering,
+    canonical_states,
     enumerate_blockaded,
     named_state,
 )
@@ -83,7 +84,7 @@ def _kick_phases(basis: ConstrainedBasis, theta: float) -> np.ndarray:
 
 def apply_period(psi: np.ndarray, params: PulsedParams, basis: ConstrainedBasis,
                  parts_pxp: HamiltonianParts) -> np.ndarray:
-    """One driving period: Krylov evolution at zero detuning, then the kick.
+    """One driving period: one Chebyshev step at zero detuning, then the kick.
 
     ``parts_pxp`` must be built with Omega = 1, so that the dimensionless
     ``params.tau`` is the evolution time.
@@ -260,8 +261,8 @@ def floquet_eigenstate_overlap(params: PulsedParams, basis: ConstrainedBasis,
 
     The two eigenvectors maximizing |<AF1|v>|^2 + |<AF2|v>|^2 are returned
     together with their symmetric/antisymmetric combinations (phases fixed
-    so the AF1 overlap is real nonnegative).  Chain site labeling is
-    assumed: sublattice A sits on even sites.
+    so the AF1 overlap is real nonnegative).  AF1 and AF2 are the canonical
+    states of the chain with the basis's site count.
     """
     # imported here: only this analysis needs it, and every CLI process
     # imports this module
@@ -271,9 +272,7 @@ def floquet_eigenstate_overlap(params: PulsedParams, basis: ConstrainedBasis,
         raise CapacityError(
             f"dense period-operator analysis guarded to dim <= {DENSE_DIM_LIMIT}"
         )
-    n = basis.n_sites
-    af1 = sum(1 << i for i in range(0, n, 2))
-    af2 = sum(1 << i for i in range(1, n, 2))
+    af1, af2, _ = canonical_states(build_lattice("chain", basis.n_sites))
     i1, i2 = basis.index_of(af1), basis.index_of(af2)
 
     evals, q = _pxp_eigensystem(parts_pxp)

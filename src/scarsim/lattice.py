@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import ConfigError, GeometryError
 
@@ -340,6 +339,8 @@ def boundary_distances(positions: np.ndarray) -> np.ndarray:
     if n < 3 or s[-1] < 1e-9 * max(s[0], 1.0):
         t = centred @ vt[0]
         return np.minimum(t - t.min(), t.max() - t)
+    from scipy.spatial import ConvexHull  # imported here: only 2-D patches use it
+
     hull = ConvexHull(positions)
     d = np.full(n, np.inf)
     for i0, i1 in hull.simplices:

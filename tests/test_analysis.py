@@ -242,6 +242,16 @@ class TestRigidity:
         assert subharmonic_rigidity(list(RIGIDITY_GRID), np.ones(11)) == 11.0
         assert subharmonic_rigidity(list(RIGIDITY_GRID), np.zeros(11)) == 0.0
 
+    def test_sums_in_grid_order(self):
+        # the order the sweep's rigidity.csv is written in; numpy's pairwise
+        # sum differs in the last bit for these weights
+        w = np.random.default_rng(1).uniform(0.0, 1.0, 11)
+        expect = 0.0
+        for v in w:
+            expect += v
+        assert w.sum() != expect
+        assert subharmonic_rigidity(list(RIGIDITY_GRID), w) == expect
+
     def test_wrong_grid_rejected(self):
         with pytest.raises(ConfigError):
             subharmonic_rigidity([0.70 + 0.1 * k for k in range(11)], np.ones(11))

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scarsim
 from scarsim.cli import main
 from scarsim.config import config_hash, normalize_document, parse_config, serialize_config
 from scarsim.errors import ConfigError
@@ -438,6 +443,17 @@ class TestSweepCommand:
         lines = (out / "rigidity.csv").read_text().strip().splitlines()
         assert lines[0].endswith("rigidity")
         assert len(lines) == 2
+
+
+def test_cli_import_defers_optional_scipy_modules():
+    src = str(Path(scarsim.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, scarsim.cli; print([m for m in "
+            "('scipy.optimize', 'scipy.spatial', 'scipy.special') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestFloquetCommand:

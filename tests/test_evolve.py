@@ -135,6 +135,68 @@ class TestPropagateStep:
         assert np.abs(out - expect).max() < 1e-10
 
 
+class TestChebyshevStep:
+    """Each step is one Chebyshev series, whatever its length."""
+
+    # b * dt from a sweep substep up past an apply_period-length step
+    BDTS = [1e-3, 0.1, 0.3, 1.0, 5.0, 20.0, 60.0, -0.3, -60.0]
+
+    @pytest.mark.parametrize("bdt", BDTS)
+    @pytest.mark.parametrize("build", [build_rydberg, build_pxp])
+    def test_matches_dense_propagator(self, p, system8, build, bdt):
+        lat, basis, _ = system8
+        parts = build(lat, basis, p)
+        delta = 0.4 * p.omega
+        dt = bdt / parts.spectral_bound(delta)
+        psi = random_state(basis.dim, 7)
+        out = propagate_step(parts, DriveProfile.constant(delta), psi, 0.0, dt)
+        ref = dense_propagator(parts, delta, dt) @ psi
+        assert np.abs(out - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("bdt", [1e-3, 1.0, 60.0, -60.0])
+    def test_exact_eigenstate_gets_its_phase(self, system8, bdt):
+        _, basis, parts = system8
+        evals, vecs = np.linalg.eigh(parts.dense(0.0))
+        psi = vecs[:, 3].astype(complex)
+        dt = bdt / parts.spectral_bound(0.0)
+        out = propagate_step(parts, DriveProfile.constant(0.0), psi, 0.0, dt)
+        assert np.abs(out - psi * np.exp(-1j * evals[3] * dt)).max() < 1e-12
+
+    @pytest.mark.parametrize("x", [0.0, 1e-300, 1e-3, 0.25, 7.0, 60.0, -60.0, 3000.0])
+    def test_degree_is_the_first_below_the_tail_tolerance(self, x):
+        from scipy.special import jv
+
+        coef = scarsim.evolve._chebyshev_coefficients(x)
+        mags = 2.0 * np.abs(jv(np.arange(len(coef) + 200), x))
+        assert mags[len(coef):].sum() < 1e-15
+        if len(coef) > 1:
+            assert mags[len(coef) - 1:].sum() >= 1e-15
+        y = np.linspace(-1.0, 1.0, 9)
+        series = np.polynomial.chebyshev.chebval(y, coef)
+        # rounding grows with the phase x * y and with the number of terms
+        err = np.abs(series - np.exp(-1j * x * y)).max()
+        assert err < 1e-15 * (len(coef) + abs(x))
+
+    def test_nonfinite_bound_refused(self):
+        with pytest.raises(NumericalError):
+            scarsim.evolve._chebyshev_coefficients(math.inf)
+
+    def test_krylov_dim_has_no_effect(self, p, chain9):
+        lat, basis = chain9
+        parts = build_rydberg(lat, basis, p)
+        drive = DriveProfile.cosine(0.55 * p.omega, 0.55 * p.omega, 1.2 * p.omega)
+        psi0 = named_state(lat, basis, "AF1")
+        texts = [
+            quench_to_csv(run_quench(
+                lat, basis, parts, drive, psi0,
+                EvolutionConfig(total_time=0.1, dt=0.002, record_stride=5,
+                                krylov_dim=m),
+                entropy_cuts=((0, 1, 2, 3),), record_probs=False))
+            for m in (4, 16)
+        ]
+        assert texts[0] == texts[1]
+
+
 class TestDensePropagator:
     def test_identity_at_zero(self, system8):
         _, basis, parts = system8
