@@ -5,7 +5,14 @@
 
 Exit codes: 0 success, 2 configuration problem, 3 capacity guard,
 4 numerical guard.  Output files are byte-deterministic for identical
-configurations (the manifest's wall-clock field aside).
+configurations (the manifest's wall-clock field aside).  A run that fails
+once its document is loaded still writes ``manifest.json`` with status
+``error``.
+
+A sweep groups the grid points that differ only in their drive and need
+the same substep count; each group runs as one block propagation, and
+``--jobs N`` (N >= 1) spreads the groups over worker processes.  Neither
+the grouping nor the output bytes depend on N.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import os
 import sys
 import time
 import traceback
@@ -55,9 +63,11 @@ from .errors import (
 from .evolve import (
     QuenchResult,
     _g17,
+    _run_block,
     quench_from_csv,
     quench_to_csv,
     run_quench,
+    substep_count,
 )
 from .floquet import pulsed_subharmonic_map, revival_fidelity_map
 from .hamiltonian import DriveProfile, DriveShape, build_pxp, build_rydberg, build_sw2
@@ -159,19 +169,33 @@ def _geometry_report(cfg: ExperimentConfig) -> dict:
 
 def _run(command, doc: dict, out: Path, *args) -> int:
     """Parse ``doc``, run one command on it, and write the files it returns
-    (relative path -> text) plus ``resolved_config.json`` and ``manifest.json``."""
+    (relative path -> text) plus ``resolved_config.json`` and ``manifest.json``.
+
+    When parsing or the command raises a :class:`ScarsimError`, only
+    ``manifest.json`` is written, with status ``error`` and the error, and
+    the exception propagates to :func:`main`, which picks the exit code."""
     t0 = time.perf_counter()
-    cfg = parse_config(doc)
-    files, status, message = command(cfg, *args)
+
+    def write_manifest(outputs, status, error=None) -> None:
+        manifest = RunManifest(config_hash=config_hash(doc), toolkit_version=__version__,
+                               outputs=list(outputs),
+                               wall_clock_s=time.perf_counter() - t0,
+                               status=status, error=error)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "manifest.json").write_text(manifest.to_json())
+
+    try:
+        cfg = parse_config(doc)
+        files, status, message = command(cfg, *args)
+    except ScarsimError as exc:
+        write_manifest([], "error", f"{type(exc).__name__}: {exc}")
+        raise
     files["resolved_config.json"] = serialize_config(cfg)
     for name, text in files.items():
         path = out / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
-    manifest = RunManifest(config_hash=config_hash(doc), toolkit_version=__version__,
-                           outputs=list(files), wall_clock_s=time.perf_counter() - t0,
-                           status=status)
-    (out / "manifest.json").write_text(manifest.to_json())
+    write_manifest(files, status)
     print(message)
     return 0
 
@@ -256,6 +280,30 @@ def _sweep_points(cfg: ExperimentConfig) -> list[dict]:
     return points
 
 
+def _point_doc(doc_json: str, overrides: dict) -> dict:
+    doc = json.loads(doc_json)
+    for path, value in overrides.items():
+        doc = set_by_path(doc, path, value)
+    return doc
+
+
+def _sweep_row(cfg: ExperimentConfig, basis, result: QuenchResult) -> dict:
+    """The aggregate row of one finished sweep point."""
+    analysis, _ = _analyze_quench(result, cfg.drive)
+    x, y = decay_predictors(cfg.lattice, cfg.physical)
+    row: dict = {"status": "ok", "error": "", "dim": basis.dim, "x_mhz": x, "y_mhz": y}
+    fit = analysis.get("fit")
+    if fit is not None and fit.get("converged"):
+        row["omega_tilde"] = fit["omega_tilde"]
+        row["tau"] = fit["tau"]
+        row["inv_tau"] = 1.0 / fit["tau"]
+    row["sub_weight"] = analysis.get("subharmonic_weight")
+    row["harm_weight"] = analysis.get("harmonic_weight")
+    row["fourth_weight"] = analysis.get("fourth_subharmonic_weight")
+    row["quench_csv"] = quench_to_csv(result)
+    return row
+
+
 def _sweep_worker(payload: tuple[str, dict]) -> dict:
     """Run one sweep point; returns an aggregate row (never raises).
 
@@ -264,32 +312,67 @@ def _sweep_worker(payload: tuple[str, dict]) -> dict:
     traceback to stderr.
     """
     doc_json, overrides = payload
-    row: dict = {"status": "ok", "error": ""}
     try:
-        doc = json.loads(doc_json)
-        for path, value in overrides.items():
-            doc = set_by_path(doc, path, value)
-        cfg = parse_config(doc)
-        basis, result, analysis, _ = _run_single_quench(cfg)
-        x, y = decay_predictors(cfg.lattice, cfg.physical)
-        row["dim"] = basis.dim
-        row["x_mhz"] = x
-        row["y_mhz"] = y
-        fit = analysis.get("fit")
-        if fit is not None and fit.get("converged"):
-            row["omega_tilde"] = fit["omega_tilde"]
-            row["tau"] = fit["tau"]
-            row["inv_tau"] = 1.0 / fit["tau"]
-        row["sub_weight"] = analysis.get("subharmonic_weight")
-        row["harm_weight"] = analysis.get("harmonic_weight")
-        row["fourth_weight"] = analysis.get("fourth_subharmonic_weight")
-        row["quench_csv"] = quench_to_csv(result)
+        cfg = parse_config(_point_doc(doc_json, overrides))
+        basis, result, _, _ = _run_single_quench(cfg)
+        return _sweep_row(cfg, basis, result)
     except Exception as exc:
         if not isinstance(exc, ScarsimError):
             traceback.print_exc()
-        row["status"] = "error"
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+        return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _group_worker(payload: tuple[str, list[dict]]) -> list[dict]:
+    """Run the points of one sweep group as one block; one row per point.
+
+    The points share everything but their drive (see :func:`_sweep_groups`),
+    so the basis and the Hamiltonian are built once and every drive becomes
+    one column of :func:`scarsim.evolve._run_block`.  A group of one, or a
+    group that raises anywhere, runs its points one by one through
+    :func:`_sweep_worker`, so a bad point still gives exactly one error row.
+    """
+    doc_json, overrides = payload
+    if len(overrides) > 1:
+        try:
+            cfgs = [parse_config(_point_doc(doc_json, ov)) for ov in overrides]
+            cfg = cfgs[0]
+            basis, parts, psi0 = _build_system(cfg)
+            results = _run_block(cfg.lattice, basis, parts, [c.drive for c in cfgs],
+                                 psi0, cfg.evolution,
+                                 entropy_cuts=cfg.observables.entropy_cuts,
+                                 record_probs=cfg.observables.microstates)
+            return [_sweep_row(c, basis, r) for c, r in zip(cfgs, results)]
+        except Exception as exc:
+            if not isinstance(exc, ScarsimError):
+                traceback.print_exc()
+            print(f"sweep: a group of {len(overrides)} points failed "
+                  f"({type(exc).__name__}: {exc}); running its points one by one",
+                  file=sys.stderr)
+    return [_sweep_worker((doc_json, ov)) for ov in overrides]
+
+
+def _sweep_groups(doc_json: str, points: list[dict]) -> list[list[int]]:
+    """Point indices grouped for :func:`_group_worker`, in order of first point.
+
+    Points whose parsed documents are equal apart from ``drive`` and whose
+    drives need the same substep count share a group.  A point that does
+    not parse, or lacks a drive or an evolution section, is a group of its
+    own.  The rule does not depend on ``--jobs``.
+    """
+    groups: dict = {}
+    for k, pt in enumerate(points):
+        try:
+            cfg = parse_config(_point_doc(doc_json, pt))
+        except Exception:
+            cfg = None
+        if cfg is None or cfg.drive is None or cfg.evolution is None:
+            key = k
+        else:
+            rest = {name: sec for name, sec in cfg.raw.items() if name != "drive"}
+            key = (json.dumps(rest, sort_keys=True),
+                   substep_count(cfg.drive, cfg.evolution.dt))
+        groups.setdefault(key, []).append(k)
+    return list(groups.values())
 
 
 _AGG_COLUMNS = ("dim", "omega_tilde", "tau", "inv_tau", "sub_weight",
@@ -297,14 +380,23 @@ _AGG_COLUMNS = ("dim", "omega_tilde", "tau", "inv_tau", "sub_weight",
 
 
 def cmd_sweep(cfg: ExperimentConfig, jobs: int | None) -> tuple[dict, str, str]:
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"--jobs: must be an integer >= 1, got {jobs}")
     points = _sweep_points(cfg)
     doc_json = json.dumps(cfg.raw, sort_keys=True)
-    payloads = [(doc_json, pt) for pt in points]
-    if jobs is not None and jobs <= 1:
-        rows = [_sweep_worker(pl) for pl in payloads]
+    groups = _sweep_groups(doc_json, points)
+    payloads = [(doc_json, [points[k] for k in group]) for group in groups]
+    if jobs == 1:
+        group_rows = [_group_worker(pl) for pl in payloads]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_worker, payloads))
+        # no more workers than groups: each group is one task
+        workers = min(jobs or os.cpu_count() or 1, len(payloads))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            group_rows = list(pool.map(_group_worker, payloads))
+    rows: list = [None] * len(points)
+    for group, grows in zip(groups, group_rows):
+        for k, row in zip(group, grows):
+            rows[k] = row
 
     files: dict = {}
     axis_names = [ax.parameter for ax in cfg.sweep]
@@ -455,7 +547,8 @@ def _make_parser() -> argparse.ArgumentParser:
                         help="list preset names and exit")
         if jobs:
             sp.add_argument("--jobs", type=int, default=None,
-                            help="worker processes for sweep points")
+                            help="worker processes for sweep groups (>= 1; "
+                                 "default: the core count)")
 
     add_common(sub.add_parser("lattice", help="geometry report and serialization"))
     add_common(sub.add_parser("quench", help="run a single quench"))

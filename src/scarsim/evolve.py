@@ -3,7 +3,10 @@
 The workhorse is a Chebyshev series for exp(-i H dt) |psi>, cut where its
 dropped Bessel tail falls below 1e-15, with the drive sampled at the step
 midpoint, which makes the piecewise constant approximation second order in
-dt.  A dense eigendecomposition propagator is an independent oracle.
+dt.  A step advances a (dim, P) block with one drive per column, and a
+quench runner propagates P drives that share everything else as one
+block; a single state and a single quench are the P = 1 case.  A dense
+eigendecomposition propagator is an independent oracle.
 """
 
 from __future__ import annotations
@@ -78,65 +81,110 @@ class QuenchResult:
     final_state: np.ndarray | None = None
 
 
-def _chebyshev_coefficients(x: float) -> np.ndarray:
+# A series is never extended past the order whose Bessel bound falls below
+# this logarithm.
+_LOG_BOUND_FLOOR = math.log(1e-3 * _CHEBYSHEV_TAIL)
+
+
+def _chebyshev_coefficients(x) -> np.ndarray:
     """Coefficients c_k of exp(-i x y) = sum_k c_k T_k(y) for y in [-1, 1].
 
     c_0 = J_0(x) and c_k = 2 (-i)^k J_k(x) (Jacobi-Anger).  The series stops
     at the first degree whose dropped tail, the sum of |c_k| past it, is
-    below ``_CHEBYSHEV_TAIL``.
+    below ``_CHEBYSHEV_TAIL``.  For a scalar x the result has one entry per
+    kept degree; for an array of P values it is a (degree + 1, P) block
+    whose column p is the series of x[p], padded with zeros past that
+    column's own degree.  The Bessel values of all columns come from one
+    ``jv`` call; the sizing loops run per column on Python floats.
     """
     from scipy.special import jv  # imported here: floquet runs never step
 
-    if not math.isfinite(x):
-        raise NumericalError(f"step has no finite spectral bound: b * dt = {x}")
+    xs = np.asarray(x, dtype=float)
     # |J_k(x)| <= (|x|/2)^k / k!; past kmax >= |x| these bounds at least
     # halve at every order, so the unevaluated orders add at most 2 * term.
     # The bound is kept as a logarithm, which stays finite at large |x|.
-    ax = max(abs(x), 1e-300)
-
-    def log_bound(k: int) -> float:
-        return k * math.log(ax / 2) - math.lgamma(k + 1)
-
-    kmax = math.ceil(ax)
-    while log_bound(kmax) > math.log(1e-3 * _CHEBYSHEV_TAIL):
-        kmax += 1
-    term = math.exp(log_bound(kmax))
-    bessel = jv(np.arange(kmax + 1), x)
-    # lower the degree while the tail it drops stays below the tolerance
-    degree, dropped = kmax, 2.0 * term
-    while degree > 0 and dropped + 2.0 * abs(bessel[degree]) < _CHEBYSHEV_TAIL:
-        dropped += 2.0 * abs(bessel[degree])
-        degree -= 1
-    coef = 2.0 * (-1j) ** np.arange(degree + 1) * bessel[:degree + 1]
+    kmax, dropped = [], []
+    for v in xs.ravel().tolist():
+        if not math.isfinite(v):
+            raise NumericalError(f"step has no finite spectral bound: b * dt = {v}")
+        ax = max(abs(v), 1e-300)
+        log_half = math.log(ax / 2)
+        k = math.ceil(ax)
+        while k * log_half - math.lgamma(k + 1) > _LOG_BOUND_FLOOR:
+            k += 1
+        kmax.append(k)
+        dropped.append(2.0 * math.exp(k * log_half - math.lgamma(k + 1)))
+    # orders run down axis 0; the block axis of x, if any, follows
+    block_axes = (1,) * xs.ndim
+    bessel = jv(np.arange(max(kmax) + 1).reshape(-1, *block_axes), xs)
+    # lower each degree while the tail it drops stays below the tolerance
+    degree = []
+    for col, k, tail in zip(bessel.reshape(len(bessel), -1).T.tolist(), kmax, dropped):
+        while k > 0 and tail + 2.0 * abs(col[k]) < _CHEBYSHEV_TAIL:
+            tail += 2.0 * abs(col[k])
+            k -= 1
+        degree.append(k)
+    ks = np.arange(max(degree) + 1).reshape(-1, *block_axes)
+    coef = 2.0 * (-1j) ** ks * bessel[:len(ks)]
+    if min(degree) < max(degree):
+        coef[ks > np.array(degree)] = 0.0
     coef[0] /= 2.0
     return coef
 
 
-def propagate_step(parts: HamiltonianParts, drive: DriveProfile, psi: np.ndarray,
+def substep_count(drive: DriveProfile, dt: float) -> int:
+    """Integrator substeps per step dt: a periodic drive gets at least
+    ``_STEPS_PER_PERIOD`` substeps per modulation period."""
+    period = drive.period
+    if period is None or dt <= period / _STEPS_PER_PERIOD:
+        return 1
+    return int(math.ceil(dt * _STEPS_PER_PERIOD / period))
+
+
+def propagate_step(parts: HamiltonianParts, drive, psi: np.ndarray,
                    t: float, dt: float) -> np.ndarray:
     """One step psi -> exp(-i H(t + dt/2) dt) psi, renormalized.
 
-    The drive is sampled once at the step midpoint; callers that need finer
-    drive resolution should subdivide dt themselves.  A step of any length
-    is one Chebyshev series in H / b, with b = ``parts.spectral_bound``
-    (Tal-Ezer & Kosloff 1984).
+    ``psi`` is one state and ``drive`` one :class:`DriveProfile`, or ``psi``
+    is a (dim, P) block and ``drive`` a sequence of P drives, one per
+    column.  Both run the same code: every per-column quantity (detuning,
+    bound, series coefficient, norm) has the shape ``psi.shape[1:]``, so a
+    single state is the P = 1 case without a block axis.  Each drive is
+    sampled once at the step midpoint; callers that need finer drive
+    resolution should subdivide dt themselves.  A step of any length is one
+    Chebyshev series in H / b per column, with b that column's
+    ``parts.spectral_bound`` (Tal-Ezer & Kosloff 1984); every column gets
+    exactly the arithmetic of a single-state step.
     """
-    delta = detuning_at(drive, t + dt / 2.0)
+    drives = (drive,) if isinstance(drive, DriveProfile) else tuple(drive)
+    if (len(drives),) != (psi.shape[1:] or (1,)):
+        raise ConfigError(f"state of shape {psi.shape} but {len(drives)} drives")
+    psi = np.asarray(psi, dtype=complex)
+    mid = t + dt / 2.0
+    delta = np.array([detuning_at(d, mid) for d in drives]).reshape(psi.shape[1:])
     off = parts.offdiagonal()
     diag = parts.diagonal(delta)
     bound = parts.spectral_bound(delta)
     coef = _chebyshev_coefficients(bound * dt)
 
-    # T_{k+1}(H/b) psi = 2 (H/b) T_k(H/b) psi - T_{k-1}(H/b) psi
+    # T_{k+1}(H/b) psi = 2 (H/b) T_k(H/b) psi - T_{k-1}(H/b) psi, updated
+    # in place; diag and b are cast to complex once, as each product would
+    diag, bound = diag.astype(complex), np.asarray(bound, dtype=complex)
     out, prev, cur = coef[0] * psi, None, psi
     for c in coef[1:]:
-        h_cur = (off @ cur + diag * cur) / bound
-        prev, cur = cur, h_cur if prev is None else 2.0 * h_cur - prev
+        nxt = off @ cur
+        nxt += diag * cur
+        nxt /= bound
+        if prev is not None:
+            nxt *= 2.0
+            nxt -= prev
+        prev, cur = cur, nxt
         out += c * cur
-    nrm = float(np.linalg.norm(out))
-    if abs(nrm - 1.0) > 1e-6:
-        raise NumericalError(f"propagation lost normalization: |psi| = {nrm}")
-    return out / nrm
+    norms = [float(np.linalg.norm(col)) for col in out.reshape(len(out), -1).T]
+    worst = max(norms, key=lambda n: abs(n - 1.0))
+    if abs(worst - 1.0) > 1e-6:
+        raise NumericalError(f"propagation lost normalization: |psi| = {worst}")
+    return out / np.array(norms).reshape(psi.shape[1:])
 
 
 def symmetric_restriction(lat: Lattice, basis: ConstrainedBasis,
@@ -169,25 +217,44 @@ def run_quench(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     """Evolve psi0 and record observables every ``record_stride`` steps.
 
     Periodic drives are resolved with at least 200 integrator steps per
-    modulation period; when cfg.dt is coarser, each step is subdivided
-    internally so the snapshot grid stays at exact multiples of
-    dt * record_stride.
+    modulation period (:func:`substep_count`); when cfg.dt is coarser, each
+    step is subdivided internally so the snapshot grid stays at exact
+    multiples of dt * record_stride.
 
     On a ring, a state invariant under translation by two sites and
     inversion (AF1, AF2, GGG) is propagated in that symmetric subspace
     (see :func:`scarsim.hilbert.ring_symmetric_isometry`) whenever the
     restricted Hamiltonian is exact; each snapshot expands the state back to
     the full basis, so every recorded quantity is a full-basis one.
+
+    This is the one-drive case of :func:`_run_block`.
     """
+    return _run_block(lat, basis, parts, (drive,), psi0, cfg,
+                      entropy_cuts=entropy_cuts, record_probs=record_probs)[0]
+
+
+def _run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
+               drives, psi0: np.ndarray, cfg: EvolutionConfig, *,
+               entropy_cuts: tuple[tuple[int, ...], ...] = (),
+               record_probs: bool = True) -> list[QuenchResult]:
+    """:func:`run_quench` for P drives at once; one result per drive.
+
+    The drives share everything else (lattice, basis, Hamiltonian, psi0,
+    evolution and observables), and they must share their substep count,
+    so one (dim, P) block is propagated with one column per drive.  Each
+    column's result equals that drive's own :func:`run_quench` bit for bit.
+    """
+    drives = tuple(drives)
+    if not drives:
+        raise ConfigError("a quench needs at least one drive")
     if parts.dim != basis.dim or len(psi0) != basis.dim:
         raise ConfigError("state, basis, and operator dimensions disagree")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ConfigError("initial state must be normalized")
-
-    nsub = 1
-    period = drive.period
-    if period is not None and cfg.dt > period / _STEPS_PER_PERIOD:
-        nsub = int(math.ceil(cfg.dt * _STEPS_PER_PERIOD / period))
+    counts = sorted({substep_count(d, cfg.dt) for d in drives})
+    if len(counts) > 1:
+        raise ConfigError(f"drives of one block need one substep count, got {counts}")
+    nsub = counts[0]
     n_steps = int(round(cfg.total_time / cfg.dt))
 
     psi = psi0.astype(complex).copy()
@@ -195,51 +262,60 @@ def run_quench(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     if restricted is not None:
         parts, iso = restricted
         psi = iso.T @ psi
+    # one drive steps the plain state, several a (dim, P) block
+    step_drive = drives if len(drives) > 1 else drives[0]
+    block = psi if len(drives) == 1 else np.repeat(psi[:, None], len(drives), axis=1)
 
-    def full_state() -> np.ndarray:
-        return psi if restricted is None else iso @ psi
+    def full_states() -> np.ndarray:
+        """One contiguous full-basis state per row."""
+        full = block if restricted is None else iso @ block
+        return np.ascontiguousarray(full.reshape(len(full), -1).T)
 
     bits = _site_bit_table(basis)
     a_sites = lat.sites_of(0)
     b_sites = lat.sites_of(1)
 
-    times, pops, nas, nbs, probs_list, ent_list = [], [], [], [], [], []
+    times = []
+    pops, nas, nbs, probs, ents = ([[] for _ in drives] for _ in range(5))
 
     def snapshot(step: int) -> None:
-        psi_full = full_state()
-        pr = np.abs(psi_full) ** 2
-        site = pr @ bits
         times.append(step * cfg.dt)
-        pops.append(site)
-        nas.append(site[a_sites].mean())
-        nbs.append(site[b_sites].mean())
-        if record_probs:
-            probs_list.append(pr)
-        if entropy_cuts:
-            ent_list.append([
-                entanglement_entropy(reduced_density_matrix(psi_full, basis, cut))
-                for cut in entropy_cuts
-            ])
+        for j, psi_full in enumerate(full_states()):
+            pr = np.abs(psi_full) ** 2
+            site = pr @ bits
+            pops[j].append(site)
+            nas[j].append(site[a_sites].mean())
+            nbs[j].append(site[b_sites].mean())
+            if record_probs:
+                probs[j].append(pr)
+            if entropy_cuts:
+                ents[j].append([
+                    entanglement_entropy(reduced_density_matrix(psi_full, basis, cut))
+                    for cut in entropy_cuts
+                ])
 
     snapshot(0)
     for step in range(n_steps):
         t = step * cfg.dt
         for k in range(nsub):
-            psi = propagate_step(parts, drive, psi, t + k * cfg.dt / nsub,
-                                 cfg.dt / nsub)
+            block = propagate_step(parts, step_drive, block, t + k * cfg.dt / nsub,
+                                   cfg.dt / nsub)
         if (step + 1) % cfg.record_stride == 0:
             snapshot(step + 1)
 
-    return QuenchResult(
-        times=np.array(times),
-        site_pops=np.array(pops),
-        n_a=np.array(nas),
-        n_b=np.array(nbs),
-        probs=np.array(probs_list) if record_probs else None,
-        entropies=np.array(ent_list) if entropy_cuts else None,
-        entropy_cuts=tuple(tuple(c) for c in entropy_cuts),
-        final_state=full_state(),
-    )
+    return [
+        QuenchResult(
+            times=np.array(times),
+            site_pops=np.array(pops[j]),
+            n_a=np.array(nas[j]),
+            n_b=np.array(nbs[j]),
+            probs=np.array(probs[j]) if record_probs else None,
+            entropies=np.array(ents[j]) if entropy_cuts else None,
+            entropy_cuts=tuple(tuple(c) for c in entropy_cuts),
+            final_state=final,
+        )
+        for j, final in enumerate(full_states())
+    ]
 
 
 def reduced_density_matrix(psi: np.ndarray, basis: ConstrainedBasis,

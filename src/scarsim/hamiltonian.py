@@ -128,17 +128,23 @@ class HamiltonianParts:
         """All non-drive sparse content combined (flip plus sw2 terms)."""
         return self._offdiag
 
-    def diagonal(self, delta: float) -> np.ndarray:
-        return self.diag_static - delta * self.diag_number
+    def diagonal(self, delta) -> np.ndarray:
+        """Diagonal of H at detuning delta; an array of P detunings gives a
+        (dim, P) block, one column per detuning."""
+        axes = (1,) * np.ndim(delta)
+        return self.diag_static.reshape(-1, *axes) \
+            - delta * self.diag_number.reshape(-1, *axes)
 
     def dense(self, delta: float) -> np.ndarray:
         h = self.offdiagonal().toarray().astype(complex)
         h[np.diag_indices_from(h)] += self.diagonal(delta)
         return h
 
-    def spectral_bound(self, delta: float) -> float:
-        """Gershgorin-style bound on the spectral radius of H at detuning delta."""
-        return float(np.max(self._abs_row_sums + np.abs(self.diagonal(delta))))
+    def spectral_bound(self, delta):
+        """Gershgorin-style bound on the spectral radius of H at detuning delta;
+        an array of P detunings gives P bounds."""
+        rows = self._abs_row_sums.reshape(-1, *(1,) * np.ndim(delta))
+        return np.max(rows + np.abs(self.diagonal(delta)), axis=0)
 
 
 # Relative tolerance of the exactness checks in restrict_parts.

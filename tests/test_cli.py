@@ -11,7 +11,7 @@ import pytest
 import scarsim
 from scarsim.cli import main
 from scarsim.config import config_hash, normalize_document, parse_config, serialize_config
-from scarsim.errors import ConfigError
+from scarsim.errors import ConfigError, NumericalError
 from scarsim.presets import PRESETS, get_preset, preset_names
 
 
@@ -113,7 +113,12 @@ class TestSectionChecks:
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert f"{field}:" in capsys.readouterr().err
-        assert not out.exists()
+        # no data file, only the manifest of the failed run
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"].startswith("ConfigError: ")
+        assert f"{field}:" in manifest["error"]
 
     def test_drive_without_physical_exits_2(self, tmp_path, capsys):
         doc = {"lattice": {"kind": "chain", "extent": 7},
@@ -443,6 +448,134 @@ class TestSweepCommand:
         lines = (out / "rigidity.csv").read_text().strip().splitlines()
         assert lines[0].endswith("rigidity")
         assert len(lines) == 2
+
+
+class TestFailedRunManifest:
+    """A run that fails after its document is loaded still writes a manifest."""
+
+    def test_config_error_manifest(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["drive"]["shape"] = "sawtooth"
+        out = tmp_path / "o"
+        assert main(["quench", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 2
+        assert "drive.shape" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"] == "ConfigError: drive.shape: unknown shape 'sawtooth'"
+        assert manifest["outputs"] == []
+        assert manifest["config_hash"] == config_hash(doc)
+
+    def test_capacity_error_manifest(self, tmp_path):
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["lattice"]["extent"] = 49
+        doc["observables"] = {}
+        out = tmp_path / "o"
+        assert main(["quench", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 3
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"].startswith("CapacityError: constrained basis of 49 sites")
+
+    def test_success_has_no_error_field(self, tmp_path):
+        out = tmp_path / "lat"
+        assert main(["lattice", "--preset", "fig2-chain", "--out", str(out)]) == 0
+        assert "error" not in json.loads((out / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_sweep_refuses_jobs_below_one(tmp_path, capsys, jobs):
+    out = tmp_path / "o"
+    assert main(["sweep", "--preset", "fig3c-chain", "--jobs", jobs,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --jobs:")
+    assert not (out / "aggregate.csv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"].startswith("ConfigError: --jobs:")
+
+
+def _data_files(out: Path) -> dict:
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"}
+
+
+class TestSweepGroups:
+    """Points that differ only in their drive run as one block per substep count."""
+
+    @staticmethod
+    def _two_axis_doc():
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["observables"] = {}
+        doc["evolution"]["total_time"] = 0.2
+        # substep counts at dt = 0.002: 2, 2, 3, 3
+        doc["sweep"] = [{"parameter": "physical.v0_mhz", "grid": [25.0, 51.0]},
+                        {"parameter": "drive.omegam_over_omega",
+                         "grid": [0.8, 1.0, 1.2, 1.6]}]
+        return doc
+
+    def test_groups_follow_v0_and_substep_count(self):
+        import scarsim.cli as cli
+
+        doc = self._two_axis_doc()
+        cfg = parse_config(doc)
+        doc_json = json.dumps(cfg.raw, sort_keys=True)
+        points = cli._sweep_points(cfg)
+        assert cli._sweep_groups(doc_json, points) == [[0, 1], [2, 3], [4, 5], [6, 7]]
+        points[5] = dict(points[5], **{"drive.omegam_over_omega": "x"})
+        assert cli._sweep_groups(doc_json, points) == [[0, 1], [2, 3], [4], [5], [6, 7]]
+
+    def test_blocks_write_the_bytes_of_per_point_runs(self, tmp_path, monkeypatch):
+        import scarsim.cli as cli
+
+        cfg = write_config(tmp_path, self._two_axis_doc())
+        outs = {}
+        for jobs in ("1", "2"):
+            outs[jobs] = tmp_path / f"j{jobs}"
+            assert main(["sweep", "--config", cfg, "--out", str(outs[jobs]),
+                         "--jobs", jobs]) == 0
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_group_worker",
+                      lambda pl: [cli._sweep_worker((pl[0], ov)) for ov in pl[1]])
+            outs["points"] = tmp_path / "points"
+            assert main(["sweep", "--config", cfg, "--out", str(outs["points"]),
+                         "--jobs", "1"]) == 0
+        files = {k: _data_files(v) for k, v in outs.items()}
+        assert len(files["1"]) == 10        # 8 quench.csv, aggregate, resolved config
+        assert files["1"] == files["2"] == files["points"]
+
+    def test_failing_group_leaves_one_error_row(self, tmp_path, monkeypatch, capsys):
+        import scarsim.evolve
+
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["observables"] = {}
+        doc["evolution"]["total_time"] = 0.2
+        doc["sweep"] = [{"parameter": "drive.omegam_over_omega",
+                         "grid": [1.2, 1.3, 1.4]}]
+        cfg = write_config(tmp_path, doc)
+        clean = tmp_path / "clean"
+        assert main(["sweep", "--config", cfg, "--out", str(clean), "--jobs", "1"]) == 0
+        bad_omegam = 1.3 * parse_config(doc).physical.omega
+        detuning_at = scarsim.evolve.detuning_at
+
+        def broken(drive, t):
+            if drive.omegam == bad_omegam:
+                raise NumericalError("injected")
+            return detuning_at(drive, t)
+
+        monkeypatch.setattr(scarsim.evolve, "detuning_at", broken)
+        out = tmp_path / "bad"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
+        assert "a group of 3 points failed (NumericalError: injected)" in \
+            capsys.readouterr().err
+        lines = (out / "aggregate.csv").read_text().strip().splitlines()
+        assert [ln.split(",")[2] for ln in lines[1:]] == ["ok", "error", "ok"]
+        assert lines[2].split(",")[3] == "NumericalError: injected"
+        for k in (0, 2):
+            name = f"point_{k:03d}/quench.csv"
+            assert (out / name).read_bytes() == (clean / name).read_bytes()
+        assert not (out / "point_001").exists()
 
 
 def test_cli_import_defers_optional_scipy_modules():

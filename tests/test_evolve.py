@@ -197,6 +197,130 @@ class TestChebyshevStep:
         assert texts[0] == texts[1]
 
 
+def _scalar_series(x: float) -> np.ndarray:
+    """Reference: the one-value Chebyshev sizing, written as a plain loop."""
+    from scipy.special import jv
+
+    ax = max(abs(x), 1e-300)
+
+    def log_bound(k):
+        return k * math.log(ax / 2) - math.lgamma(k + 1)
+
+    kmax = math.ceil(ax)
+    while log_bound(kmax) > math.log(1e-3 * 1e-15):
+        kmax += 1
+    bessel = jv(np.arange(kmax + 1), x)
+    degree, dropped = kmax, 2.0 * math.exp(log_bound(kmax))
+    while degree > 0 and dropped + 2.0 * abs(bessel[degree]) < 1e-15:
+        dropped += 2.0 * abs(bessel[degree])
+        degree -= 1
+    coef = 2.0 * (-1j) ** np.arange(degree + 1) * bessel[:degree + 1]
+    coef[0] /= 2.0
+    return coef
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestBlockStep:
+    """A (dim, P) block step gives each column its own single-state step."""
+
+    X = [0.0, 1e-300, 1e-3, 0.25, 7.0, 60.0, -60.0, 3000.0]
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    def test_block_coefficients_equal_the_scalar_series(self, seed):
+        if seed is None:
+            xs = np.array(self.X)
+        else:
+            rng = np.random.default_rng(seed)
+            xs = rng.uniform(-4.0, 4.0, 7) * 10.0 ** rng.integers(-6, 2, 7)
+        block = scarsim.evolve._chebyshev_coefficients(xs)
+        assert block.shape[1] == len(xs)
+        for j, x in enumerate(xs):
+            ref = _scalar_series(float(x))
+            assert np.array_equal(_bits(block[:len(ref), j]), _bits(ref))
+            assert not block[len(ref):, j].any()
+            single = scarsim.evolve._chebyshev_coefficients(float(x))
+            assert np.array_equal(_bits(single), _bits(ref))
+
+    def test_block_step_equals_single_steps(self, p, system8):
+        _, basis, parts = system8
+        drives = [DriveProfile.cosine(0.5 * p.omega, 0.6 * p.omega, 1.3 * p.omega),
+                  DriveProfile.square(0.2 * p.omega, 0.9 * p.omega, 1.1 * p.omega),
+                  DriveProfile.constant(-0.4 * p.omega)]
+        block = np.column_stack([random_state(basis.dim, s) for s in range(3)])
+        for dt in (0.0007, 0.05):
+            out = propagate_step(parts, drives, block, 0.013, dt)
+            for j, drive in enumerate(drives):
+                one = propagate_step(parts, drive, block[:, j].copy(), 0.013, dt)
+                assert np.array_equal(_bits(out[:, j]), _bits(one))
+
+    def test_block_step_checks_the_drive_count(self, p, system8):
+        _, basis, parts = system8
+        block = np.column_stack([random_state(basis.dim, s) for s in range(2)])
+        with pytest.raises(ConfigError):
+            propagate_step(parts, [DriveProfile.constant(0.0)], block, 0.0, 0.01)
+
+
+class TestBlockRunner:
+    """Each column of a block quench equals that drive's own run_quench."""
+
+    def _check(self, lat, basis, parts, drives, cfg, cuts=()):
+        psi0 = named_state(lat, basis, "AF1")
+        block = scarsim.evolve._run_block(lat, basis, parts, drives, psi0, cfg,
+                                          entropy_cuts=cuts)
+        assert len(block) == len(drives)
+        for res, drive in zip(block, drives):
+            one = run_quench(lat, basis, parts, drive, psi0, cfg, entropy_cuts=cuts)
+            assert quench_to_csv(res) == quench_to_csv(one)
+            assert np.array_equal(res.probs, one.probs)
+            assert np.array_equal(_bits(res.final_state), _bits(one.final_state))
+
+    @pytest.mark.parametrize("build", [build_rydberg, build_pxp, build_sw2])
+    def test_drive_mix_with_one_substep_count(self, p, build):
+        lat = build_lattice("chain", 8)
+        basis = enumerate_blockaded(lat)
+        drives = [DriveProfile.cosine(0.55 * p.omega, 0.55 * p.omega, 1.1 * p.omega),
+                  DriveProfile.square(0.3 * p.omega, 0.8 * p.omega, 0.5 * p.omega),
+                  DriveProfile.constant(0.4 * p.omega)]
+        cfg = EvolutionConfig(total_time=0.06, dt=0.001, record_stride=5)
+        assert {scarsim.evolve.substep_count(d, cfg.dt) for d in drives} == {1}
+        self._check(lat, basis, build(lat, basis, p), drives, cfg)
+
+    @pytest.mark.parametrize("build", [build_rydberg, build_pxp, build_sw2])
+    def test_ring_in_the_symmetric_subspace(self, p, build, step_dims):
+        lat = build_lattice("chain", 12, periodic=True)
+        basis = enumerate_blockaded(lat)
+        drives = [DriveProfile.cosine(0.5 * p.omega, p.omega, f * p.omega)
+                  for f in (1.3, 1.33, 1.36)]
+        cfg = EvolutionConfig(total_time=0.02, dt=0.002, record_stride=5)
+        self._check(lat, basis, build(lat, basis, p), drives, cfg,
+                    cuts=(tuple(range(6)),))
+        assert max(step_dims) < basis.dim
+
+    def test_refuses_unequal_substep_counts(self, p, chain9):
+        lat, basis = chain9
+        parts = build_rydberg(lat, basis, p)
+        drives = [DriveProfile.cosine(0.5 * p.omega, 0.5 * p.omega, f * p.omega)
+                  for f in (0.8, 1.6)]
+        cfg = EvolutionConfig(total_time=0.01, dt=0.002)
+        counts = [scarsim.evolve.substep_count(d, cfg.dt) for d in drives]
+        assert counts[0] != counts[1]
+        with pytest.raises(ConfigError, match="substep"):
+            scarsim.evolve._run_block(lat, basis, parts, drives,
+                                      named_state(lat, basis, "AF1"), cfg)
+
+    def test_substep_rule(self, p):
+        dt = 0.002
+        assert scarsim.evolve.substep_count(DriveProfile.constant(1.0), dt) == 1
+        slow = DriveProfile.cosine(0.0, 1.0, math.tau / (400 * dt))
+        assert scarsim.evolve.substep_count(slow, dt) == 1
+        fast = DriveProfile.cosine(0.0, 1.0, 1.2 * p.omega)
+        period = math.tau / fast.omegam
+        assert scarsim.evolve.substep_count(fast, dt) == math.ceil(dt * 200 / period)
+
+
 class TestDensePropagator:
     def test_identity_at_zero(self, system8):
         _, basis, parts = system8
