@@ -10,9 +10,10 @@ once its document is loaded still writes ``manifest.json`` with status
 ``error``.
 
 A sweep groups the grid points that differ only in their drive and need
-the same substep count; each group runs as one block propagation, and
-``--jobs N`` (N >= 1) spreads the groups over worker processes.  Neither
-the grouping nor the output bytes depend on N.
+the same substep count, on lattices of at most 12 sites and at most 6
+points per group; each group runs as one block propagation, every other
+point runs on its own, and ``--jobs N`` (N >= 1) spreads the groups over
+worker processes.  Neither the grouping nor the output bytes depend on N.
 """
 
 from __future__ import annotations
@@ -236,7 +237,7 @@ def _analyze_quench(result: QuenchResult, drive: DriveProfile) -> tuple[dict, st
 
 
 def _run_single_quench(cfg: ExperimentConfig):
-    """Basis, quench result, analysis dict and spectrum csv (or None)."""
+    """Basis and quench result of one configured quench."""
     if cfg.evolution is None:
         raise ConfigError("evolution: section is required for quench runs")
     if cfg.drive is None:
@@ -245,12 +246,12 @@ def _run_single_quench(cfg: ExperimentConfig):
     result = run_quench(cfg.lattice, basis, parts, cfg.drive, psi0, cfg.evolution,
                         entropy_cuts=cfg.observables.entropy_cuts,
                         record_probs=cfg.observables.microstates)
-    analysis, spectrum_csv = _analyze_quench(result, cfg.drive)
-    return basis, result, analysis, spectrum_csv
+    return basis, result
 
 
 def cmd_quench(cfg: ExperimentConfig) -> tuple[dict, str, str]:
-    basis, result, analysis, spectrum_csv = _run_single_quench(cfg)
+    basis, result = _run_single_quench(cfg)
+    analysis, spectrum_csv = _analyze_quench(result, cfg.drive)
     files = {"quench.csv": quench_to_csv(result),
              "lattice.json": lattice_to_json(cfg.lattice) + "\n",
              "analysis.json": json.dumps(analysis, sort_keys=True, indent=2) + "\n"}
@@ -287,6 +288,14 @@ def _point_doc(doc_json: str, overrides: dict) -> dict:
     return doc
 
 
+def _error_row(exc: Exception) -> dict:
+    """The aggregate row of a failed sweep point; unexpected exceptions,
+    not only ScarsimErrors, also print their traceback to stderr."""
+    if not isinstance(exc, ScarsimError):
+        traceback.print_exception(exc)
+    return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+
+
 def _sweep_row(cfg: ExperimentConfig, basis, result: QuenchResult) -> dict:
     """The aggregate row of one finished sweep point."""
     analysis, _ = _analyze_quench(result, cfg.drive)
@@ -304,26 +313,21 @@ def _sweep_row(cfg: ExperimentConfig, basis, result: QuenchResult) -> dict:
     return row
 
 
-def _sweep_worker(payload: tuple[str, dict]) -> dict:
-    """Run one sweep point; returns an aggregate row (never raises).
+def _sweep_worker(cfg: ExperimentConfig) -> dict:
+    """Run one parsed sweep point on its own; returns its aggregate row.
 
-    Any exception, not only a ScarsimError, becomes an error row, so one
-    bad point cannot abort the sweep; unexpected ones also print their
-    traceback to stderr.
+    Never raises: any exception becomes an error row (see
+    :func:`_error_row`), so one bad point cannot abort the sweep.
     """
-    doc_json, overrides = payload
     try:
-        cfg = parse_config(_point_doc(doc_json, overrides))
-        basis, result, _, _ = _run_single_quench(cfg)
+        basis, result = _run_single_quench(cfg)
         return _sweep_row(cfg, basis, result)
     except Exception as exc:
-        if not isinstance(exc, ScarsimError):
-            traceback.print_exc()
-        return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+        return _error_row(exc)
 
 
-def _group_worker(payload: tuple[str, list[dict]]) -> list[dict]:
-    """Run the points of one sweep group as one block; one row per point.
+def _group_worker(cfgs: list[ExperimentConfig]) -> list[dict]:
+    """Run the parsed points of one sweep group as one block; one row each.
 
     The points share everything but their drive (see :func:`_sweep_groups`),
     so the basis and the Hamiltonian are built once and every drive becomes
@@ -331,10 +335,8 @@ def _group_worker(payload: tuple[str, list[dict]]) -> list[dict]:
     group that raises anywhere, runs its points one by one through
     :func:`_sweep_worker`, so a bad point still gives exactly one error row.
     """
-    doc_json, overrides = payload
-    if len(overrides) > 1:
+    if len(cfgs) > 1:
         try:
-            cfgs = [parse_config(_point_doc(doc_json, ov)) for ov in overrides]
             cfg = cfgs[0]
             basis, parts, psi0 = _build_system(cfg)
             results = _run_block(cfg.lattice, basis, parts, [c.drive for c in cfgs],
@@ -345,34 +347,53 @@ def _group_worker(payload: tuple[str, list[dict]]) -> list[dict]:
         except Exception as exc:
             if not isinstance(exc, ScarsimError):
                 traceback.print_exc()
-            print(f"sweep: a group of {len(overrides)} points failed "
+            print(f"sweep: a group of {len(cfgs)} points failed "
                   f"({type(exc).__name__}: {exc}); running its points one by one",
                   file=sys.stderr)
-    return [_sweep_worker((doc_json, ov)) for ov in overrides]
+    return [_sweep_worker(cfg) for cfg in cfgs]
 
 
-def _sweep_groups(doc_json: str, points: list[dict]) -> list[list[int]]:
-    """Point indices grouped for :func:`_group_worker`, in order of first point.
+# Sweep points share a block only on lattices of at most this many sites
+# (dim <= 377 on a chain).  There the per-step overhead, not the sparse
+# products, dominates a column's step, and a 6-column block step costs
+# 0.35 (dim 89) to 0.57 (dim 377) of six single-state steps; at dim 4181 it
+# costs 0.94 (all measured on one core of a 2-core x86 VM), so larger
+# lattices keep one point per task and their points spread over the workers.
+_BLOCK_MAX_SITES = 12
 
-    Points whose parsed documents are equal apart from ``drive`` and whose
-    drives need the same substep count share a group.  A point that does
-    not parse, or lacks a drive or an evolution section, is a group of its
-    own.  The rule does not depend on ``--jobs``.
+# A group wider than this is split into near-equal blocks, so that a long
+# drive axis still spreads over the workers.
+_BLOCK_WIDTH = 6
+
+
+def _sweep_groups(cfgs: list) -> list[list[int]]:
+    """Point indices grouped for :func:`_group_worker`, groups in order of
+    their first point.
+
+    ``cfgs`` holds each point's parsed config, or the exception its parse
+    raised.  Points whose documents are equal apart from ``drive``, whose
+    drives need the same substep count and whose lattice has at most
+    ``_BLOCK_MAX_SITES`` sites share a group; a group of more than
+    ``_BLOCK_WIDTH`` points is split into near-equal consecutive blocks.
+    Every other point (one that did not parse, lacks a drive or an
+    evolution section, or has a larger lattice) is a group of its own.  The
+    rule does not depend on ``--jobs``.
     """
     groups: dict = {}
-    for k, pt in enumerate(points):
-        try:
-            cfg = parse_config(_point_doc(doc_json, pt))
-        except Exception:
-            cfg = None
-        if cfg is None or cfg.drive is None or cfg.evolution is None:
+    for k, cfg in enumerate(cfgs):
+        if isinstance(cfg, Exception) or cfg.drive is None or cfg.evolution is None \
+                or cfg.lattice.n_sites > _BLOCK_MAX_SITES:
             key = k
         else:
             rest = {name: sec for name, sec in cfg.raw.items() if name != "drive"}
             key = (json.dumps(rest, sort_keys=True),
                    substep_count(cfg.drive, cfg.evolution.dt))
         groups.setdefault(key, []).append(k)
-    return list(groups.values())
+    blocks = []
+    for group in groups.values():
+        n = -(-len(group) // _BLOCK_WIDTH)
+        blocks += [group[len(group) * i // n:len(group) * (i + 1) // n] for i in range(n)]
+    return blocks
 
 
 _AGG_COLUMNS = ("dim", "omega_tilde", "tau", "inv_tau", "sub_weight",
@@ -384,16 +405,24 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int | None) -> tuple[dict, str, str]:
         raise ConfigError(f"--jobs: must be an integer >= 1, got {jobs}")
     points = _sweep_points(cfg)
     doc_json = json.dumps(cfg.raw, sort_keys=True)
-    groups = _sweep_groups(doc_json, points)
-    payloads = [(doc_json, [points[k] for k in group]) for group in groups]
+    # each point is parsed here, once; a point that does not parse gets its
+    # error row here and every other point goes to a worker in its group
+    cfgs: list = []
+    for pt in points:
+        try:
+            cfgs.append(parse_config(_point_doc(doc_json, pt)))
+        except Exception as exc:
+            cfgs.append(exc)
+    rows: list = [_error_row(c) if isinstance(c, Exception) else None for c in cfgs]
+    groups = [g for g in _sweep_groups(cfgs) if rows[g[0]] is None]
+    payloads = [[cfgs[k] for k in group] for group in groups]
     if jobs == 1:
         group_rows = [_group_worker(pl) for pl in payloads]
     else:
         # no more workers than groups: each group is one task
-        workers = min(jobs or os.cpu_count() or 1, len(payloads))
+        workers = min(jobs or os.cpu_count() or 1, max(len(payloads), 1))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             group_rows = list(pool.map(_group_worker, payloads))
-    rows: list = [None] * len(points)
     for group, grows in zip(groups, group_rows):
         for k, row in zip(group, grows):
             rows[k] = row

@@ -372,6 +372,16 @@ class TestSweepCommand:
         assert (outs[0] / "aggregate.csv").read_bytes() == \
             (outs[1] / "aggregate.csv").read_bytes()
 
+    def test_sweep_of_malformed_points_only(self, tmp_path):
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["sweep"] = [{"parameter": "evolution.record_stride", "grid": ["x"]}]
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", write_config(tmp_path, doc),
+                     "--out", str(out), "--jobs", "2"]) == 0
+        lines = (out / "aggregate.csv").read_text().strip().splitlines()
+        assert [ln.split(",")[2] for ln in lines[1:]] == ["error"]
+        assert json.loads((out / "manifest.json").read_text())["status"] == "partial"
+
     def test_truncated_time_grid_point_is_an_error_row(self, tmp_path):
         doc = json.loads(json.dumps(SMALL_QUENCH))
         doc["observables"] = {}
@@ -415,7 +425,7 @@ class TestSweepCommand:
             raise ZeroDivisionError("division by zero")
 
         monkeypatch.setattr(cli, "_run_single_quench", boom)
-        row = cli._sweep_worker((json.dumps(SMALL_QUENCH), {}))
+        row = cli._sweep_worker(parse_config(SMALL_QUENCH))
         assert row["status"] == "error"
         assert row["error"] == "ZeroDivisionError: division by zero"
         assert "Traceback" in capsys.readouterr().err
@@ -515,16 +525,65 @@ class TestSweepGroups:
                          "grid": [0.8, 1.0, 1.2, 1.6]}]
         return doc
 
+    @staticmethod
+    def _parsed_points(doc) -> list:
+        import scarsim.cli as cli
+
+        cfg = parse_config(doc)
+        doc_json = json.dumps(cfg.raw, sort_keys=True)
+        return [parse_config(cli._point_doc(doc_json, pt)) for pt in cli._sweep_points(cfg)]
+
     def test_groups_follow_v0_and_substep_count(self):
         import scarsim.cli as cli
 
+        cfgs = self._parsed_points(self._two_axis_doc())
+        assert cli._sweep_groups(cfgs) == [[0, 1], [2, 3], [4, 5], [6, 7]]
+        cfgs[5] = ConfigError("drive.omegam_over_omega: must be a number")
+        assert cli._sweep_groups(cfgs) == [[0, 1], [2, 3], [4], [5], [6, 7]]
+
+    def test_large_lattices_run_point_by_point(self):
+        import scarsim.cli as cli
+
         doc = self._two_axis_doc()
-        cfg = parse_config(doc)
-        doc_json = json.dumps(cfg.raw, sort_keys=True)
-        points = cli._sweep_points(cfg)
-        assert cli._sweep_groups(doc_json, points) == [[0, 1], [2, 3], [4, 5], [6, 7]]
-        points[5] = dict(points[5], **{"drive.omegam_over_omega": "x"})
-        assert cli._sweep_groups(doc_json, points) == [[0, 1], [2, 3], [4], [5], [6, 7]]
+        doc["sweep"][0] = {"parameter": "lattice.extent",
+                           "grid": [cli._BLOCK_MAX_SITES, cli._BLOCK_MAX_SITES + 1]}
+        assert cli._sweep_groups(self._parsed_points(doc)) == \
+            [[0, 1], [2, 3], [4], [5], [6], [7]]
+
+    def test_wide_groups_split_into_near_equal_blocks(self):
+        import scarsim.cli as cli
+
+        doc = self._two_axis_doc()
+        del doc["sweep"][0]
+        # 15 drive amplitudes, all at one substep count
+        doc["sweep"][0] = {"parameter": "drive.deltam_over_omega",
+                           "grid": [0.1 * k for k in range(15)]}
+        assert cli._BLOCK_WIDTH == 6
+        assert cli._sweep_groups(self._parsed_points(doc)) == \
+            [list(range(0, 5)), list(range(5, 10)), list(range(10, 15))]
+
+    def test_each_point_is_parsed_and_analyzed_once(self, tmp_path, monkeypatch):
+        import scarsim.cli as cli
+
+        calls = {"parse_config": 0, "_analyze_quench": 0}
+
+        def counting(name):
+            fn = getattr(cli, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counting(name))
+        doc = self._two_axis_doc()
+        # the 13-site points run one by one, the 7-site ones as blocks
+        doc["sweep"][0] = {"parameter": "lattice.extent", "grid": [7, 13]}
+        assert main(["sweep", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "o"), "--jobs", "1"]) == 0
+        # the whole document once, then each of the 8 points once
+        assert calls == {"parse_config": 9, "_analyze_quench": 8}
 
     def test_blocks_write_the_bytes_of_per_point_runs(self, tmp_path, monkeypatch):
         import scarsim.cli as cli
@@ -537,7 +596,7 @@ class TestSweepGroups:
                          "--jobs", jobs]) == 0
         with monkeypatch.context() as m:
             m.setattr(cli, "_group_worker",
-                      lambda pl: [cli._sweep_worker((pl[0], ov)) for ov in pl[1]])
+                      lambda cfgs: [cli._sweep_worker(c) for c in cfgs])
             outs["points"] = tmp_path / "points"
             assert main(["sweep", "--config", cfg, "--out", str(outs["points"]),
                          "--jobs", "1"]) == 0
