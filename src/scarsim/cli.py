@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import gc
 import json
 import os
 import sys
@@ -32,6 +33,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     RIGIDITY_GRID,
+    Spectrum,
     fit_damped_cosine,
     fit_decay_plane,
     fit_to_json,
@@ -208,8 +210,9 @@ def cmd_lattice(cfg: ExperimentConfig) -> tuple[dict, str, str]:
     return files, "complete", report
 
 
-def _analyze_quench(result: QuenchResult, drive: DriveProfile) -> tuple[dict, str | None]:
-    """Fit and spectral summary; returns (analysis dict, spectrum csv or None)."""
+def _analyze_quench(result: QuenchResult,
+                    drive: DriveProfile) -> tuple[dict, Spectrum | None]:
+    """Fit and spectral summary; returns (analysis dict, spectrum or None)."""
     analysis: dict = {}
     series = imbalance(result)
     try:
@@ -217,11 +220,10 @@ def _analyze_quench(result: QuenchResult, drive: DriveProfile) -> tuple[dict, st
         analysis["fit"] = json.loads(fit_to_json(fit))
     except ScarsimError as exc:
         analysis["fit_error"] = str(exc)
-    spectrum_csv = None
+    spec = None
     if drive.shape in (DriveShape.COSINE, DriveShape.SQUARE):
         spec = fourier_spectrum(series, result.times,
                                 calibration_omega=drive.omegam / 2.0)
-        spectrum_csv = spectrum_to_csv(spec)
         analysis["omegam_rad"] = drive.omegam
         analysis["subharmonic_weight"] = subharmonic_weight(spec, drive.omegam)
         analysis["fourth_subharmonic_weight"] = subharmonic_weight(
@@ -231,9 +233,8 @@ def _analyze_quench(result: QuenchResult, drive: DriveProfile) -> tuple[dict, st
         analysis["peak_omega"] = spec.peak_omega()
     elif len(result.times) >= 20:
         spec = fourier_spectrum(series, result.times)
-        spectrum_csv = spectrum_to_csv(spec)
         analysis["peak_omega"] = spec.peak_omega()
-    return analysis, spectrum_csv
+    return analysis, spec
 
 
 def _run_single_quench(cfg: ExperimentConfig):
@@ -251,12 +252,12 @@ def _run_single_quench(cfg: ExperimentConfig):
 
 def cmd_quench(cfg: ExperimentConfig) -> tuple[dict, str, str]:
     basis, result = _run_single_quench(cfg)
-    analysis, spectrum_csv = _analyze_quench(result, cfg.drive)
+    analysis, spec = _analyze_quench(result, cfg.drive)
     files = {"quench.csv": quench_to_csv(result),
              "lattice.json": lattice_to_json(cfg.lattice) + "\n",
              "analysis.json": json.dumps(analysis, sort_keys=True, indent=2) + "\n"}
-    if spectrum_csv is not None:
-        files["spectrum.csv"] = spectrum_csv
+    if spec is not None:
+        files["spectrum.csv"] = spectrum_to_csv(spec)
     if cfg.observables.microstates:
         ordering = order_microstates(reflection_grouping(basis, cfg.lattice))
         matrix = microstate_matrix(result, ordering)
@@ -621,5 +622,15 @@ def main(argv: list[str] | None = None) -> int:
         return 4
 
 
+def entry() -> int:
+    """Entry point of ``python -m scarsim.cli`` and the ``scarsim`` script.
+
+    Freezes what the imports made first, so that neither later collections
+    nor the one at interpreter exit walk it; ``main`` leaves the collector
+    alone for in-process callers."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

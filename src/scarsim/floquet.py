@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import CapacityError, ConfigError
 from .evolve import (
@@ -264,8 +263,9 @@ def floquet_eigenstate_overlap(params: PulsedParams, basis: ConstrainedBasis,
     so the AF1 overlap is real nonnegative).  AF1 and AF2 are the canonical
     states of the chain with the basis's site count.
     """
-    # imported here: only this analysis needs it, and every CLI process
+    # imported here: only this analysis needs them, and every CLI process
     # imports this module
+    from scipy.linalg import schur
     from scipy.sparse.csgraph import connected_components
 
     if basis.dim > DENSE_DIM_LIMIT:
@@ -280,7 +280,7 @@ def floquet_eigenstate_overlap(params: PulsedParams, basis: ConstrainedBasis,
     u_f = _kick_phases(basis, params.theta)[:, None] * u_tau
     # unitary matrices are normal, so the complex Schur form is diagonal and
     # the Schur vectors are an orthonormal eigenbasis
-    t, z = la.schur(u_f, output="complex")
+    t, z = schur(u_f, output="complex")
     phases = np.diag(t)
     # a degenerate eigenvalue (the echo point is an involution) leaves its
     # Schur vectors an arbitrary basis of the eigenspace: rotate each such

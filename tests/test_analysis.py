@@ -160,6 +160,29 @@ class TestSpectrum:
             assert np.array_equal(spec.stilde[r], one.stilde)
             assert weights[r] == weight_at(one, 40.0)
 
+    @pytest.mark.parametrize("n_omegas", [511, 512, 513, 1601])
+    @pytest.mark.parametrize("times", [
+        np.arange(41, dtype=float),           # a map's unit-spaced periods
+        np.arange(0, 501, 4) * 0.002,         # a sweep's records at k * dt
+    ], ids=["map", "sweep"])
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["1d", "rows"])
+    def test_transform_is_bitwise_trapezoid(self, n_omegas, times, shape):
+        # the work-buffer transform must keep np.trapezoid's bytes: a plain
+        # per-row trapezoid over the whole cosine table is the reference
+        from scarsim.analysis import _inphase_transform
+
+        values = np.random.default_rng(n_omegas).normal(size=shape + times.shape)
+        omegas = np.arange(n_omegas) * (math.pi / (times[1] * (n_omegas - 1)))
+        f = values - values.mean(axis=-1, keepdims=True)
+        table = np.cos(omegas[:, None] * times[None, :])
+        rows = [np.trapezoid(table * row[None, :], times, axis=1)
+                for row in f.reshape(-1, len(times))]
+        expected = (2.0 / (times[-1] - times[0])) * np.reshape(
+            rows, shape + (n_omegas,))
+        got = _inphase_transform(values, times, omegas)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
     def test_constant_series_is_zero(self):
         spec = fourier_spectrum(np.full_like(self.t, 2.2), self.t)
         assert np.allclose(spec.s2, 0.0)

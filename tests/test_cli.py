@@ -637,15 +637,32 @@ class TestSweepGroups:
         assert not (out / "point_001").exists()
 
 
-def test_cli_import_defers_optional_scipy_modules():
+def _python_stdout(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on these sources."""
     src = str(Path(scarsim.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, scarsim.cli; print([m for m in "
-            "('scipy.optimize', 'scipy.spatial', 'scipy.special') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_import_defers_optional_scipy_modules():
+    code = ("import sys, scarsim.cli; print([m for m in ('scipy.linalg', "
+            "'scipy.optimize', 'scipy.spatial', 'scipy.special') if m in sys.modules])")
+    assert _python_stdout(code).strip() == "[]"
+
+
+def test_only_the_process_entry_freezes_the_heap(tmp_path):
+    import gc
+
+    # in-process callers of main keep a normal collector
+    before = gc.get_freeze_count()
+    assert main(["lattice", "--preset", "fig2-chain", "--out", str(tmp_path / "o")]) == 0
+    assert gc.get_freeze_count() == before
+    # the process entry freezes what the imports made before it runs main
+    code = ("import gc, sys, scarsim.cli as c; sys.argv = ['scarsim', 'lattice', "
+            "'--list-presets']; c.entry(); print(gc.get_freeze_count() > 0)")
+    assert _python_stdout(code).splitlines()[-1] == "True"
 
 
 class TestFloquetCommand:
