@@ -27,6 +27,9 @@ from .hilbert import MicrostateOrdering
 # weights are summed into the rigidity; other grids are rejected.
 RIGIDITY_GRID = tuple(0.75 + 0.1 * k for k in range(11))
 
+# Spectral grid points per Fourier bin 2 pi / T of the sampled window.
+_GRID_POINTS_PER_BIN = 8
+
 
 @dataclass(frozen=True)
 class DampedCosineFit:
@@ -266,14 +269,13 @@ def _calibration_peak(tt_bytes: bytes, omegas_bytes: bytes, omega_ref: float) ->
 
 
 def fourier_spectrum(values: np.ndarray, times: np.ndarray, *,
-                     calibration_omega: float | None = None,
-                     grid_points_per_bin: int = 8) -> Spectrum:
+                     calibration_omega: float | None = None) -> Spectrum:
     """Normalized in-phase power spectrum of uniformly sampled series.
 
     ``values`` holds one series, or one series per row of a
     (series, samples) array; the spectrum's ``s2`` and ``stilde`` then have
     one row per series.  The grid spans 0 to the sampling Nyquist frequency
-    with spacing 2 pi / (grid_points_per_bin * T).  ``calibration_omega``
+    with spacing 2 pi / (8 T).  ``calibration_omega``
     selects the reference-cosine frequency; by default each series' dominant
     peak is used, so a pure cosine at any grid frequency comes out with peak
     exactly 1.
@@ -285,7 +287,7 @@ def fourier_spectrum(values: np.ndarray, times: np.ndarray, *,
     if window <= 0:
         raise ConfigError("window must have positive duration")
     tt = times - times[0]
-    domega = math.tau / (grid_points_per_bin * window)
+    domega = math.tau / (_GRID_POINTS_PER_BIN * window)
     nyquist = math.pi / dt
     omegas = np.arange(0.0, nyquist + 0.5 * domega, domega)
 

@@ -514,12 +514,12 @@ def cmd_analyze(paths: list[str], mode: str, out: Path | None,
         dest.mkdir(parents=True, exist_ok=True)
         stem = path.stem
         if mode == "fit":
-            result = quench_from_csv(path.read_text())
+            result = _parse_stored(path, quench_from_csv)
             fit = fit_damped_cosine(imbalance(result), result.times)
             (dest / f"{stem}_fit.json").write_text(fit_to_json(fit))
             print(fit_to_json(fit), end="")
         elif mode == "spectrum":
-            result = quench_from_csv(path.read_text())
+            result = _parse_stored(path, quench_from_csv)
             calib = omegam_rad / 2.0 if omegam_rad else None
             spec = fourier_spectrum(imbalance(result), result.times,
                                     calibration_omega=calib)
@@ -533,7 +533,7 @@ def cmd_analyze(paths: list[str], mode: str, out: Path | None,
                 json.dumps(summary, sort_keys=True, indent=2) + "\n")
             print(json.dumps(summary, sort_keys=True, indent=2))
         elif mode == "plane":
-            pts = _plane_points_from_aggregate(path.read_text())
+            pts = _parse_stored(path, _plane_points_from_aggregate)
             fit = fit_decay_plane(pts)
             (dest / f"{stem}_plane.json").write_text(plane_to_json(fit))
             print(plane_to_json(fit), end="")
@@ -542,8 +542,20 @@ def cmd_analyze(paths: list[str], mode: str, out: Path | None,
     return 0
 
 
+def _parse_stored(path: Path, parse):
+    """``parse(text)`` of a stored file; a malformed one is a ConfigError naming it."""
+    try:
+        return parse(path.read_text())
+    except IndexError as exc:
+        raise ConfigError(f"{path}: a row has fewer cells than the header") from exc
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _plane_points_from_aggregate(text: str) -> list[tuple[float, float, float]]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ConfigError("empty aggregate file")
     header = lines[0].split(",")
     try:
         ix, iy, iv = (header.index(c) for c in ("x_mhz", "y_mhz", "inv_tau"))

@@ -6,6 +6,8 @@ config problems, capacity-guard refusals, and numerical-guard violations
 are distinguishable without parsing stderr.
 """
 
+import sys
+
 
 def is_int(value) -> bool:
     """An integer that is not a bool (JSON true/false load as Python bools)."""
@@ -13,8 +15,10 @@ def is_int(value) -> bool:
 
 
 def is_number(value) -> bool:
-    """An int or float that is not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or float that is not a bool and has a finite float value (JSON
+    NaN and Infinity load as floats, and integers can exceed the float range)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
 
 
 class ScarsimError(Exception):

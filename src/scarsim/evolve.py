@@ -19,8 +19,8 @@ import scipy.sparse as sp
 
 from .errors import CapacityError, ConfigError, NumericalError, is_int, is_number
 from .hamiltonian import DriveProfile, HamiltonianParts, detuning_at, restrict_parts
-from .hilbert import ConstrainedBasis, ring_symmetric_isometry
-from .lattice import Lattice
+from .hilbert import ConstrainedBasis, symmetric_isometry
+from .lattice import Lattice, symmetry_permutations
 
 DENSE_DIM_LIMIT = 1 << 10
 
@@ -29,6 +29,9 @@ _CHEBYSHEV_TAIL = 1e-15
 
 # Enforced resolution of periodic drives: at least this many steps per period.
 _STEPS_PER_PERIOD = 200
+
+# Reduced-density-matrix eigenvalues below this are dropped from the entropy.
+_ENTROPY_CLIP = 1e-14
 
 # A ring state is propagated in the symmetric subspace only when its
 # projection onto it has unit norm to within this tolerance.
@@ -190,14 +193,17 @@ def propagate_step(parts: HamiltonianParts, drive, psi: np.ndarray,
 def symmetric_restriction(lat: Lattice, basis: ConstrainedBasis,
                           parts: HamiltonianParts, psi0: np.ndarray
                           ) -> tuple[HamiltonianParts, sp.csr_matrix] | None:
-    """H restricted to the ring's <T^2, R>-symmetric subspace, with its isometry.
+    """H restricted to the subspace symmetric under the lattice's site
+    permutations (:func:`scarsim.lattice.symmetry_permutations`), with its
+    isometry P (:func:`scarsim.hilbert.symmetric_isometry`).
 
-    Returns ``(restricted parts, P)`` when the lattice is a ring, ``psi0``
-    lies in the subspace (||P^T psi0|| = 1 to within 1e-12) and the
+    Returns ``(restricted parts, P)`` when the lattice has such a group,
+    ``psi0`` lies in the subspace (||P^T psi0|| = 1 to within 1e-12) and the
     restriction is exact (see :func:`scarsim.hamiltonian.restrict_parts`);
     otherwise None.  A state psi_s of the subspace is P psi_s in the full basis.
     """
-    iso = ring_symmetric_isometry(lat, basis)
+    perms = symmetry_permutations(lat)
+    iso = None if perms is None else symmetric_isometry(basis, perms)
     if iso is None or abs(np.linalg.norm(iso.T @ psi0) - 1.0) > _SUBSPACE_TOL:
         return None
     reduced = restrict_parts(parts, iso)
@@ -223,9 +229,9 @@ def run_quench(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
 
     On a ring, a state invariant under translation by two sites and
     inversion (AF1, AF2, GGG) is propagated in that symmetric subspace
-    (see :func:`scarsim.hilbert.ring_symmetric_isometry`) whenever the
-    restricted Hamiltonian is exact; each snapshot expands the state back to
-    the full basis, so every recorded quantity is a full-basis one.
+    (see :func:`symmetric_restriction`) whenever the restricted Hamiltonian
+    is exact; each snapshot expands the state back to the full basis, so
+    every recorded quantity is a full-basis one.
 
     This is the one-drive case of :func:`_run_block`.
     """
@@ -352,14 +358,14 @@ def reduced_density_matrix(psi: np.ndarray, basis: ConstrainedBasis,
     return rho
 
 
-def entanglement_entropy(rho: np.ndarray, clip: float = 1e-14) -> float:
-    """Von Neumann entropy in nats; eigenvalues below ``clip`` are dropped."""
+def entanglement_entropy(rho: np.ndarray) -> float:
+    """Von Neumann entropy in nats; eigenvalues below 1e-14 are dropped."""
     evals = np.linalg.eigvalsh(rho)
     if evals.min() < -1e-10:
         raise NumericalError(
             f"density matrix not positive semidefinite: min eigenvalue {evals.min()}"
         )
-    evals = evals[evals >= clip]
+    evals = evals[evals >= _ENTROPY_CLIP]
     return float(-(evals * np.log(evals)).sum())
 
 

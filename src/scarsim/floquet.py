@@ -18,11 +18,11 @@ the independent path for a single state, used as a reference: one
 ``evolve.propagate_step`` at zero detuning followed by the kick.
 
 On a ring the maps propagate in the subspace invariant under translation by
-two sites and inversion, as ring quenches do: the start states, the kick
-and the imbalance are all invariant, so the maps are exact there.  This
-takes the 14-ring from 843 to 89 states and lets rings up to 20 sites (881
-states) under the dense limit; the block-size guard counts the propagated
-dim.
+two sites and inversion (``lattice.symmetry_permutations``), as ring
+quenches do: the start states, the kick and the imbalance are all
+invariant, so the maps are exact there.  This takes the 14-ring from 843 to
+89 states and lets rings up to 20 sites (881 states) under the dense limit;
+the block-size guard counts the propagated dim.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .hilbert import (
     enumerate_blockaded,
     named_state,
 )
-from .lattice import Lattice, PhysicalParams, build_lattice
+from .lattice import Lattice, PhysicalParams, build_lattice, symmetry_permutations
 
 TAU_C = 0.755 * math.tau
 
@@ -127,15 +127,15 @@ class _StroboscopicEngine:
     def __init__(self, l: int, boundary: str, initial_state: str = "AF1"):
         if boundary not in ("open", "periodic"):
             raise ConfigError("boundary must be 'open' or 'periodic'")
-        periodic = boundary == "periodic"
-        self.lat = build_lattice("chain", l, periodic=periodic)
-        # an orbit of <T^2, R> on an (even) ring holds at most l states, so a
-        # larger basis cannot restrict to the dense limit
-        group_order = l if periodic else 1
-        self.basis = enumerate_blockaded(self.lat, max_dim=group_order * DENSE_DIM_LIMIT)
+        self.lat = build_lattice("chain", l, periodic=boundary == "periodic")
+        perms = symmetry_permutations(self.lat)
+        # an orbit holds at most len(perms) states, so a larger basis cannot
+        # restrict to the dense limit
+        self.basis = enumerate_blockaded(
+            self.lat, max_dim=DENSE_DIM_LIMIT * (1 if perms is None else len(perms)))
         parts = build_pxp(self.lat, self.basis, PhysicalParams(omega=1.0, v0=1.0))
         psi0 = named_state(self.lat, self.basis, initial_state)
-        if periodic:
+        if perms is not None:
             restricted = symmetric_restriction(self.lat, self.basis, parts, psi0)
             if restricted is None:
                 raise ConfigError(
@@ -326,13 +326,9 @@ def excitation_zz_affine_defect(lat: Lattice, basis: ConstrainedBasis) -> float:
     diagonals differ only by scale and a constant; the returned defect is
     exactly 0 in that case.
     """
-    states = basis.states
-    n_op = np.bitwise_count(states).astype(float)
-    zz = np.zeros(basis.dim)
-    for i, j in lat.nn_pairs:
-        zi = 2.0 * ((states >> int(i)) & 1) - 1.0
-        zj = 2.0 * ((states >> int(j)) & 1) - 1.0
-        zz += zi * zj
+    n_op = np.bitwise_count(basis.states).astype(float)
+    z = 2.0 * _site_bit_table(basis) - 1.0
+    zz = (z[:, lat.nn_pairs[:, 0]] * z[:, lat.nn_pairs[:, 1]]).sum(axis=1)
     design = np.column_stack([zz, np.ones(basis.dim)])
     coef, *_ = np.linalg.lstsq(design, n_op, rcond=None)
     return float(np.abs(design @ coef - n_op).max())

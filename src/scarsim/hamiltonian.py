@@ -15,7 +15,7 @@ second-order corrections when enabled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
@@ -155,7 +155,7 @@ def restrict_parts(parts: HamiltonianParts, iso: sp.csr_matrix) -> HamiltonianPa
     """H restricted to the range of an orbit isometry, or None if not exact.
 
     ``iso`` has one nonzero per row (see
-    :func:`scarsim.hilbert.ring_symmetric_isometry`), and its columns ascend
+    :func:`scarsim.hilbert.symmetric_isometry`), and its columns ascend
     by orbit representative, the smallest state of each orbit.  The sparse
     pieces become P^T O P and the diagonals are taken at the representatives.
     The restriction is returned only when it is exact: both diagonals are
@@ -298,21 +298,9 @@ def _sw2_operator(lat: Lattice, basis: ConstrainedBasis, p: PhysicalParams) -> S
     return SparseOperator(m)
 
 
-def build_sw2(lat: Lattice, basis: ConstrainedBasis, p: PhysicalParams,
-              delta: float = 0.0) -> HamiltonianParts:
-    """Effective model with Omega^2/(4 V0) corrections enabled.
-
-    ``delta`` is an optional static detuning folded into the static diagonal
-    for standalone spectral studies; quench drivers should leave it at zero
-    and supply the detuning through a :class:`DriveProfile` instead, since
-    the drive term is applied on top of the static diagonal.
-    """
-    parts = build_rydberg(lat, basis, p)
-    diag_static = parts.diag_static - delta * parts.diag_number
-    return HamiltonianParts(basis=basis, flip=parts.flip,
-                            diag_static=diag_static,
-                            diag_number=parts.diag_number,
-                            sw2_extra=_sw2_operator(lat, basis, p))
+def build_sw2(lat: Lattice, basis: ConstrainedBasis, p: PhysicalParams) -> HamiltonianParts:
+    """Effective model with Omega^2/(4 V0) corrections enabled."""
+    return replace(build_rydberg(lat, basis, p), sw2_extra=_sw2_operator(lat, basis, p))
 
 
 def parity_diagonal(basis: ConstrainedBasis) -> np.ndarray:

@@ -4,6 +4,10 @@ Basis states are plain integers: bit ``i`` (value ``1 << i``) is 1 when site
 ``i`` is excited.  Display strings written by :func:`state_to_string` list
 site 0 in the most significant (leftmost) position, matching the row format
 used for the grouped microstate tables.
+
+Every basis symmetry acts through :func:`permute_states`: the ring sectors
+of quenches and pulsed maps (:func:`symmetric_isometry`) and the mirror
+classes of chain microstates (:func:`reflection_grouping`).
 """
 
 from __future__ import annotations
@@ -128,10 +132,7 @@ def enumerate_blockaded(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> Constra
 
 
 def sublattice_mask(lat: Lattice, label: int) -> int:
-    mask = 0
-    for i in lat.sites_of(label):
-        mask |= 1 << int(i)
-    return mask
+    return sum(1 << i for i in lat.sites_of(label).tolist())
 
 
 def canonical_states(lat: Lattice) -> tuple[int, int, int]:
@@ -142,13 +143,11 @@ def canonical_states(lat: Lattice) -> tuple[int, int, int]:
     """
     af1 = sublattice_mask(lat, 0)
     af2 = sublattice_mask(lat, 1)
-    masks = _neighbour_masks(lat)
     for name, s in (("AF1", af1), ("AF2", af2)):
-        for i in range(lat.n_sites):
-            if (s >> i) & 1 and s & int(masks[i]):
-                raise GeometryError(
-                    f"{name} violates the blockade: sublattice is not independent"
-                )
+        if any((s >> i) & (s >> j) & 1 for i, j in lat.nn_pairs.tolist()):
+            raise GeometryError(
+                f"{name} violates the blockade: sublattice is not independent"
+            )
     return af1, af2, 0
 
 
@@ -162,104 +161,78 @@ def named_state(lat: Lattice, basis: ConstrainedBasis, name: str) -> np.ndarray:
     return psi
 
 
-def ring_symmetric_isometry(lat: Lattice, basis: ConstrainedBasis) -> sp.csr_matrix | None:
-    """Isometry onto the ring states invariant under G = <T^2, R>, or None
-    when the lattice is not a ring.
+def permute_states(states, perm) -> np.ndarray:
+    """Images of basis states under the site permutation that moves site i
+    to ``perm[i]``.  The sites of one displacement move with one mask and one
+    shift, in uint64 so that rings over 31 sites wrap instead of overflow."""
+    states = np.asarray(states).astype(np.uint64, copy=False)
+    shift = np.asarray(perm) - np.arange(len(perm))
+    out = np.zeros_like(states)
+    moved = np.empty_like(states)
+    for d in np.unique(shift).tolist():
+        mask = sum(1 << i for i in np.flatnonzero(shift == d).tolist())
+        np.bitwise_and(states, np.uint64(mask), out=moved)
+        (np.left_shift if d >= 0 else np.right_shift)(moved, np.uint64(abs(d)), out=moved)
+        out |= moved
+    return out
 
-    T shifts site i to i + 1 and R reflects i to -i (mod L); for odd L, T^2
-    generates every translation.  A state's orbit representative is the
-    smallest of its images under G, and column o of the (dim, n_orbits)
-    result is the indicator of orbit o divided by sqrt(|o|), so each row has
-    one nonzero and P^T P = I.  Columns ascend by representative.
+
+def symmetric_isometry(basis: ConstrainedBasis, perms) -> sp.csr_matrix:
+    """Isometry onto the states invariant under a group of site permutations
+    (:func:`scarsim.lattice.symmetry_permutations`).
+
+    A state's orbit representative is the smallest of its images.  Column o
+    of the (dim, n_orbits) result is the indicator of orbit o over sqrt(|o|),
+    so each row has one nonzero and P^T P = I; columns ascend by
+    representative.
     """
-    if not (lat.kind == "chain" and lat.periodic):
-        return None
-    n = basis.n_sites
-    # unsigned, so that rotations of rings over 31 sites wrap instead of overflow
     states = basis.states.astype(np.uint64)
-    full = np.uint64((1 << n) - 1)
-    reversed_ = np.zeros_like(states)
-    for i in range(n):
-        reversed_ |= ((states >> i) & 1) << (n - 1 - i)
-    # R is the bit reversal i -> n - 1 - i followed by a shift by one site
-    shifts = {2 * j % n for j in range(n)}
     rep = states.copy()
-    for image, offset in ((states, 0), (reversed_, 1)):
-        for k in shifts:
-            k = (k + offset) % n
-            np.minimum(rep, ((image << k) | (image >> (n - k))) & full, out=rep)
+    for perm in perms:
+        np.minimum(rep, permute_states(states, perm), out=rep)
     _, orbit, counts = np.unique(rep, return_inverse=True, return_counts=True)
     return sp.csr_matrix((1.0 / np.sqrt(counts[orbit]), (np.arange(basis.dim), orbit)),
                          shape=(basis.dim, len(counts)))
 
 
-def mirror_state(state: int, n_sites: int) -> int:
-    """Spatial reflection of a chain configuration (site i -> n-1-i)."""
-    out = 0
-    for i in range(n_sites):
-        if (state >> i) & 1:
-            out |= 1 << (n_sites - 1 - i)
-    return out
-
-
-def _class_key(states: tuple[int, ...], mask_a: int, mask_b: int,
-               n_sites: int) -> tuple[int, int]:
-    s = states[0]
-    na = (s & mask_a).bit_count()
-    nb = (s & mask_b).bit_count()
-    return na - nb, na + nb
-
-
 def reflection_grouping(basis: ConstrainedBasis, lat: Lattice) -> MicrostateOrdering:
-    """Merge each chain configuration with its mirror image.
+    """Merge each chain configuration with its mirror image (site i -> n-1-i),
+    which is in the basis because chain bonds depend only on |i - j|.
 
     Self-symmetric (palindromic) states form singleton classes.  Classes are
-    returned in ascending order of their smallest member; use
-    :func:`order_microstates` for the canonical presentation order.
+    returned in ascending order of their smallest member, whose sublattice
+    counts give the key; use :func:`order_microstates` for the canonical
+    presentation order.
     """
     if lat.kind not in ("chain", "zigzag_chain"):
         raise GeometryError("reflection grouping is only defined for chains")
     n = basis.n_sites
-    mask_a = sublattice_mask(lat, 0)
-    mask_b = sublattice_mask(lat, 1)
-    classes: list[tuple[int, ...]] = []
-    class_states: list[tuple[int, ...]] = []
-    keys: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for idx, s in enumerate(basis.states):
-        s = int(s)
-        if s in seen:
-            continue
-        m = mirror_state(s, n)
-        if m == s:
-            members = (s,)
-            indices = (idx,)
-        else:
-            members = (s, m)
-            indices = (idx, basis.index_of(m))
-        seen.update(members)
-        classes.append(indices)
-        class_states.append(members)
-        keys.append(_class_key(members, mask_a, mask_b, n))
-    return MicrostateOrdering(n_sites=n, classes=tuple(classes),
-                              class_states=tuple(class_states), keys=tuple(keys))
+    mirrored = permute_states(basis.states, np.arange(n)[::-1]).astype(np.int64)
+    partner = np.searchsorted(basis.states, mirrored)
+    first = np.flatnonzero(partner >= np.arange(basis.dim))
+    rep = basis.states[first]
+    n_a = np.bitwise_count(rep & sublattice_mask(lat, 0)).astype(int)
+    n_b = np.bitwise_count(rep & sublattice_mask(lat, 1)).astype(int)
+    states = basis.states.tolist()
+    classes = tuple((i,) if i == j else (i, j)
+                    for i, j in zip(first.tolist(), partner[first].tolist()))
+    return MicrostateOrdering(
+        n_sites=n, classes=classes,
+        class_states=tuple(tuple(states[k] for k in c) for c in classes),
+        keys=tuple(zip((n_a - n_b).tolist(), (n_a + n_b).tolist())))
 
 
 def order_microstates(grouping: MicrostateOrdering) -> MicrostateOrdering:
     """Sort classes by (n_A - n_B desc, n_A + n_B desc, smallest string asc).
 
     The lexicographic third key is this toolkit's deterministic tie-break.
+    Strings lead with site 0, so on mirror classes it orders them by their
+    smallest member, which :func:`reflection_grouping` lists first.
     """
-    n = grouping.n_sites
-
-    def sort_key(k: int):
-        d, s = grouping.keys[k]
-        rep = min(state_to_string(st, n) for st in grouping.class_states[k])
-        return (-d, -s, rep)
-
-    order = sorted(range(grouping.n_classes), key=sort_key)
+    order = sorted(range(grouping.n_classes), key=lambda k: (
+        -grouping.keys[k][0], -grouping.keys[k][1], grouping.class_states[k][0]))
     return MicrostateOrdering(
-        n_sites=n,
+        n_sites=grouping.n_sites,
         classes=tuple(grouping.classes[k] for k in order),
         class_states=tuple(grouping.class_states[k] for k in order),
         keys=tuple(grouping.keys[k] for k in order),

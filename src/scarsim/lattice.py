@@ -315,6 +315,22 @@ def build_lattice(kind: str, extent: int | float,
     return _finalize(kind, pos, sub)
 
 
+def symmetry_permutations(lat: Lattice) -> np.ndarray | None:
+    """The symmetry group G whose sector quenches and pulsed maps propagate
+    in: row g moves site i to ``perms[g, i]``, one row per element.
+
+    A ring has G = <T^2, R> (T: i -> i + 1, R: i -> -i mod L), whose rows are
+    i -> k + i and i -> k - i for every even k; on an odd ring T^2 generates
+    every translation.  Other lattices give None and skip all symmetry work.
+    """
+    if not (lat.kind == "chain" and lat.periodic):
+        return None
+    n = lat.n_sites
+    sites = np.arange(n)
+    shifts = sorted({2 * j % n for j in range(n)})
+    return np.array([(k + sign * sites) % n for sign in (1, -1) for k in shifts])
+
+
 def interaction_matrix(lat: Lattice, p: PhysicalParams) -> np.ndarray:
     """Pairwise van der Waals couplings V_ij = V0 / (d_ij/a)^6, zero diagonal."""
     dist = pair_distances(lat)

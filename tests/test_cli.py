@@ -104,6 +104,9 @@ class TestSectionChecks:
         ("quench", "observables", {"entropy_cuts": [[0, True]]},
          "observables.entropy_cuts[0]"),
         ("quench", "cutoff", True, "cutoff"),
+        # JSON NaN and Infinity are not numbers either
+        ("quench", "drive", {**SMALL_QUENCH["drive"], "deltam_over_omega": float("nan")},
+         "drive.deltam_over_omega"),
     ])
     def test_malformed_section_exits_2(self, tmp_path, capsys, command, section,
                                        value, field):
@@ -249,13 +252,19 @@ class TestQuenchCommand:
                                            ("krylov_dim", "16"), ("record_strid", 5),
                                            ("total_time", True), ("dt", True),
                                            ("record_stride", True),
-                                           ("krylov_dim", True)])
+                                           ("krylov_dim", True),
+                                           ("total_time", float("inf")),
+                                           pytest.param("total_time", 10**400,
+                                                        id="total_time-10**400")])
     def test_malformed_evolution_exits_2(self, tmp_path, capsys, key, value):
         doc = json.loads(json.dumps(SMALL_QUENCH))
         doc["evolution"][key] = value
         cfg = write_config(tmp_path, doc)
         assert main(["quench", "--config", cfg, "--out", str(tmp_path / "q")]) == 2
         assert f"evolution.{key}" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "q" / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert f"evolution.{key}" in manifest["error"]
 
     @pytest.mark.parametrize("key,value", [("omega_mhz", "x"), ("v0_mhz", [51.0]),
                                            ("v0", 51.0), ("omega_mhz", True),
@@ -331,6 +340,22 @@ class TestAnalyzeCommand:
         bad = tmp_path / "junk.csv"
         bad.write_text("not,a,quench\r\n1,2,3\r\n")
         assert main(["analyze", str(bad), "--mode", "fit"]) == 2
+
+    def test_empty_aggregate_exits_2(self, tmp_path, capsys):
+        empty = tmp_path / "EMPTY.csv"
+        empty.write_text("")
+        assert main(["analyze", str(empty), "--mode", "plane"]) == 2
+        assert f"{empty}: empty aggregate file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row,problem", [
+        ("0.002,abc,0.1,0.9,0.1", "could not convert string to float: 'abc'"),
+        ("0.002,0.9", "a row has fewer cells than the header"),
+    ])
+    def test_malformed_quench_cell_exits_2(self, tmp_path, capsys, row, problem):
+        stored = tmp_path / "Q.csv"
+        stored.write_text(f"t,nA,nB,n_0,n_1\r\n0,1,0,1,0\r\n{row}\r\n")
+        assert main(["analyze", str(stored), "--mode", "fit"]) == 2
+        assert f"{stored}: {problem}" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -691,6 +716,7 @@ class TestFloquetCommand:
         ("epsilons", [0.0, True], "floquet.epsilons[1]"),
         ("taus_over_2pi", [False], "floquet.taus_over_2pi[0]"),
         ("n_periods", True, "floquet.n_periods"),
+        ("epsilons", [float("nan")], "floquet.epsilons[0]"),
     ])
     def test_malformed_floquet_exits_2(self, tmp_path, capsys, key, value, field):
         doc = {"floquet": {"l": 8, "boundary": "periodic", "map": "revival",
@@ -700,6 +726,9 @@ class TestFloquetCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["floquet", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert field in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert field in manifest["error"]
 
     def test_taus_in_two_units_exits_2(self, tmp_path, capsys):
         doc = {"floquet": {"l": 8, "boundary": "periodic", "map": "revival",

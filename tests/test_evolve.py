@@ -29,9 +29,14 @@ from scarsim.hilbert import (
     canonical_states,
     enumerate_blockaded,
     named_state,
-    ring_symmetric_isometry,
+    symmetric_isometry,
 )
-from scarsim.lattice import PhysicalParams, build_lattice, optimal_detuning
+from scarsim.lattice import (
+    PhysicalParams,
+    build_lattice,
+    optimal_detuning,
+    symmetry_permutations,
+)
 
 
 @pytest.fixture(scope="module")
@@ -543,7 +548,7 @@ class TestRingSymmetricSubspace:
         lat = ring_of(n)
         basis = enumerate_blockaded(lat)
         parts = build(lat, basis, p)
-        iso = ring_symmetric_isometry(lat, basis)
+        iso = symmetric_isometry(basis, symmetry_permutations(lat))
         small = restrict_parts(parts, iso)
         assert small is not None and small.dim == iso.shape[1]
         dense_iso = iso.toarray()
@@ -555,7 +560,7 @@ class TestRingSymmetricSubspace:
         lat = ring_of(12)
         basis = enumerate_blockaded(lat)
         parts = build_pxp(lat, basis, p)
-        iso = ring_symmetric_isometry(lat, basis)
+        iso = symmetric_isometry(basis, symmetry_permutations(lat))
         site0 = ((basis.states & 1) * 0.3).astype(float)
         pinned = dataclasses.replace(parts, diag_static=parts.diag_static + site0)
         assert restrict_parts(pinned, iso) is None

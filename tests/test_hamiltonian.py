@@ -147,13 +147,6 @@ class TestSw2:
         assert nonzero.tolist() == [basis.index_of(string_to_state("10010"))]
         assert row[nonzero[0]] == pytest.approx(-p.omega**2 / (4 * p.v0))
 
-    def test_static_delta_offset(self, p, chain9):
-        lat, basis = chain9
-        zero = build_sw2(lat, basis, p, delta=0.0)
-        shifted = build_sw2(lat, basis, p, delta=1.7)
-        assert np.allclose(shifted.diag_static,
-                           zero.diag_static - 1.7 * zero.diag_number)
-
 
 class TestStepInvariants:
     def test_computed_once_with_unchanged_arithmetic(self, p, chain9):

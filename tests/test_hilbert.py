@@ -7,15 +7,15 @@ from scarsim.errors import CapacityError, GeometryError
 from scarsim.hilbert import (
     canonical_states,
     enumerate_blockaded,
-    mirror_state,
     order_microstates,
+    permute_states,
     reflection_grouping,
-    ring_symmetric_isometry,
     state_to_string,
     string_to_state,
     sublattice_mask,
+    symmetric_isometry,
 )
-from scarsim.lattice import build_lattice
+from scarsim.lattice import build_lattice, symmetry_permutations
 
 # Reference grouped ordering of the 9-site chain (51 class representatives,
 # one row per class, listed in presentation order).
@@ -40,6 +40,11 @@ def brute_force_states(lat):
         if ok:
             out.append(s)
     return out
+
+
+def mirror(state, n):
+    """Image of one state under the chain reversal i -> n - 1 - i."""
+    return int(permute_states([state], np.arange(n)[::-1])[0])
 
 
 def fib(n):
@@ -178,7 +183,7 @@ class TestGroupingAndOrdering:
             key = (na - nb, na + nb)
             assert ordering.keys[row] == key, f"row {row + 1}"
             ref_by_key.setdefault(key, []).append(
-                frozenset({s, mirror_state(s, 9)}))
+                frozenset({s, mirror(s, 9)}))
         for k, members in enumerate(ordering.class_states):
             mine_by_key.setdefault(ordering.keys[k], []).append(frozenset(members))
         assert set(ref_by_key) == set(mine_by_key)
@@ -186,13 +191,75 @@ class TestGroupingAndOrdering:
             assert sorted(map(sorted, ref_by_key[key])) == \
                 sorted(map(sorted, mine_by_key[key]))
 
+    @pytest.mark.parametrize("kind,extent,ratio", [
+        ("chain", 9, None),
+        ("chain", 12, None),
+        ("zigzag_chain", 10, 1.4),
+        ("zigzag_chain", 11, 1.4),
+    ])
+    def test_classes_match_brute_force(self, kind, extent, ratio):
+        """Each class is a state and its reversed bit string; the key counts
+        the smaller member, which matters on even chains, where the mirror
+        swaps the sublattices."""
+        lat = build_lattice(kind, extent, ratio)
+        basis = enumerate_blockaded(lat)
+        grouping = reflection_grouping(basis, lat)
+        n = lat.n_sites
+        ma, mb = sublattice_mask(lat, 0), sublattice_mask(lat, 1)
+        want = {}
+        for s in brute_force_states(lat):
+            m = string_to_state(state_to_string(s, n)[::-1])
+            small = min(s, m)
+            na, nb = bin(small & ma).count("1"), bin(small & mb).count("1")
+            want[small] = (tuple(sorted({s, m})), (na - nb, na + nb))
+        got = {members[0]: (members, key)
+               for members, key in zip(grouping.class_states, grouping.keys)}
+        assert got == want
+        assert [members[0] for members in grouping.class_states] == sorted(want)
+        for indices, members in zip(grouping.classes, grouping.class_states):
+            assert tuple(basis.states[list(indices)].tolist()) == members
+        if n % 2 == 0:
+            swapped = [k for k, (members, _) in want.items()
+                       if len(members) == 2 and bin(members[0] & ma).count("1")
+                       != bin(members[1] & ma).count("1")]
+            assert swapped
+
 
 class TestHamming:
     @given(st.integers(0, (1 << 12) - 1))
     @settings(deadline=None, max_examples=200)
     def test_mirror_involution(self, s):
-        assert mirror_state(mirror_state(s, 12), 12) == s
-        assert bin(mirror_state(s, 12)).count("1") == bin(s).count("1")
+        assert mirror(mirror(s, 12), 12) == s
+        assert bin(mirror(s, 12)).count("1") == bin(s).count("1")
+
+
+def _brute_permute(state, perm):
+    return sum(1 << perm[i] for i in range(len(perm)) if (state >> i) & 1)
+
+
+class TestPermuteStates:
+    @given(st.integers(3, 24).flatmap(lambda n: st.tuples(
+        st.permutations(range(n)), st.permutations(range(n)),
+        st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=16))))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_per_integer_brute_force(self, case):
+        p, q, states = case
+        n = len(p)
+        images = permute_states(states, p)
+        assert images.dtype == np.uint64
+        assert images.tolist() == [_brute_permute(s, p) for s in states]
+        assert permute_states(states, range(n)).tolist() == states
+        # p then q moves site i to q[p[i]]
+        qp = [q[p[i]] for i in range(n)]
+        assert permute_states(images, q).tolist() == permute_states(states, qp).tolist()
+        assert [bin(s).count("1") for s in images.tolist()] == \
+            [bin(s).count("1") for s in states]
+
+    def test_rings_over_31_sites_wrap(self):
+        for n in (32, 40, 63):
+            sites = np.arange(n)
+            assert permute_states([(1 << (n - 1)) | 1], (sites + 1) % n).tolist() == [0b11]
+            assert permute_states([1], sites[::-1]).tolist() == [1 << (n - 1)]
 
 
 def _site_map(state, n, image_of_site):
@@ -204,7 +271,7 @@ class TestRingSymmetricIsometry:
     def test_columns_are_normalized_orbits_of_t2_and_inversion(self, ring_of, n):
         lat = ring_of(n)
         basis = enumerate_blockaded(lat)
-        iso = ring_symmetric_isometry(lat, basis)
+        iso = symmetric_isometry(basis, symmetry_permutations(lat))
         assert iso.shape[0] == basis.dim
         assert np.array_equal(np.diff(iso.indptr), np.ones(basis.dim))
         eye = np.eye(iso.shape[1])
@@ -232,7 +299,7 @@ class TestRingSymmetricIsometry:
         for n, n_orbits in ((16, 187), (22, 1990)):
             lat = build_lattice("chain", n, periodic=True)
             basis = enumerate_blockaded(lat)
-            iso = ring_symmetric_isometry(lat, basis)
+            iso = symmetric_isometry(basis, symmetry_permutations(lat))
             assert iso.shape == (basis.dim, n_orbits)
             for state in canonical_states(lat):
                 k = basis.index_of(state)
@@ -240,4 +307,4 @@ class TestRingSymmetricIsometry:
 
     def test_open_chain_has_none(self):
         lat = build_lattice("chain", 12)
-        assert ring_symmetric_isometry(lat, enumerate_blockaded(lat)) is None
+        assert symmetry_permutations(lat) is None

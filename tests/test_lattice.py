@@ -18,6 +18,7 @@ from scarsim.lattice import (
     pair_distances,
     predict_lifetime,
     shell_masks,
+    symmetry_permutations,
 )
 
 
@@ -74,6 +75,29 @@ class TestBuild:
         assert lat.periodic
         assert set(lat.coordination.tolist()) == {2}
         assert len(lat.nn_pairs) == 12
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_ring_group_is_t2_and_inversion(self, ring_of, n):
+        """On odd rings T^2 generates every translation, so |G| = 2n."""
+        perms = symmetry_permutations(ring_of(n))
+        rows = {tuple(row) for row in perms.tolist()}
+        assert len(rows) == len(perms) == (n if n % 2 == 0 else 2 * n)
+        assert all(sorted(row) == list(range(n)) for row in rows)
+        # closed under composition, and generated by i -> i + 2 and i -> -i
+        assert {tuple(np.array(a)[list(b)]) for a in rows for b in rows} == rows
+        gens = {tuple((np.arange(n) + 2) % n), tuple(-np.arange(n) % n)}
+        group = {tuple(range(n))}
+        while True:
+            bigger = group | {tuple(np.array(g)[list(h)]) for g in group for h in gens}
+            if bigger == group:
+                break
+            group = bigger
+        assert group == rows
+
+    def test_only_rings_have_a_symmetry_group(self):
+        for kind, extent, ratio in (("chain", 9, None), ("zigzag_chain", 9, 1.4),
+                                    ("square", 3, None), ("honeycomb", 2.1, None)):
+            assert symmetry_permutations(build_lattice(kind, extent, ratio)) is None
 
     def test_errors(self):
         with pytest.raises(ConfigError):
