@@ -392,13 +392,9 @@ def microstate_matrix(result: QuenchResult, ordering: MicrostateOrdering) -> np.
     """Snapshot-by-class probability matrix in presentation order."""
     if result.probs is None:
         raise ConfigError("quench was run without microstate probabilities")
-    dim = result.probs.shape[1]
-    covered = sum(len(c) for c in ordering.classes)
-    if covered != dim:
+    if len(ordering.labels) != result.probs.shape[1]:
         raise ConfigError("ordering does not partition this basis")
-    out = np.empty((result.probs.shape[0], ordering.n_classes))
-    for k, members in enumerate(ordering.classes):
-        out[:, k] = result.probs[:, list(members)].sum(axis=1)
+    out = ordering.class_sums(result.probs)
     sums = out.sum(axis=1)
     if not np.allclose(sums, 1.0, atol=1e-9):
         raise NumericalError("class probabilities do not sum to 1")

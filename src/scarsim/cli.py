@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import gc
+import itertools
 import json
 import os
 import sys
@@ -49,7 +50,6 @@ from .analysis import (
 )
 from .config import (
     ExperimentConfig,
-    RunManifest,
     config_hash,
     parse_config,
     serialize_config,
@@ -180,12 +180,14 @@ def _run(command, doc: dict, out: Path, *args) -> int:
     t0 = time.perf_counter()
 
     def write_manifest(outputs, status, error=None) -> None:
-        manifest = RunManifest(config_hash=config_hash(doc), toolkit_version=__version__,
-                               outputs=list(outputs),
-                               wall_clock_s=time.perf_counter() - t0,
-                               status=status, error=error)
+        manifest = {"config_hash": config_hash(doc), "toolkit_version": __version__,
+                    "outputs": sorted(outputs), "wall_clock_s": time.perf_counter() - t0,
+                    "status": status}
+        if error is not None:
+            manifest["error"] = error
         out.mkdir(parents=True, exist_ok=True)
-        (out / "manifest.json").write_text(manifest.to_json())
+        (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2)
+                                           + "\n")
 
     try:
         cfg = parse_config(doc)
@@ -271,15 +273,9 @@ def _sweep_points(cfg: ExperimentConfig) -> list[dict]:
     axes = cfg.sweep
     if not axes:
         raise ConfigError("sweep: at least one axis is required")
-    points = []
-    if len(axes) == 1:
-        for v in axes[0].grid:
-            points.append({axes[0].parameter: v})
-    else:
-        for v0 in axes[0].grid:
-            for v1 in axes[1].grid:
-                points.append({axes[0].parameter: v0, axes[1].parameter: v1})
-    return points
+    names = [ax.parameter for ax in axes]
+    return [dict(zip(names, values))
+            for values in itertools.product(*(ax.grid for ax in axes))]
 
 
 def _point_doc(doc_json: str, overrides: dict) -> dict:
@@ -506,50 +502,60 @@ def cmd_floquet(cfg: ExperimentConfig) -> tuple[dict, str, str]:
 
 def cmd_analyze(paths: list[str], mode: str, out: Path | None,
                 omegam_rad: float | None) -> int:
+    """Re-analyze stored files.  Every path is analysed before any output is
+    written, and an error names the path it came from."""
+    if mode not in ("fit", "spectrum", "plane"):
+        raise ConfigError(f"unknown analyze mode {mode!r}")
+    done = []
     for raw_path in paths:
         path = Path(raw_path)
         if not path.exists():
             raise ConfigError(f"input file not found: {path}")
+        try:
+            done.append((path, *_analyze_file(path, mode, omegam_rad)))
+        except ScarsimError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
+    for path, files, summary in done:
         dest = out if out is not None else path.parent
         dest.mkdir(parents=True, exist_ok=True)
-        stem = path.stem
-        if mode == "fit":
-            result = _parse_stored(path, quench_from_csv)
-            fit = fit_damped_cosine(imbalance(result), result.times)
-            (dest / f"{stem}_fit.json").write_text(fit_to_json(fit))
-            print(fit_to_json(fit), end="")
-        elif mode == "spectrum":
-            result = _parse_stored(path, quench_from_csv)
-            calib = omegam_rad / 2.0 if omegam_rad else None
-            spec = fourier_spectrum(imbalance(result), result.times,
-                                    calibration_omega=calib)
-            (dest / f"{stem}_spectrum.csv").write_text(spectrum_to_csv(spec))
-            summary = {"peak_omega": spec.peak_omega()}
-            if omegam_rad:
-                summary["subharmonic_weight"] = subharmonic_weight(spec, omegam_rad)
-                summary["fourth_subharmonic_weight"] = subharmonic_weight(
-                    spec, omegam_rad, order=4)
-            (dest / f"{stem}_analysis.json").write_text(
-                json.dumps(summary, sort_keys=True, indent=2) + "\n")
-            print(json.dumps(summary, sort_keys=True, indent=2))
-        elif mode == "plane":
-            pts = _parse_stored(path, _plane_points_from_aggregate)
-            fit = fit_decay_plane(pts)
-            (dest / f"{stem}_plane.json").write_text(plane_to_json(fit))
-            print(plane_to_json(fit), end="")
-        else:
-            raise ConfigError(f"unknown analyze mode {mode!r}")
+        for name, text in files.items():
+            (dest / name).write_text(text)
+        print(summary, end="")
     return 0
 
 
+def _analyze_file(path: Path, mode: str, omegam_rad: float | None) -> tuple[dict, str]:
+    """The files (name -> text) that ``analyze`` writes for one stored file,
+    and the summary it prints."""
+    stem = path.stem
+    if mode == "plane":
+        text = plane_to_json(fit_decay_plane(
+            _parse_stored(path, _plane_points_from_aggregate)))
+        return {f"{stem}_plane.json": text}, text
+    result = _parse_stored(path, quench_from_csv)
+    if mode == "fit":
+        text = fit_to_json(fit_damped_cosine(imbalance(result), result.times))
+        return {f"{stem}_fit.json": text}, text
+    calib = omegam_rad / 2.0 if omegam_rad else None
+    spec = fourier_spectrum(imbalance(result), result.times, calibration_omega=calib)
+    summary = {"peak_omega": spec.peak_omega()}
+    if omegam_rad:
+        summary["subharmonic_weight"] = subharmonic_weight(spec, omegam_rad)
+        summary["fourth_subharmonic_weight"] = subharmonic_weight(
+            spec, omegam_rad, order=4)
+    text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+    return {f"{stem}_spectrum.csv": spectrum_to_csv(spec),
+            f"{stem}_analysis.json": text}, text
+
+
 def _parse_stored(path: Path, parse):
-    """``parse(text)`` of a stored file; a malformed one is a ConfigError naming it."""
+    """``parse(text)`` of a stored file; a malformed one is a ConfigError."""
     try:
         return parse(path.read_text())
     except IndexError as exc:
-        raise ConfigError(f"{path}: a row has fewer cells than the header") from exc
-    except (ConfigError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError("a row has fewer cells than the header") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _plane_points_from_aggregate(text: str) -> list[tuple[float, float, float]]:

@@ -1,4 +1,4 @@
-"""Experiment configuration: parsing, validation, resolution, and manifests.
+"""Experiment configuration: parsing, validation and resolution.
 
 Configurations are JSON documents.  Frequencies carry their unit in the key
 name: ``*_mhz`` means the cyclic value/2pi convention (multiplied by 2 pi on
@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, is_int, is_number
 from .evolve import EvolutionConfig
@@ -230,6 +230,8 @@ def _parse_sweep(entries) -> tuple[SweepAxis, ...]:
         _expect(isinstance(par, str) and par.startswith(_SWEEPABLE_PREFIXES),
                 f"{path}.parameter",
                 f"must start with one of {_SWEEPABLE_PREFIXES}")
+        _expect(par not in [ax.parameter for ax in axes], f"{path}.parameter",
+                f"{par!r} is already swept by another axis")
         grid = _get(ent, path, "grid", required=True)
         _expect(isinstance(grid, list) and len(grid) > 0, f"{path}.grid",
                 "must be a nonempty list")
@@ -336,27 +338,3 @@ def set_by_path(doc: dict, path: str, value) -> dict:
         cur = cur[p]
     cur[parts[-1]] = value
     return out
-
-
-@dataclass
-class RunManifest:
-    """Provenance record for one command invocation."""
-
-    config_hash: str
-    toolkit_version: str
-    outputs: list[str] = field(default_factory=list)
-    wall_clock_s: float = 0.0
-    status: str = "complete"
-    error: str | None = None
-
-    def to_json(self) -> str:
-        doc = {
-            "config_hash": self.config_hash,
-            "toolkit_version": self.toolkit_version,
-            "outputs": sorted(self.outputs),
-            "wall_clock_s": self.wall_clock_s,
-            "status": self.status,
-        }
-        if self.error is not None:
-            doc["error"] = self.error
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -6,13 +6,14 @@ midpoint, which makes the piecewise constant approximation second order in
 dt.  A step advances a (dim, P) block with one drive per column, and a
 quench runner propagates P drives that share everything else as one
 block; a single state and a single quench are the P = 1 case.  A dense
-eigendecomposition propagator is an independent oracle.
+eigendecomposition propagator is an independent oracle and gives the
+pulsed model's period operator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -416,14 +417,15 @@ def quench_from_csv(text: str) -> QuenchResult:
 
 
 def dense_propagator(parts: HamiltonianParts, delta: float, t: float) -> np.ndarray:
-    """Exact unitary exp(-i H t) at constant detuning via eigendecomposition.
+    """Exact unitary exp(-i H t) at constant detuning via the real
+    eigendecomposition of :meth:`HamiltonianParts.dense`.
 
-    Guarded to dimensions of at most 2**10; intended as a test oracle.
+    Guarded to dimensions of at most 2**10; a test oracle, and the period
+    operator of :func:`scarsim.floquet.floquet_eigenstate_overlap`.
     """
     if parts.dim > DENSE_DIM_LIMIT:
         raise CapacityError(
             f"dense propagator guarded to dim <= {DENSE_DIM_LIMIT}, got {parts.dim}"
         )
-    h = parts.dense(delta)
-    evals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
+    evals, vecs = np.linalg.eigh(parts.dense(delta))
+    return (vecs * np.exp(-1j * t * evals)) @ vecs.T

@@ -10,12 +10,15 @@ At theta = pi the kick anticommutes the generator (particle-hole symmetry),
 so two periods form an exact many-body echo: U(pi, tau)^2 = identity.
 
 The (eps, tau) maps run on one engine.  The PXP Hamiltonian is real
-symmetric, so it is diagonalized once with real eigenvectors Q, and every
-grid point advances together as one column of a (dim, P) block: a period is
-the real GEMM Q^T @ block, a per-column multiply by exp(-i tau E), the real
-GEMM Q @ block and a per-column multiply by the kick.  ``apply_period`` is
-the independent path for a single state, used as a reference: one
-``evolve.propagate_step`` at zero detuning followed by the kick.
+symmetric (``HamiltonianParts.dense``), so it is diagonalized once with real
+eigenvectors Q, and every grid point advances together as one column of a
+(dim, P) block: a period is the real GEMM Q^T @ block, a per-column multiply
+by exp(-i tau E), the real GEMM Q @ block and a per-column multiply by the
+kick.  ``apply_period`` is the independent path for a single state, used as
+a reference: one ``evolve.propagate_step`` at zero detuning followed by the
+kick.  The Floquet-eigenstate analysis takes exp(-i tau H) from
+``evolve.dense_propagator`` and its class probabilities from
+``MicrostateOrdering.class_sums``.
 
 On a ring the maps propagate in the subspace invariant under translation by
 two sites and inversion (``lattice.symmetry_permutations``), as ring
@@ -36,6 +39,7 @@ from .errors import CapacityError, ConfigError
 from .evolve import (
     DENSE_DIM_LIMIT,
     _site_bit_table,
+    dense_propagator,
     propagate_step,
     symmetric_restriction,
 )
@@ -94,17 +98,6 @@ def apply_period(psi: np.ndarray, params: PulsedParams, basis: ConstrainedBasis,
     return _kick_phases(basis, params.theta) * out
 
 
-def _pxp_eigensystem(parts: HamiltonianParts) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and real orthonormal eigenvectors of H at zero detuning.
-
-    The blockade Hamiltonian is real symmetric, so its eigenvectors are real
-    and complex states are propagated with real matrix products.
-    """
-    h = parts.offdiagonal().toarray()
-    h[np.diag_indices_from(h)] += parts.diagonal(0.0)
-    return np.linalg.eigh(h)
-
-
 def _real_matmul(a: np.ndarray, block: np.ndarray) -> np.ndarray:
     """``a @ block`` for real ``a`` and a C-contiguous complex block, as one
     real GEMM over the block's interleaved real/imaginary columns."""
@@ -149,7 +142,7 @@ class _StroboscopicEngine:
             )
         self.dim = parts.dim
         self.psi0 = psi0
-        self.evals, self.q = _pxp_eigensystem(parts)
+        self.evals, self.q = np.linalg.eigh(parts.dense(0.0))
         # on a ring the diagonals are read at the orbit representatives
         self.popcounts = np.bitwise_count(parts.basis.states)
         bits = _site_bit_table(parts.basis)
@@ -247,11 +240,6 @@ class FloquetEigenstates:
     class_probs_antisymmetric: np.ndarray | None = None
 
 
-def _class_probabilities(psi: np.ndarray, ordering: MicrostateOrdering) -> np.ndarray:
-    pr = np.abs(psi) ** 2
-    return np.array([pr[list(members)].sum() for members in ordering.classes])
-
-
 def floquet_eigenstate_overlap(params: PulsedParams, basis: ConstrainedBasis,
                                parts_pxp: HamiltonianParts,
                                ordering: MicrostateOrdering | None = None
@@ -261,22 +249,19 @@ def floquet_eigenstate_overlap(params: PulsedParams, basis: ConstrainedBasis,
     The two eigenvectors maximizing |<AF1|v>|^2 + |<AF2|v>|^2 are returned
     together with their symmetric/antisymmetric combinations (phases fixed
     so the AF1 overlap is real nonnegative).  AF1 and AF2 are the canonical
-    states of the chain with the basis's site count.
+    states of the chain with the basis's site count.  exp(-i tau H) comes
+    from :func:`scarsim.evolve.dense_propagator`, whose guard refuses dims
+    over 2**10.
     """
     # imported here: only this analysis needs them, and every CLI process
     # imports this module
     from scipy.linalg import schur
     from scipy.sparse.csgraph import connected_components
 
-    if basis.dim > DENSE_DIM_LIMIT:
-        raise CapacityError(
-            f"dense period-operator analysis guarded to dim <= {DENSE_DIM_LIMIT}"
-        )
     af1, af2, _ = canonical_states(build_lattice("chain", basis.n_sites))
     i1, i2 = basis.index_of(af1), basis.index_of(af2)
 
-    evals, q = _pxp_eigensystem(parts_pxp)
-    u_tau = (q * np.exp(-1j * params.tau * evals)) @ q.T
+    u_tau = dense_propagator(parts_pxp, 0.0, params.tau)
     u_f = _kick_phases(basis, params.theta)[:, None] * u_tau
     # unitary matrices are normal, so the complex Schur form is diagonal and
     # the Schur vectors are an orthonormal eigenbasis
@@ -306,8 +291,8 @@ def floquet_eigenstate_overlap(params: PulsedParams, basis: ConstrainedBasis,
     anti /= np.linalg.norm(anti)
     cps = cpa = None
     if ordering is not None:
-        cps = _class_probabilities(sym, ordering)
-        cpa = _class_probabilities(anti, ordering)
+        cps = ordering.class_sums(np.abs(sym) ** 2)
+        cpa = ordering.class_sums(np.abs(anti) ** 2)
     return FloquetEigenstates(
         eigenvalues=phases[top],
         vectors=vecs,

@@ -136,7 +136,9 @@ class HamiltonianParts:
             - delta * self.diag_number.reshape(-1, *axes)
 
     def dense(self, delta: float) -> np.ndarray:
-        h = self.offdiagonal().toarray().astype(complex)
+        """H at detuning delta as a dense matrix; every model's H is real
+        symmetric, so it is float64."""
+        h = self.offdiagonal().toarray()
         h[np.diag_indices_from(h)] += self.diagonal(delta)
         return h
 

@@ -5,9 +5,10 @@ Basis states are plain integers: bit ``i`` (value ``1 << i``) is 1 when site
 site 0 in the most significant (leftmost) position, matching the row format
 used for the grouped microstate tables.
 
-Every basis symmetry acts through :func:`permute_states`: the ring sectors
-of quenches and pulsed maps (:func:`symmetric_isometry`) and the mirror
-classes of chain microstates (:func:`reflection_grouping`).
+Every basis symmetry acts through :func:`permute_states` and one orbit
+routine, :func:`orbits`: the ring sectors of quenches and pulsed maps
+(:func:`symmetric_isometry`) and the mirror classes of chain microstates
+(:func:`reflection_grouping`).
 """
 
 from __future__ import annotations
@@ -51,19 +52,25 @@ class ConstrainedBasis:
 class MicrostateOrdering:
     """Reflection classes of chain microstates with their sort keys.
 
-    classes holds one tuple of basis indices per class; keys holds the
-    matching (n_A - n_B, n_A + n_B) values.  After :func:`order_microstates`
-    the classes are sorted so that n_A - n_B never increases.
+    labels holds the class of each basis state; keys holds one
+    (n_A - n_B, n_A + n_B) pair per class.  After :func:`order_microstates`
+    the classes are numbered so that n_A - n_B never increases.
     """
 
-    n_sites: int
-    classes: tuple[tuple[int, ...], ...]
-    class_states: tuple[tuple[int, ...], ...]
+    labels: np.ndarray
     keys: tuple[tuple[int, int], ...]
 
     @property
     def n_classes(self) -> int:
-        return len(self.classes)
+        return len(self.keys)
+
+    def class_sums(self, weights) -> np.ndarray:
+        """Per-class totals of ``weights``, whose last axis runs over the
+        basis; each class adds its members in basis order."""
+        weights = np.asarray(weights)
+        out = np.zeros(weights.shape[:-1] + (self.n_classes,), dtype=weights.dtype)
+        np.add.at(out, (..., self.labels), weights)
+        return out
 
 
 def state_to_string(state: int, n_sites: int) -> str:
@@ -177,20 +184,31 @@ def permute_states(states, perm) -> np.ndarray:
     return out
 
 
+def orbits(states, perms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of basis states under a group of site permutations, given as
+    one row of ``perms`` per element (the identity may be left out).
+
+    A state's representative is the smallest of its images.  Returns the
+    representatives in ascending order, each state's orbit label (the index
+    of its representative) and the orbit sizes, which count every member
+    when the group maps ``states`` onto itself.
+    """
+    states = np.asarray(states).astype(np.uint64)
+    rep = states.copy()
+    for perm in perms:
+        np.minimum(rep, permute_states(states, perm), out=rep)
+    return np.unique(rep, return_inverse=True, return_counts=True)
+
+
 def symmetric_isometry(basis: ConstrainedBasis, perms) -> sp.csr_matrix:
     """Isometry onto the states invariant under a group of site permutations
     (:func:`scarsim.lattice.symmetry_permutations`).
 
-    A state's orbit representative is the smallest of its images.  Column o
-    of the (dim, n_orbits) result is the indicator of orbit o over sqrt(|o|),
-    so each row has one nonzero and P^T P = I; columns ascend by
-    representative.
+    Column o of the (dim, n_orbits) result is the indicator of orbit o
+    (:func:`orbits`) over sqrt(|o|), so each row has one nonzero and
+    P^T P = I; columns ascend by representative.
     """
-    states = basis.states.astype(np.uint64)
-    rep = states.copy()
-    for perm in perms:
-        np.minimum(rep, permute_states(states, perm), out=rep)
-    _, orbit, counts = np.unique(rep, return_inverse=True, return_counts=True)
+    _, orbit, counts = orbits(basis.states, perms)
     return sp.csr_matrix((1.0 / np.sqrt(counts[orbit]), (np.arange(basis.dim), orbit)),
                          shape=(basis.dim, len(counts)))
 
@@ -199,41 +217,32 @@ def reflection_grouping(basis: ConstrainedBasis, lat: Lattice) -> MicrostateOrde
     """Merge each chain configuration with its mirror image (site i -> n-1-i),
     which is in the basis because chain bonds depend only on |i - j|.
 
-    Self-symmetric (palindromic) states form singleton classes.  Classes are
-    returned in ascending order of their smallest member, whose sublattice
-    counts give the key; use :func:`order_microstates` for the canonical
-    presentation order.
+    The classes are the :func:`orbits` of the mirror, so self-symmetric
+    (palindromic) states form singleton classes.  Classes are numbered in
+    ascending order of their smallest member, whose sublattice counts give
+    the key; use :func:`order_microstates` for the canonical presentation
+    order.
     """
     if lat.kind not in ("chain", "zigzag_chain"):
         raise GeometryError("reflection grouping is only defined for chains")
-    n = basis.n_sites
-    mirrored = permute_states(basis.states, np.arange(n)[::-1]).astype(np.int64)
-    partner = np.searchsorted(basis.states, mirrored)
-    first = np.flatnonzero(partner >= np.arange(basis.dim))
-    rep = basis.states[first]
-    n_a = np.bitwise_count(rep & sublattice_mask(lat, 0)).astype(int)
-    n_b = np.bitwise_count(rep & sublattice_mask(lat, 1)).astype(int)
-    states = basis.states.tolist()
-    classes = tuple((i,) if i == j else (i, j)
-                    for i, j in zip(first.tolist(), partner[first].tolist()))
+    reps, labels, _ = orbits(basis.states, [np.arange(basis.n_sites)[::-1]])
+    n_a = np.bitwise_count(reps & sublattice_mask(lat, 0)).astype(int)
+    n_b = np.bitwise_count(reps & sublattice_mask(lat, 1)).astype(int)
     return MicrostateOrdering(
-        n_sites=n, classes=classes,
-        class_states=tuple(tuple(states[k] for k in c) for c in classes),
-        keys=tuple(zip((n_a - n_b).tolist(), (n_a + n_b).tolist())))
+        labels=labels, keys=tuple(zip((n_a - n_b).tolist(), (n_a + n_b).tolist())))
 
 
 def order_microstates(grouping: MicrostateOrdering) -> MicrostateOrdering:
-    """Sort classes by (n_A - n_B desc, n_A + n_B desc, smallest string asc).
+    """Renumber classes by (n_A - n_B desc, n_A + n_B desc, smallest string asc).
 
     The lexicographic third key is this toolkit's deterministic tie-break.
     Strings lead with site 0, so on mirror classes it orders them by their
-    smallest member, which :func:`reflection_grouping` lists first.
+    smallest member, the class's first state in basis order.
     """
-    order = sorted(range(grouping.n_classes), key=lambda k: (
-        -grouping.keys[k][0], -grouping.keys[k][1], grouping.class_states[k][0]))
-    return MicrostateOrdering(
-        n_sites=grouping.n_sites,
-        classes=tuple(grouping.classes[k] for k in order),
-        class_states=tuple(grouping.class_states[k] for k in order),
-        keys=tuple(grouping.keys[k] for k in order),
-    )
+    keys = np.array(grouping.keys).reshape(-1, 2)
+    first = np.unique(grouping.labels, return_index=True)[1]
+    order = np.lexsort((first, -keys[:, 1], -keys[:, 0]))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return MicrostateOrdering(labels=rank[grouping.labels],
+                              keys=tuple(grouping.keys[k] for k in order))

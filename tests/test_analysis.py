@@ -348,6 +348,31 @@ class TestMicrostateMatrix:
         with pytest.raises(ConfigError):
             microstate_matrix(res, ordering)
 
+    def test_class_sums_match_per_class_sums_bitwise(self, chain9, chain9_states):
+        """On the driven 9-chain, class_sums gives each class the bits of its
+        members' probabilities summed per class."""
+        from scarsim.evolve import EvolutionConfig, run_quench
+        from scarsim.hamiltonian import DriveProfile, build_rydberg
+        from scarsim.hilbert import order_microstates, reflection_grouping
+        from scarsim.lattice import PhysicalParams
+
+        p = PhysicalParams.from_mhz(4.2, 51.0)
+        lat, basis = chain9
+        af1, _, _ = chain9_states
+        parts = build_rydberg(lat, basis, p)
+        ordering = order_microstates(reflection_grouping(basis, lat))
+        psi0 = np.zeros(basis.dim, dtype=complex)
+        psi0[basis.index_of(af1)] = 1
+        drive = DriveProfile.cosine(0.55 * p.omega, 0.55 * p.omega, 1.15 * p.omega)
+        res = run_quench(lat, basis, parts, drive, psi0,
+                         EvolutionConfig(total_time=0.2, dt=0.002, record_stride=10))
+        want = np.column_stack([
+            res.probs[:, np.flatnonzero(ordering.labels == k)].sum(axis=1)
+            for k in range(ordering.n_classes)])
+        got = ordering.class_sums(res.probs)
+        assert got.shape == (len(res.times), 51)
+        assert got.tobytes() == want.tobytes()
+
     def test_driven_chain_concentrates_on_high_difference_classes(
             self, chain9, chain9_states):
         """Stroboscopic snapshots of the driven chain keep most weight on the

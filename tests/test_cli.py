@@ -107,6 +107,11 @@ class TestSectionChecks:
         # JSON NaN and Infinity are not numbers either
         ("quench", "drive", {**SMALL_QUENCH["drive"], "deltam_over_omega": float("nan")},
          "drive.deltam_over_omega"),
+        # two axes on one parameter would overwrite each other's values
+        ("sweep", "sweep", [
+            {"parameter": "drive.delta0_over_omega", "grid": [0.1, 0.2]},
+            {"parameter": "drive.delta0_over_omega", "grid": [0.5, 0.6, 0.7]}],
+         "sweep[1].parameter"),
     ])
     def test_malformed_section_exits_2(self, tmp_path, capsys, command, section,
                                        value, field):
@@ -346,6 +351,31 @@ class TestAnalyzeCommand:
         empty.write_text("")
         assert main(["analyze", str(empty), "--mode", "plane"]) == 2
         assert f"{empty}: empty aggregate file" in capsys.readouterr().err
+
+    def test_error_names_path_and_nothing_is_written(self, tmp_path, capsys):
+        """A failure on any path exits with its own code, names that path,
+        and leaves no output of the paths before it."""
+        t = np.arange(60) * 0.05
+        n_a = 0.5 + 0.4 * np.exp(-t / 2.0) * np.cos(5.0 * t)
+        rows = ["t,nA,nB,imbalance"] + [f"{ti!r},{a!r},{1 - a!r},{2 * a - 1!r}"
+                                        for ti, a in zip(t.tolist(), n_a.tolist())]
+        good = tmp_path / "good.csv"
+        good.write_text("\r\n".join(rows) + "\r\n")
+        short = tmp_path / "short.csv"
+        short.write_text("\r\n".join(rows[:11]) + "\r\n")
+        assert main(["analyze", str(good), "--mode", "fit"]) == 0
+        (tmp_path / "good_fit.json").unlink()
+        capsys.readouterr()
+        assert main(["analyze", str(good), str(short), "--mode", "fit"]) == 2
+        assert f"{short}: need at least 20 samples" in capsys.readouterr().err
+        assert not (tmp_path / "good_fit.json").exists()
+
+        agg = tmp_path / "line.csv"
+        agg.write_text("status,x_mhz,y_mhz,inv_tau\r\n" + "".join(
+            f"ok,{x!r},{2 * x!r},{0.5 + x!r}\r\n" for x in (0.1, 0.2, 0.3)))
+        assert main(["analyze", str(agg), "--mode", "plane"]) == 4
+        assert f"{agg}: design matrix is rank deficient" in capsys.readouterr().err
+        assert not (tmp_path / "line_plane.json").exists()
 
     @pytest.mark.parametrize("row,problem", [
         ("0.002,abc,0.1,0.9,0.1", "could not convert string to float: 'abc'"),

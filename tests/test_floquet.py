@@ -269,8 +269,6 @@ class TestEigenstateOverlap:
         assert np.allclose(fe.eigenvalues.imag, 0.0, atol=1e-9)
 
     def test_two_state_reconstruction_of_stroboscopic_dynamics(self):
-        from scarsim.floquet import _class_probabilities
-
         lat = build_lattice("chain", 9)
         basis = enumerate_blockaded(lat)
         parts = build_pxp(lat, basis, PhysicalParams(omega=1.0, v0=1.0))
@@ -290,8 +288,8 @@ class TestEigenstateOverlap:
             block = eng.apply(block, phases, kicks)
             psi = block[:, 0]
             recon = fe.vectors @ (fe.eigenvalues**n * coef)
-            errs.append(np.abs(_class_probabilities(psi, ordering)
-                               - _class_probabilities(recon, ordering)).sum())
+            errs.append(np.abs(ordering.class_sums(np.abs(psi) ** 2)
+                               - ordering.class_sums(np.abs(recon) ** 2)).sum())
         assert np.mean(errs) < 0.45
 
     def test_capacity_guard(self):

@@ -103,6 +103,10 @@ class TestHermiticityAndSymmetry:
         assert hermiticity_defect(parts.flip) == 0.0
         if parts.sw2_extra is not None:
             assert hermiticity_defect(parts.sw2_extra) == 0.0
+        # every model's H is real symmetric, so its dense form is float64
+        h = parts.dense(0.3 * p.omega)
+        assert h.dtype == np.float64
+        assert np.array_equal(h, h.T)
 
     def test_particle_hole_anticommutation(self, p, chain9):
         lat, basis = chain9

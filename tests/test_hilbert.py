@@ -47,6 +47,12 @@ def mirror(state, n):
     return int(permute_states([state], np.arange(n)[::-1])[0])
 
 
+def class_members(basis, ordering):
+    """The basis states of each class, ascending, in class order."""
+    return [tuple(basis.states[ordering.labels == k].tolist())
+            for k in range(ordering.n_classes)]
+
+
 def fib(n):
     a, b = 1, 1
     for _ in range(n - 1):
@@ -143,7 +149,8 @@ class TestGroupingAndOrdering:
     def test_palindrome_singleton_and_mirror_pair(self, chain9):
         lat, basis = chain9
         grouping = reflection_grouping(basis, lat)
-        by_member = {s: members for members in grouping.class_states for s in members}
+        members_of = class_members(basis, grouping)
+        by_member = {s: members for members in members_of for s in members}
         assert by_member[string_to_state("101010101")] == (string_to_state("101010101"),)
         left = string_to_state("100000000")
         right = string_to_state("000000001")
@@ -158,9 +165,10 @@ class TestGroupingAndOrdering:
     def test_landmark_positions(self, chain9):
         lat, basis = chain9
         ordering = order_microstates(reflection_grouping(basis, lat))
-        assert string_to_state("101010101") in ordering.class_states[0]
-        assert ordering.class_states[35] == (0,)
-        assert string_to_state("010101010") in ordering.class_states[50]
+        members_of = class_members(basis, ordering)
+        assert string_to_state("101010101") in members_of[0]
+        assert members_of[35] == (0,)
+        assert string_to_state("010101010") in members_of[50]
 
     def test_keys_non_increasing(self, chain9):
         lat, basis = chain9
@@ -184,7 +192,7 @@ class TestGroupingAndOrdering:
             assert ordering.keys[row] == key, f"row {row + 1}"
             ref_by_key.setdefault(key, []).append(
                 frozenset({s, mirror(s, 9)}))
-        for k, members in enumerate(ordering.class_states):
+        for k, members in enumerate(class_members(basis, ordering)):
             mine_by_key.setdefault(ordering.keys[k], []).append(frozenset(members))
         assert set(ref_by_key) == set(mine_by_key)
         for key in ref_by_key:
@@ -212,12 +220,17 @@ class TestGroupingAndOrdering:
             small = min(s, m)
             na, nb = bin(small & ma).count("1"), bin(small & mb).count("1")
             want[small] = (tuple(sorted({s, m})), (na - nb, na + nb))
+        members_of = class_members(basis, grouping)
         got = {members[0]: (members, key)
-               for members, key in zip(grouping.class_states, grouping.keys)}
+               for members, key in zip(members_of, grouping.keys)}
         assert got == want
-        assert [members[0] for members in grouping.class_states] == sorted(want)
-        for indices, members in zip(grouping.classes, grouping.class_states):
-            assert tuple(basis.states[list(indices)].tolist()) == members
+        assert [members[0] for members in members_of] == sorted(want)
+        # the labels partition the basis, and class_sums counts each class
+        assert len(grouping.labels) == basis.dim
+        assert sorted(s for members in members_of for s in members) \
+            == basis.states.tolist()
+        assert grouping.class_sums(np.ones(basis.dim)).tolist() \
+            == [len(members) for members in members_of]
         if n % 2 == 0:
             swapped = [k for k, (members, _) in want.items()
                        if len(members) == 2 and bin(members[0] & ma).count("1")
