@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .evolve import QuenchResult, _g17
+from .evolve import QuenchResult
 from .hilbert import MicrostateOrdering
+from .tables import csv_text, json_text
 
 # The fixed modulation-frequency grid (units of Omega) over which subharmonic
 # weights are summed into the rigidity; other grids are rejected.
@@ -332,6 +333,20 @@ def subharmonic_weight(spectrum: Spectrum, omegam: float, order: int = 2) -> flo
     return weight_at(spectrum, omegam / order)
 
 
+def spectral_summary(values: np.ndarray, times: np.ndarray,
+                     omegam: float | None = None) -> tuple[Spectrum, dict]:
+    """The spectrum of one series and its summary: ``peak_omega`` and, for a
+    drive frequency ``omegam`` (which calibrates at omegam / 2), the
+    ``subharmonic_weight`` and ``fourth_subharmonic_weight``."""
+    spec = fourier_spectrum(values, times,
+                            calibration_omega=omegam / 2.0 if omegam else None)
+    summary = {"peak_omega": spec.peak_omega()}
+    if omegam:
+        summary["subharmonic_weight"] = subharmonic_weight(spec, omegam)
+        summary["fourth_subharmonic_weight"] = subharmonic_weight(spec, omegam, order=4)
+    return spec, summary
+
+
 def subharmonic_rigidity(omegam_over_omega: np.ndarray | list[float],
                          weights: np.ndarray | list[float]) -> float:
     """Sum of the subharmonic weights over the fixed 11-point drive grid."""
@@ -349,43 +364,25 @@ def subharmonic_rigidity(omegam_over_omega: np.ndarray | list[float],
 
 
 def spectrum_to_csv(spectrum: Spectrum) -> str:
-    lines = ["omega,s2"]
-    for w, v in zip(spectrum.omegas, spectrum.s2):
-        lines.append(f"{_g17(w)},{_g17(v)}")
-    return "\r\n".join(lines) + "\r\n"
+    return csv_text(["omega", "s2"],
+                    np.column_stack([spectrum.omegas, spectrum.s2]).tolist())
 
 
 def fit_to_json(fit: DampedCosineFit) -> str:
-    import json
-
-    doc = {
-        "y0": fit.y0, "c": fit.c, "omega_tilde": fit.omega_tilde,
-        "tau": fit.tau, "converged": fit.converged, "residual": fit.residual,
-    }
-    if fit.param_errors is not None:
-        doc["param_errors"] = list(fit.param_errors)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    doc = asdict(fit)
+    if fit.param_errors is None:
+        del doc["param_errors"]
+    return json_text(doc)
 
 
 def plane_to_json(fit: PlaneFit) -> str:
-    import json
-
-    doc = {
-        "alpha": fit.alpha, "beta": fit.beta, "inv_tau0": fit.inv_tau0,
-        "alpha_err": fit.alpha_err, "beta_err": fit.beta_err,
-        "inv_tau0_err": fit.inv_tau0_err, "residual": fit.residual,
-        "r_squared": fit.r_squared,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json_text(asdict(fit))
 
 
 def microstate_matrix_to_csv(times: np.ndarray, matrix: np.ndarray) -> str:
     """Wide CSV keyed by 1-based presentation-order class index."""
     header = ["t"] + [f"c{k + 1}" for k in range(matrix.shape[1])]
-    lines = [",".join(header)]
-    for t, row in zip(times, matrix):
-        lines.append(",".join([_g17(t)] + [_g17(v) for v in row]))
-    return "\r\n".join(lines) + "\r\n"
+    return csv_text(header, np.column_stack([times, matrix]).tolist())
 
 
 def microstate_matrix(result: QuenchResult, ordering: MicrostateOrdering) -> np.ndarray:

@@ -38,14 +38,13 @@ from .analysis import (
     fit_damped_cosine,
     fit_decay_plane,
     fit_to_json,
-    fourier_spectrum,
     imbalance,
     microstate_matrix,
     microstate_matrix_to_csv,
     plane_to_json,
+    spectral_summary,
     spectrum_to_csv,
     subharmonic_rigidity,
-    subharmonic_weight,
     weight_at,
 )
 from .config import (
@@ -65,7 +64,6 @@ from .errors import (
 )
 from .evolve import (
     QuenchResult,
-    _g17,
     _run_block,
     quench_from_csv,
     quench_to_csv,
@@ -90,22 +88,9 @@ from .lattice import (
     predict_lifetime,
 )
 from .presets import NOTES, get_preset, preset_names
+from .tables import csv_text, json_text, read_csv
 
 _REF_INV_TAU0 = 0.4
-
-
-def _csv_field(s: str) -> str:
-    if any(ch in s for ch in ',"\r\n'):
-        return '"' + s.replace('"', '""') + '"'
-    return s
-
-
-def _grid_field(v) -> str:
-    """A sweep grid value as a CSV cell: numbers exactly, booleans as JSON
-    writes them, anything else as text."""
-    if isinstance(v, bool):
-        return json.dumps(v)
-    return _g17(v) if is_number(v) else _csv_field(str(v))
 
 
 def _load_document(args) -> dict:
@@ -186,8 +171,7 @@ def _run(command, doc: dict, out: Path, *args) -> int:
         if error is not None:
             manifest["error"] = error
         out.mkdir(parents=True, exist_ok=True)
-        (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2)
-                                           + "\n")
+        (out / "manifest.json").write_text(json_text(manifest))
 
     try:
         cfg = parse_config(doc)
@@ -206,10 +190,9 @@ def _run(command, doc: dict, out: Path, *args) -> int:
 
 
 def cmd_lattice(cfg: ExperimentConfig) -> tuple[dict, str, str]:
-    report = json.dumps(_geometry_report(cfg), sort_keys=True, indent=2)
-    files = {"lattice.json": lattice_to_json(cfg.lattice) + "\n",
-             "geometry.json": report + "\n"}
-    return files, "complete", report
+    report = json_text(_geometry_report(cfg))
+    files = {"lattice.json": lattice_to_json(cfg.lattice), "geometry.json": report}
+    return files, "complete", report.rstrip()
 
 
 def _analyze_quench(result: QuenchResult,
@@ -224,18 +207,13 @@ def _analyze_quench(result: QuenchResult,
         analysis["fit_error"] = str(exc)
     spec = None
     if drive.shape in (DriveShape.COSINE, DriveShape.SQUARE):
-        spec = fourier_spectrum(series, result.times,
-                                calibration_omega=drive.omegam / 2.0)
-        analysis["omegam_rad"] = drive.omegam
-        analysis["subharmonic_weight"] = subharmonic_weight(spec, drive.omegam)
-        analysis["fourth_subharmonic_weight"] = subharmonic_weight(
-            spec, drive.omegam, order=4)
+        spec, summary = spectral_summary(series, result.times, drive.omegam)
+        analysis.update(summary, omegam_rad=drive.omegam)
         if drive.omegam <= spec.omegas[-1]:
             analysis["harmonic_weight"] = weight_at(spec, drive.omegam)
-        analysis["peak_omega"] = spec.peak_omega()
     elif len(result.times) >= 20:
-        spec = fourier_spectrum(series, result.times)
-        analysis["peak_omega"] = spec.peak_omega()
+        spec, summary = spectral_summary(series, result.times)
+        analysis.update(summary)
     return analysis, spec
 
 
@@ -256,8 +234,8 @@ def cmd_quench(cfg: ExperimentConfig) -> tuple[dict, str, str]:
     basis, result = _run_single_quench(cfg)
     analysis, spec = _analyze_quench(result, cfg.drive)
     files = {"quench.csv": quench_to_csv(result),
-             "lattice.json": lattice_to_json(cfg.lattice) + "\n",
-             "analysis.json": json.dumps(analysis, sort_keys=True, indent=2) + "\n"}
+             "lattice.json": lattice_to_json(cfg.lattice),
+             "analysis.json": json_text(analysis)}
     if spec is not None:
         files["spectrum.csv"] = spectrum_to_csv(spec)
     if cfg.observables.microstates:
@@ -427,18 +405,15 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int | None) -> tuple[dict, str, str]:
     files: dict = {}
     axis_names = [ax.parameter for ax in cfg.sweep]
     header = ["point"] + axis_names + ["status", "error"] + list(_AGG_COLUMNS)
-    lines = [",".join(header)]
+    table = []
     for k, (pt, row) in enumerate(zip(points, rows)):
-        csv_text = row.pop("quench_csv", None)
-        if csv_text is not None:
-            files[f"point_{k:03d}/quench.csv"] = csv_text
-        vals = [str(k)] + [_grid_field(pt[name]) for name in axis_names]
-        vals += [row["status"], _csv_field(row.get("error", ""))]
-        for col in _AGG_COLUMNS:
-            v = row.get(col)
-            vals.append("" if v is None else _g17(v))
-        lines.append(",".join(vals))
-    files["aggregate.csv"] = "\r\n".join(lines) + "\r\n"
+        quench_csv = row.pop("quench_csv", None)
+        if quench_csv is not None:
+            files[f"point_{k:03d}/quench.csv"] = quench_csv
+        table.append([k] + [pt[name] for name in axis_names]
+                     + [row["status"], row.get("error", "")]
+                     + [row.get(col) for col in _AGG_COLUMNS])
+    files["aggregate.csv"] = csv_text(header, table)
 
     rigidity_csv = _rigidity_table(cfg, points, rows)
     if rigidity_csv is not None:
@@ -471,13 +446,12 @@ def _rigidity_table(cfg: ExperimentConfig, points: list[dict],
         key = pt[other_axis.parameter] if other_axis else ""
         groups.setdefault(key, []).append(row["sub_weight"])
     name = other_axis.parameter if other_axis else "group"
-    lines = [f"{name},rigidity"]
+    table = []
     for key, ws in groups.items():
         if len(ws) != len(RIGIDITY_GRID):
             return None
-        rigidity = subharmonic_rigidity(freq_axis.grid, ws)
-        lines.append(f"{_grid_field(key) if key != '' else ''},{_g17(rigidity)}")
-    return "\r\n".join(lines) + "\r\n"
+        table.append([key, subharmonic_rigidity(freq_axis.grid, ws)])
+    return csv_text([name, "rigidity"], table)
 
 
 def cmd_floquet(cfg: ExperimentConfig) -> tuple[dict, str, str]:
@@ -487,15 +461,13 @@ def cmd_floquet(cfg: ExperimentConfig) -> tuple[dict, str, str]:
     fn = revival_fidelity_map if fq.map == "revival" else pulsed_subharmonic_map
     values = fn(fq.l, fq.boundary, fq.epsilons, fq.taus,
                 n_periods=fq.n_periods, initial_state=fq.initial_state)
-    lines = ["epsilon,tau_omega,value"]
-    for i, eps in enumerate(fq.epsilons):
-        for j, tau in enumerate(fq.taus):
-            lines.append(f"{_g17(eps)},{_g17(tau)},{_g17(values[i, j])}")
+    table = [[eps, tau, v] for eps, row in zip(fq.epsilons, values.tolist())
+             for tau, v in zip(fq.taus, row)]
     meta = {"l": fq.l, "boundary": fq.boundary, "map": fq.map,
             "n_periods": fq.n_periods, "initial_state": fq.initial_state,
             "epsilons": list(fq.epsilons), "taus_omega": list(fq.taus)}
-    files = {"map.csv": "\r\n".join(lines) + "\r\n",
-             "map_meta.json": json.dumps(meta, sort_keys=True, indent=2) + "\n"}
+    files = {"map.csv": csv_text(["epsilon", "tau_omega", "value"], table),
+             "map_meta.json": json_text(meta)}
     return files, "complete", \
         f"floquet map complete: {values.shape[0]}x{values.shape[1]} points"
 
@@ -503,20 +475,26 @@ def cmd_floquet(cfg: ExperimentConfig) -> tuple[dict, str, str]:
 def cmd_analyze(paths: list[str], mode: str, out: Path | None,
                 omegam_rad: float | None) -> int:
     """Re-analyze stored files.  Every path is analysed before any output is
-    written, and an error names the path it came from."""
+    written, an error names the path it came from, and two paths whose
+    outputs would land on the same files are refused."""
     if mode not in ("fit", "spectrum", "plane"):
         raise ConfigError(f"unknown analyze mode {mode!r}")
+    owners: dict = {}
     done = []
     for raw_path in paths:
         path = Path(raw_path)
         if not path.exists():
             raise ConfigError(f"input file not found: {path}")
+        dest = out if out is not None else path.parent
+        other = owners.setdefault((dest, path.stem), path)
+        if other != path:
+            raise ConfigError(f"{other} and {path} would write the same "
+                              f"{path.stem}_{mode} outputs in {dest}")
         try:
-            done.append((path, *_analyze_file(path, mode, omegam_rad)))
+            done.append((dest, *_analyze_file(path, mode, omegam_rad)))
         except ScarsimError as exc:
             raise type(exc)(f"{path}: {exc}") from exc
-    for path, files, summary in done:
-        dest = out if out is not None else path.parent
+    for dest, files, summary in done:
         dest.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             (dest / name).write_text(text)
@@ -536,14 +514,8 @@ def _analyze_file(path: Path, mode: str, omegam_rad: float | None) -> tuple[dict
     if mode == "fit":
         text = fit_to_json(fit_damped_cosine(imbalance(result), result.times))
         return {f"{stem}_fit.json": text}, text
-    calib = omegam_rad / 2.0 if omegam_rad else None
-    spec = fourier_spectrum(imbalance(result), result.times, calibration_omega=calib)
-    summary = {"peak_omega": spec.peak_omega()}
-    if omegam_rad:
-        summary["subharmonic_weight"] = subharmonic_weight(spec, omegam_rad)
-        summary["fourth_subharmonic_weight"] = subharmonic_weight(
-            spec, omegam_rad, order=4)
-    text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+    spec, summary = spectral_summary(imbalance(result), result.times, omegam_rad)
+    text = json_text(summary)
     return {f"{stem}_spectrum.csv": spectrum_to_csv(spec),
             f"{stem}_analysis.json": text}, text
 
@@ -552,28 +524,15 @@ def _parse_stored(path: Path, parse):
     """``parse(text)`` of a stored file; a malformed one is a ConfigError."""
     try:
         return parse(path.read_text())
-    except IndexError as exc:
-        raise ConfigError("a row has fewer cells than the header") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _plane_points_from_aggregate(text: str) -> list[tuple[float, float, float]]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ConfigError("empty aggregate file")
-    header = lines[0].split(",")
-    try:
-        ix, iy, iv = (header.index(c) for c in ("x_mhz", "y_mhz", "inv_tau"))
-        istat = header.index("status")
-    except ValueError as exc:
-        raise ConfigError(f"aggregate file lacks required columns: {exc}") from exc
-    pts = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if cells[istat] != "ok" or not cells[iv]:
-            continue
-        pts.append((float(cells[ix]), float(cells[iy]), float(cells[iv])))
+    header, rows = read_csv(text, "aggregate", ("status", "x_mhz", "y_mhz", "inv_tau"))
+    istat, ix, iy, iv = (header.index(c) for c in ("status", "x_mhz", "y_mhz", "inv_tau"))
+    pts = [(float(r[ix]), float(r[iy]), float(r[iv]))
+           for r in rows if r[istat] == "ok" and r[iv]]
     if len(pts) < 3:
         raise ConfigError("aggregate contains fewer than 3 fitted points")
     return pts

@@ -18,6 +18,7 @@ from .errors import ConfigError, is_int, is_number
 from .evolve import EvolutionConfig
 from .hamiltonian import DriveProfile, DriveShape
 from .lattice import Lattice, PhysicalParams, build_lattice, optimal_detuning
+from .tables import json_text
 
 MODELS = ("rydberg", "pxp", "sw2")
 INITIAL_STATES = ("AF1", "AF2", "GGG")
@@ -182,10 +183,8 @@ def _parse_evolution(d) -> EvolutionConfig:
     """
     path = "evolution"
     _fields(d, path, ("total_time", "dt", "record_stride", "krylov_dim"))
-    ev = EvolutionConfig(total_time=_get(d, path, "total_time", required=True),
-                         dt=d.get("dt", 0.002),
-                         record_stride=d.get("record_stride", 1),
-                         krylov_dim=d.get("krylov_dim", 16))
+    _get(d, path, "total_time", required=True)
+    ev = EvolutionConfig(**d)
     ratio = ev.total_time / ev.dt
     n_steps = round(ratio)
     _expect(abs(ratio - n_steps) <= _GRID_RTOL * ratio,
@@ -317,7 +316,7 @@ def normalize_document(doc: dict) -> dict:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    return json.dumps(cfg.raw, sort_keys=True, indent=2) + "\n"
+    return json_text(cfg.raw)
 
 
 def config_hash(doc: dict) -> str:

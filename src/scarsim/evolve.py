@@ -22,6 +22,7 @@ from .errors import CapacityError, ConfigError, NumericalError, is_int, is_numbe
 from .hamiltonian import DriveProfile, HamiltonianParts, detuning_at, restrict_parts
 from .hilbert import ConstrainedBasis, symmetric_isometry
 from .lattice import Lattice, symmetry_permutations
+from .tables import csv_text, read_csv
 
 DENSE_DIM_LIMIT = 1 << 10
 
@@ -370,44 +371,25 @@ def entanglement_entropy(rho: np.ndarray) -> float:
     return float(-(evals * np.log(evals)).sum())
 
 
-def _g17(x: float) -> str:
-    """Shortest-exact text of a float, shared by every CSV writer."""
-    return format(float(x), ".17g")
-
-
 def quench_to_csv(result: QuenchResult) -> str:
     """Round-trip-exact CSV: t, nA, nB, imbalance, per-site columns, entropies."""
-    n_sites = result.site_pops.shape[1]
-    cols = ["t", "nA", "nB", "imbalance"]
-    cols += [f"n_{i}" for i in range(n_sites)]
-    cols += [f"S_cut{k}" for k in range(len(result.entropy_cuts))]
-    lines = [",".join(cols)]
-    for k, t in enumerate(result.times):
-        row = [_g17(t), _g17(result.n_a[k]), _g17(result.n_b[k]),
-               _g17(result.n_a[k] - result.n_b[k])]
-        row += [_g17(v) for v in result.site_pops[k]]
-        if result.entropies is not None:
-            row += [_g17(v) for v in result.entropies[k]]
-        lines.append(",".join(row))
-    return "\r\n".join(lines) + "\r\n"
+    header = ["t", "nA", "nB", "imbalance"]
+    header += [f"n_{i}" for i in range(result.site_pops.shape[1])]
+    header += [f"S_cut{k}" for k in range(len(result.entropy_cuts))]
+    columns = [result.times, result.n_a, result.n_b, result.n_a - result.n_b,
+               *result.site_pops.T]
+    if result.entropies is not None:
+        columns += list(result.entropies.T)
+    return csv_text(header, np.column_stack(columns).tolist())
 
 
 def quench_from_csv(text: str) -> QuenchResult:
     """Parse the output of :func:`quench_to_csv` (probabilities not included)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ConfigError("empty quench file")
-    header = lines[0].split(",")
-    try:
-        site_cols = [k for k, name in enumerate(header) if name.startswith("n_")]
-        ent_cols = [k for k, name in enumerate(header) if name.startswith("S_cut")]
-        it, ia, ib = header.index("t"), header.index("nA"), header.index("nB")
-    except ValueError as exc:
-        raise ConfigError(f"malformed quench file header: {exc}") from exc
-    rows = [ln.split(",") for ln in lines[1:]]
-    times = np.array([float(r[it]) for r in rows])
-    n_a = np.array([float(r[ia]) for r in rows])
-    n_b = np.array([float(r[ib]) for r in rows])
+    header, rows = read_csv(text, "quench", ("t", "nA", "nB"))
+    site_cols = [k for k, name in enumerate(header) if name.startswith("n_")]
+    ent_cols = [k for k, name in enumerate(header) if name.startswith("S_cut")]
+    times, n_a, n_b = (np.array([float(r[k]) for r in rows])
+                       for k in map(header.index, ("t", "nA", "nB")))
     pops = np.array([[float(r[k]) for k in site_cols] for r in rows])
     ents = np.array([[float(r[k]) for k in ent_cols] for r in rows]) \
         if ent_cols else None

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GeometryError
+from .tables import json_text
 
 LATTICE_KINDS = (
     "chain",
@@ -449,7 +450,7 @@ def lattice_to_json(lat: Lattice) -> str:
         "positions": [[float(f"{x:.12g}") for x in row] for row in lat.positions],
         "sublattice": ["A" if s == 0 else "B" for s in lat.sublattice],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json_text(doc)
 
 
 def lattice_from_json(text: str) -> Lattice:

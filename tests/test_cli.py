@@ -310,6 +310,14 @@ class TestQuenchCommand:
         assert main(["quench", "--config", bad, "--preset", "fig2-chain"]) == 2
 
 
+def damped_quench_rows() -> list[str]:
+    """Lines of a stored quench table whose imbalance is a damped cosine."""
+    t = np.arange(60) * 0.05
+    n_a = 0.5 + 0.4 * np.exp(-t / 2.0) * np.cos(5.0 * t)
+    return ["t,nA,nB,imbalance"] + [f"{ti!r},{a!r},{1 - a!r},{2 * a - 1!r}"
+                                    for ti, a in zip(t.tolist(), n_a.tolist())]
+
+
 class TestAnalyzeCommand:
     def test_reanalysis_bit_stable(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_QUENCH)
@@ -355,10 +363,7 @@ class TestAnalyzeCommand:
     def test_error_names_path_and_nothing_is_written(self, tmp_path, capsys):
         """A failure on any path exits with its own code, names that path,
         and leaves no output of the paths before it."""
-        t = np.arange(60) * 0.05
-        n_a = 0.5 + 0.4 * np.exp(-t / 2.0) * np.cos(5.0 * t)
-        rows = ["t,nA,nB,imbalance"] + [f"{ti!r},{a!r},{1 - a!r},{2 * a - 1!r}"
-                                        for ti, a in zip(t.tolist(), n_a.tolist())]
+        rows = damped_quench_rows()
         good = tmp_path / "good.csv"
         good.write_text("\r\n".join(rows) + "\r\n")
         short = tmp_path / "short.csv"
@@ -376,6 +381,37 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(agg), "--mode", "plane"]) == 4
         assert f"{agg}: design matrix is rank deficient" in capsys.readouterr().err
         assert not (tmp_path / "line_plane.json").exists()
+
+    def test_colliding_outputs_exit_2_and_nothing_is_written(self, tmp_path, capsys):
+        """Two inputs with one stem and one destination would overwrite each
+        other's outputs; in different destinations they do not."""
+        paths = [tmp_path / "a" / "quench.csv", tmp_path / "b" / "quench.csv"]
+        for path in paths:
+            path.parent.mkdir()
+            path.write_text("\r\n".join(damped_quench_rows()) + "\r\n")
+        dest = tmp_path / "x"
+        assert main(["analyze", *map(str, paths), "--mode", "fit",
+                     "--out", str(dest)]) == 2
+        err = capsys.readouterr().err
+        assert f"{paths[0]} and {paths[1]}" in err
+        assert not dest.exists()
+        assert main(["analyze", *map(str, paths), "--mode", "fit"]) == 0
+        assert all((p.parent / "quench_fit.json").exists() for p in paths)
+
+    def test_quoted_cells_in_aggregate(self, tmp_path):
+        """RFC 4180 quoting: a grid or error cell may hold a comma, a quote
+        and a line break, and the plane fit still reads every ok row."""
+        rows = ['point,drive.shape,status,error,x_mhz,y_mhz,inv_tau']
+        for k, (x, y) in enumerate([(0.2, 0.3), (1.0, 0.1), (0.4, 1.2), (0.7, 0.9)]):
+            rows.append(f'{k},"a,\r\nb",ok,,{x!r},{y!r},{0.72 * x + 0.58 * y + 0.4!r}')
+        rows.append('4,"x\ny",error,"ConfigError: drive.shape: ""x\ny"",\r\nno",,,')
+        agg = tmp_path / "aggregate.csv"
+        agg.write_text("\r\n".join(rows) + "\r\n")
+        assert main(["analyze", str(agg), "--mode", "plane"]) == 0
+        fit = json.loads((tmp_path / "aggregate_plane.json").read_text())
+        assert fit["alpha"] == pytest.approx(0.72, abs=1e-9)
+        assert fit["beta"] == pytest.approx(0.58, abs=1e-9)
+        assert fit["inv_tau0"] == pytest.approx(0.4, abs=1e-9)
 
     @pytest.mark.parametrize("row,problem", [
         ("0.002,abc,0.1,0.9,0.1", "could not convert string to float: 'abc'"),
