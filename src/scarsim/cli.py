@@ -13,13 +13,16 @@ A sweep groups the grid points that differ only in their drive and need
 the same substep count, on lattices of at most 12 sites and at most 6
 points per group; each group runs as one block propagation, every other
 point runs on its own, and ``--jobs N`` (N >= 1) spreads the groups over
-worker processes.  Neither the grouping nor the output bytes depend on N.
+worker processes.  Workers only propagate; the calling process analyses
+each group's points as the group comes back.  Neither the grouping nor the
+output bytes depend on N.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import gc
 import itertools
 import json
@@ -88,7 +91,7 @@ from .lattice import (
     predict_lifetime,
 )
 from .presets import NOTES, get_preset, preset_names
-from .tables import csv_text, json_text, read_csv
+from .tables import csv_text, json_text, number_cell, read_csv
 
 _REF_INV_TAU0 = 0.4
 
@@ -271,11 +274,12 @@ def _error_row(exc: Exception) -> dict:
     return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _sweep_row(cfg: ExperimentConfig, basis, result: QuenchResult) -> dict:
-    """The aggregate row of one finished sweep point."""
+def _sweep_row(cfg: ExperimentConfig, dim: int, result: QuenchResult) -> dict:
+    """The aggregate row of one propagated sweep point: its fit, spectral
+    weights and ``quench.csv``, computed in the calling process."""
     analysis, _ = _analyze_quench(result, cfg.drive)
     x, y = decay_predictors(cfg.lattice, cfg.physical)
-    row: dict = {"status": "ok", "error": "", "dim": basis.dim, "x_mhz": x, "y_mhz": y}
+    row: dict = {"status": "ok", "error": "", "dim": dim, "x_mhz": x, "y_mhz": y}
     fit = analysis.get("fit")
     if fit is not None and fit.get("converged"):
         row["omega_tilde"] = fit["omega_tilde"]
@@ -288,27 +292,36 @@ def _sweep_row(cfg: ExperimentConfig, basis, result: QuenchResult) -> dict:
     return row
 
 
-def _sweep_worker(cfg: ExperimentConfig) -> dict:
-    """Run one parsed sweep point on its own; returns its aggregate row.
+def _propagated(dim: int, result: QuenchResult) -> tuple[int, QuenchResult]:
+    """What a worker returns for a propagated point: the basis dimension and
+    the result without the probabilities and final state no row reads."""
+    return dim, dataclasses.replace(result, probs=None, final_state=None)
+
+
+def _sweep_worker(cfg: ExperimentConfig) -> tuple[int, QuenchResult] | dict:
+    """Propagate one parsed sweep point on its own; returns its
+    :func:`_propagated` result, or its error row.
 
     Never raises: any exception becomes an error row (see
     :func:`_error_row`), so one bad point cannot abort the sweep.
     """
     try:
         basis, result = _run_single_quench(cfg)
-        return _sweep_row(cfg, basis, result)
+        return _propagated(basis.dim, result)
     except Exception as exc:
         return _error_row(exc)
 
 
-def _group_worker(cfgs: list[ExperimentConfig]) -> list[dict]:
-    """Run the parsed points of one sweep group as one block; one row each.
+def _group_worker(cfgs: list[ExperimentConfig]) -> list:
+    """Propagate the parsed points of one sweep group as one block; one
+    :func:`_sweep_worker` result per point.
 
     The points share everything but their drive (see :func:`_sweep_groups`),
     so the basis and the Hamiltonian are built once and every drive becomes
     one column of :func:`scarsim.evolve._run_block`.  A group of one, or a
-    group that raises anywhere, runs its points one by one through
-    :func:`_sweep_worker`, so a bad point still gives exactly one error row.
+    group whose propagation raises anywhere, runs its points one by one
+    through :func:`_sweep_worker`, so a bad point still gives exactly one
+    error row.
     """
     if len(cfgs) > 1:
         try:
@@ -318,7 +331,7 @@ def _group_worker(cfgs: list[ExperimentConfig]) -> list[dict]:
                                  psi0, cfg.evolution,
                                  entropy_cuts=cfg.observables.entropy_cuts,
                                  record_probs=cfg.observables.microstates)
-            return [_sweep_row(c, basis, r) for c, r in zip(cfgs, results)]
+            return [_propagated(basis.dim, r) for r in results]
         except Exception as exc:
             if not isinstance(exc, ScarsimError):
                 traceback.print_exc()
@@ -390,17 +403,27 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int | None) -> tuple[dict, str, str]:
             cfgs.append(exc)
     rows: list = [_error_row(c) if isinstance(c, Exception) else None for c in cfgs]
     groups = [g for g in _sweep_groups(cfgs) if rows[g[0]] is None]
-    payloads = [[cfgs[k] for k in group] for group in groups]
+
+    def analyse(group: list[int], outputs: list) -> None:
+        # a point whose analysis raises gets its error row; nothing reruns
+        for k, out in zip(group, outputs):
+            try:
+                rows[k] = out if isinstance(out, dict) else _sweep_row(cfgs[k], *out)
+            except Exception as exc:
+                rows[k] = _error_row(exc)
+
     if jobs == 1:
-        group_rows = [_group_worker(pl) for pl in payloads]
+        for group in groups:
+            analyse(group, _group_worker([cfgs[k] for k in group]))
     else:
-        # no more workers than groups: each group is one task
-        workers = min(jobs or os.cpu_count() or 1, max(len(payloads), 1))
+        # no more workers than groups: each group is one task, analysed
+        # here as it comes back while the workers propagate the rest
+        workers = min(jobs or os.cpu_count() or 1, max(len(groups), 1))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            group_rows = list(pool.map(_group_worker, payloads))
-    for group, grows in zip(groups, group_rows):
-        for k, row in zip(group, grows):
-            rows[k] = row
+            tasks = {pool.submit(_group_worker, [cfgs[k] for k in group]): group
+                     for group in groups}
+            for task in concurrent.futures.as_completed(tasks):
+                analyse(tasks[task], task.result())
 
     files: dict = {}
     axis_names = [ax.parameter for ax in cfg.sweep]
@@ -530,8 +553,9 @@ def _parse_stored(path: Path, parse):
 
 def _plane_points_from_aggregate(text: str) -> list[tuple[float, float, float]]:
     header, rows = read_csv(text, "aggregate", ("status", "x_mhz", "y_mhz", "inv_tau"))
-    istat, ix, iy, iv = (header.index(c) for c in ("status", "x_mhz", "y_mhz", "inv_tau"))
-    pts = [(float(r[ix]), float(r[iy]), float(r[iv]))
+    istat, iv = header.index("status"), header.index("inv_tau")
+    cols = [(header.index(c), c) for c in ("x_mhz", "y_mhz", "inv_tau")]
+    pts = [tuple(number_cell(r[k], "aggregate", c) for k, c in cols)
            for r in rows if r[istat] == "ok" and r[iv]]
     if len(pts) < 3:
         raise ConfigError("aggregate contains fewer than 3 fitted points")

@@ -22,7 +22,7 @@ from .errors import CapacityError, ConfigError, NumericalError, is_int, is_numbe
 from .hamiltonian import DriveProfile, HamiltonianParts, detuning_at, restrict_parts
 from .hilbert import ConstrainedBasis, symmetric_isometry
 from .lattice import Lattice, symmetry_permutations
-from .tables import csv_text, read_csv
+from .tables import csv_text, number_cell, read_csv
 
 DENSE_DIM_LIMIT = 1 << 10
 
@@ -90,6 +90,42 @@ class QuenchResult:
 # this logarithm.
 _LOG_BOUND_FLOOR = math.log(1e-3 * _CHEBYSHEV_TAIL)
 
+# Miller's backward recurrence starts this many orders above the last order
+# it returns, and the leading series term serves below _BESSEL_SMALL_X.
+_MILLER_MARGIN = 4
+_BESSEL_SMALL_X = 1e-8
+
+
+def _bessel_j(x: float, kmax: int) -> list[float]:
+    """J_0(x), ..., J_kmax(x) on Python floats.
+
+    Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, started
+    from the values 0 and 1 a few orders above kmax and normalised by
+    J_0 + 2 (J_2 + J_4 + ...) = 1; the running values are scaled down
+    whenever they grow past 1e250, so large |x| cannot overflow.  Below
+    |x| = 1e-8 the leading series term (|x|/2)^k / k! is exact to rounding.
+    J_k(-x) = (-1)^k J_k(x).
+    """
+    ax = abs(x)
+    if ax < _BESSEL_SMALL_X:
+        js = [(ax / 2.0) ** k / math.factorial(k) for k in range(kmax + 1)]
+    else:
+        nxt, cur, two_over_x = 0.0, 1.0, 2.0 / ax
+        js = []
+        for k in range(kmax + _MILLER_MARGIN, 0, -1):
+            js.append(cur)
+            nxt, cur = cur, k * two_over_x * cur - nxt
+            if abs(cur) > 1e250:
+                js = [v * 1e-250 for v in js]
+                nxt, cur = nxt * 1e-250, cur * 1e-250
+        js.append(cur)
+        js.reverse()
+        norm = cur + 2.0 * sum(js[2::2])
+        js = [v / norm for v in js[:kmax + 1]]
+    if x < 0:
+        js[1::2] = [-v for v in js[1::2]]
+    return js
+
 
 def _chebyshev_coefficients(x) -> np.ndarray:
     """Coefficients c_k of exp(-i x y) = sum_k c_k T_k(y) for y in [-1, 1].
@@ -99,16 +135,15 @@ def _chebyshev_coefficients(x) -> np.ndarray:
     below ``_CHEBYSHEV_TAIL``.  For a scalar x the result has one entry per
     kept degree; for an array of P values it is a (degree + 1, P) block
     whose column p is the series of x[p], padded with zeros past that
-    column's own degree.  The Bessel values of all columns come from one
-    ``jv`` call; the sizing loops run per column on Python floats.
+    column's own degree.  Each column is sized and its Bessel values
+    computed (:func:`_bessel_j`) on Python floats, so a column does not
+    depend on the others.
     """
-    from scipy.special import jv  # imported here: floquet runs never step
-
     xs = np.asarray(x, dtype=float)
     # |J_k(x)| <= (|x|/2)^k / k!; past kmax >= |x| these bounds at least
     # halve at every order, so the unevaluated orders add at most 2 * term.
     # The bound is kept as a logarithm, which stays finite at large |x|.
-    kmax, dropped = [], []
+    columns = []
     for v in xs.ravel().tolist():
         if not math.isfinite(v):
             raise NumericalError(f"step has no finite spectral bound: b * dt = {v}")
@@ -117,24 +152,19 @@ def _chebyshev_coefficients(x) -> np.ndarray:
         k = math.ceil(ax)
         while k * log_half - math.lgamma(k + 1) > _LOG_BOUND_FLOOR:
             k += 1
-        kmax.append(k)
-        dropped.append(2.0 * math.exp(k * log_half - math.lgamma(k + 1)))
-    # orders run down axis 0; the block axis of x, if any, follows
-    block_axes = (1,) * xs.ndim
-    bessel = jv(np.arange(max(kmax) + 1).reshape(-1, *block_axes), xs)
-    # lower each degree while the tail it drops stays below the tolerance
-    degree = []
-    for col, k, tail in zip(bessel.reshape(len(bessel), -1).T.tolist(), kmax, dropped):
+        tail = 2.0 * math.exp(k * log_half - math.lgamma(k + 1))
+        col = _bessel_j(v, k)
+        # lower the degree while the tail it drops stays below the tolerance
         while k > 0 and tail + 2.0 * abs(col[k]) < _CHEBYSHEV_TAIL:
             tail += 2.0 * abs(col[k])
             k -= 1
-        degree.append(k)
-    ks = np.arange(max(degree) + 1).reshape(-1, *block_axes)
-    coef = 2.0 * (-1j) ** ks * bessel[:len(ks)]
-    if min(degree) < max(degree):
-        coef[ks > np.array(degree)] = 0.0
+        columns.append(col[:k + 1])
+    # orders run down axis 0; the block axis of x, if any, follows
+    n = max(map(len, columns))
+    bessel = np.array([col + [0.0] * (n - len(col)) for col in columns]).T
+    coef = bessel * (2.0 * (-1j) ** np.arange(n))[:, None]
     coef[0] /= 2.0
-    return coef
+    return coef.reshape(n, *xs.shape)
 
 
 def substep_count(drive: DriveProfile, dt: float) -> int:
@@ -384,15 +414,17 @@ def quench_to_csv(result: QuenchResult) -> str:
 
 
 def quench_from_csv(text: str) -> QuenchResult:
-    """Parse the output of :func:`quench_to_csv` (probabilities not included)."""
+    """Parse the output of :func:`quench_to_csv` (probabilities not included);
+    every cell must hold a finite number (:func:`scarsim.tables.number_cell`)."""
     header, rows = read_csv(text, "quench", ("t", "nA", "nB"))
+    table = np.array([[number_cell(cell, "quench", name) for cell, name in zip(r, header)]
+                      for r in rows], dtype=float).reshape(len(rows), len(header))
     site_cols = [k for k, name in enumerate(header) if name.startswith("n_")]
     ent_cols = [k for k, name in enumerate(header) if name.startswith("S_cut")]
-    times, n_a, n_b = (np.array([float(r[k]) for r in rows])
-                       for k in map(header.index, ("t", "nA", "nB")))
-    pops = np.array([[float(r[k]) for k in site_cols] for r in rows])
-    ents = np.array([[float(r[k]) for k in ent_cols] for r in rows]) \
-        if ent_cols else None
+    times, n_a, n_b = np.ascontiguousarray(
+        table[:, [header.index(name) for name in ("t", "nA", "nB")]].T)
+    pops = table[:, site_cols]
+    ents = table[:, ent_cols] if ent_cols else None
     return QuenchResult(times=times, site_pops=pops, n_a=n_a, n_b=n_b,
                         probs=None, entropies=ents,
                         entropy_cuts=tuple(() for _ in ent_cols))

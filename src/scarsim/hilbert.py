@@ -96,26 +96,25 @@ def _neighbour_masks(lat: Lattice) -> np.ndarray:
     return masks
 
 
-def _enumerate_dfs(n: int, nn_masks: np.ndarray, max_dim: int) -> np.ndarray:
-    """Depth-first enumeration in ascending integer order, aborting at max_dim."""
-    out: list[int] = []
-    # stack entries: (next site to decide, partial state, blocked mask)
-    stack = [(n - 1, 0, 0)]
-    while stack:
-        site, state, blocked = stack.pop()
-        if site < 0:
-            out.append(state)
-            if len(out) > max_dim:
-                raise CapacityError(
-                    f"constrained basis exceeds the {max_dim} state bound"
-                )
-            continue
-        bit = 1 << site
-        if not blocked & bit:  # excited branch pushed first, popped last
-            stack.append((site - 1, state | bit, blocked | int(nn_masks[site])))
-        stack.append((site - 1, state, blocked))
-    out.sort()
-    return np.array(out, dtype=np.int64)
+def _enumerate(n: int, nn_masks: np.ndarray, max_dim: int) -> np.ndarray:
+    """Site-by-site enumeration, sorted once at the end.
+
+    After site i the array holds every valid pattern of sites 0..i: the
+    patterns of sites 0..i-1 and, appended, those whose lower-indexed
+    neighbours of i are empty with bit i set.  Each valid pattern of the
+    first sites extends to a full one (all later sites empty), so the count
+    only grows and the run stops, before it allocates, once it would pass
+    ``max_dim``.
+    """
+    states = np.zeros(1, dtype=np.int64)
+    for site in range(n):
+        lower = int(nn_masks[site]) & ((1 << site) - 1)
+        free = states[(states & lower) == 0]
+        if len(states) + len(free) > max_dim:
+            raise CapacityError(f"constrained basis exceeds the {max_dim} state bound")
+        states = np.concatenate([states, free | (1 << site)])
+    states.sort()
+    return states
 
 
 def enumerate_blockaded(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> ConstrainedBasis:
@@ -125,7 +124,6 @@ def enumerate_blockaded(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> Constra
     capacity guard rejects bases larger than ``max_dim`` (default 2**24).
     """
     n = lat.n_sites
-    masks = _neighbour_masks(lat)
     # each sublattice is itself blockade-valid, so dim >= 2**max(|A|, |B|)
     largest = max(np.count_nonzero(lat.sublattice == 0),
                   np.count_nonzero(lat.sublattice == 1))
@@ -134,7 +132,10 @@ def enumerate_blockaded(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> Constra
             f"constrained basis of {n} sites has at least 2**{largest} states, "
             f"over the {max_dim} bound"
         )
-    states = _enumerate_dfs(n, masks, max_dim)
+    if n > 63:
+        raise CapacityError(f"a basis state of {n} sites needs more than 63 bits")
+    masks = _neighbour_masks(lat)
+    states = _enumerate(n, masks, max_dim)
     return ConstrainedBasis(n_sites=n, states=states, nn_masks=masks)
 
 

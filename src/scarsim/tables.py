@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 from .errors import ConfigError, is_number
 
@@ -59,3 +60,14 @@ def read_csv(text: str, what: str, columns=()) -> tuple[list[str], list[list[str
     if any(len(row) < len(header) for row in rows):
         raise ConfigError("a row has fewer cells than the header")
     return header, rows
+
+
+def number_cell(text: str, what: str, column: str) -> float:
+    """A numeric cell of a stored table.  Text that is no number raises
+    ``float``'s ValueError; a non-finite number is a :class:`ConfigError`
+    naming ``what``, the kind of file, and the column."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} file: column {column} holds {text!r}, "
+                          "not a finite number")
+    return value

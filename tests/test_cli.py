@@ -424,6 +424,33 @@ class TestAnalyzeCommand:
         assert f"{stored}: {problem}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("mode", ["spectrum", "fit"])
+    def test_nonfinite_quench_cell_exits_2(self, tmp_path, capsys, mode):
+        rows = damped_quench_rows()
+        cells = rows[30].split(",")
+        cells[1] = "nan"
+        rows[30] = ",".join(cells)
+        stored = tmp_path / "quench.csv"
+        stored.write_text("\r\n".join(rows) + "\r\n")
+        assert main(["analyze", str(stored), "--mode", mode,
+                     "--omegam-rad", "5.0"]) == 2
+        assert f"{stored}: quench file: column nA holds 'nan', not a finite number" \
+            in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["quench.csv"]
+
+    def test_nonfinite_aggregate_cell_exits_2(self, tmp_path, capsys):
+        rows = ["point,a,status,error,x_mhz,y_mhz,inv_tau"]
+        for k, (x, y) in enumerate([(0.2, 0.3), (1.0, 0.1), (0.4, 1.2), (0.7, 0.9)]):
+            rows.append(f"{k},0,ok,,{x!r},{y!r},{0.72 * x + 0.58 * y + 0.4!r}")
+        rows[2] = rows[2].replace(",1.0,", ",inf,")
+        agg = tmp_path / "aggregate.csv"
+        agg.write_text("\r\n".join(rows) + "\r\n")
+        assert main(["analyze", str(agg), "--mode", "plane"]) == 2
+        assert f"{agg}: aggregate file: column x_mhz holds 'inf', not a finite number" \
+            in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["aggregate.csv"]
+
+
 class TestSweepCommand:
     def test_partial_failure_and_order(self, tmp_path):
         doc = json.loads(json.dumps(SMALL_QUENCH))
@@ -728,6 +755,48 @@ class TestSweepGroups:
         assert not (out / "point_001").exists()
 
 
+    def test_failing_analysis_leaves_one_error_row(self, tmp_path, monkeypatch, capsys):
+        """Workers only propagate: a point whose analysis raises in the calling
+        process gets its error row, and its group is not run again."""
+        import scarsim.cli as cli
+
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["observables"] = {}
+        doc["evolution"]["total_time"] = 0.2
+        doc["sweep"] = [{"parameter": "drive.omegam_over_omega",
+                         "grid": [1.2, 1.3, 1.4]}]
+        cfg = write_config(tmp_path, doc)
+        clean = tmp_path / "clean"
+        assert main(["sweep", "--config", cfg, "--out", str(clean), "--jobs", "1"]) == 0
+        bad_omegam = 1.3 * parse_config(doc).physical.omega
+        analyze, group_worker = cli._analyze_quench, cli._group_worker
+        runs = []
+
+        def broken(result, drive):
+            if drive.omegam == bad_omegam:
+                raise NumericalError("injected")
+            return analyze(result, drive)
+
+        def counted(cfgs):
+            runs.append(len(cfgs))
+            return group_worker(cfgs)
+
+        monkeypatch.setattr(cli, "_analyze_quench", broken)
+        monkeypatch.setattr(cli, "_group_worker", counted)
+        monkeypatch.setattr(cli, "_sweep_worker", lambda cfg: runs.append("point"))
+        out = tmp_path / "bad"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
+        assert runs == [3]
+        assert "failed" not in capsys.readouterr().err
+        lines = (out / "aggregate.csv").read_text().strip().splitlines()
+        assert [ln.split(",")[2] for ln in lines[1:]] == ["ok", "error", "ok"]
+        assert lines[2].split(",")[3] == "NumericalError: injected"
+        for k in (0, 2):
+            name = f"point_{k:03d}/quench.csv"
+            assert (out / name).read_bytes() == (clean / name).read_bytes()
+        assert not (out / "point_001").exists()
+
+
 def _python_stdout(code: str) -> str:
     """Standard output of ``code`` run in a fresh interpreter on these sources."""
     src = str(Path(scarsim.__file__).resolve().parents[1])
@@ -741,6 +810,38 @@ def test_cli_import_defers_optional_scipy_modules():
     code = ("import sys, scarsim.cli; print([m for m in ('scipy.linalg', "
             "'scipy.optimize', 'scipy.spatial', 'scipy.special') if m in sys.modules])")
     assert _python_stdout(code).strip() == "[]"
+
+
+def test_ring_quench_leaves_scipy_special_unloaded(tmp_path):
+    doc = {"lattice": {"kind": "chain", "extent": 10, "periodic": True},
+           "physical": {"omega_mhz": 4.2, "v0_mhz": 51.0}, "model": "pxp",
+           "drive": {"shape": "cosine", "delta0_over_omega": 0.5,
+                     "deltam_over_omega": 1.0, "omegam_over_omega": 1.33},
+           "initial_state": "AF1",
+           "evolution": {"total_time": 0.02, "dt": 0.002, "record_stride": 5},
+           "observables": {"entropy_cuts": ["half"]}}
+    cfg = write_config(tmp_path, doc)
+    code = ("import sys, scarsim.cli as c; "
+            f"code = c.main(['quench', '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}]); "
+            "print(code, 'scipy.special' in sys.modules)")
+    assert _python_stdout(code).splitlines()[-1] == "0 False"
+
+
+def test_group_worker_leaves_fit_modules_unloaded():
+    """A sweep worker propagates a block and loads neither the fit's
+    scipy.optimize nor scipy.special."""
+    doc = json.loads(json.dumps(SMALL_QUENCH))
+    doc["observables"] = {}
+    doc["evolution"]["total_time"] = 0.1
+    docs = []
+    for omegam in (1.2, 1.3):
+        doc["drive"]["omegam_over_omega"] = omegam
+        docs.append(json.loads(json.dumps(doc)))
+    code = ("import json, sys, scarsim.cli as c; from scarsim.config import parse_config; "
+            f"out = c._group_worker([parse_config(d) for d in json.loads({json.dumps(docs)!r})]); "
+            "print([type(o).__name__ for o in out], "
+            "[m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])")
+    assert _python_stdout(code).splitlines()[-1] == "['tuple', 'tuple'] []"
 
 
 def test_only_the_process_entry_freezes_the_heap(tmp_path):

@@ -182,6 +182,26 @@ class TestChebyshevStep:
         err = np.abs(series - np.exp(-1j * x * y)).max()
         assert err < 1e-15 * (len(coef) + abs(x))
 
+    def test_bessel_values_match_jv(self):
+        from scipy.special import jv
+
+        rng = np.random.default_rng(5)
+        xs = np.concatenate([[0.0, 1e-300, 1e-9, 1e-8, 2.404825557695773, 300.0],
+                             rng.uniform(-300.0, 300.0, 40),
+                             10.0 ** rng.uniform(-8.0, 2.0, 40)])
+        for x in xs.tolist():
+            kmax = len(scarsim.evolve._chebyshev_coefficients(x)) + 10
+            ours = np.array(scarsim.evolve._bessel_j(x, kmax))
+            assert np.abs(ours - jv(np.arange(kmax + 1), x)).max() <= 2e-14
+
+    def test_large_arguments_stay_finite(self):
+        # the recurrence rescales where its running values would overflow
+        for x in (3000.0, -1e4):
+            coef = scarsim.evolve._chebyshev_coefficients(x)
+            assert np.isfinite(coef).all()
+            assert abs(np.polynomial.chebyshev.chebval(0.5, coef)
+                       - np.exp(-0.5j * x)) < 1e-15 * (len(coef) + abs(x))
+
     def test_nonfinite_bound_refused(self):
         with pytest.raises(NumericalError):
             scarsim.evolve._chebyshev_coefficients(math.inf)
@@ -202,8 +222,9 @@ class TestChebyshevStep:
         assert texts[0] == texts[1]
 
 
-def _scalar_series(x: float) -> np.ndarray:
-    """Reference: the one-value Chebyshev sizing, written as a plain loop."""
+def _jv_series(x: float) -> np.ndarray:
+    """Reference: the one-value Chebyshev sizing, written as a plain loop on
+    the Bessel values of scipy.special.jv."""
     from scipy.special import jv
 
     ax = max(abs(x), 1e-300)
@@ -222,6 +243,10 @@ def _scalar_series(x: float) -> np.ndarray:
     coef = 2.0 * (-1j) ** np.arange(degree + 1) * bessel[:degree + 1]
     coef[0] /= 2.0
     return coef
+
+
+def _padded(a: np.ndarray, n: int) -> np.ndarray:
+    return np.concatenate([a, np.zeros(n - len(a), dtype=a.dtype)])
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -243,11 +268,13 @@ class TestBlockStep:
         block = scarsim.evolve._chebyshev_coefficients(xs)
         assert block.shape[1] == len(xs)
         for j, x in enumerate(xs):
-            ref = _scalar_series(float(x))
-            assert np.array_equal(_bits(block[:len(ref), j]), _bits(ref))
-            assert not block[len(ref):, j].any()
             single = scarsim.evolve._chebyshev_coefficients(float(x))
-            assert np.array_equal(_bits(single), _bits(ref))
+            assert np.array_equal(_bits(block[:len(single), j]), _bits(single))
+            assert not block[len(single):, j].any()
+            if abs(x) <= 300.0:
+                ref = _jv_series(float(x))
+                n = max(len(ref), len(single))
+                assert np.abs(_padded(single, n) - _padded(ref, n)).max() <= 2e-14
 
     def test_block_step_equals_single_steps(self, p, system8):
         _, basis, parts = system8

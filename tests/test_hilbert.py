@@ -30,16 +30,12 @@ REFERENCE_9CHAIN_ROWS = """101010101 100010101 101010100 101000101 001010001
 
 
 def brute_force_states(lat):
-    out = []
-    for s in range(1 << lat.n_sites):
-        ok = True
-        for i, j in lat.nn_pairs:
-            if (s >> int(i)) & (s >> int(j)) & 1:
-                ok = False
-                break
-        if ok:
-            out.append(s)
-    return out
+    """Every one of the 2**n bit patterns with no excited neighbour pair."""
+    every = np.arange(1 << lat.n_sites, dtype=np.int64)
+    valid = np.ones(len(every), dtype=bool)
+    for i, j in lat.nn_pairs.tolist():
+        valid &= ((every >> i) & (every >> j) & 1) == 0
+    return every[valid].tolist()
 
 
 def mirror(state, n):
@@ -86,11 +82,36 @@ class TestEnumeration:
         ("square", 3, None, False),
         ("honeycomb", 2.0, None, False),
         ("lieb", 1, None, False),
+        ("chain", 2, None, False),
+        ("chain", 17, None, False),
+        ("chain", 4, None, True),
+        ("chain", 18, None, True),
+        ("square", 4, None, False),
+        ("honeycomb", 2.1, None, False),
+        ("lieb", 2, None, False),
     ])
     def test_matches_brute_force(self, kind, extent, ratio, periodic):
         lat = build_lattice(kind, extent, ratio, periodic=periodic)
         basis = enumerate_blockaded(lat)
         assert basis.states.tolist() == brute_force_states(lat)
+
+    def test_refused_exactly_past_max_dim(self):
+        lat = build_lattice("honeycomb", 2.1)
+        dim = enumerate_blockaded(lat).dim
+        assert enumerate_blockaded(lat, max_dim=dim).dim == dim
+        with pytest.raises(CapacityError, match=f"the {dim - 1} state bound"):
+            enumerate_blockaded(lat, max_dim=dim - 1)
+
+    def test_refuses_states_that_need_bit_63(self, monkeypatch):
+        # 2**32 states on each sublattice pass a bound of 2**40; the
+        # 64th site's bit would be the sign bit of an int64, and the
+        # refusal comes before any enumeration
+        import scarsim.hilbert
+
+        monkeypatch.setattr(scarsim.hilbert, "_enumerate",
+                            lambda *args: pytest.fail("enumerated 64 sites"))
+        with pytest.raises(CapacityError, match="more than 63 bits"):
+            enumerate_blockaded(build_lattice("chain", 64), max_dim=1 << 40)
 
     def test_ascending_and_blockade_invariant(self, chain9):
         lat, basis = chain9
