@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import dataclasses
 import gc
 import itertools
 import json
@@ -220,7 +219,7 @@ def _analyze_quench(result: QuenchResult,
     return analysis, spec
 
 
-def _run_single_quench(cfg: ExperimentConfig):
+def _run_single_quench(cfg: ExperimentConfig, record_probs: bool):
     """Basis and quench result of one configured quench."""
     if cfg.evolution is None:
         raise ConfigError("evolution: section is required for quench runs")
@@ -229,12 +228,12 @@ def _run_single_quench(cfg: ExperimentConfig):
     basis, parts, psi0 = _build_system(cfg)
     result = run_quench(cfg.lattice, basis, parts, cfg.drive, psi0, cfg.evolution,
                         entropy_cuts=cfg.observables.entropy_cuts,
-                        record_probs=cfg.observables.microstates)
+                        record_probs=record_probs)
     return basis, result
 
 
 def cmd_quench(cfg: ExperimentConfig) -> tuple[dict, str, str]:
-    basis, result = _run_single_quench(cfg)
+    basis, result = _run_single_quench(cfg, cfg.observables.microstates)
     analysis, spec = _analyze_quench(result, cfg.drive)
     files = {"quench.csv": quench_to_csv(result),
              "lattice.json": lattice_to_json(cfg.lattice),
@@ -292,22 +291,17 @@ def _sweep_row(cfg: ExperimentConfig, dim: int, result: QuenchResult) -> dict:
     return row
 
 
-def _propagated(dim: int, result: QuenchResult) -> tuple[int, QuenchResult]:
-    """What a worker returns for a propagated point: the basis dimension and
-    the result without the probabilities and final state no row reads."""
-    return dim, dataclasses.replace(result, probs=None, final_state=None)
-
-
 def _sweep_worker(cfg: ExperimentConfig) -> tuple[int, QuenchResult] | dict:
-    """Propagate one parsed sweep point on its own; returns its
-    :func:`_propagated` result, or its error row.
+    """Propagate one parsed sweep point on its own; returns its basis
+    dimension and quench result (no row reads microstate probabilities, so
+    none are recorded), or its error row.
 
     Never raises: any exception becomes an error row (see
     :func:`_error_row`), so one bad point cannot abort the sweep.
     """
     try:
-        basis, result = _run_single_quench(cfg)
-        return _propagated(basis.dim, result)
+        basis, result = _run_single_quench(cfg, record_probs=False)
+        return basis.dim, result
     except Exception as exc:
         return _error_row(exc)
 
@@ -330,8 +324,8 @@ def _group_worker(cfgs: list[ExperimentConfig]) -> list:
             results = _run_block(cfg.lattice, basis, parts, [c.drive for c in cfgs],
                                  psi0, cfg.evolution,
                                  entropy_cuts=cfg.observables.entropy_cuts,
-                                 record_probs=cfg.observables.microstates)
-            return [_propagated(basis.dim, r) for r in results]
+                                 record_probs=False)
+            return [(basis.dim, r) for r in results]
         except Exception as exc:
             if not isinstance(exc, ScarsimError):
                 traceback.print_exc()

@@ -108,8 +108,9 @@ def _enumerate(n: int, nn_masks: np.ndarray, max_dim: int) -> np.ndarray:
     """
     states = np.zeros(1, dtype=np.int64)
     for site in range(n):
-        lower = int(nn_masks[site]) & ((1 << site) - 1)
-        free = states[(states & lower) == 0]
+        # the patterns so far set only bits below site, so the mask tests
+        # only the lower-indexed neighbours
+        free = states[(states & nn_masks[site]) == 0]
         if len(states) + len(free) > max_dim:
             raise CapacityError(f"constrained basis exceeds the {max_dim} state bound")
         states = np.concatenate([states, free | (1 << site)])

@@ -539,7 +539,7 @@ class TestSweepCommand:
     def test_worker_records_any_exception(self, monkeypatch, capsys):
         import scarsim.cli as cli
 
-        def boom(cfg):
+        def boom(cfg, record_probs):
             raise ZeroDivisionError("division by zero")
 
         monkeypatch.setattr(cli, "_run_single_quench", boom)
@@ -813,6 +813,9 @@ def test_cli_import_defers_optional_scipy_modules():
 
 
 def test_ring_quench_leaves_scipy_special_unloaded(tmp_path):
+    """Stepping loads no scipy.special.  The 0.02 us window records too
+    few samples to fit, so this process never reaches the fit, whose
+    scipy.optimize would load scipy.special anyway."""
     doc = {"lattice": {"kind": "chain", "extent": 10, "periodic": True},
            "physical": {"omega_mhz": 4.2, "v0_mhz": 51.0}, "model": "pxp",
            "drive": {"shape": "cosine", "delta0_over_omega": 0.5,
@@ -828,20 +831,19 @@ def test_ring_quench_leaves_scipy_special_unloaded(tmp_path):
 
 
 def test_group_worker_leaves_fit_modules_unloaded():
-    """A sweep worker propagates a block and loads neither the fit's
-    scipy.optimize nor scipy.special."""
+    """A sweep worker propagates a block, records no microstate
+    probabilities and loads neither the fit's scipy.optimize nor
+    scipy.special, although the points' 1 us windows are long enough to fit."""
     doc = json.loads(json.dumps(SMALL_QUENCH))
-    doc["observables"] = {}
-    doc["evolution"]["total_time"] = 0.1
     docs = []
     for omegam in (1.2, 1.3):
         doc["drive"]["omegam_over_omega"] = omegam
         docs.append(json.loads(json.dumps(doc)))
     code = ("import json, sys, scarsim.cli as c; from scarsim.config import parse_config; "
             f"out = c._group_worker([parse_config(d) for d in json.loads({json.dumps(docs)!r})]); "
-            "print([type(o).__name__ for o in out], "
+            "print([o[1].probs for o in out], "
             "[m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])")
-    assert _python_stdout(code).splitlines()[-1] == "['tuple', 'tuple'] []"
+    assert _python_stdout(code).splitlines()[-1] == "[None, None] []"
 
 
 def test_only_the_process_entry_freezes_the_heap(tmp_path):
