@@ -68,7 +68,6 @@ class Spectrum:
 
     omegas: np.ndarray
     s2: np.ndarray
-    window: float
     stilde: np.ndarray
 
     def peak_omega(self) -> float:
@@ -313,7 +312,7 @@ def fourier_spectrum(values: np.ndarray, times: np.ndarray, *,
         if ref_peak <= 0:
             raise NumericalError("spectral calibration failed: zero reference peak")
         s2_rows[r] /= ref_peak
-    return Spectrum(omegas=omegas, s2=s2, window=window, stilde=stilde)
+    return Spectrum(omegas=omegas, s2=s2, stilde=stilde)
 
 
 def weight_at(spectrum: Spectrum, omega: float) -> float | np.ndarray:

@@ -538,7 +538,7 @@ def _analyze_file(path: Path, mode: str, omegam_rad: float | None) -> tuple[dict
 
 
 def _parse_stored(path: Path, parse):
-    """``parse(text)`` of a stored file; a malformed one is a ConfigError."""
+    """``parse(text)`` of a stored file; a malformed or undecodable file is a ConfigError."""
     try:
         return parse(path.read_text())
     except ValueError as exc:

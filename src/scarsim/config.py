@@ -17,7 +17,13 @@ from dataclasses import dataclass
 from .errors import ConfigError, is_int, is_number
 from .evolve import EvolutionConfig
 from .hamiltonian import DriveProfile, DriveShape
-from .lattice import Lattice, PhysicalParams, build_lattice, optimal_detuning
+from .lattice import (
+    COUNTED_KINDS,
+    Lattice,
+    PhysicalParams,
+    build_lattice,
+    optimal_detuning,
+)
 from .tables import json_text
 
 MODELS = ("rydberg", "pxp", "sw2")
@@ -152,6 +158,8 @@ def _parse_lattice(d) -> Lattice:
     extent = _get(d, path, "extent", required=True)
     _expect(is_number(extent) and extent > 0, f"{path}.extent",
             "must be a positive number")
+    _expect(kind not in COUNTED_KINDS or float(extent).is_integer(), f"{path}.extent",
+            f"must be a whole number for kind {kind!r}")
     ratio = d.get("zigzag_nnn_ratio")
     _expect(ratio is None or is_number(ratio),
             f"{path}.zigzag_nnn_ratio", "must be a number")

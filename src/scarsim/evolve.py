@@ -6,8 +6,7 @@ midpoint, which makes the piecewise constant approximation second order in
 dt.  A step advances a (dim, P) block with one drive per column, and a
 quench runner propagates P drives that share everything else as one
 block; a single state and a single quench are the P = 1 case.  A dense
-eigendecomposition propagator is an independent oracle and gives the
-pulsed model's period operator.
+eigendecomposition propagator is an independent oracle for tests only.
 """
 
 from __future__ import annotations
@@ -434,8 +433,8 @@ def dense_propagator(parts: HamiltonianParts, delta: float, t: float) -> np.ndar
     """Exact unitary exp(-i H t) at constant detuning via the real
     eigendecomposition of :meth:`HamiltonianParts.dense`.
 
-    Guarded to dimensions of at most 2**10; a test oracle, and the period
-    operator of :func:`scarsim.floquet.floquet_eigenstate_overlap`.
+    Guarded to dimensions of at most 2**10; a test oracle only, which no
+    command calls.
     """
     if parts.dim > DENSE_DIM_LIMIT:
         raise CapacityError(

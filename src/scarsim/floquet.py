@@ -16,9 +16,7 @@ eigenvectors Q, and every grid point advances together as one column of a
 by exp(-i tau E), the real GEMM Q @ block and a per-column multiply by the
 kick.  ``apply_period`` is the independent path for a single state, used as
 a reference: one ``evolve.propagate_step`` at zero detuning followed by the
-kick.  The Floquet-eigenstate analysis takes exp(-i tau H) from
-``evolve.dense_propagator`` and its class probabilities from
-``MicrostateOrdering.class_sums``.
+kick.
 
 On a ring the maps propagate in the subspace invariant under translation by
 two sites and inversion (``lattice.symmetry_permutations``), as ring
@@ -39,24 +37,14 @@ from .errors import CapacityError, ConfigError
 from .evolve import (
     DENSE_DIM_LIMIT,
     _site_bit_table,
-    dense_propagator,
     propagate_step,
     symmetric_restriction,
 )
 from .hamiltonian import DriveProfile, HamiltonianParts, build_pxp
-from .hilbert import (
-    ConstrainedBasis,
-    MicrostateOrdering,
-    canonical_states,
-    enumerate_blockaded,
-    named_state,
-)
+from .hilbert import ConstrainedBasis, enumerate_blockaded, named_state
 from .lattice import Lattice, PhysicalParams, build_lattice, symmetry_permutations
 
 TAU_C = 0.755 * math.tau
-
-# period-operator eigenvalues closer than this count as one eigenspace
-_DEGENERACY_TOL = 1e-8
 
 # a map holds about this many complex (dim, points) arrays at once (state,
 # eigenbasis coefficients, phases, kicks, a temporary); refuse maps whose
@@ -225,83 +213,6 @@ def pulsed_subharmonic_map(l: int, boundary: str, epsilons, taus,
     times = np.arange(n_periods + 1, dtype=float)
     spec = fourier_spectrum(series, times, calibration_omega=math.pi)
     return weight_at(spec, math.pi).reshape(len(epsilons), len(taus))
-
-
-@dataclass(frozen=True, eq=False)
-class FloquetEigenstates:
-    """The two period-operator eigenvectors closest to the AF pair."""
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray            # (dim, 2)
-    symmetric: np.ndarray
-    antisymmetric: np.ndarray
-    captured_weight: float         # summed AF1/AF2 overlap of the pair
-    class_probs_symmetric: np.ndarray | None = None
-    class_probs_antisymmetric: np.ndarray | None = None
-
-
-def floquet_eigenstate_overlap(params: PulsedParams, basis: ConstrainedBasis,
-                               parts_pxp: HamiltonianParts,
-                               ordering: MicrostateOrdering | None = None
-                               ) -> FloquetEigenstates:
-    """Diagonalize the dense period operator and pick the AF-dominant pair.
-
-    The two eigenvectors maximizing |<AF1|v>|^2 + |<AF2|v>|^2 are returned
-    together with their symmetric/antisymmetric combinations (phases fixed
-    so the AF1 overlap is real nonnegative).  AF1 and AF2 are the canonical
-    states of the chain with the basis's site count.  exp(-i tau H) comes
-    from :func:`scarsim.evolve.dense_propagator`, whose guard refuses dims
-    over 2**10.
-    """
-    # imported here: only this analysis needs them, and every CLI process
-    # imports this module
-    from scipy.linalg import schur
-    from scipy.sparse.csgraph import connected_components
-
-    af1, af2, _ = canonical_states(build_lattice("chain", basis.n_sites))
-    i1, i2 = basis.index_of(af1), basis.index_of(af2)
-
-    u_tau = dense_propagator(parts_pxp, 0.0, params.tau)
-    u_f = _kick_phases(basis, params.theta)[:, None] * u_tau
-    # unitary matrices are normal, so the complex Schur form is diagonal and
-    # the Schur vectors are an orthonormal eigenbasis
-    t, z = schur(u_f, output="complex")
-    phases = np.diag(t)
-    # a degenerate eigenvalue (the echo point is an involution) leaves its
-    # Schur vectors an arbitrary basis of the eigenspace: rotate each such
-    # cluster so that its leading vectors carry all of its AF1/AF2 weight
-    close = np.abs(phases[:, None] - phases[None, :]) < _DEGENERACY_TOL
-    _, labels = connected_components(close, directed=False)
-    for c in np.flatnonzero(np.bincount(labels) > 1):
-        cols = np.flatnonzero(labels == c)
-        rot, _, _ = np.linalg.svd(z[[i1, i2]][:, cols].conj().T)
-        z[:, cols] = z[:, cols] @ rot
-    score = np.abs(z[i1, :]) ** 2 + np.abs(z[i2, :]) ** 2
-    top = np.argsort(score)[::-1][:2]
-    vecs = z[:, top].copy()
-    for k in range(2):
-        ref = vecs[i1, k]
-        if abs(ref) < 1e-12:
-            ref = vecs[i2, k]
-        if abs(ref) > 0:
-            vecs[:, k] *= np.conj(ref) / abs(ref)
-    sym = vecs[:, 0] + vecs[:, 1]
-    anti = vecs[:, 0] - vecs[:, 1]
-    sym /= np.linalg.norm(sym)
-    anti /= np.linalg.norm(anti)
-    cps = cpa = None
-    if ordering is not None:
-        cps = ordering.class_sums(np.abs(sym) ** 2)
-        cpa = ordering.class_sums(np.abs(anti) ** 2)
-    return FloquetEigenstates(
-        eigenvalues=phases[top],
-        vectors=vecs,
-        symmetric=sym,
-        antisymmetric=anti,
-        captured_weight=float(score[top].sum()),
-        class_probs_symmetric=cps,
-        class_probs_antisymmetric=cpa,
-    )
 
 
 def excitation_zz_affine_defect(lat: Lattice, basis: ConstrainedBasis) -> float:

@@ -13,7 +13,6 @@ majority sublattice that is fully excited in the ``AF1`` ordering.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -31,6 +30,9 @@ LATTICE_KINDS = (
     "decorated_honeycomb",
     "edge_imbalanced_decorated_honeycomb",
 )
+
+# Kinds whose extent counts sites or cells: build_lattice takes int(extent).
+COUNTED_KINDS = ("chain", "zigzag_chain", "square", "lieb")
 
 # Lattices whose two sublattices are not related by a symmetry; per-site
 # quantities are averaged (detuning) or taken worst-case (decay) over both.
@@ -451,21 +453,3 @@ def lattice_to_json(lat: Lattice) -> str:
         "sublattice": ["A" if s == 0 else "B" for s in lat.sublattice],
     }
     return json_text(doc)
-
-
-def lattice_from_json(text: str) -> Lattice:
-    """Inverse of :func:`lattice_to_json`, revalidating all invariants."""
-    try:
-        doc = json.loads(text)
-        kind = doc["kind"]
-        positions = np.asarray(doc["positions"], dtype=float)
-        sub = np.array([0 if s == "A" else 1 for s in doc["sublattice"]],
-                       dtype=np.int8)
-        periodic = bool(doc.get("periodic", False))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed lattice document: {exc}") from exc
-    if kind not in LATTICE_KINDS:
-        raise ConfigError(f"unsupported lattice kind {kind!r}")
-    if len(positions) != len(sub):
-        raise ConfigError("positions and sublattice lengths differ")
-    return _finalize(kind, positions, sub, periodic=periodic)

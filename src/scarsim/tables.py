@@ -45,7 +45,7 @@ def read_csv(text: str, what: str, columns=()) -> tuple[list[str], list[list[str
     """The header and rows of a stored CSV table, cells as text, blank lines
     skipped.  Bad quoting, an empty table, a header without one of
     ``columns`` (these messages name ``what``, the kind of file) and a row
-    shorter than the header raise :class:`ConfigError`."""
+    shorter or longer than the header raise :class:`ConfigError`."""
     try:
         table = [row for row in csv.reader(io.StringIO(text, newline=""), strict=True)
                  if row]
@@ -59,14 +59,20 @@ def read_csv(text: str, what: str, columns=()) -> tuple[list[str], list[list[str
         raise ConfigError(f"{what} file lacks required columns: {missing}")
     if any(len(row) < len(header) for row in rows):
         raise ConfigError("a row has fewer cells than the header")
+    if any(len(row) > len(header) for row in rows):
+        raise ConfigError("a row has more cells than the header")
     return header, rows
 
 
 def number_cell(text: str, what: str, column: str) -> float:
-    """A numeric cell of a stored table.  Text that is no number raises
-    ``float``'s ValueError; a non-finite number is a :class:`ConfigError`
-    naming ``what``, the kind of file, and the column."""
-    value = float(text)
+    """A numeric cell of a stored table.  Text that is no number or a
+    non-finite number is a :class:`ConfigError` naming ``what``, the kind of
+    file, and the column."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"{what} file: column {column} holds {text!r}, "
+                          "not a number") from exc
     if not math.isfinite(value):
         raise ConfigError(f"{what} file: column {column} holds {text!r}, "
                           "not a finite number")

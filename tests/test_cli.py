@@ -205,6 +205,10 @@ class TestLatticeCommand:
         ({"kind": "chain", "extent": True}, "lattice.extent"),
         ({"kind": "zigzag_chain", "extent": 9, "zigzag_nnn_ratio": True},
          "lattice.zigzag_nnn_ratio"),
+        # chains and patches count sites or cells, so a fractional extent
+        # would be truncated
+        ({"kind": "chain", "extent": 9.7}, "lattice.extent"),
+        ({"kind": "square", "extent": 3.9}, "lattice.extent"),
     ])
     def test_malformed_lattice_exits_2(self, tmp_path, capsys, lattice, field):
         cfg = write_config(tmp_path, {"lattice": lattice})
@@ -354,6 +358,13 @@ class TestAnalyzeCommand:
         bad.write_text("not,a,quench\r\n1,2,3\r\n")
         assert main(["analyze", str(bad), "--mode", "fit"]) == 2
 
+    def test_binary_file_exits_2(self, tmp_path, capsys):
+        binary = tmp_path / "B.csv"
+        binary.write_bytes(b"t,nA,nB\r\n\xff\xfe\r\n")
+        assert main(["analyze", str(binary), "--mode", "fit"]) == 2
+        err = capsys.readouterr().err
+        assert f"{binary}: " in err and "codec can't decode" in err
+
     def test_empty_aggregate_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "EMPTY.csv"
         empty.write_text("")
@@ -414,8 +425,9 @@ class TestAnalyzeCommand:
         assert fit["inv_tau0"] == pytest.approx(0.4, abs=1e-9)
 
     @pytest.mark.parametrize("row,problem", [
-        ("0.002,abc,0.1,0.9,0.1", "could not convert string to float: 'abc'"),
+        ("0.002,abc,0.1,0.9,0.1", "quench file: column nA holds 'abc', not a number"),
         ("0.002,0.9", "a row has fewer cells than the header"),
+        ("0.002,0.9,0.1,0.9,0.1,999,junk", "a row has more cells than the header"),
     ])
     def test_malformed_quench_cell_exits_2(self, tmp_path, capsys, row, problem):
         stored = tmp_path / "Q.csv"

@@ -11,18 +11,11 @@ from scarsim.floquet import (
     _StroboscopicEngine,
     apply_period,
     excitation_zz_affine_defect,
-    floquet_eigenstate_overlap,
     pulsed_subharmonic_map,
     revival_fidelity_map,
 )
 from scarsim.hamiltonian import build_pxp
-from scarsim.hilbert import (
-    canonical_states,
-    enumerate_blockaded,
-    named_state,
-    order_microstates,
-    reflection_grouping,
-)
+from scarsim.hilbert import canonical_states, enumerate_blockaded, named_state
 from scarsim.lattice import PhysicalParams, build_lattice
 
 
@@ -253,49 +246,3 @@ class TestRingSubspaceMaps:
         # long before the 39,603-state full basis
         with pytest.raises(CapacityError, match="22528 state bound"):
             _StroboscopicEngine(22, "periodic")
-
-
-class TestEigenstateOverlap:
-    def test_norms_and_echo_point_pairing(self):
-        lat = build_lattice("chain", 9)
-        basis = enumerate_blockaded(lat)
-        parts = build_pxp(lat, basis, PhysicalParams(omega=1.0, v0=1.0))
-        fe = floquet_eigenstate_overlap(PulsedParams(theta=math.pi, tau=1.3),
-                                        basis, parts)
-        assert np.allclose(np.linalg.norm(fe.vectors, axis=0), 1.0, atol=1e-10)
-        assert abs(np.linalg.norm(fe.symmetric) - 1.0) < 1e-10
-        # an involution has eigenvalues +-1
-        assert np.allclose(np.sort(fe.eigenvalues.real), [-1.0, 1.0], atol=1e-9)
-        assert np.allclose(fe.eigenvalues.imag, 0.0, atol=1e-9)
-
-    def test_two_state_reconstruction_of_stroboscopic_dynamics(self):
-        lat = build_lattice("chain", 9)
-        basis = enumerate_blockaded(lat)
-        parts = build_pxp(lat, basis, PhysicalParams(omega=1.0, v0=1.0))
-        ordering = order_microstates(reflection_grouping(basis, lat))
-        pp = PulsedParams.from_epsilon(0.5, math.tau / 1.15)
-        fe = floquet_eigenstate_overlap(pp, basis, parts, ordering=ordering)
-        assert fe.class_probs_symmetric is not None
-        eng = _StroboscopicEngine(9, "open")
-        psi0 = named_state(eng.lat, eng.basis, "AF1")
-        coef = fe.vectors.conj().T @ psi0
-        # the AF-dominant pair captures most of the initial state
-        assert (np.abs(coef) ** 2).sum() > 0.75
-        phases, kicks = eng.drive([pp.theta], [pp.tau])
-        block = psi0[:, None]
-        errs = []
-        for n in range(1, 41):
-            block = eng.apply(block, phases, kicks)
-            psi = block[:, 0]
-            recon = fe.vectors @ (fe.eigenvalues**n * coef)
-            errs.append(np.abs(ordering.class_sums(np.abs(psi) ** 2)
-                               - ordering.class_sums(np.abs(recon) ** 2)).sum())
-        assert np.mean(errs) < 0.45
-
-    def test_capacity_guard(self):
-        lat = build_lattice("chain", 16, periodic=True)
-        basis = enumerate_blockaded(lat)
-        parts = build_pxp(lat, basis, PhysicalParams(omega=1.0, v0=1.0))
-        with pytest.raises(CapacityError):
-            floquet_eigenstate_overlap(PulsedParams(theta=math.pi, tau=1.0),
-                                       basis, parts)
