@@ -89,6 +89,10 @@ class QuenchResult:
 # this logarithm.
 _LOG_BOUND_FLOOR = math.log(1e-3 * _CHEBYSHEV_TAIL)
 
+# log k! = math.lgamma(k + 1) for the orders k < 256 that the series of
+# |x| up to 150 reach; the sizing loop calls lgamma only past the table.
+_LOG_FACTORIAL = tuple(math.lgamma(k + 1) for k in range(256))
+
 # Miller's backward recurrence starts this many orders above the last order
 # it returns, and the leading series term serves below _BESSEL_SMALL_X.
 _MILLER_MARGIN = 4
@@ -149,9 +153,13 @@ def _chebyshev_coefficients(x) -> np.ndarray:
         ax = max(abs(v), 1e-300)
         log_half = math.log(ax / 2)
         k = math.ceil(ax)
-        while k * log_half - math.lgamma(k + 1) > _LOG_BOUND_FLOOR:
+        while True:
+            log_bound = k * log_half - (_LOG_FACTORIAL[k] if k < len(_LOG_FACTORIAL)
+                                        else math.lgamma(k + 1))
+            if log_bound <= _LOG_BOUND_FLOOR:
+                break
             k += 1
-        tail = 2.0 * math.exp(k * log_half - math.lgamma(k + 1))
+        tail = 2.0 * math.exp(log_bound)
         col = _bessel_j(v, k)
         # lower the degree while the tail it drops stays below the tolerance
         while k > 0 and tail + 2.0 * abs(col[k]) < _CHEBYSHEV_TAIL:

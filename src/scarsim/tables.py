@@ -44,24 +44,26 @@ def json_text(doc) -> str:
 def read_csv(text: str, what: str, columns=()) -> tuple[list[str], list[list[str]]]:
     """The header and rows of a stored CSV table, cells as text, blank lines
     skipped.  Bad quoting, an empty table, a header without one of
-    ``columns`` (these messages name ``what``, the kind of file) and a row
-    shorter or longer than the header raise :class:`ConfigError`."""
+    ``columns`` and a row shorter or longer than the header raise
+    :class:`ConfigError`; these messages name ``what``, the kind of file,
+    and a bad row's message its line number and both cell counts."""
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
     try:
-        table = [row for row in csv.reader(io.StringIO(text, newline=""), strict=True)
-                 if row]
+        # line_num is the line on which the row just read ends
+        table = [(reader.line_num, row) for row in reader if row]
     except csv.Error as exc:
         raise ConfigError(f"malformed {what} file: {exc}") from exc
     if not table:
         raise ConfigError(f"empty {what} file")
-    header, rows = table[0], table[1:]
+    header, rows = table[0][1], table[1:]
     missing = [c for c in columns if c not in header]
     if missing:
         raise ConfigError(f"{what} file lacks required columns: {missing}")
-    if any(len(row) < len(header) for row in rows):
-        raise ConfigError("a row has fewer cells than the header")
-    if any(len(row) > len(header) for row in rows):
-        raise ConfigError("a row has more cells than the header")
-    return header, rows
+    for line, row in rows:
+        if len(row) != len(header):
+            raise ConfigError(f"{what} file: line {line} has {len(row)} cell(s) "
+                              f"but the header has {len(header)}")
+    return header, [row for _, row in rows]
 
 
 def number_cell(text: str, what: str, column: str) -> float:

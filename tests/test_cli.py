@@ -426,9 +426,10 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("row,problem", [
         ("0.002,abc,0.1,0.9,0.1", "quench file: column nA holds 'abc', not a number"),
-        ("0.002,0.9", "a row has fewer cells than the header"),
-        ("0.002,0.9,0.1,0.9,0.1,999,junk", "a row has more cells than the header"),
-    ])
+        ("0.002,0.9", "quench file: line 3 has 2 cell(s) but the header has 5"),
+        ("0.002,0.9,0.1,0.9,0.1,999,junk",
+         "quench file: line 3 has 7 cell(s) but the header has 5"),
+    ], ids=["non-numeric", "short-row", "long-row"])
     def test_malformed_quench_cell_exits_2(self, tmp_path, capsys, row, problem):
         stored = tmp_path / "Q.csv"
         stored.write_text(f"t,nA,nB,n_0,n_1\r\n0,1,0,1,0\r\n{row}\r\n")
@@ -825,9 +826,9 @@ def test_cli_import_defers_optional_scipy_modules():
 
 
 def test_ring_quench_leaves_scipy_special_unloaded(tmp_path):
-    """Stepping loads no scipy.special.  The 0.02 us window records too
-    few samples to fit, so this process never reaches the fit, whose
-    scipy.optimize would load scipy.special anyway."""
+    """Stepping a ring quench in its symmetric subspace loads no
+    scipy.special.  The 0.02 us window records too few samples to fit;
+    test_fitting_process_leaves_fit_modules_unloaded covers the fits."""
     doc = {"lattice": {"kind": "chain", "extent": 10, "periodic": True},
            "physical": {"omega_mhz": 4.2, "v0_mhz": 51.0}, "model": "pxp",
            "drive": {"shape": "cosine", "delta0_over_omega": 0.5,
@@ -843,9 +844,10 @@ def test_ring_quench_leaves_scipy_special_unloaded(tmp_path):
 
 
 def test_group_worker_leaves_fit_modules_unloaded():
-    """A sweep worker propagates a block, records no microstate
-    probabilities and loads neither the fit's scipy.optimize nor
-    scipy.special, although the points' 1 us windows are long enough to fit."""
+    """A sweep worker propagates a block and records no microstate
+    probabilities; the parent fits the points, whose 1 us windows are long
+    enough to fit, so the worker loads neither scipy.optimize nor
+    scipy.special."""
     doc = json.loads(json.dumps(SMALL_QUENCH))
     docs = []
     for omegam in (1.2, 1.3):
@@ -856,6 +858,40 @@ def test_group_worker_leaves_fit_modules_unloaded():
             "print([o[1].probs for o in out], "
             "[m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])")
     assert _python_stdout(code).splitlines()[-1] == "[None, None] []"
+
+
+@pytest.mark.parametrize("command", ["quench", "sweep", "analyze"])
+def test_fitting_process_leaves_fit_modules_unloaded(tmp_path, command):
+    """The damped-cosine fit is numpy alone: a quench that fits its
+    imbalance, a sweep parent that fits each point as its group comes back
+    and ``analyze --mode fit`` load neither scipy.optimize nor
+    scipy.special."""
+    doc = json.loads(json.dumps(SMALL_QUENCH))
+    out = tmp_path / "o"
+    if command == "quench":
+        argv = ["quench", "--config", write_config(tmp_path, doc), "--out", str(out)]
+    elif command == "sweep":
+        doc["sweep"] = [{"parameter": "drive.omegam_over_omega", "grid": [1.2, 1.3]}]
+        argv = ["sweep", "--config", write_config(tmp_path, doc), "--out", str(out),
+                "--jobs", "2"]
+    else:
+        stored = tmp_path / "quench.csv"
+        stored.write_text("\r\n".join(damped_quench_rows()) + "\r\n")
+        argv = ["analyze", str(stored), "--mode", "fit", "--out", str(out)]
+    code = ("import sys, scarsim.cli as c; "
+            f"code = c.main({argv!r}); "
+            "print(code, [m for m in ('scipy.optimize', 'scipy.special') "
+            "if m in sys.modules])")
+    assert _python_stdout(code).splitlines()[-1] == "0 []"
+    # the process did fit
+    if command == "quench":
+        assert json.loads((out / "analysis.json").read_text())["fit"]["converged"]
+    elif command == "sweep":
+        header, *rows = (out / "aggregate.csv").read_text().splitlines()
+        tau = header.split(",").index("tau")
+        assert len(rows) == 2 and all(float(r.split(",")[tau]) > 0 for r in rows)
+    else:
+        assert json.loads((out / "quench_fit.json").read_text())["converged"]
 
 
 def test_only_the_process_entry_freezes_the_heap(tmp_path):

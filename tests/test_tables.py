@@ -1,6 +1,8 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scarsim.errors import ConfigError
 from scarsim.tables import csv_text, read_csv
 
 _CELLS = st.one_of(st.text(), st.text(alphabet=',"\r\n x'),
@@ -24,3 +26,12 @@ def test_read_csv_inverts_csv_text(table):
                 assert float(text).hex() == value.hex()
             else:
                 assert text == value
+
+
+@pytest.mark.parametrize("row,cells", [("4", 1), ("4,5,6", 3)], ids=["short", "long"])
+def test_row_length_refusal_names_line_and_counts(row, cells):
+    """The line counts blank lines and every line of a quoted cell."""
+    text = f'a,b\r\n1,2\r\n\r\n"x\r\ny",3\r\n{row}\r\n'
+    with pytest.raises(ConfigError) as err:
+        read_csv(text, "test")
+    assert str(err.value) == f"test file: line 6 has {cells} cell(s) but the header has 2"
