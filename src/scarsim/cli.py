@@ -275,7 +275,12 @@ def _error_row(exc: Exception) -> dict:
 
 def _sweep_row(cfg: ExperimentConfig, dim: int, result: QuenchResult) -> dict:
     """The aggregate row of one propagated sweep point: its fit, spectral
-    weights and ``quench.csv``, computed in the calling process."""
+    weights and ``quench.csv``, computed in the calling process.
+
+    The propagation succeeded, so the status is ``ok`` even when the fit
+    is refused or does not converge; then ``error`` says why the fit
+    columns are blank.
+    """
     analysis, _ = _analyze_quench(result, cfg.drive)
     x, y = decay_predictors(cfg.lattice, cfg.physical)
     row: dict = {"status": "ok", "error": "", "dim": dim, "x_mhz": x, "y_mhz": y}
@@ -284,6 +289,8 @@ def _sweep_row(cfg: ExperimentConfig, dim: int, result: QuenchResult) -> dict:
         row["omega_tilde"] = fit["omega_tilde"]
         row["tau"] = fit["tau"]
         row["inv_tau"] = 1.0 / fit["tau"]
+    else:
+        row["error"] = "fit: " + analysis.get("fit_error", "did not converge")
     row["sub_weight"] = analysis.get("subharmonic_weight")
     row["harm_weight"] = analysis.get("harmonic_weight")
     row["fourth_weight"] = analysis.get("fourth_subharmonic_weight")
@@ -382,6 +389,14 @@ _AGG_COLUMNS = ("dim", "omega_tilde", "tau", "inv_tau", "sub_weight",
                 "harm_weight", "fourth_weight", "x_mhz", "y_mhz")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where the platform
+    has one), the default worker count of a sweep."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_sweep(cfg: ExperimentConfig, jobs: int | None) -> tuple[dict, str, str]:
     if jobs is not None and jobs < 1:
         raise ConfigError(f"--jobs: must be an integer >= 1, got {jobs}")
@@ -412,7 +427,7 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int | None) -> tuple[dict, str, str]:
     else:
         # no more workers than groups: each group is one task, analysed
         # here as it comes back while the workers propagate the rest
-        workers = min(jobs or os.cpu_count() or 1, max(len(groups), 1))
+        workers = min(jobs or _usable_cpus(), max(len(groups), 1))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             tasks = {pool.submit(_group_worker, [cfgs[k] for k in group]): group
                      for group in groups}
@@ -573,7 +588,7 @@ def _make_parser() -> argparse.ArgumentParser:
         if jobs:
             sp.add_argument("--jobs", type=int, default=None,
                             help="worker processes for sweep groups (>= 1; "
-                                 "default: the core count)")
+                                 "default: the CPUs this process may run on)")
 
     add_common(sub.add_parser("lattice", help="geometry report and serialization"))
     add_common(sub.add_parser("quench", help="run a single quench"))
@@ -621,10 +636,14 @@ def entry() -> int:
     """Entry point of ``python -m scarsim.cli`` and the ``scarsim`` script.
 
     Freezes what the imports made first, so that neither later collections
-    nor the one at interpreter exit walk it; ``main`` leaves the collector
-    alone for in-process callers."""
+    nor the one at interpreter exit walk it, and freezes again after the
+    run, so that the exit collection does not walk what the run made either
+    (such as the scipy.sparse that a stepping command imports at its first
+    product); ``main`` leaves the collector alone for in-process callers."""
     gc.freeze()
-    return main()
+    code = main()
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

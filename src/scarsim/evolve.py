@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapacityError, ConfigError, NumericalError, is_int, is_number
 from .hamiltonian import DriveProfile, HamiltonianParts, detuning_at, restrict_parts
-from .hilbert import ConstrainedBasis, symmetric_isometry
+from .hilbert import ConstrainedBasis, OrbitIsometry, symmetric_isometry
 from .lattice import Lattice, symmetry_permutations
 from .tables import csv_text, number_cell, read_csv
 
@@ -231,7 +230,7 @@ def propagate_step(parts: HamiltonianParts, drive, psi: np.ndarray,
 
 def symmetric_restriction(lat: Lattice, basis: ConstrainedBasis,
                           parts: HamiltonianParts, psi0: np.ndarray
-                          ) -> tuple[HamiltonianParts, sp.csr_matrix] | None:
+                          ) -> tuple[HamiltonianParts, OrbitIsometry] | None:
     """H restricted to the subspace symmetric under the lattice's site
     permutations (:func:`scarsim.lattice.symmetry_permutations`), with its
     isometry P (:func:`scarsim.hilbert.symmetric_isometry`).
@@ -243,7 +242,7 @@ def symmetric_restriction(lat: Lattice, basis: ConstrainedBasis,
     """
     perms = symmetry_permutations(lat)
     iso = None if perms is None else symmetric_isometry(basis, perms)
-    if iso is None or abs(np.linalg.norm(iso.T @ psi0) - 1.0) > _SUBSPACE_TOL:
+    if iso is None or abs(np.linalg.norm(iso.project(psi0)) - 1.0) > _SUBSPACE_TOL:
         return None
     reduced = restrict_parts(parts, iso)
     return None if reduced is None else (reduced, iso)
@@ -306,14 +305,14 @@ def _run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     restricted = symmetric_restriction(lat, basis, parts, psi)
     if restricted is not None:
         parts, iso = restricted
-        psi = iso.T @ psi
+        psi = iso.project(psi)
     # one drive steps the plain state, several a (dim, P) block
     step_drive = drives if len(drives) > 1 else drives[0]
     block = psi if len(drives) == 1 else np.repeat(psi[:, None], len(drives), axis=1)
 
     def full_states() -> np.ndarray:
         """One contiguous full-basis state per row."""
-        full = block if restricted is None else iso @ block
+        full = block if restricted is None else iso.expand(block)
         return np.ascontiguousarray(full.reshape(len(full), -1).T)
 
     bits = _site_bit_table(basis)

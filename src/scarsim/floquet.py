@@ -123,7 +123,7 @@ class _StroboscopicEngine:
                     f"{initial_state} does not lie in the ring's exact symmetric subspace"
                 )
             parts, iso = restricted
-            psi0 = iso.T @ psi0
+            psi0 = iso.project(psi0)
         if parts.dim > DENSE_DIM_LIMIT:
             raise CapacityError(
                 f"pulsed maps need a propagated dim <= {DENSE_DIM_LIMIT}, got {parts.dim}"

@@ -20,10 +20,9 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError
-from .hilbert import ConstrainedBasis
+from .hilbert import ConstrainedBasis, OrbitIsometry
 from .lattice import Lattice, PhysicalParams, nn_spacing, pair_distances, SHELL_RTOL
 
 
@@ -91,17 +90,66 @@ def _square_sign(c: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
-    """CSR matrix in constrained-basis indices."""
+    """Square matrix in constrained-basis indices as canonical CSR arrays.
 
-    matrix: sp.csr_matrix
+    Row r stores ``data[indptr[r]:indptr[r + 1]]`` at the ascending columns
+    ``indices[indptr[r]:indptr[r + 1]]``: bit for bit the arrays that
+    scipy's COO to CSR conversion gives.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return len(self.indptr) - 1
+
+    def rows(self) -> np.ndarray:
+        """Row index of every stored entry."""
+        return np.repeat(np.arange(self.dim), np.diff(self.indptr))
+
+    @cached_property
+    def matrix(self):
+        """scipy's CSR view of the same arrays, made on first use; only a
+        process that multiplies a sparse operator imports scipy.sparse."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((self.data, self.indices, self.indptr),
+                             shape=(self.dim, self.dim))
+
+
+def _sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` ascending and the sums of their ``values``,
+    each np.add.reduceat over its group in input order after one stable
+    argsort; where no key repeats, the sorted values themselves."""
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    if new.all():
+        return keys, values
+    starts = np.flatnonzero(new)
+    return keys[starts], np.add.reduceat(values, starts)
+
+
+def _operator(keys: np.ndarray, values: np.ndarray, dim: int) -> SparseOperator:
+    """The (dim, dim) operator with ``values`` at the positions
+    ``keys = row * dim + column``, duplicates summed; the indices are int32,
+    as scipy's, unless the operator needs int64."""
+    keys, data = _sum_by_key(keys, values)
+    index = np.int32 if max(len(keys), dim) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.searchsorted(keys, np.arange(dim + 1) * dim)
+    return SparseOperator(indptr=indptr.astype(index), indices=(keys % dim).astype(index),
+                          data=data)
 
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianParts:
     """Separable pieces of H(t) over a constrained basis (see module docs).
 
-    The combined off-diagonal matrix and its absolute row sums are computed
-    once per instance, on first use.
+    The combined off-diagonal operator and its absolute row sums are
+    computed once per instance, on first use.
     """
 
     basis: ConstrainedBasis
@@ -115,18 +163,30 @@ class HamiltonianParts:
         return self.basis.dim
 
     @cached_property
-    def _offdiag(self) -> sp.csr_matrix:
+    def _offdiag(self) -> SparseOperator:
         if self.sw2_extra is None:
-            return self.flip.matrix
-        return (self.flip.matrix + self.sw2_extra.matrix).tocsr()
+            return self.flip
+        # scipy's sum of the two, which stores no zeros; flip and sw2
+        # entries never share a position (one flipped bit against none or two)
+        parts = (self.flip, self.sw2_extra)
+        keys = np.concatenate([op.rows() * self.dim + op.indices for op in parts])
+        values = np.concatenate([op.data for op in parts])
+        nonzero = values != 0
+        return _operator(keys[nonzero], values[nonzero], self.dim)
 
     @cached_property
     def _abs_row_sums(self) -> np.ndarray:
-        return np.asarray(abs(self._offdiag).sum(axis=1)).ravel()
+        # scipy's abs(csr).sum(axis=1): np.add.reduceat over each nonempty row
+        op = self._offdiag
+        sums = np.zeros(self.dim)
+        nonempty = np.flatnonzero(np.diff(op.indptr))
+        sums[nonempty] = np.add.reduceat(np.abs(op.data), op.indptr[nonempty])
+        return sums
 
-    def offdiagonal(self) -> sp.csr_matrix:
-        """All non-drive sparse content combined (flip plus sw2 terms)."""
-        return self._offdiag
+    def offdiagonal(self):
+        """All non-drive sparse content combined (flip plus sw2 terms), as
+        scipy's CSR matrix (:attr:`SparseOperator.matrix`)."""
+        return self._offdiag.matrix
 
     def diagonal(self, delta) -> np.ndarray:
         """Diagonal of H at detuning delta; an array of P detunings gives a
@@ -138,7 +198,9 @@ class HamiltonianParts:
     def dense(self, delta: float) -> np.ndarray:
         """H at detuning delta as a dense matrix; every model's H is real
         symmetric, so it is float64."""
-        h = self.offdiagonal().toarray()
+        op = self._offdiag
+        h = np.zeros((self.dim, self.dim))
+        h[op.rows(), op.indices] = op.data
         h[np.diag_indices_from(h)] += self.diagonal(delta)
         return h
 
@@ -153,30 +215,50 @@ class HamiltonianParts:
 _RESTRICT_RTOL = 1e-12
 
 
-def restrict_parts(parts: HamiltonianParts, iso: sp.csr_matrix) -> HamiltonianParts | None:
-    """H restricted to the range of an orbit isometry, or None if not exact.
+def restrict_parts(parts: HamiltonianParts, iso: OrbitIsometry) -> HamiltonianParts | None:
+    """H restricted to the range of an orbit isometry P, or None if not exact.
 
-    ``iso`` has one nonzero per row (see
-    :func:`scarsim.hilbert.symmetric_isometry`), and its columns ascend
-    by orbit representative, the smallest state of each orbit.  The sparse
-    pieces become P^T O P and the diagonals are taken at the representatives.
-    The restriction is returned only when it is exact: both diagonals are
-    constant on every orbit and ||O P - P P^T O P|| <= 1e-12 ||O|| for each
-    sparse piece O.
+    ``iso`` comes from :func:`scarsim.hilbert.symmetric_isometry`, whose
+    orbits ascend by representative, the smallest state of each orbit.  The
+    sparse pieces become S = P^T O P, read off the representative rows of
+    O P, and the diagonals are taken at the representatives.  The
+    restriction is returned only when it is exact: both diagonals are
+    constant on every orbit and, for each sparse piece O, every row of O P
+    stores the columns of its representative's row and
+    ||O P - P S||_F <= 1e-12 ||O||_F (checked on O Q, Q the orbit
+    indicator, whose distance to its representative rows bounds it).
     """
-    orbit = iso.indices
-    first = np.unique(orbit, return_index=True)[1]
+    orbit, weight, n = iso.orbit, iso.weight, iso.n_orbits
+    first = np.full(n, len(orbit))
+    np.minimum.at(first, orbit, np.arange(len(orbit)))
+    rep = first[orbit]      # each state's representative
     for diag in (parts.diag_static, parts.diag_number):
-        spread = np.abs(diag - diag[first][orbit])
+        spread = np.abs(diag - diag[rep])
         if spread.max(initial=0.0) > _RESTRICT_RTOL * np.abs(diag).max(initial=0.0):
             return None
 
     def restrict(op: SparseOperator) -> SparseOperator | None:
-        small = (iso.T @ op.matrix @ iso).tocsr()
-        err = np.linalg.norm((op.matrix @ iso - iso @ small).data)
-        if err > _RESTRICT_RTOL * np.linalg.norm(op.matrix.data):
+        # O Q, Q the orbit indicator (P = Q W, W = diag(weights)): entry
+        # O_kl adds to (k, orbit[l]); rows ascend
+        keys, oq = _sum_by_key(op.rows() * n + orbit[op.indices], op.data)
+        rows, cols = np.divmod(keys, n)
+        counts = np.bincount(rows, minlength=len(orbit))
+        starts = np.cumsum(counts) - counts
+        # O P = P S says that each row of O P, and so of O Q, equals its
+        # representative's row (weights are equal within an orbit): every
+        # row must store the representative's columns, and the distance
+        # bounds ||O P - P S||_F, as every weight is at most 1
+        if not np.array_equal(counts, counts[rep]):
             return None
-        return SparseOperator(small)
+        same = np.arange(len(keys)) + np.repeat(starts[rep] - starts, counts)
+        if not np.array_equal(cols, cols[same]):
+            return None
+        if np.linalg.norm(oq - oq[same]) > _RESTRICT_RTOL * np.linalg.norm(op.data):
+            return None
+        # S = P^T O P read off the representative rows: S_ab = (O Q)_kb w_b / w_k
+        on_rep = rep[rows] == rows
+        k, b = rows[on_rep], cols[on_rep]
+        return _operator(orbit[k] * n + b, oq[on_rep] * weight[first[b]] / weight[k], n)
 
     flip = restrict(parts.flip)
     sw2 = None if parts.sw2_extra is None else restrict(parts.sw2_extra)
@@ -194,22 +276,17 @@ def _check_basis(lat: Lattice, basis: ConstrainedBasis) -> None:
         raise ConfigError("basis and lattice have different site counts")
 
 
-def _flip_matrix(lat: Lattice, basis: ConstrainedBasis, omega: float) -> sp.csr_matrix:
+def _flip_operator(lat: Lattice, basis: ConstrainedBasis, omega: float) -> SparseOperator:
     """Constrained single-site flips with matrix element Omega/2."""
     states = basis.states
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
+    keys: list[np.ndarray] = []
     for i in range(lat.n_sites):
         mask = int(basis.nn_masks[i])
         movable = np.flatnonzero((states & mask) == 0)
-        partners = states[movable] ^ (1 << i)
-        pidx = np.searchsorted(states, partners)
-        rows.append(movable)
-        cols.append(pidx)
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    data = np.full(r.shape, omega / 2.0)
-    return sp.csr_matrix((data, (r, c)), shape=(basis.dim, basis.dim))
+        partners = np.searchsorted(states, states[movable] ^ (1 << i))
+        keys.append(movable * basis.dim + partners)
+    keys = np.concatenate(keys)
+    return _operator(keys, np.full(keys.shape, omega / 2.0), basis.dim)
 
 
 def _interaction_diagonal(lat: Lattice, basis: ConstrainedBasis, p: PhysicalParams,
@@ -242,7 +319,7 @@ def build_rydberg(lat: Lattice, basis: ConstrainedBasis, p: PhysicalParams,
     blockade model exactly.
     """
     _check_basis(lat, basis)
-    flip = SparseOperator(_flip_matrix(lat, basis, p.omega))
+    flip = _flip_operator(lat, basis, p.omega)
     diag_static = _interaction_diagonal(lat, basis, p, cutoff)
     diag_number = np.bitwise_count(basis.states).astype(float)
     return HamiltonianParts(basis=basis, flip=flip, diag_static=diag_static,
@@ -252,7 +329,7 @@ def build_rydberg(lat: Lattice, basis: ConstrainedBasis, p: PhysicalParams,
 def build_pxp(lat: Lattice, basis: ConstrainedBasis, p: PhysicalParams) -> HamiltonianParts:
     """Ideal-blockade model: the constrained flip with no interaction diagonal."""
     _check_basis(lat, basis)
-    flip = SparseOperator(_flip_matrix(lat, basis, p.omega))
+    flip = _flip_operator(lat, basis, p.omega)
     diag_number = np.bitwise_count(basis.states).astype(float)
     return HamiltonianParts(basis=basis, flip=flip,
                             diag_static=np.zeros(basis.dim),
@@ -278,8 +355,7 @@ def _sw2_operator(lat: Lattice, basis: ConstrainedBasis, p: PhysicalParams) -> S
         unexcited = ((states >> i) & 1) == 0
         has = unexcited & (m >= 1)
         diag[has] -= coeff / m[has]
-    rows = [np.arange(dim)]
-    cols = [np.arange(dim)]
+    keys = [np.arange(dim) * (dim + 1)]
     vals = [diag]
     for i, j in lat.nn_pairs:
         i, j = int(i), int(j)
@@ -291,13 +367,9 @@ def _sw2_operator(lat: Lattice, basis: ConstrainedBasis, p: PhysicalParams) -> S
             & ((states & other_i) == 0) & ((states & other_j) == 0)
         src = np.flatnonzero(movable)
         dst = np.searchsorted(states, states[src] ^ (bit_i | bit_j))
-        rows.append(src)
-        cols.append(dst)
+        keys.append(src * dim + dst)
         vals.append(np.full(src.shape, -coeff))
-    m = sp.csr_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(dim, dim))
-    return SparseOperator(m)
+    return _operator(np.concatenate(keys), np.concatenate(vals), dim)
 
 
 def build_sw2(lat: Lattice, basis: ConstrainedBasis, p: PhysicalParams) -> HamiltonianParts:

@@ -47,3 +47,13 @@ def ring_of():
                        coordination=np.full(n, 2, dtype=np.int64),
                        nn_pairs=np.array(pairs, dtype=np.int64), periodic=True)
     return build
+
+
+@pytest.fixture(scope="session")
+def dense_isometry():
+    """The (dim, n_orbits) matrix P of a :class:`scarsim.hilbert.OrbitIsometry`."""
+    def dense(iso):
+        p = np.zeros((len(iso.orbit), iso.n_orbits))
+        p[np.arange(len(iso.orbit)), iso.orbit] = iso.weight
+        return p
+    return dense

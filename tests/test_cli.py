@@ -591,6 +591,74 @@ class TestSweepCommand:
         assert len(lines) == 2
 
 
+    def test_refused_fit_keeps_status_ok_and_says_why(self, tmp_path):
+        """At omegam = 0.90 Omega the 1 us window of the 9-site chain spans
+        under two periods of the guessed frequency, so the fit is refused:
+        the point stays ok (it propagated), its fit cells stay blank and
+        its error cell gives the fit's reason."""
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["lattice"]["extent"] = 9
+        doc["observables"] = {}
+        doc["sweep"] = [{"parameter": "drive.omegam_over_omega", "grid": [0.9]}]
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out),
+                     "--jobs", "1"]) == 0
+        header, row = (out / "aggregate.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["status"] == "ok"
+        assert cells["error"] == "fit: window must span at least two oscillation periods"
+        assert cells["omega_tilde"] == cells["tau"] == cells["inv_tau"] == ""
+        assert float(cells["sub_weight"]) > 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "complete"
+
+    def test_unconverged_fit_says_so(self, tmp_path, monkeypatch):
+        import scarsim.cli as cli
+        from scarsim.analysis import DampedCosineFit
+
+        monkeypatch.setattr(cli, "fit_damped_cosine", lambda values, times: DampedCosineFit(
+            y0=0.0, c=0.1, omega_tilde=1.0, tau=2.0, converged=False))
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["observables"] = {}
+        doc["evolution"]["total_time"] = 0.2
+        doc["sweep"] = [{"parameter": "drive.omegam_over_omega", "grid": [1.2]}]
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out),
+                     "--jobs", "1"]) == 0
+        header, row = (out / "aggregate.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert (cells["status"], cells["error"], cells["tau"]) == \
+            ("ok", "fit: did not converge", "")
+
+    def test_default_jobs_counts_the_usable_cpus(self, tmp_path, monkeypatch):
+        """Without --jobs a sweep starts one worker per CPU in the process's
+        affinity mask (capped by the group count), not per CPU of the host."""
+        import concurrent.futures
+
+        import scarsim.cli as cli
+
+        workers = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["lattice"]["extent"] = 5
+        doc["observables"] = {}
+        doc["evolution"]["total_time"] = 0.02
+        # points that differ beyond their drive are groups of their own
+        doc["sweep"] = [{"parameter": "physical.v0_mhz", "grid": [40.0, 45.0, 50.0, 55.0]}]
+        assert cli._usable_cpus() == 3
+        assert main(["sweep", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert workers == [3]
+
+
 class TestFailedRunManifest:
     """A run that fails after its document is loaded still writes a manifest."""
 
@@ -821,8 +889,49 @@ def _python_stdout(code: str) -> str:
 
 def test_cli_import_defers_optional_scipy_modules():
     code = ("import sys, scarsim.cli; print([m for m in ('scipy.linalg', "
-            "'scipy.optimize', 'scipy.spatial', 'scipy.special') if m in sys.modules])")
+            "'scipy.optimize', 'scipy.sparse', 'scipy.spatial', 'scipy.special') "
+            "if m in sys.modules])")
     assert _python_stdout(code).strip() == "[]"
+
+
+def test_ring_isometry_leaves_numpy_ma_unloaded():
+    """Permuting basis states loads no numpy.ma, which a flag-free
+    np.unique imports (about 15 ms)."""
+    code = ("import sys; from scarsim.lattice import build_lattice, symmetry_permutations; "
+            "from scarsim.hilbert import enumerate_blockaded, symmetric_isometry; "
+            "lat = build_lattice('chain', 10, periodic=True); "
+            "symmetric_isometry(enumerate_blockaded(lat), symmetry_permutations(lat)); "
+            "print('numpy.ma' in sys.modules)")
+    assert _python_stdout(code).splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("command, loads", [
+    ("floquet", False), ("lattice", False), ("analyze", False), ("sweep", False),
+    ("quench", True)])
+def test_only_processes_that_step_load_scipy_sparse(tmp_path, command, loads):
+    """Operators are numpy arrays until a sparse product needs scipy's CSR
+    view: the pulsed map (dense), the lattice report, ``analyze --mode
+    fit`` and the parent of a ``--jobs 2`` sweep never import
+    scipy.sparse; a quench that steps does."""
+    out = tmp_path / "o"
+    if command in ("floquet", "lattice"):
+        preset = "figS9b" if command == "floquet" else "fig3d-drive"
+        argv = [command, "--preset", preset, "--out", str(out)]
+    elif command == "analyze":
+        stored = tmp_path / "quench.csv"
+        stored.write_text("\r\n".join(damped_quench_rows()) + "\r\n")
+        argv = ["analyze", str(stored), "--mode", "fit", "--out", str(out)]
+    else:
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["observables"] = {}
+        doc["evolution"]["total_time"] = 0.1
+        if command == "sweep":
+            doc["sweep"] = [{"parameter": "physical.v0_mhz", "grid": [45.0, 51.0]}]
+        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out)]
+        argv += ["--jobs", "2"] if command == "sweep" else []
+    code = ("import sys, scarsim.cli as c; "
+            f"code = c.main({argv!r}); print(code, 'scipy.sparse' in sys.modules)")
+    assert _python_stdout(code).splitlines()[-1] == f"0 {loads}"
 
 
 def test_ring_quench_leaves_scipy_special_unloaded(tmp_path):
@@ -905,6 +1014,20 @@ def test_only_the_process_entry_freezes_the_heap(tmp_path):
     code = ("import gc, sys, scarsim.cli as c; sys.argv = ['scarsim', 'lattice', "
             "'--list-presets']; c.entry(); print(gc.get_freeze_count() > 0)")
     assert _python_stdout(code).splitlines()[-1] == "True"
+
+
+def test_process_entry_freezes_what_the_run_made(tmp_path):
+    """A stepping quench imports scipy.sparse during its run; the entry
+    freezes again afterwards, so the collection at interpreter exit walks
+    none of it (gc.get_objects lists only unfrozen objects)."""
+    doc = json.loads(json.dumps(SMALL_QUENCH))
+    doc["observables"] = {}
+    doc["evolution"]["total_time"] = 0.02
+    cfg = write_config(tmp_path, doc)
+    code = ("import gc, sys, scarsim.cli as c; sys.argv = ['scarsim', 'quench', "
+            f"'--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}]; c.entry(); "
+            "print(len(gc.get_objects()) < 100, 'scipy.sparse' in sys.modules)")
+    assert _python_stdout(code).splitlines()[-1] == "True True"
 
 
 class TestFloquetCommand:

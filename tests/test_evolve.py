@@ -571,14 +571,14 @@ class TestRingSymmetricSubspace:
 
     @pytest.mark.parametrize("n", [10, 11, 12])
     @pytest.mark.parametrize("build", [build_pxp, build_rydberg, build_sw2])
-    def test_restriction_is_exact(self, p, ring_of, n, build):
+    def test_restriction_is_exact(self, p, ring_of, dense_isometry, n, build):
         lat = ring_of(n)
         basis = enumerate_blockaded(lat)
         parts = build(lat, basis, p)
         iso = symmetric_isometry(basis, symmetry_permutations(lat))
         small = restrict_parts(parts, iso)
-        assert small is not None and small.dim == iso.shape[1]
-        dense_iso = iso.toarray()
+        assert small is not None and small.dim == iso.n_orbits
+        dense_iso = dense_isometry(iso)
         for delta in (0.0, 0.7 * p.omega):
             err = parts.dense(delta) @ dense_iso - dense_iso @ small.dense(delta)
             assert np.abs(err).max() < 1e-13
@@ -591,11 +591,30 @@ class TestRingSymmetricSubspace:
         site0 = ((basis.states & 1) * 0.3).astype(float)
         pinned = dataclasses.replace(parts, diag_static=parts.diag_static + site0)
         assert restrict_parts(pinned, iso) is None
-        flip = parts.flip.matrix.tolil()
-        flip[0, 1] = flip[1, 0] = 0.5 * flip[0, 1]
-        bent = dataclasses.replace(parts, flip=SparseOperator(flip.tocsr()))
+        flip = parts.flip
+        rows = flip.rows()
+        pair = ((rows == 0) & (flip.indices == 1)) | ((rows == 1) & (flip.indices == 0))
+        assert pair.sum() == 2
+        bent = dataclasses.replace(parts, flip=SparseOperator(
+            flip.indptr, flip.indices, np.where(pair, 0.5 * flip.data, flip.data)))
         assert restrict_parts(bent, iso) is None
         assert restrict_parts(parts, iso) is not None
+
+    def test_restriction_refuses_rows_that_store_other_columns(self, p, ring_of):
+        """Each row of O P must store the columns of its representative's
+        row: a symmetric pair of 1e-30 entries between sites 0 and 2 of one
+        orbit is refused, though the norm check alone would pass it."""
+        lat = ring_of(12)
+        basis = enumerate_blockaded(lat)
+        parts = build_pxp(lat, basis, p)
+        iso = symmetric_isometry(basis, symmetry_permutations(lat))
+        a, b = basis.index_of(0b1), basis.index_of(0b100)
+        assert iso.orbit[a] == iso.orbit[b]
+        m = parts.flip.matrix.tolil()
+        m[a, b] = m[b, a] = 1e-30
+        m = m.tocsr()
+        extra = dataclasses.replace(parts, flip=SparseOperator(m.indptr, m.indices, m.data))
+        assert restrict_parts(extra, iso) is None
 
     def _oracle(self, parts, drive, psi0s, cfg, nsub):
         """Full-basis dense midpoint propagation of each column of psi0s, one

@@ -166,6 +166,49 @@ class TestStepInvariants:
             assert parts.spectral_bound(delta) == want
 
 
+def _scipy_csr(op, rng):
+    """scipy's COO to CSR conversion of the operator's entries, fed in a
+    shuffled order."""
+    import scipy.sparse as sp
+
+    order = rng.permutation(len(op.data))
+    return sp.csr_matrix((op.data[order], (op.rows()[order], op.indices[order])),
+                         shape=(op.dim, op.dim))
+
+
+def _same_csr(ours, ref):
+    return all(getattr(ours, name).dtype == getattr(ref, name).dtype
+               and np.array_equal(getattr(ours, name), getattr(ref, name))
+               for name in ("indptr", "indices", "data"))
+
+
+class TestCsrArraysMatchScipy:
+    """The numpy assembly gives scipy's canonical CSR arrays bit for bit,
+    and the absolute row sums equal scipy's abs(csr).sum(axis=1)."""
+
+    @pytest.mark.parametrize("kind, extent, extra", [
+        ("chain", 9, {}), ("chain", 12, {"periodic": True}),
+        ("zigzag_chain", 8, {"zigzag_nnn_ratio": 1.45}), ("square", 4, {}),
+        ("honeycomb", 2.1, {}), ("lieb", 2, {})])
+    @pytest.mark.parametrize("builder", [build_pxp, build_rydberg, build_sw2])
+    def test_assembly(self, p, kind, extent, extra, builder):
+        lat = build_lattice(kind, extent, **extra)
+        basis = enumerate_blockaded(lat)
+        parts = builder(lat, basis, p)
+        rng = np.random.default_rng(0)
+        ops = [parts.flip] + ([parts.sw2_extra] if parts.sw2_extra is not None else [])
+        for op in ops:
+            assert _same_csr(op, _scipy_csr(op, rng))
+            assert op.matrix.nnz == len(op.data)
+        ref = _scipy_csr(parts.flip, rng)
+        if parts.sw2_extra is not None:
+            ref = (ref + _scipy_csr(parts.sw2_extra, rng)).tocsr()
+        assert _same_csr(parts.offdiagonal(), ref)
+        row_sums = np.asarray(abs(ref).sum(axis=1)).ravel()
+        assert parts._abs_row_sums.dtype == row_sums.dtype
+        assert np.array_equal(parts._abs_row_sums, row_sums)
+
+
 class TestDriveProfile:
     def test_cosine_values(self):
         d = DriveProfile.cosine(1.0, 0.5, 2.0)

@@ -302,16 +302,19 @@ def _site_map(state, n, image_of_site):
 
 class TestRingSymmetricIsometry:
     @pytest.mark.parametrize("n", [10, 11, 12])
-    def test_columns_are_normalized_orbits_of_t2_and_inversion(self, ring_of, n):
+    def test_columns_are_normalized_orbits_of_t2_and_inversion(self, ring_of,
+                                                               dense_isometry, n):
         lat = ring_of(n)
         basis = enumerate_blockaded(lat)
         iso = symmetric_isometry(basis, symmetry_permutations(lat))
-        assert iso.shape[0] == basis.dim
-        assert np.array_equal(np.diff(iso.indptr), np.ones(basis.dim))
-        eye = np.eye(iso.shape[1])
-        assert np.abs((iso.T @ iso).toarray() - eye).max() < 1e-13
+        # one nonzero per row: a column and a positive weight per state
+        assert iso.orbit.shape == iso.weight.shape == (basis.dim,)
+        assert (iso.weight > 0).all()
+        p_dense = dense_isometry(iso)
+        eye = np.eye(iso.n_orbits)
+        assert np.abs(p_dense.T @ p_dense - eye).max() < 1e-13
         # reference orbits, closed under site maps i -> i + 2 and i -> -i
-        column = dict(zip(basis.states.tolist(), iso.indices.tolist()))
+        column = dict(zip(basis.states.tolist(), iso.orbit.tolist()))
         orbits = {}
         for s in basis.states.tolist():
             orbit, todo = {s}, [s]
@@ -323,7 +326,7 @@ class TestRingSymmetricIsometry:
                         orbit.add(image)
                         todo.append(image)
             orbits[min(orbit)] = orbit
-        assert iso.shape[1] == len(orbits)
+        assert iso.n_orbits == len(orbits)
         for rep, orbit in orbits.items():
             assert {column[t] for t in orbit} == {column[rep]}
         # columns ascend by representative
@@ -334,10 +337,23 @@ class TestRingSymmetricIsometry:
             lat = build_lattice("chain", n, periodic=True)
             basis = enumerate_blockaded(lat)
             iso = symmetric_isometry(basis, symmetry_permutations(lat))
-            assert iso.shape == (basis.dim, n_orbits)
+            assert (len(iso.orbit), iso.n_orbits) == (basis.dim, n_orbits)
             for state in canonical_states(lat):
                 k = basis.index_of(state)
-                assert iso[k, iso.indices[k]] == 1.0    # an orbit of one state
+                assert iso.weight[k] == 1.0    # an orbit of one state
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_project_and_expand_are_the_matrix_products(self, ring_of, dense_isometry, n):
+        lat = ring_of(n)
+        basis = enumerate_blockaded(lat)
+        iso = symmetric_isometry(basis, symmetry_permutations(lat))
+        p_dense = dense_isometry(iso)
+        rng = np.random.default_rng(n)
+        psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        assert np.abs(iso.project(psi) - p_dense.T @ psi).max() < 1e-13
+        block = rng.normal(size=(iso.n_orbits, 3)) + 1j * rng.normal(size=(iso.n_orbits, 3))
+        assert np.array_equal(iso.expand(block), p_dense @ block)
+        assert np.array_equal(iso.expand(block[:, 1]), p_dense @ block[:, 1])
 
     def test_open_chain_has_none(self):
         lat = build_lattice("chain", 12)
