@@ -119,7 +119,7 @@ def _build_system(cfg: ExperimentConfig):
     lat = cfg.lattice
     basis = enumerate_blockaded(lat)
     if cfg.model == "rydberg":
-        parts = build_rydberg(lat, basis, cfg.physical, cutoff=cfg.cutoff)
+        parts = build_rydberg(lat, basis, cfg.physical)
     elif cfg.model == "pxp":
         parts = build_pxp(lat, basis, cfg.physical)
     else:

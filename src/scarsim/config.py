@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, is_int, is_number
+from .errors import ConfigError, GeometryError, is_int, is_number
 from .evolve import EvolutionConfig
 from .hamiltonian import DriveProfile, DriveShape
 from .lattice import (
@@ -100,7 +100,6 @@ class ExperimentConfig:
     lattice: Lattice
     physical: PhysicalParams | None
     model: str
-    cutoff: float | None
     drive: DriveProfile | None
     initial_state: str
     evolution: EvolutionConfig | None
@@ -165,7 +164,11 @@ def _parse_lattice(d) -> Lattice:
             f"{path}.zigzag_nnn_ratio", "must be a number")
     periodic = d.get("periodic", False)
     _expect(isinstance(periodic, bool), f"{path}.periodic", "must be true or false")
-    return build_lattice(kind, extent, ratio, periodic=periodic)
+    try:
+        return build_lattice(kind, extent, ratio, periodic=periodic)
+    except (ConfigError, GeometryError) as exc:
+        # build_lattice names the parameter, which is the field of this section
+        raise type(exc)(f"{path}.{exc}") from exc
 
 
 def _parse_physical(d) -> PhysicalParams:
@@ -256,6 +259,8 @@ def _parse_floquet(d) -> FloquetSpec:
     boundary = _get(d, path, "boundary", "periodic")
     _expect(boundary in ("open", "periodic"), f"{path}.boundary",
             "must be 'open' or 'periodic'")
+    _expect(boundary == "open" or l >= 3, f"{path}.l",
+            "a periodic chain needs at least 3 sites")
     kind = _get(d, path, "map", required=True)
     _expect(kind in ("revival", "subharmonic"), f"{path}.map",
             "must be 'revival' or 'subharmonic'")
@@ -277,9 +282,8 @@ def _parse_floquet(d) -> FloquetSpec:
 
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a raw configuration document and build what a run uses."""
-    _fields(doc, "config", ("lattice", "physical", "model", "cutoff", "drive",
-                            "initial_state", "evolution", "observables", "sweep",
-                            "floquet"))
+    _fields(doc, "config", ("lattice", "physical", "model", "drive", "initial_state",
+                            "evolution", "observables", "sweep", "floquet"))
     floquet = _parse_floquet(doc["floquet"]) if "floquet" in doc else None
     if "lattice" in doc or floquet is None:
         lattice = _parse_lattice(_get(doc, "config", "lattice", required=True))
@@ -291,12 +295,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     model = doc.get("model", "rydberg")
     _expect(model in MODELS, "model", f"must be one of {MODELS}")
-
-    cutoff = doc.get("cutoff")
-    if cutoff is not None:
-        _expect(is_number(cutoff) and cutoff >= 1, "cutoff",
-                "must be a number >= 1")
-        cutoff = float(cutoff)
 
     drive = doc.get("drive")
     if drive is not None:
@@ -311,7 +309,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     sweep = _parse_sweep(doc.get("sweep", []))
 
     return ExperimentConfig(
-        lattice=lattice, physical=physical, model=model, cutoff=cutoff,
+        lattice=lattice, physical=physical, model=model,
         drive=drive, initial_state=initial_state, evolution=evolution,
         observables=observables, sweep=sweep, floquet=floquet,
         raw=normalize_document(doc),

@@ -69,10 +69,6 @@ class PulsedParams:
         return cls(theta=math.pi + epsilon, tau=tau)
 
 
-def _kick_phases(basis: ConstrainedBasis, theta: float) -> np.ndarray:
-    return np.exp(-1j * theta * np.bitwise_count(basis.states))
-
-
 def apply_period(psi: np.ndarray, params: PulsedParams, basis: ConstrainedBasis,
                  parts_pxp: HamiltonianParts) -> np.ndarray:
     """One driving period: one Chebyshev step at zero detuning, then the kick.
@@ -83,7 +79,7 @@ def apply_period(psi: np.ndarray, params: PulsedParams, basis: ConstrainedBasis,
     if len(psi) != basis.dim or parts_pxp.dim != basis.dim:
         raise ConfigError("state, basis, and operator dimensions disagree")
     out = propagate_step(parts_pxp, DriveProfile.constant(0.0), psi, 0.0, params.tau)
-    return _kick_phases(basis, params.theta) * out
+    return np.exp(-1j * params.theta * parts_pxp.diag_number) * out
 
 
 def _real_matmul(a: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -131,8 +127,7 @@ class _StroboscopicEngine:
         self.dim = parts.dim
         self.psi0 = psi0
         self.evals, self.q = np.linalg.eigh(parts.dense(0.0))
-        # on a ring the diagonals are read at the orbit representatives
-        self.popcounts = np.bitwise_count(parts.basis.states)
+        self.number = parts.diag_number
         bits = _site_bit_table(parts.basis)
         # imbalance = A-site mean minus B-site mean of the site occupations
         self.imbalance_weights = (bits[:, self.lat.sites_of(0)].mean(axis=1)
@@ -141,7 +136,7 @@ class _StroboscopicEngine:
     def drive(self, thetas, taus) -> tuple[np.ndarray, np.ndarray]:
         """Per-column eigenphases exp(-i tau E) and kicks exp(-i theta N)."""
         phases = np.exp(-1j * np.outer(self.evals, taus))
-        kicks = np.exp(-1j * np.outer(self.popcounts, thetas))
+        kicks = np.exp(-1j * np.outer(self.number, thetas))
         return phases, kicks
 
     def apply(self, block: np.ndarray, phases: np.ndarray,

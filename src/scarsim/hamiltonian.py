@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .hilbert import ConstrainedBasis, OrbitIsometry
-from .lattice import Lattice, PhysicalParams, nn_spacing, pair_distances, SHELL_RTOL
+from .lattice import Lattice, PhysicalParams, interaction_matrix, shell_masks
 
 
 class DriveShape(str, Enum):
@@ -289,38 +289,27 @@ def _flip_operator(lat: Lattice, basis: ConstrainedBasis, omega: float) -> Spars
     return _operator(keys, np.full(keys.shape, omega / 2.0), basis.dim)
 
 
-def _interaction_diagonal(lat: Lattice, basis: ConstrainedBasis, p: PhysicalParams,
-                          cutoff: float | None) -> np.ndarray:
-    """Beyond-NN pair energies per configuration, optionally distance-cut."""
-    dist = pair_distances(lat)
-    a = nn_spacing(dist)
+def _interaction_diagonal(lat: Lattice, basis: ConstrainedBasis,
+                          p: PhysicalParams) -> np.ndarray:
+    """Beyond-NN pair energies per configuration, added pair by pair with
+    i < j ascending; NN pairs never coexist inside the constrained space."""
+    v = interaction_matrix(lat, p)
+    _, _, beyond = shell_masks(lat)
     states = basis.states
     diag = np.zeros(basis.dim)
-    n = lat.n_sites
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = dist[i, j]
-            if d <= a * (1.0 + SHELL_RTOL):
-                continue  # NN pairs never coexist inside the constrained space
-            if cutoff is not None and d > cutoff * a * (1.0 + SHELL_RTOL):
-                continue
-            pair_mask = (1 << i) | (1 << j)
-            both = (states & pair_mask) == pair_mask
-            diag[both] += p.v0 / (d / a) ** 6
+    for i, j in zip(*np.nonzero(np.triu(beyond))):
+        pair_mask = (1 << int(i)) | (1 << int(j))
+        both = (states & pair_mask) == pair_mask
+        diag[both] += v[i, j]
     return diag
 
 
-def build_rydberg(lat: Lattice, basis: ConstrainedBasis, p: PhysicalParams,
-                  cutoff: float | None = None) -> HamiltonianParts:
-    """Full long-range Hamiltonian pieces; cutoff (units of a) trims the tail.
-
-    The default keeps every pair interaction inside the finite patch; a
-    cutoff of 1 reduces the static diagonal to zero, recovering the ideal
-    blockade model exactly.
-    """
+def build_rydberg(lat: Lattice, basis: ConstrainedBasis, p: PhysicalParams) -> HamiltonianParts:
+    """Full long-range Hamiltonian pieces: every pair interaction inside the
+    finite patch."""
     _check_basis(lat, basis)
     flip = _flip_operator(lat, basis, p.omega)
-    diag_static = _interaction_diagonal(lat, basis, p, cutoff)
+    diag_static = _interaction_diagonal(lat, basis, p)
     diag_number = np.bitwise_count(basis.states).astype(float)
     return HamiltonianParts(basis=basis, flip=flip, diag_static=diag_static,
                             diag_number=diag_number)

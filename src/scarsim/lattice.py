@@ -136,10 +136,7 @@ def _finalize(kind: str, positions: np.ndarray, sublattice: np.ndarray,
                   nn_pairs=np.zeros((0, 2), dtype=np.int64), periodic=periodic)
     if len(positions) == 1:
         return lat
-    dist = pair_distances(lat)
-    a = nn_spacing(dist)
-    nn = np.abs(dist - a) <= SHELL_RTOL * a
-    np.fill_diagonal(nn, False)
+    nn, _, _ = shell_masks(lat)
     ii, jj = np.nonzero(np.triu(nn))
     if np.any(sublattice[ii] == sublattice[jj]):
         raise GeometryError(
@@ -273,22 +270,23 @@ def build_lattice(kind: str, extent: int | float,
     family; for the Lieb patch it is the number of unit cells per side.
     ``zigzag_nnn_ratio`` sets the second-shell distance d2/a of the zigzag
     chain (2 recovers a straight chain) and must be supplied only for it.
-    ``periodic`` closes a chain into a ring of unit bond length.
+    ``periodic`` closes a chain into a ring of unit bond length.  A refusal
+    begins with the name of the parameter it concerns, as ``name: reason``.
     """
     if kind not in LATTICE_KINDS:
-        raise ConfigError(f"unsupported lattice kind {kind!r}")
+        raise ConfigError(f"kind: unsupported lattice kind {kind!r}")
     if (zigzag_nnn_ratio is not None) != (kind == "zigzag_chain"):
-        raise ConfigError("zigzag_nnn_ratio must be supplied iff kind is zigzag_chain")
+        raise ConfigError("zigzag_nnn_ratio: must be supplied iff kind is zigzag_chain")
     if periodic and kind != "chain":
-        raise ConfigError("periodic boundary is only supported for chains")
+        raise ConfigError("periodic: only chains may be periodic")
     if extent <= 0:
-        raise ConfigError("extent must be positive")
+        raise ConfigError("extent: must be positive")
 
     if kind == "chain":
         n = int(extent)
         if periodic:
             if n < 3:
-                raise GeometryError("periodic chain needs at least 3 sites")
+                raise GeometryError("extent: a periodic chain needs at least 3 sites")
             pos = _ring_positions(n)
         else:
             pos = _chain_positions(n)
@@ -297,7 +295,7 @@ def build_lattice(kind: str, extent: int | float,
     if kind == "zigzag_chain":
         r = float(zigzag_nnn_ratio)
         if not (1.0 <= r <= 2.0):
-            raise ConfigError("zigzag_nnn_ratio must lie in [1, 2]")
+            raise ConfigError("zigzag_nnn_ratio: must lie in [1, 2]")
         n = int(extent)
         pos = _zigzag_positions(n, r)
         sub = (np.arange(n) % 2).astype(np.int8)

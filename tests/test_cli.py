@@ -112,6 +112,8 @@ class TestSectionChecks:
             {"parameter": "drive.delta0_over_omega", "grid": [0.1, 0.2]},
             {"parameter": "drive.delta0_over_omega", "grid": [0.5, 0.6, 0.7]}],
          "sweep[1].parameter"),
+        # the interaction range is not configurable: every pair in the patch counts
+        ("quench", "cutoff", 2.5, "config.cutoff"),
     ])
     def test_malformed_section_exits_2(self, tmp_path, capsys, command, section,
                                        value, field):
@@ -209,6 +211,12 @@ class TestLatticeCommand:
         # would be truncated
         ({"kind": "chain", "extent": 9.7}, "lattice.extent"),
         ({"kind": "square", "extent": 3.9}, "lattice.extent"),
+        # refusals of build_lattice name the field too
+        ({"kind": "triangle", "extent": 4}, "lattice.kind:"),
+        ({"kind": "zigzag_chain", "extent": 9, "zigzag_nnn_ratio": 2.5},
+         "lattice.zigzag_nnn_ratio:"),
+        ({"kind": "square", "extent": 4, "periodic": True}, "lattice.periodic:"),
+        ({"kind": "chain", "extent": 2, "periodic": True}, "lattice.extent:"),
     ])
     def test_malformed_lattice_exits_2(self, tmp_path, capsys, lattice, field):
         cfg = write_config(tmp_path, {"lattice": lattice})
@@ -1057,6 +1065,7 @@ class TestFloquetCommand:
         ("taus_over_2pi", [False], "floquet.taus_over_2pi[0]"),
         ("n_periods", True, "floquet.n_periods"),
         ("epsilons", [float("nan")], "floquet.epsilons[0]"),
+        ("l", 2, "floquet.l:"),
     ])
     def test_malformed_floquet_exits_2(self, tmp_path, capsys, key, value, field):
         doc = {"floquet": {"l": 8, "boundary": "periodic", "map": "revival",

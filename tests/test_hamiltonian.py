@@ -15,7 +15,7 @@ from scarsim.hamiltonian import (
     parity_diagonal,
 )
 from scarsim.hilbert import canonical_states, enumerate_blockaded, string_to_state
-from scarsim.lattice import PhysicalParams, build_lattice
+from scarsim.lattice import PhysicalParams, build_lattice, interaction_matrix, shell_masks
 
 
 @pytest.fixture(scope="module")
@@ -44,13 +44,6 @@ class TestFlipStructure:
         pxp = build_pxp(lat, basis, p)
         assert (ryd.flip.matrix != pxp.flip.matrix).nnz == 0
         assert np.allclose(pxp.diag_static, 0)
-
-    def test_cutoff_at_nn_reduces_to_pxp(self, p, chain9):
-        lat, basis = chain9
-        cut = build_rydberg(lat, basis, p, cutoff=1.0)
-        pxp = build_pxp(lat, basis, p)
-        assert np.allclose(cut.diag_static, pxp.diag_static)
-        assert (cut.flip.matrix != pxp.flip.matrix).nnz == 0
 
     def test_connection_counts(self, p, chain9, chain9_states):
         lat, basis = chain9
@@ -86,12 +79,31 @@ class TestDiagonals:
         assert np.array_equal(parts.diag_number,
                               np.bitwise_count(basis.states).astype(float))
 
-    def test_cutoff_trims_tail(self, p, chain9, chain9_states):
-        lat, basis = chain9
-        af1, _, _ = chain9_states
-        short = build_rydberg(lat, basis, p, cutoff=2.5)
-        k = basis.index_of(af1)
-        assert short.diag_static[k] == pytest.approx(4 * p.v0 / 64, rel=1e-12)
+    @pytest.mark.parametrize("kind,extent,ratio,periodic", [
+        ("chain", 9, None, False),
+        ("chain", 12, None, True),
+        ("chain", 16, None, True),
+        ("zigzag_chain", 8, 1.45, False),
+        ("square", 4, None, False),
+        ("lieb", 2, None, False),
+        ("honeycomb", 2.1, None, False),
+    ])
+    def test_static_diagonal_sums_the_interaction_matrix(self, p, kind, extent, ratio,
+                                                         periodic):
+        # the couplings are lattice's V_ij, added over each state's excited
+        # beyond-NN pairs with i < j ascending
+        lat = build_lattice(kind, extent, ratio, periodic=periodic)
+        basis = enumerate_blockaded(lat)
+        v = interaction_matrix(lat, p)
+        _, _, beyond = shell_masks(lat)
+        want = np.zeros(basis.dim)
+        for k, s in enumerate(basis.states.tolist()):
+            sites = [i for i in range(lat.n_sites) if s >> i & 1]
+            for a, i in enumerate(sites):
+                for j in sites[a + 1:]:
+                    if beyond[i, j]:
+                        want[k] += v[i, j]
+        assert np.array_equal(build_rydberg(lat, basis, p).diag_static, want)
 
 
 class TestHermiticityAndSymmetry:
