@@ -5,6 +5,9 @@ imbalance over the full window,
 
     S~(w) = (2/T) * integral_0^T [I(t) - Ibar] cos(w t) dt,
 
+by the trapezoid rule over the uniformly spaced samples, on the grid
+w_k = 2 pi k / (8 T) from 0 to the sampling Nyquist frequency; on that grid
+the trapezoid sums of all frequencies are one zero-padded real FFT.  It
 normalizes by the total integrated intensity, and finally rescales so the
 identical pipeline applied to a reference cosine yields a peak of exactly 1.
 By default the reference frequency is the dominant grid peak; drive-aware
@@ -13,7 +16,6 @@ callers pass ``calibration_omega`` (usually half the modulation frequency).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -272,32 +274,25 @@ def fit_decay_plane(points: np.ndarray | list[tuple[float, float, float]]) -> Pl
 
 def _inphase_transform(values: np.ndarray, times: np.ndarray,
                        omegas: np.ndarray) -> np.ndarray:
-    """In-phase transform of each series along the last axis of ``values``.
+    """In-phase transform of each series along the last axis of ``values``,
+    on the :func:`fourier_spectrum` grid of N + 1 samples.
 
-    The frequency axis is chunked to bound the cos-table memory, and every
-    series reuses each chunk's table.  Each row is ``np.trapezoid`` of
-    table * row over ``times``, operation for operation, computed in two
-    work buffers: ``half`` = diff(times) / 2 scales the pair sums exactly as
-    trapezoid's ``d * s / 2.0`` does, since halving is exact for normal
-    floats.
+    That grid is omega_k = 2 pi k / (8 T), k = 0..4N, so on uniform samples
+    cos(omega_k t_j) = cos(2 pi k j / 8N): the trapezoid sum of f cos(omega t)
+    over ``times`` is the real part of bins 0..4N of the length-8N real FFT
+    of the series times its trapezoid weights.
     """
+    size = _GRID_POINTS_PER_BIN * (len(times) - 1)
+    if len(omegas) != size // 2 + 1:
+        raise NumericalError(f"spectral grid has {len(omegas)} points, "
+                             f"not 4N + 1 = {size // 2 + 1}")
     f = values - values.mean(axis=-1, keepdims=True)
-    window = times[-1] - times[0]
-    rows = f.reshape(-1, f.shape[-1])
-    out = np.empty((len(rows), len(omegas)))
-    chunk = 128
     half = np.diff(times) / 2.0
-    prod = np.empty((min(chunk, len(omegas)), len(times)))
-    pair = np.empty((len(prod), len(half)))
-    for k0 in range(0, len(omegas), chunk):
-        table = np.cos(omegas[k0:k0 + chunk, None] * times[None, :])
-        p, s = prod[:len(table)], pair[:len(table)]
-        for r, row in enumerate(rows):
-            np.multiply(table, row, out=p)
-            np.add(p[:, 1:], p[:, :-1], out=s)
-            np.multiply(s, half, out=s)
-            np.add.reduce(s, axis=1, out=out[r, k0:k0 + chunk])
-    return (2.0 / window) * out.reshape(f.shape[:-1] + (len(omegas),))
+    w = np.zeros(len(times))
+    w[:-1] += half
+    w[1:] += half
+    window = times[-1] - times[0]
+    return (2.0 / window) * np.fft.rfft(f * w, n=size, axis=-1).real
 
 
 def _normalized_intensity(values: np.ndarray, times: np.ndarray,
@@ -309,19 +304,6 @@ def _normalized_intensity(values: np.ndarray, times: np.ndarray,
     s2 = np.zeros_like(stilde)
     np.divide(stilde**2, 2.0 * total * window / math.tau, out=s2, where=total > 0)
     return s2, stilde
-
-
-@functools.lru_cache(maxsize=8)
-def _calibration_peak(tt_bytes: bytes, omegas_bytes: bytes, omega_ref: float) -> float:
-    """Peak at omega_ref of the pipeline applied to cos(omega_ref t).
-
-    It depends only on the time grid and omega_ref, so the series of a map,
-    which share both, compute it once.
-    """
-    tt = np.frombuffer(tt_bytes)
-    omegas = np.frombuffer(omegas_bytes)
-    ref_s2, _ = _normalized_intensity(np.cos(omega_ref * tt), tt, omegas)
-    return float(np.interp(omega_ref, omegas, ref_s2))
 
 
 def fourier_spectrum(values: np.ndarray, times: np.ndarray, *,
@@ -364,7 +346,9 @@ def fourier_spectrum(values: np.ndarray, times: np.ndarray, *,
             omega_ref = float(omegas[int(np.argmax(s2_rows[r]))])
         if omega_ref <= 0:
             continue
-        ref_peak = _calibration_peak(tt.tobytes(), omegas.tobytes(), float(omega_ref))
+        # the peak at omega_ref of the pipeline applied to cos(omega_ref t)
+        ref_s2, _ = _normalized_intensity(np.cos(omega_ref * tt), tt, omegas)
+        ref_peak = float(np.interp(omega_ref, omegas, ref_s2))
         if ref_peak <= 0:
             raise NumericalError("spectral calibration failed: zero reference peak")
         s2_rows[r] /= ref_peak

@@ -305,6 +305,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
             f"must be one of {INITIAL_STATES}")
 
     evolution = _parse_evolution(doc["evolution"]) if "evolution" in doc else None
+    if drive is not None and drive.shape is not DriveShape.CONSTANT \
+            and evolution is not None:
+        # the spectrum of the records must reach the subharmonic omegam / 2
+        nyquist = math.pi / (evolution.dt * evolution.record_stride)
+        _expect(nyquist >= drive.omegam / 2, "evolution.record_stride",
+                "the records' Nyquist frequency pi / (dt record_stride) = "
+                f"{nyquist:.6g} rad/us lies below omegam / 2 = "
+                f"{drive.omegam / 2:.6g} rad/us")
     observables = _parse_observables(doc.get("observables", {}), lattice)
     sweep = _parse_sweep(doc.get("sweep", []))
 

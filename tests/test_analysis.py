@@ -279,28 +279,70 @@ class TestSpectrum:
             assert np.array_equal(spec.stilde[r], one.stilde)
             assert weights[r] == weight_at(one, 40.0)
 
-    @pytest.mark.parametrize("n_omegas", [511, 512, 513, 1601])
+    @staticmethod
+    def trapezoid_reference(values, times):
+        """The direct quadrature, per-row np.trapezoid over the whole cosine
+        table of the fourier_spectrum grid, and each row's rounding scale
+        (2/T) sum |w f|."""
+        omegas = fourier_spectrum(values, times).omegas
+        f = values - values.mean(axis=-1, keepdims=True)
+        tt = times - times[0]
+        table = np.cos(omegas[:, None] * tt[None, :])
+        rows = [np.trapezoid(table * row[None, :], tt, axis=1)
+                for row in f.reshape(-1, len(times))]
+        window = times[-1] - times[0]
+        expected = (2.0 / window) * np.reshape(rows, f.shape[:-1] + (len(omegas),))
+        scale = (2.0 / window) * np.trapezoid(np.abs(f), tt, axis=-1)
+        return omegas, expected, scale[..., None]
+
     @pytest.mark.parametrize("times", [
-        np.arange(41, dtype=float),           # a map's unit-spaced periods
-        np.arange(0, 501, 4) * 0.002,         # a sweep's records at k * dt
-    ], ids=["map", "sweep"])
+        np.arange(401, dtype=float),          # a map's unit-spaced periods
+        np.arange(0, 501, 2) * 0.002,         # a sweep's records at k * dt
+        np.arange(0, 1501, 2) * 0.002,        # fig4c-chain's records
+        np.arange(0, 6, 5) * 0.002,           # one record interval of a ring
+    ], ids=["map", "sweep", "fig4c", "ring"])
     @pytest.mark.parametrize("shape", [(), (3,)], ids=["1d", "rows"])
-    def test_transform_is_bitwise_trapezoid(self, n_omegas, times, shape):
-        # the work-buffer transform must keep np.trapezoid's bytes: a plain
-        # per-row trapezoid over the whole cosine table is the reference
+    def test_transform_matches_trapezoid(self, times, shape):
+        # the real FFT evaluates the same trapezoid sums in another order
         from scarsim.analysis import _inphase_transform
 
-        values = np.random.default_rng(n_omegas).normal(size=shape + times.shape)
-        omegas = np.arange(n_omegas) * (math.pi / (times[1] * (n_omegas - 1)))
-        f = values - values.mean(axis=-1, keepdims=True)
-        table = np.cos(omegas[:, None] * times[None, :])
-        rows = [np.trapezoid(table * row[None, :], times, axis=1)
-                for row in f.reshape(-1, len(times))]
-        expected = (2.0 / (times[-1] - times[0])) * np.reshape(
-            rows, shape + (n_omegas,))
-        got = _inphase_transform(values, times, omegas)
+        values = np.random.default_rng(len(times)).normal(size=shape + times.shape)
+        omegas, expected, scale = self.trapezoid_reference(values, times)
+        got = _inphase_transform(values, times - times[0], omegas)
         assert got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
+        assert np.all(np.abs(got - expected) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("stride,dt", [(1, 1.0), (1, 0.002), (2, 0.002),
+                                           (5, 0.002)],
+                             ids=["map", "stride1", "stride2", "stride5"])
+    def test_grid_has_4n_plus_1_points(self, stride, dt):
+        # one point per real-FFT bin of the 8N-padded series, for map
+        # periods and for quench records at step * dt
+        for n in range(1, 65):
+            times = np.arange(0, n * stride + 1, stride) * dt
+            spec = fourier_spectrum(np.cos(np.arange(n + 1.0)), times)
+            assert len(spec.omegas) == 4 * n + 1
+
+    @pytest.mark.parametrize("n", [40, 250, 400])
+    @pytest.mark.parametrize("pattern", ["random", "half"])
+    def test_jittered_grid_stays_near_trapezoid(self, n, pattern):
+        # the FFT places sample j at j T / N; a spacing that _check_uniform
+        # accepts moves it by at most about N dt 1e-9, a phase of pi N 1e-9
+        # at the Nyquist frequency
+        from scarsim.analysis import _inphase_transform
+
+        rng = np.random.default_rng(n)
+        if pattern == "random":
+            jitter = rng.uniform(-0.9e-9, 0.9e-9, size=n - 1)
+        else:
+            jitter = np.where(np.arange(n - 1) < n // 2, 0.9e-9, -0.9e-9)
+        dt = 0.004
+        steps = dt * (1.0 + np.concatenate([[0.0], jitter]))
+        times = np.concatenate([[0.0], np.cumsum(steps)])
+        values = rng.normal(size=(2, n + 1))
+        omegas, expected, scale = self.trapezoid_reference(values, times)
+        got = _inphase_transform(values, times, omegas)
+        assert np.all(np.abs(got - expected) <= math.pi * n * 1e-9 * scale)
 
     def test_constant_series_is_zero(self):
         spec = fourier_spectrum(np.full_like(self.t, 2.2), self.t)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -10,7 +11,13 @@ import pytest
 
 import scarsim
 from scarsim.cli import main
-from scarsim.config import config_hash, normalize_document, parse_config, serialize_config
+from scarsim.config import (
+    config_hash,
+    normalize_document,
+    parse_config,
+    serialize_config,
+    set_by_path,
+)
 from scarsim.errors import ConfigError, NumericalError
 from scarsim.presets import PRESETS, get_preset, preset_names
 
@@ -156,6 +163,23 @@ class TestPresets:
         for name in preset_names():
             parse_config(get_preset(name))
 
+    def test_records_resolve_the_subharmonic(self):
+        # every driven preset point records at least 14 times faster than
+        # the spectrum needs to reach omegam / 2
+        for name in preset_names():
+            doc = get_preset(name)
+            axes = doc.get("sweep", [])
+            for values in itertools.product(*(ax["grid"] for ax in axes)):
+                point_doc = doc
+                for ax, value in zip(axes, values):
+                    point_doc = set_by_path(point_doc, ax["parameter"], value)
+                cfg = parse_config(point_doc)
+                if cfg.drive is None or cfg.drive.omegam == 0 or cfg.evolution is None:
+                    continue
+                ev = cfg.evolution
+                nyquist = math.pi / (ev.dt * ev.record_stride)
+                assert nyquist >= 14 * cfg.drive.omegam / 2, (name, values)
+
     def test_table_parameters_exact(self):
         d = PRESETS["fig3b-drive"]
         assert d["physical"] == {"omega_mhz": 4.2, "v0_mhz": 120.0}
@@ -272,7 +296,11 @@ class TestQuenchCommand:
                                            ("krylov_dim", True),
                                            ("total_time", float("inf")),
                                            pytest.param("total_time", 10**400,
-                                                        id="total_time-10**400")])
+                                                        id="total_time-10**400"),
+                                           # records every 0.25 us reach 12.6
+                                           # rad/us, below omegam / 2 = 15.8
+                                           pytest.param("record_stride", 125,
+                                                        id="record_stride-undersampled")])
     def test_malformed_evolution_exits_2(self, tmp_path, capsys, key, value):
         doc = json.loads(json.dumps(SMALL_QUENCH))
         doc["evolution"][key] = value
@@ -508,6 +536,26 @@ class TestSweepCommand:
             assert lines[2].startswith("1,x,error,ConfigError: evolution.record_stride")
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["status"] == "partial"
+        assert (outs[0] / "aggregate.csv").read_bytes() == \
+            (outs[1] / "aggregate.csv").read_bytes()
+
+    def test_undersampled_drive_point_is_an_error_row(self, tmp_path):
+        # records every 0.01 us reach 314 rad/us: omegam = 25 Omega puts
+        # omegam / 2 above that, and the point is refused before it runs
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["observables"] = {}
+        doc["evolution"].update(total_time=0.4, record_stride=5)
+        doc["sweep"] = [{"parameter": "drive.omegam_over_omega",
+                         "grid": [1.2, 25.0, 1.1]}]
+        cfg = write_config(tmp_path, doc)
+        outs = [tmp_path / "j1", tmp_path / "j2"]
+        for jobs, out in zip(("1", "2"), outs):
+            assert main(["sweep", "--config", cfg, "--out", str(out),
+                         "--jobs", jobs]) == 0
+            lines = (out / "aggregate.csv").read_text().strip().splitlines()
+            assert [ln.split(",")[2] for ln in lines[1:]] == ["ok", "error", "ok"]
+            assert lines[2].startswith("1,25,error,ConfigError: evolution.record_stride")
+            assert not (out / "point_001").exists()
         assert (outs[0] / "aggregate.csv").read_bytes() == \
             (outs[1] / "aggregate.csv").read_bytes()
 
