@@ -312,6 +312,36 @@ class TestSpectrum:
         assert got.shape == expected.shape
         assert np.all(np.abs(got - expected) <= 1e-13 * scale)
 
+    @pytest.mark.parametrize("n_omegas", [513, 1601])
+    @pytest.mark.parametrize("stride,dt", [(1, 1.0), (4, 0.002)],
+                             ids=["map", "sweep"])
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["1d", "rows"])
+    def test_transform_is_bitwise_trapezoid(self, n_omegas, stride, dt, shape):
+        # the name is kept from the cosine-table quadrature, which matched
+        # np.trapezoid byte for byte; the real FFT sums in another order, so
+        # the match is now to rounding, on grids of N = 128 (an FFT length
+        # of 1024) and 400 periods or records at stride 4
+        from scarsim.analysis import _inphase_transform
+
+        n = (n_omegas - 1) // 4
+        times = np.arange(0, n * stride + 1, stride) * dt
+        values = np.random.default_rng(n_omegas).normal(size=shape + times.shape)
+        omegas, expected, scale = self.trapezoid_reference(values, times)
+        assert len(omegas) == n_omegas
+        got = _inphase_transform(values, times, omegas)
+        assert got.shape == expected.shape
+        assert np.all(np.abs(got - expected) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("n_omegas", [511, 512])
+    def test_transform_refuses_other_grid_lengths(self, n_omegas):
+        # the FFT bins are the fourier_spectrum grid only: 4N + 1 points
+        from scarsim.analysis import _inphase_transform
+
+        times = np.arange(128.0)
+        omegas = np.linspace(0.0, math.pi, n_omegas)
+        with pytest.raises(NumericalError, match="not 4N \\+ 1 = 509"):
+            _inphase_transform(np.cos(times), times, omegas)
+
     @pytest.mark.parametrize("stride,dt", [(1, 1.0), (1, 0.002), (2, 0.002),
                                            (5, 0.002)],
                              ids=["map", "stride1", "stride2", "stride5"])
