@@ -306,28 +306,34 @@ def _normalized_intensity(values: np.ndarray, times: np.ndarray,
     return s2, stilde
 
 
+def spectral_grid(times: np.ndarray) -> np.ndarray:
+    """The frequencies of :func:`fourier_spectrum` for uniform sample
+    ``times``: 0 to the Nyquist frequency pi / dt, spaced 2 pi / (8 T)."""
+    times = np.asarray(times, dtype=float)
+    dt = _check_uniform(times)
+    window = times[-1] - times[0]
+    if window <= 0:
+        raise ConfigError("window must have positive duration")
+    domega = math.tau / (_GRID_POINTS_PER_BIN * window)
+    return np.arange(0.0, math.pi / dt + 0.5 * domega, domega)
+
+
 def fourier_spectrum(values: np.ndarray, times: np.ndarray, *,
                      calibration_omega: float | None = None) -> Spectrum:
     """Normalized in-phase power spectrum of uniformly sampled series.
 
     ``values`` holds one series, or one series per row of a
     (series, samples) array; the spectrum's ``s2`` and ``stilde`` then have
-    one row per series.  The grid spans 0 to the sampling Nyquist frequency
-    with spacing 2 pi / (8 T).  ``calibration_omega``
+    one row per series.  The grid (:func:`spectral_grid`) spans 0 to the
+    sampling Nyquist frequency with spacing 2 pi / (8 T).  ``calibration_omega``
     selects the reference-cosine frequency; by default each series' dominant
     peak is used, so a pure cosine at any grid frequency comes out with peak
     exactly 1.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    dt = _check_uniform(times)
-    window = times[-1] - times[0]
-    if window <= 0:
-        raise ConfigError("window must have positive duration")
+    omegas = spectral_grid(times)
     tt = times - times[0]
-    domega = math.tau / (_GRID_POINTS_PER_BIN * window)
-    nyquist = math.pi / dt
-    omegas = np.arange(0.0, nyquist + 0.5 * domega, domega)
 
     s2, stilde = _normalized_intensity(values, tt, omegas)
     flat = np.ptp(values, axis=-1) < 1e-12 * np.maximum(1.0, np.abs(values).max(axis=-1))

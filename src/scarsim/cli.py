@@ -44,6 +44,7 @@ from .analysis import (
     microstate_matrix,
     microstate_matrix_to_csv,
     plane_to_json,
+    spectral_grid,
     spectral_summary,
     spectrum_to_csv,
     subharmonic_rigidity,
@@ -71,6 +72,7 @@ from .evolve import (
     quench_to_csv,
     run_quench,
     substep_count,
+    symmetric_restriction,
 )
 from .floquet import pulsed_subharmonic_map, revival_fidelity_map
 from .hamiltonian import DriveProfile, DriveShape, build_pxp, build_rydberg, build_sw2
@@ -115,7 +117,11 @@ def _load_document(args) -> dict:
 
 
 def _build_system(cfg: ExperimentConfig):
-    """Basis, Hamiltonian parts and initial state of the configured lattice."""
+    """Basis, Hamiltonian parts and initial state of the configured lattice.
+
+    Where the initial state allows it, the parts are already restricted to
+    its symmetric subspace (:func:`scarsim.evolve.symmetric_restriction`),
+    so the full-basis operator is freed before the first step."""
     lat = cfg.lattice
     basis = enumerate_blockaded(lat)
     if cfg.model == "rydberg":
@@ -124,7 +130,8 @@ def _build_system(cfg: ExperimentConfig):
         parts = build_pxp(lat, basis, cfg.physical)
     else:
         parts = build_sw2(lat, basis, cfg.physical)
-    return basis, parts, named_state(lat, basis, cfg.initial_state)
+    psi0 = named_state(lat, basis, cfg.initial_state)
+    return basis, symmetric_restriction(lat, basis, parts, psi0) or parts, psi0
 
 
 def _geometry_report(cfg: ExperimentConfig) -> dict:
@@ -546,6 +553,13 @@ def _analyze_file(path: Path, mode: str, omegam_rad: float | None) -> tuple[dict
     if mode == "fit":
         text = fit_to_json(fit_damped_cosine(imbalance(result), result.times))
         return {f"{stem}_fit.json": text}, text
+    if omegam_rad:
+        # the weights are read at omegam / 2, which must lie on the grid
+        top = float(spectral_grid(result.times)[-1])
+        if omegam_rad / 2 > top:
+            raise ConfigError(
+                f"--omegam-rad {omegam_rad:g}: omegam / 2 = {omegam_rad / 2:g} rad/us "
+                f"lies above the spectral grid, which ends at {top:.6g} rad/us")
     spec, summary = spectral_summary(imbalance(result), result.times, omegam_rad)
     text = json_text(summary)
     return {f"{stem}_spectrum.csv": spectrum_to_csv(spec),

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, NumericalError, is_int, is_number
 from .hamiltonian import DriveProfile, HamiltonianParts, detuning_at, restrict_parts
-from .hilbert import ConstrainedBasis, OrbitIsometry, symmetric_isometry
+from .hilbert import ConstrainedBasis, symmetric_isometry
 from .lattice import Lattice, symmetry_permutations
 from .tables import csv_text, number_cell, read_csv
 
@@ -230,12 +230,13 @@ def propagate_step(parts: HamiltonianParts, drive, psi: np.ndarray,
 
 def symmetric_restriction(lat: Lattice, basis: ConstrainedBasis,
                           parts: HamiltonianParts, psi0: np.ndarray
-                          ) -> tuple[HamiltonianParts, OrbitIsometry] | None:
+                          ) -> HamiltonianParts | None:
     """H restricted to the subspace symmetric under the lattice's site
-    permutations (:func:`scarsim.lattice.symmetry_permutations`), with its
-    isometry P (:func:`scarsim.hilbert.symmetric_isometry`).
+    permutations (:func:`scarsim.lattice.symmetry_permutations`); the
+    restricted parts carry its isometry P
+    (:func:`scarsim.hilbert.symmetric_isometry`) as ``iso``.
 
-    Returns ``(restricted parts, P)`` when the lattice has such a group,
+    Returns the restricted parts when the lattice has such a group,
     ``psi0`` lies in the subspace (||P^T psi0|| = 1 to within 1e-12) and the
     restriction is exact (see :func:`scarsim.hamiltonian.restrict_parts`);
     otherwise None.  A state psi_s of the subspace is P psi_s in the full basis.
@@ -244,14 +245,16 @@ def symmetric_restriction(lat: Lattice, basis: ConstrainedBasis,
     iso = None if perms is None else symmetric_isometry(basis, perms)
     if iso is None or abs(np.linalg.norm(iso.project(psi0)) - 1.0) > _SUBSPACE_TOL:
         return None
-    reduced = restrict_parts(parts, iso)
-    return None if reduced is None else (reduced, iso)
+    return restrict_parts(parts, iso)
 
 
 def _site_bit_table(basis: ConstrainedBasis) -> np.ndarray:
-    """(dim, n_sites) float matrix of occupation bits."""
-    shifts = np.arange(basis.n_sites)
-    return ((basis.states[:, None] >> shifts) & 1).astype(float)
+    """(dim, n_sites) float matrix of occupation bits, filled one site at a
+    time so that no integer table of the same size is made."""
+    table = np.empty((basis.dim, basis.n_sites))
+    for i in range(basis.n_sites):
+        table[:, i] = (basis.states >> i) & 1
+    return table
 
 
 def run_quench(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
@@ -269,7 +272,10 @@ def run_quench(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     inversion (AF1, AF2, GGG) is propagated in that symmetric subspace
     (see :func:`symmetric_restriction`) whenever the restricted Hamiltonian
     is exact; each snapshot expands the state back to the full basis, so
-    every recorded quantity is a full-basis one.
+    every recorded quantity is a full-basis one.  ``parts`` may also be
+    parts that :func:`symmetric_restriction` already gave for ``basis`` and
+    ``psi0``; they are propagated as they are, so a caller that holds only
+    those has freed the full-basis operator before the first step.
 
     This is the one-drive case of :func:`_run_block`.
     """
@@ -291,7 +297,8 @@ def _run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     drives = tuple(drives)
     if not drives:
         raise ConfigError("a quench needs at least one drive")
-    if parts.dim != basis.dim or len(psi0) != basis.dim:
+    full_dim = parts.dim if parts.iso is None else len(parts.iso.orbit)
+    if full_dim != basis.dim or len(psi0) != basis.dim:
         raise ConfigError("state, basis, and operator dimensions disagree")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ConfigError("initial state must be normalized")
@@ -302,9 +309,10 @@ def _run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     n_steps = int(round(cfg.total_time / cfg.dt))
 
     psi = psi0.astype(complex).copy()
-    restricted = symmetric_restriction(lat, basis, parts, psi)
-    if restricted is not None:
-        parts, iso = restricted
+    if parts.iso is None:
+        parts = symmetric_restriction(lat, basis, parts, psi) or parts
+    iso = parts.iso
+    if iso is not None:
         psi = iso.project(psi)
     # one drive steps the plain state, several a (dim, P) block
     step_drive = drives if len(drives) > 1 else drives[0]
@@ -312,7 +320,7 @@ def _run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
 
     def full_states() -> np.ndarray:
         """One contiguous full-basis state per row."""
-        full = block if restricted is None else iso.expand(block)
+        full = block if iso is None else iso.expand(block)
         return np.ascontiguousarray(full.reshape(len(full), -1).T)
 
     bits = _site_bit_table(basis)

@@ -113,13 +113,12 @@ class _StroboscopicEngine:
         parts = build_pxp(self.lat, self.basis, PhysicalParams(omega=1.0, v0=1.0))
         psi0 = named_state(self.lat, self.basis, initial_state)
         if perms is not None:
-            restricted = symmetric_restriction(self.lat, self.basis, parts, psi0)
-            if restricted is None:
+            parts = symmetric_restriction(self.lat, self.basis, parts, psi0)
+            if parts is None:
                 raise ConfigError(
                     f"{initial_state} does not lie in the ring's exact symmetric subspace"
                 )
-            parts, iso = restricted
-            psi0 = iso.project(psi0)
+            psi0 = parts.iso.project(psi0)
         if parts.dim > DENSE_DIM_LIMIT:
             raise CapacityError(
                 f"pulsed maps need a propagated dim <= {DENSE_DIM_LIMIT}, got {parts.dim}"

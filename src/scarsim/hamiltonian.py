@@ -133,12 +133,17 @@ def _sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nd
     return keys[starts], np.add.reduceat(values, starts)
 
 
+def _index_dtype(nnz: int, dim: int) -> type:
+    """scipy's CSR index dtype: int32 unless the operator needs int64."""
+    return np.int32 if max(nnz, dim) <= np.iinfo(np.int32).max else np.int64
+
+
 def _operator(keys: np.ndarray, values: np.ndarray, dim: int) -> SparseOperator:
     """The (dim, dim) operator with ``values`` at the positions
-    ``keys = row * dim + column``, duplicates summed; the indices are int32,
-    as scipy's, unless the operator needs int64."""
+    ``keys = row * dim + column``, duplicates summed, with the indices of
+    :func:`_index_dtype`."""
     keys, data = _sum_by_key(keys, values)
-    index = np.int32 if max(len(keys), dim) <= np.iinfo(np.int32).max else np.int64
+    index = _index_dtype(len(keys), dim)
     indptr = np.searchsorted(keys, np.arange(dim + 1) * dim)
     return SparseOperator(indptr=indptr.astype(index), indices=(keys % dim).astype(index),
                           data=data)
@@ -157,6 +162,9 @@ class HamiltonianParts:
     diag_static: np.ndarray
     diag_number: np.ndarray
     sw2_extra: SparseOperator | None = None
+    # the isometry P when these are the parts restrict_parts gave, acting
+    # in P's orbit space; None for parts in the full basis
+    iso: OrbitIsometry | None = None
 
     @property
     def dim(self) -> int:
@@ -214,6 +222,11 @@ class HamiltonianParts:
 # Relative tolerance of the exactness checks in restrict_parts.
 _RESTRICT_RTOL = 1e-12
 
+# restrict_parts reads a sparse piece in chunks of whole rows that hold
+# about this many stored entries, so its temporaries do not grow with the
+# operator.
+_RESTRICT_CHUNK = 1 << 16
+
 
 def restrict_parts(parts: HamiltonianParts, iso: OrbitIsometry) -> HamiltonianParts | None:
     """H restricted to the range of an orbit isometry P, or None if not exact.
@@ -226,39 +239,74 @@ def restrict_parts(parts: HamiltonianParts, iso: OrbitIsometry) -> HamiltonianPa
     constant on every orbit and, for each sparse piece O, every row of O P
     stores the columns of its representative's row and
     ||O P - P S||_F <= 1e-12 ||O||_F (checked on O Q, Q the orbit
-    indicator, whose distance to its representative rows bounds it).
+    indicator, whose distance to its representative rows bounds it).  The
+    returned parts carry ``iso``.
     """
     orbit, weight, n = iso.orbit, iso.weight, iso.n_orbits
-    first = np.full(n, len(orbit))
-    np.minimum.at(first, orbit, np.arange(len(orbit)))
+    dim = len(orbit)
+    first = np.full(n, dim)
+    np.minimum.at(first, orbit, np.arange(dim))
     rep = first[orbit]      # each state's representative
     for diag in (parts.diag_static, parts.diag_number):
-        spread = np.abs(diag - diag[rep])
-        if spread.max(initial=0.0) > _RESTRICT_RTOL * np.abs(diag).max(initial=0.0):
+        if np.abs(diag - diag[rep]).max(initial=0.0) \
+                > _RESTRICT_RTOL * np.abs(diag).max(initial=0.0):
             return None
 
     def restrict(op: SparseOperator) -> SparseOperator | None:
         # O Q, Q the orbit indicator (P = Q W, W = diag(weights)): entry
-        # O_kl adds to (k, orbit[l]); rows ascend
-        keys, oq = _sum_by_key(op.rows() * n + orbit[op.indices], op.data)
-        rows, cols = np.divmod(keys, n)
-        counts = np.bincount(rows, minlength=len(orbit))
-        starts = np.cumsum(counts) - counts
-        # O P = P S says that each row of O P, and so of O Q, equals its
-        # representative's row (weights are equal within an orbit): every
-        # row must store the representative's columns, and the distance
-        # bounds ||O P - P S||_F, as every weight is at most 1
-        if not np.array_equal(counts, counts[rep]):
+        # O_kl adds to (k, orbit[l]).  Its keys never interleave across
+        # rows, so each chunk of rows is summed on its own.  The entries of
+        # representative rows are kept (a row of O Q stores at most as many
+        # as its row of O), and every row is compared with its
+        # representative's, which lies in the same chunk or an earlier one.
+        room = int(np.diff(op.indptr)[first].sum())
+        kept_cols = np.empty(room, dtype=op.indices.dtype)
+        kept = np.empty(room)
+        # per row: its entries in O Q and, for a representative, where its
+        # kept entries start
+        counts = np.empty(dim, dtype=op.indptr.dtype)
+        where = np.empty(dim, dtype=op.indptr.dtype)
+        n_kept, dist2, r0, nnz = 0, 0.0, 0, int(op.indptr[-1])
+        while r0 < dim:
+            lo = int(op.indptr[r0])
+            r1 = int(np.searchsorted(op.indptr, min(lo + _RESTRICT_CHUNK, nnz), "right")) - 1
+            r1 = min(max(r1, r0 + 1), dim)
+            hi = int(op.indptr[r1])
+            local = np.repeat(np.arange(r1 - r0), np.diff(op.indptr[r0:r1 + 1]))
+            keys, oq = _sum_by_key(local * n + orbit[op.indices[lo:hi]], op.data[lo:hi])
+            del local
+            rows, cols = np.divmod(keys, n)     # rows counted from r0
+            del keys
+            # O P = P S says that each row of O P, and so of O Q, equals its
+            # representative's row (weights are equal within an orbit): every
+            # row must store the representative's columns, and the distance
+            # bounds ||O P - P S||_F, as every weight is at most 1
+            span = np.bincount(rows, minlength=r1 - r0)
+            counts[r0:r1] = span
+            reps = rep[r0:r1]
+            if not np.array_equal(span, counts[reps]):
+                return None
+            is_rep = reps == np.arange(r0, r1)
+            own = np.where(is_rep, span, 0)
+            where[r0:r1] = n_kept + np.cumsum(own) - own
+            on_rep = is_rep[rows]
+            end = n_kept + int(own.sum())
+            kept_cols[n_kept:end] = cols[on_rep]
+            kept[n_kept:end] = oq[on_rep]
+            n_kept = end
+            same = where[reps[rows]] + np.arange(len(cols)) \
+                - np.repeat(np.cumsum(span) - span, span)
+            if not np.array_equal(cols, kept_cols[same]):
+                return None
+            diff = oq - kept[same]
+            dist2 += float(diff @ diff)
+            r0 = r1
+        if math.sqrt(dist2) > _RESTRICT_RTOL * np.linalg.norm(op.data):
             return None
-        same = np.arange(len(keys)) + np.repeat(starts[rep] - starts, counts)
-        if not np.array_equal(cols, cols[same]):
-            return None
-        if np.linalg.norm(oq - oq[same]) > _RESTRICT_RTOL * np.linalg.norm(op.data):
-            return None
-        # S = P^T O P read off the representative rows: S_ab = (O Q)_kb w_b / w_k
-        on_rep = rep[rows] == rows
-        k, b = rows[on_rep], cols[on_rep]
-        return _operator(orbit[k] * n + b, oq[on_rep] * weight[first[b]] / weight[k], n)
+        # S = P^T O P read off the representative rows, which ascend with
+        # their orbits: S_ab = (O Q)_kb w_b / w_k
+        k, b = np.repeat(first, counts[first]), kept_cols[:n_kept]
+        return _operator(orbit[k] * n + b, kept[:n_kept] * weight[first[b]] / weight[k], n)
 
     flip = restrict(parts.flip)
     sw2 = None if parts.sw2_extra is None else restrict(parts.sw2_extra)
@@ -268,7 +316,7 @@ def restrict_parts(parts: HamiltonianParts, iso: OrbitIsometry) -> HamiltonianPa
     reps = ConstrainedBasis(n_sites=basis.n_sites, states=basis.states[first],
                             nn_masks=basis.nn_masks)
     return HamiltonianParts(basis=reps, flip=flip, diag_static=parts.diag_static[first],
-                            diag_number=parts.diag_number[first], sw2_extra=sw2)
+                            diag_number=parts.diag_number[first], sw2_extra=sw2, iso=iso)
 
 
 def _check_basis(lat: Lattice, basis: ConstrainedBasis) -> None:
@@ -277,16 +325,41 @@ def _check_basis(lat: Lattice, basis: ConstrainedBasis) -> None:
 
 
 def _flip_operator(lat: Lattice, basis: ConstrainedBasis, omega: float) -> SparseOperator:
-    """Constrained single-site flips with matrix element Omega/2."""
-    states = basis.states
-    keys: list[np.ndarray] = []
-    for i in range(lat.n_sites):
-        mask = int(basis.nn_masks[i])
-        movable = np.flatnonzero((states & mask) == 0)
-        partners = np.searchsorted(states, states[movable] ^ (1 << i))
-        keys.append(movable * basis.dim + partners)
-    keys = np.concatenate(keys)
-    return _operator(keys, np.full(keys.shape, omega / 2.0), basis.dim)
+    """Constrained single-site flips with matrix element Omega/2, written
+    straight into the canonical CSR arrays of :class:`SparseOperator`.
+
+    Row s stores its partners s ^ (1 << i) in ascending order: first the
+    de-excitations s - 2^i, highest site first, so site i sits at slot
+    popcount(s >> (i + 1)); then the excitations s + 2^i, lowest site
+    first, so site i sits at slot popcount(s) plus the excitations allowed
+    below i.
+    """
+    states, dim = basis.states, basis.dim
+    bits = [1 << i for i in range(lat.n_sites)]
+    # an excitation of site i needs site i and its neighbours empty
+    closed = [int(basis.nn_masks[i]) | bit for i, bit in enumerate(bits)]
+    excited = np.bitwise_count(states)
+    lengths = excited.copy()
+    for mask in closed:
+        lengths += (states & mask) == 0
+    nnz = int(lengths.sum(dtype=np.int64))
+    index = _index_dtype(nnz, dim)
+    indptr = np.zeros(dim + 1, dtype=index)
+    np.cumsum(lengths, dtype=index, out=indptr[1:])
+    del lengths
+
+    indices = np.empty(nnz, dtype=index)
+    below = np.zeros(dim, dtype=np.uint8)   # excitations allowed below site i
+    for i, (bit, mask) in enumerate(zip(bits, closed)):
+        rows = np.flatnonzero(states & bit)
+        s = states[rows]
+        indices[indptr[rows] + np.bitwise_count(s >> (i + 1))] = \
+            np.searchsorted(states, s ^ bit)
+        rows = np.flatnonzero((states & mask) == 0)
+        indices[indptr[rows] + excited[rows] + below[rows]] = \
+            np.searchsorted(states, states[rows] | bit)
+        below[rows] += 1
+    return SparseOperator(indptr=indptr, indices=indices, data=np.full(nnz, omega / 2.0))
 
 
 def _interaction_diagonal(lat: Lattice, basis: ConstrainedBasis,

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -498,6 +499,24 @@ class TestAnalyzeCommand:
         assert f"{agg}: aggregate file: column x_mhz holds 'inf', not a finite number" \
             in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["aggregate.csv"]
+
+    def test_omegam_above_spectral_grid_exits_2(self, tmp_path, capsys):
+        """Records 0.004 us apart, as a fig3d-drive quench.csv has, give a
+        grid up to pi / 0.004 = 785.4 rad/us: --omegam-rad 2000 reads its
+        weights at 1000 rad/us, past the grid, and is refused by name; 1570,
+        whose half lies on the grid, runs."""
+        t = np.arange(300) * 0.004
+        n_a = 0.5 + 0.4 * np.cos(5.0 * t)
+        stored = tmp_path / "quench.csv"
+        stored.write_text("\r\n".join(["t,nA,nB"] + [
+            f"{ti!r},{a!r},{1 - a!r}" for ti, a in zip(t.tolist(), n_a.tolist())]) + "\r\n")
+        assert main(["analyze", str(stored), "--mode", "spectrum",
+                     "--omegam-rad", "2000"]) == 2
+        assert f"{stored}: --omegam-rad 2000: omegam / 2 = 1000 rad/us lies above " \
+            "the spectral grid, which ends at 785.398 rad/us" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["quench.csv"]
+        assert main(["analyze", str(stored), "--mode", "spectrum",
+                     "--omegam-rad", "1570"]) == 0
 
 
 class TestSweepCommand:
@@ -1193,3 +1212,57 @@ class TestNormalization:
         norm = normalize_document(doc)
         assert norm == {"a": {"x": 2, "y": 1}, "b": [1, 2]}
         assert normalize_document(norm) == norm
+
+
+class TestFullBasisOperatorFreed:
+    """The full-basis parts that a ring quench or a ring sweep group builds
+    are dead by the first step, which propagates only their restriction."""
+
+    @staticmethod
+    def _ring_doc():
+        doc = get_preset("figS8-pxp-drive")
+        doc["lattice"]["extent"] = 12
+        doc["evolution"]["total_time"] = 0.01
+        doc["observables"] = {}
+        return doc
+
+    @pytest.fixture
+    def watch(self, monkeypatch):
+        """The parts build_pxp returned (weak references) and, for every
+        step, its operator's dimension and which of those parts are dead."""
+        import scarsim.cli as cli
+        import scarsim.evolve as evolve
+
+        built, steps = [], []
+        build, step = cli.build_pxp, evolve.propagate_step
+
+        def spy_build(*args):
+            parts = build(*args)
+            built.append(weakref.ref(parts))
+            return parts
+
+        def spy_step(parts, *args):
+            steps.append((parts.dim, [ref() is None for ref in built]))
+            return step(parts, *args)
+
+        monkeypatch.setattr(cli, "build_pxp", spy_build)
+        monkeypatch.setattr(evolve, "propagate_step", spy_step)
+        return built, steps
+
+    def test_quench(self, tmp_path, watch):
+        built, steps = watch
+        cfg = write_config(tmp_path, self._ring_doc())
+        assert main(["quench", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(built) == 1 and steps
+        assert set(map(repr, steps)) == {repr((47, [True]))}
+
+    def test_sweep_group(self, tmp_path, watch):
+        built, steps = watch
+        doc = self._ring_doc()
+        # both drives take 3 substeps per dt, so the two points form one group
+        doc["sweep"] = [{"parameter": "drive.omegam_over_omega", "grid": [1.2, 1.33]}]
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", cfg, "--jobs", "1",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert len(built) == 1 and len(steps) == 15
+        assert set(map(repr, steps)) == {repr((47, [True]))}

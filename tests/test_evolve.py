@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import scarsim.evolve
+import scarsim.hamiltonian
 from scarsim.errors import CapacityError, ConfigError, NumericalError
 from scarsim.evolve import (
     EvolutionConfig,
@@ -15,6 +17,7 @@ from scarsim.evolve import (
     quench_to_csv,
     reduced_density_matrix,
     run_quench,
+    symmetric_restriction,
 )
 from scarsim.hamiltonian import (
     DriveProfile,
@@ -616,6 +619,70 @@ class TestRingSymmetricSubspace:
         extra = dataclasses.replace(parts, flip=SparseOperator(m.indptr, m.indices, m.data))
         assert restrict_parts(extra, iso) is None
 
+    @pytest.mark.parametrize("n", [12, 16, 22])
+    @pytest.mark.parametrize("build", [build_pxp, build_rydberg, build_sw2])
+    def test_chunked_restriction_equals_one_chunk(self, p, ring_of, monkeypatch,
+                                                  n, build):
+        """Row chunks give the arrays of one chunk over the whole operator,
+        with their dtypes, at any chunk size (one row per chunk on the
+        smaller rings)."""
+        lat = ring_of(n)
+        basis = enumerate_blockaded(lat)
+        parts = build(lat, basis, p)
+        iso = symmetric_isometry(basis, symmetry_permutations(lat))
+        runs = []
+        chunks = [1 << 30, scarsim.hamiltonian._RESTRICT_CHUNK, 997]
+        if n < 22:
+            chunks.append(1)
+        for chunk in chunks:
+            monkeypatch.setattr(scarsim.hamiltonian, "_RESTRICT_CHUNK", chunk)
+            runs.append(restrict_parts(parts, iso))
+        one = runs[0]
+        for small in runs[1:]:
+            assert small.iso is iso
+            assert np.array_equal(small.basis.states, one.basis.states)
+            for name in ("diag_static", "diag_number"):
+                assert np.array_equal(getattr(small, name), getattr(one, name))
+            assert (small.sw2_extra is None) == (one.sw2_extra is None)
+            pairs = [(small.flip, one.flip), (small.sw2_extra, one.sw2_extra)]
+            for op, ref in pairs[:1 if one.sw2_extra is None else 2]:
+                for field in ("indptr", "indices", "data"):
+                    a, b = getattr(op, field), getattr(ref, field)
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("chunk", [1, 40])
+    def test_chunked_restriction_refuses_broken_symmetry(self, p, ring_of,
+                                                         monkeypatch, chunk):
+        """The site-0 potential and the bent flip element are refused when
+        the rows they spoil lie in other chunks than their representatives."""
+        monkeypatch.setattr(scarsim.hamiltonian, "_RESTRICT_CHUNK", chunk)
+        self.test_restriction_refuses_broken_symmetry(p, ring_of)
+        self.test_restriction_refuses_rows_that_store_other_columns(p, ring_of)
+
+    @pytest.mark.parametrize("build", [build_pxp, build_sw2])
+    def test_restricted_parts_run_bitwise(self, p, build, step_dims):
+        """Parts that symmetric_restriction already gave run the quench of
+        the full-basis parts bit for bit, with no second restriction."""
+        lat = build_lattice("chain", 12, periodic=True)
+        basis = enumerate_blockaded(lat)
+        parts = build(lat, basis, p)
+        psi0 = named_state(lat, basis, "AF1")
+        small = symmetric_restriction(lat, basis, parts, psi0)
+        assert small.iso is not None and small.dim == 47
+        drive = DriveProfile.cosine(0.5 * p.omega, p.omega, 1.33 * p.omega)
+        cfg = EvolutionConfig(total_time=0.01, dt=0.002)
+        cuts = ((0, 1, 2, 3, 4, 5),)
+        ref = run_quench(lat, basis, parts, drive, psi0, cfg, entropy_cuts=cuts)
+        step_dims.clear()
+        res = run_quench(lat, basis, small, drive, psi0, cfg, entropy_cuts=cuts)
+        assert set(step_dims) == {47}
+        for field in ("times", "site_pops", "n_a", "n_b", "probs", "entropies",
+                      "final_state"):
+            assert np.array_equal(getattr(res, field), getattr(ref, field))
+        with pytest.raises(ConfigError, match="dimensions disagree"):
+            run_quench(lat, enumerate_blockaded(build_lattice("chain", 12)), small,
+                       drive, psi0, cfg)
+
     def _oracle(self, parts, drive, psi0s, cfg, nsub):
         """Full-basis dense midpoint propagation of each column of psi0s, one
         eigendecomposition per substep; the states on the record grid."""
@@ -697,3 +764,47 @@ class TestQuenchCsv:
         assert np.array_equal(back.site_pops, res.site_pops)
         assert np.array_equal(back.n_a, res.n_a)
         assert np.array_equal(back.entropies, res.entropies)
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated (tracemalloc,
+    which sees numpy's array buffers)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestSetupMemory:
+    """A quench's set-up allocates in proportion to what it keeps, on the
+    22-site ring (dim 39,603, 481,624 flips, 1,990 orbits)."""
+
+    @pytest.fixture(scope="class")
+    def ring22(self, p):
+        lat = build_lattice("chain", 22, periodic=True)
+        basis = enumerate_blockaded(lat)
+        return lat, basis, build_pxp(lat, basis, p)
+
+    def test_flip_operator(self, p, ring22):
+        lat, basis, _ = ring22
+        op, peak = _traced_peak(scarsim.hamiltonian._flip_operator, lat, basis, p.omega)
+        # the kept CSR arrays alone take 12.3 bytes per entry
+        assert len(op.data) == 481_624
+        assert peak <= 22 * len(op.data)
+
+    def test_restriction(self, ring22):
+        lat, basis, parts = ring22
+        iso = symmetric_isometry(basis, symmetry_permutations(lat))
+        small, peak = _traced_peak(restrict_parts, parts, iso)
+        assert small.dim == 1990
+        assert peak <= 36 * len(parts.flip.data)
+
+    def test_site_bit_table(self, ring22):
+        _, basis, _ = ring22
+        table, peak = _traced_peak(scarsim.evolve._site_bit_table, basis)
+        assert table.shape == (39_603, 22)
+        assert np.array_equal(table, ((basis.states[:, None] >> np.arange(22)) & 1))
+        assert peak <= 9 * table.size

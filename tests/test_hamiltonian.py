@@ -6,6 +6,7 @@ import pytest
 from scarsim.errors import ConfigError
 from scarsim.hamiltonian import (
     DriveProfile,
+    _flip_operator,
     _square_sign,
     build_pxp,
     build_rydberg,
@@ -219,6 +220,33 @@ class TestCsrArraysMatchScipy:
         row_sums = np.asarray(abs(ref).sum(axis=1)).ravel()
         assert parts._abs_row_sums.dtype == row_sums.dtype
         assert np.array_equal(parts._abs_row_sums, row_sums)
+
+
+class TestFlipWrittenInPlace:
+    """_flip_operator writes its CSR arrays slot by slot; they equal, with
+    their dtypes, scipy's COO to CSR conversion of the same flips listed
+    site by site."""
+
+    @pytest.mark.parametrize("kind, extent, extra", [
+        ("chain", 9, {}), ("chain", 14, {"periodic": True}),
+        ("zigzag_chain", 8, {"zigzag_nnn_ratio": 1.45}), ("square", 4, {}),
+        ("honeycomb", 2.1, {}), ("lieb", 2, {}), ("decorated_honeycomb", 2.1, {}),
+        ("edge_imbalanced_decorated_honeycomb", 2.1, {})])
+    def test_matches_scipy_conversion(self, p, kind, extent, extra):
+        import scipy.sparse as sp
+
+        lat = build_lattice(kind, extent, **extra)
+        basis = enumerate_blockaded(lat)
+        states = basis.states
+        rows, cols = [], []
+        for i in range(lat.n_sites):
+            movable = np.flatnonzero((states & int(basis.nn_masks[i])) == 0)
+            rows.append(movable)
+            cols.append(np.searchsorted(states, states[movable] ^ (1 << i)))
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        ref = sp.csr_matrix((np.full(len(rows), p.omega / 2.0), (rows, cols)),
+                            shape=(basis.dim, basis.dim))
+        assert _same_csr(_flip_operator(lat, basis, p.omega), ref)
 
 
 class TestDriveProfile:
