@@ -68,20 +68,15 @@ from .errors import (
 from .evolve import (
     QuenchResult,
     _run_block,
+    build_system,
     quench_from_csv,
     quench_to_csv,
     run_quench,
     substep_count,
-    symmetric_restriction,
 )
 from .floquet import pulsed_subharmonic_map, revival_fidelity_map
-from .hamiltonian import DriveProfile, DriveShape, build_pxp, build_rydberg, build_sw2
-from .hilbert import (
-    enumerate_blockaded,
-    named_state,
-    order_microstates,
-    reflection_grouping,
-)
+from .hamiltonian import DriveProfile, DriveShape
+from .hilbert import order_microstates, reflection_grouping
 from .lattice import (
     REF_ALPHA,
     REF_BETA,
@@ -114,24 +109,6 @@ def _load_document(args) -> dict:
         return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-
-
-def _build_system(cfg: ExperimentConfig):
-    """Basis, Hamiltonian parts and initial state of the configured lattice.
-
-    Where the initial state allows it, the parts are already restricted to
-    its symmetric subspace (:func:`scarsim.evolve.symmetric_restriction`),
-    so the full-basis operator is freed before the first step."""
-    lat = cfg.lattice
-    basis = enumerate_blockaded(lat)
-    if cfg.model == "rydberg":
-        parts = build_rydberg(lat, basis, cfg.physical)
-    elif cfg.model == "pxp":
-        parts = build_pxp(lat, basis, cfg.physical)
-    else:
-        parts = build_sw2(lat, basis, cfg.physical)
-    psi0 = named_state(lat, basis, cfg.initial_state)
-    return basis, symmetric_restriction(lat, basis, parts, psi0) or parts, psi0
 
 
 def _geometry_report(cfg: ExperimentConfig) -> dict:
@@ -232,7 +209,8 @@ def _run_single_quench(cfg: ExperimentConfig, record_probs: bool):
         raise ConfigError("evolution: section is required for quench runs")
     if cfg.drive is None:
         raise ConfigError("drive: section is required for quench runs")
-    basis, parts, psi0 = _build_system(cfg)
+    basis, parts, psi0 = build_system(cfg.lattice, cfg.model, cfg.physical,
+                                      cfg.initial_state)
     result = run_quench(cfg.lattice, basis, parts, cfg.drive, psi0, cfg.evolution,
                         entropy_cuts=cfg.observables.entropy_cuts,
                         record_probs=record_probs)
@@ -334,7 +312,8 @@ def _group_worker(cfgs: list[ExperimentConfig]) -> list:
     if len(cfgs) > 1:
         try:
             cfg = cfgs[0]
-            basis, parts, psi0 = _build_system(cfg)
+            basis, parts, psi0 = build_system(cfg.lattice, cfg.model, cfg.physical,
+                                              cfg.initial_state)
             results = _run_block(cfg.lattice, basis, parts, [c.drive for c in cfgs],
                                  psi0, cfg.evolution,
                                  entropy_cuts=cfg.observables.entropy_cuts,

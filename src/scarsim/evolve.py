@@ -16,10 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hamiltonian
 from .errors import CapacityError, ConfigError, NumericalError, is_int, is_number
 from .hamiltonian import DriveProfile, HamiltonianParts, detuning_at, restrict_parts
-from .hilbert import ConstrainedBasis, symmetric_isometry
-from .lattice import Lattice, symmetry_permutations
+from .hilbert import (
+    DEFAULT_MAX_DIM,
+    ConstrainedBasis,
+    enumerate_blockaded,
+    named_state,
+    symmetric_isometry,
+)
+from .lattice import Lattice, PhysicalParams, symmetry_permutations
 from .tables import csv_text, number_cell, read_csv
 
 DENSE_DIM_LIMIT = 1 << 10
@@ -80,7 +87,6 @@ class QuenchResult:
     n_b: np.ndarray
     probs: np.ndarray | None = None
     entropies: np.ndarray | None = None
-    entropy_cuts: tuple[tuple[int, ...], ...] = ()
     final_state: np.ndarray | None = None
 
 
@@ -248,6 +254,28 @@ def symmetric_restriction(lat: Lattice, basis: ConstrainedBasis,
     return restrict_parts(parts, iso)
 
 
+def build_system(lat: Lattice, model: str, p: PhysicalParams, initial_state: str,
+                 max_dim: int = DEFAULT_MAX_DIM
+                 ) -> tuple[ConstrainedBasis, HamiltonianParts, np.ndarray]:
+    """The basis, the propagated Hamiltonian parts and the start state of a
+    ``model`` ("rydberg", "pxp" or "sw2") quench from the named state.
+
+    The basis is enumerated under ``max_dim``.  Where the start state
+    allows it (:func:`symmetric_restriction`), the parts are restricted to
+    its symmetric subspace and the state is projected there; otherwise
+    both stay in the full basis.  Only the propagated parts outlive the
+    call, so a full-basis operator that was restricted is freed here.
+    The builder is looked up on :mod:`scarsim.hamiltonian` at call time.
+    """
+    basis = enumerate_blockaded(lat, max_dim=max_dim)
+    parts = getattr(hamiltonian, f"build_{model}")(lat, basis, p)
+    psi0 = named_state(lat, basis, initial_state)
+    small = symmetric_restriction(lat, basis, parts, psi0)
+    if small is None:
+        return basis, parts, psi0
+    return basis, small, small.iso.project(psi0)
+
+
 def _site_bit_table(basis: ConstrainedBasis) -> np.ndarray:
     """(dim, n_sites) float matrix of occupation bits, filled one site at a
     time so that no integer table of the same size is made."""
@@ -268,14 +296,10 @@ def run_quench(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     step is subdivided internally so the snapshot grid stays at exact
     multiples of dt * record_stride.
 
-    On a ring, a state invariant under translation by two sites and
-    inversion (AF1, AF2, GGG) is propagated in that symmetric subspace
-    (see :func:`symmetric_restriction`) whenever the restricted Hamiltonian
-    is exact; each snapshot expands the state back to the full basis, so
-    every recorded quantity is a full-basis one.  ``parts`` may also be
-    parts that :func:`symmetric_restriction` already gave for ``basis`` and
-    ``psi0``; they are propagated as they are, so a caller that holds only
-    those has freed the full-basis operator before the first step.
+    ``parts`` and ``psi0`` are propagated as they are given.  Parts that
+    carry an isometry (:func:`build_system`) act in its orbit space, where
+    ``psi0`` must lie too; each snapshot expands the state back to
+    ``basis``, so every recorded quantity is a full-basis one.
 
     This is the one-drive case of :func:`_run_block`.
     """
@@ -297,8 +321,9 @@ def _run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     drives = tuple(drives)
     if not drives:
         raise ConfigError("a quench needs at least one drive")
-    full_dim = parts.dim if parts.iso is None else len(parts.iso.orbit)
-    if full_dim != basis.dim or len(psi0) != basis.dim:
+    iso = parts.iso
+    full_dim = parts.dim if iso is None else len(iso.orbit)
+    if full_dim != basis.dim or len(psi0) != parts.dim:
         raise ConfigError("state, basis, and operator dimensions disagree")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ConfigError("initial state must be normalized")
@@ -308,12 +333,7 @@ def _run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     nsub = counts[0]
     n_steps = int(round(cfg.total_time / cfg.dt))
 
-    psi = psi0.astype(complex).copy()
-    if parts.iso is None:
-        parts = symmetric_restriction(lat, basis, parts, psi) or parts
-    iso = parts.iso
-    if iso is not None:
-        psi = iso.project(psi)
+    psi = psi0.astype(complex)
     # one drive steps the plain state, several a (dim, P) block
     step_drive = drives if len(drives) > 1 else drives[0]
     block = psi if len(drives) == 1 else np.repeat(psi[:, None], len(drives), axis=1)
@@ -363,7 +383,6 @@ def _run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
             n_b=np.array(nbs[j]),
             probs=np.array(probs[j]) if record_probs else None,
             entropies=np.array(ents[j]) if entropy_cuts else None,
-            entropy_cuts=tuple(tuple(c) for c in entropy_cuts),
             final_state=final,
         )
         for j, final in enumerate(full_states())
@@ -419,7 +438,8 @@ def quench_to_csv(result: QuenchResult) -> str:
     """Round-trip-exact CSV: t, nA, nB, imbalance, per-site columns, entropies."""
     header = ["t", "nA", "nB", "imbalance"]
     header += [f"n_{i}" for i in range(result.site_pops.shape[1])]
-    header += [f"S_cut{k}" for k in range(len(result.entropy_cuts))]
+    n_cuts = 0 if result.entropies is None else result.entropies.shape[1]
+    header += [f"S_cut{k}" for k in range(n_cuts)]
     columns = [result.times, result.n_a, result.n_b, result.n_a - result.n_b,
                *result.site_pops.T]
     if result.entropies is not None:
@@ -440,8 +460,7 @@ def quench_from_csv(text: str) -> QuenchResult:
     pops = table[:, site_cols]
     ents = table[:, ent_cols] if ent_cols else None
     return QuenchResult(times=times, site_pops=pops, n_a=n_a, n_b=n_b,
-                        probs=None, entropies=ents,
-                        entropy_cuts=tuple(() for _ in ent_cols))
+                        probs=None, entropies=ents)
 
 
 def dense_propagator(parts: HamiltonianParts, delta: float, t: float) -> np.ndarray:

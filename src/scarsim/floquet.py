@@ -34,14 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigError
-from .evolve import (
-    DENSE_DIM_LIMIT,
-    _site_bit_table,
-    propagate_step,
-    symmetric_restriction,
-)
-from .hamiltonian import DriveProfile, HamiltonianParts, build_pxp
-from .hilbert import ConstrainedBasis, enumerate_blockaded, named_state
+from .evolve import DENSE_DIM_LIMIT, _site_bit_table, build_system, propagate_step
+from .hamiltonian import DriveProfile, HamiltonianParts
+from .hilbert import ConstrainedBasis
 from .lattice import Lattice, PhysicalParams, build_lattice, symmetry_permutations
 
 TAU_C = 0.755 * math.tau
@@ -97,8 +92,8 @@ class _StroboscopicEngine:
     multiplies, so a whole (eps, tau) map advances together.
 
     On a ring the block lives in the start state's symmetric subspace (see
-    :func:`scarsim.evolve.symmetric_restriction`); ``psi0`` is the start
-    state in the propagated basis.
+    :func:`scarsim.evolve.build_system`); ``psi0`` is the start state in
+    the propagated basis.
     """
 
     def __init__(self, l: int, boundary: str, initial_state: str = "AF1"):
@@ -108,23 +103,18 @@ class _StroboscopicEngine:
         perms = symmetry_permutations(self.lat)
         # an orbit holds at most len(perms) states, so a larger basis cannot
         # restrict to the dense limit
-        self.basis = enumerate_blockaded(
-            self.lat, max_dim=DENSE_DIM_LIMIT * (1 if perms is None else len(perms)))
-        parts = build_pxp(self.lat, self.basis, PhysicalParams(omega=1.0, v0=1.0))
-        psi0 = named_state(self.lat, self.basis, initial_state)
-        if perms is not None:
-            parts = symmetric_restriction(self.lat, self.basis, parts, psi0)
-            if parts is None:
-                raise ConfigError(
-                    f"{initial_state} does not lie in the ring's exact symmetric subspace"
-                )
-            psi0 = parts.iso.project(psi0)
+        self.basis, parts, self.psi0 = build_system(
+            self.lat, "pxp", PhysicalParams(omega=1.0, v0=1.0), initial_state,
+            max_dim=DENSE_DIM_LIMIT * (1 if perms is None else len(perms)))
+        if perms is not None and parts.iso is None:
+            raise ConfigError(
+                f"{initial_state} does not lie in the ring's exact symmetric subspace"
+            )
         if parts.dim > DENSE_DIM_LIMIT:
             raise CapacityError(
                 f"pulsed maps need a propagated dim <= {DENSE_DIM_LIMIT}, got {parts.dim}"
             )
         self.dim = parts.dim
-        self.psi0 = psi0
         self.evals, self.q = np.linalg.eigh(parts.dense(0.0))
         self.number = parts.diag_number
         bits = _site_bit_table(parts.basis)

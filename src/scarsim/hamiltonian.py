@@ -442,8 +442,3 @@ def build_sw2(lat: Lattice, basis: ConstrainedBasis, p: PhysicalParams) -> Hamil
 def parity_diagonal(basis: ConstrainedBasis) -> np.ndarray:
     """(-1)**(excitation count) per basis state."""
     return np.where(np.bitwise_count(basis.states) % 2 == 0, 1.0, -1.0)
-
-
-def hermiticity_defect(op: SparseOperator) -> float:
-    d = op.matrix - op.matrix.getH()
-    return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())

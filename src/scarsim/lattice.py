@@ -220,7 +220,6 @@ def _decorated_honeycomb(radius: float) -> tuple[np.ndarray, np.ndarray]:
     """
     vpos, _ = _honeycomb_sites(radius / 2.0 + 1e-9)
     vpos = 2.0 * vpos
-    n_v = len(vpos)
     keep = np.hypot(vpos[:, 0], vpos[:, 1]) <= radius + 1e-9
     vpos = vpos[keep]
     n_v = len(vpos)

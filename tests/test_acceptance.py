@@ -22,6 +22,7 @@ from scarsim.analysis import (
 )
 from scarsim.evolve import (
     EvolutionConfig,
+    build_system,
     dense_propagator,
     entanglement_entropy,
     propagate_step,
@@ -70,11 +71,14 @@ def unit_state(basis, state):
 
 
 def af1_quench(lat, basis, parts, drive, total_time, record_stride=2,
-               entropy_cuts=(), record_probs=False, dt=0.002):
-    af1, _, _ = canonical_states(lat)
+               entropy_cuts=(), record_probs=False, dt=0.002, psi0=None):
+    """A quench from AF1; ``psi0`` is AF1 in the basis of ``parts`` when
+    they are restricted (:func:`scarsim.evolve.build_system`)."""
+    if psi0 is None:
+        psi0 = unit_state(basis, canonical_states(lat)[0])
     cfg = EvolutionConfig(total_time=total_time, dt=dt,
                           record_stride=record_stride)
-    return run_quench(lat, basis, parts, drive, unit_state(basis, af1), cfg,
+    return run_quench(lat, basis, parts, drive, psi0, cfg,
                       entropy_cuts=entropy_cuts, record_probs=record_probs)
 
 
@@ -180,10 +184,9 @@ def test_criterion_04_krylov_vs_dense_oracle():
 def test_criterion_05_scar_revival_frequency():
     p = P42_51
     lat = build_lattice("chain", 12, periodic=True)
-    basis = enumerate_blockaded(lat)
-    parts = build_pxp(lat, basis, p)
+    basis, parts, psi0 = build_system(lat, "pxp", p, "AF1")
     res = af1_quench(lat, basis, parts, DriveProfile.constant(0.0), 1.5,
-                     record_stride=1)
+                     record_stride=1, psi0=psi0)
     fit = fit_damped_cosine(imbalance(res), res.times)
     assert fit.converged
     ratio = fit.omega_tilde / p.omega
@@ -273,13 +276,13 @@ def test_criterion_07_subharmonic_locking():
 def test_criterion_08_driven_pxp_stabilization():
     p = P42_51
     lat = build_lattice("chain", 16, periodic=True)
-    basis = enumerate_blockaded(lat)
-    parts = build_pxp(lat, basis, p)
+    basis, parts, psi0 = build_system(lat, "pxp", p, "AF1")
+    assert parts.dim == 187
     half = (tuple(range(8)),)
 
     def run(drive):
         res = af1_quench(lat, basis, parts, drive, 1.5, record_stride=5,
-                         entropy_cuts=half)
+                         entropy_cuts=half, psi0=psi0)
         s_mean = float(res.entropies[:, 0].mean())
         late = res.times >= 1.0
         revival = float(imbalance(res)[late].max())

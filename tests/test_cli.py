@@ -1215,8 +1215,9 @@ class TestNormalization:
 
 
 class TestFullBasisOperatorFreed:
-    """The full-basis parts that a ring quench or a ring sweep group builds
-    are dead by the first step, which propagates only their restriction."""
+    """The full-basis parts that a ring quench, a ring sweep group or a ring
+    pulsed map builds are dead by the first step, which propagates only
+    their restriction."""
 
     @staticmethod
     def _ring_doc():
@@ -1230,11 +1231,11 @@ class TestFullBasisOperatorFreed:
     def watch(self, monkeypatch):
         """The parts build_pxp returned (weak references) and, for every
         step, its operator's dimension and which of those parts are dead."""
-        import scarsim.cli as cli
         import scarsim.evolve as evolve
+        import scarsim.hamiltonian as hamiltonian
 
         built, steps = [], []
-        build, step = cli.build_pxp, evolve.propagate_step
+        build, step = hamiltonian.build_pxp, evolve.propagate_step
 
         def spy_build(*args):
             parts = build(*args)
@@ -1245,7 +1246,7 @@ class TestFullBasisOperatorFreed:
             steps.append((parts.dim, [ref() is None for ref in built]))
             return step(parts, *args)
 
-        monkeypatch.setattr(cli, "build_pxp", spy_build)
+        monkeypatch.setattr(hamiltonian, "build_pxp", spy_build)
         monkeypatch.setattr(evolve, "propagate_step", spy_step)
         return built, steps
 
@@ -1266,3 +1267,11 @@ class TestFullBasisOperatorFreed:
                      "--out", str(tmp_path / "o")]) == 0
         assert len(built) == 1 and len(steps) == 15
         assert set(map(repr, steps)) == {repr((47, [True]))}
+
+    def test_pulsed_map(self, watch):
+        from scarsim.floquet import _StroboscopicEngine
+
+        built, _ = watch
+        eng = _StroboscopicEngine(14, "periodic")
+        assert eng.dim == 89 and len(built) == 1
+        assert built[0]() is None

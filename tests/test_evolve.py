@@ -10,6 +10,7 @@ import scarsim.hamiltonian
 from scarsim.errors import CapacityError, ConfigError, NumericalError
 from scarsim.evolve import (
     EvolutionConfig,
+    build_system,
     dense_propagator,
     entanglement_entropy,
     propagate_step,
@@ -301,8 +302,9 @@ class TestBlockStep:
 class TestBlockRunner:
     """Each column of a block quench equals that drive's own run_quench."""
 
-    def _check(self, lat, basis, parts, drives, cfg, cuts=()):
-        psi0 = named_state(lat, basis, "AF1")
+    def _check(self, lat, basis, parts, drives, cfg, cuts=(), psi0=None):
+        if psi0 is None:
+            psi0 = named_state(lat, basis, "AF1")
         block = scarsim.evolve._run_block(lat, basis, parts, drives, psi0, cfg,
                                           entropy_cuts=cuts)
         assert len(block) == len(drives)
@@ -325,14 +327,24 @@ class TestBlockRunner:
 
     @pytest.mark.parametrize("build", [build_rydberg, build_pxp, build_sw2])
     def test_ring_in_the_symmetric_subspace(self, p, build, step_dims):
+        """The restricted parts and projected state that build_system gives
+        run as a block; the state, operator and basis must agree."""
         lat = build_lattice("chain", 12, periodic=True)
-        basis = enumerate_blockaded(lat)
+        model = build.__name__.removeprefix("build_")
+        basis, parts, psi0 = build_system(lat, model, p, "AF1")
+        assert parts.iso is not None and len(psi0) == parts.dim == 47
         drives = [DriveProfile.cosine(0.5 * p.omega, p.omega, f * p.omega)
                   for f in (1.3, 1.33, 1.36)]
         cfg = EvolutionConfig(total_time=0.02, dt=0.002, record_stride=5)
-        self._check(lat, basis, build(lat, basis, p), drives, cfg,
-                    cuts=(tuple(range(6)),))
-        assert max(step_dims) < basis.dim
+        self._check(lat, basis, parts, drives, cfg, cuts=(tuple(range(6)),), psi0=psi0)
+        assert set(step_dims) == {47}
+        # a full-basis state, or a basis the isometry does not map into
+        with pytest.raises(ConfigError, match="dimensions disagree"):
+            run_quench(lat, basis, parts, drives[0], named_state(lat, basis, "AF1"),
+                       cfg)
+        with pytest.raises(ConfigError, match="dimensions disagree"):
+            run_quench(lat, enumerate_blockaded(build_lattice("chain", 12)), parts,
+                       drives[0], psi0, cfg)
 
     def test_refuses_unequal_substep_counts(self, p, chain9):
         lat, basis = chain9
@@ -659,30 +671,6 @@ class TestRingSymmetricSubspace:
         self.test_restriction_refuses_broken_symmetry(p, ring_of)
         self.test_restriction_refuses_rows_that_store_other_columns(p, ring_of)
 
-    @pytest.mark.parametrize("build", [build_pxp, build_sw2])
-    def test_restricted_parts_run_bitwise(self, p, build, step_dims):
-        """Parts that symmetric_restriction already gave run the quench of
-        the full-basis parts bit for bit, with no second restriction."""
-        lat = build_lattice("chain", 12, periodic=True)
-        basis = enumerate_blockaded(lat)
-        parts = build(lat, basis, p)
-        psi0 = named_state(lat, basis, "AF1")
-        small = symmetric_restriction(lat, basis, parts, psi0)
-        assert small.iso is not None and small.dim == 47
-        drive = DriveProfile.cosine(0.5 * p.omega, p.omega, 1.33 * p.omega)
-        cfg = EvolutionConfig(total_time=0.01, dt=0.002)
-        cuts = ((0, 1, 2, 3, 4, 5),)
-        ref = run_quench(lat, basis, parts, drive, psi0, cfg, entropy_cuts=cuts)
-        step_dims.clear()
-        res = run_quench(lat, basis, small, drive, psi0, cfg, entropy_cuts=cuts)
-        assert set(step_dims) == {47}
-        for field in ("times", "site_pops", "n_a", "n_b", "probs", "entropies",
-                      "final_state"):
-            assert np.array_equal(getattr(res, field), getattr(ref, field))
-        with pytest.raises(ConfigError, match="dimensions disagree"):
-            run_quench(lat, enumerate_blockaded(build_lattice("chain", 12)), small,
-                       drive, psi0, cfg)
-
     def _oracle(self, parts, drive, psi0s, cfg, nsub):
         """Full-basis dense midpoint propagation of each column of psi0s, one
         eigendecomposition per substep; the states on the record grid."""
@@ -698,6 +686,8 @@ class TestRingSymmetricSubspace:
 
     @pytest.mark.parametrize("model", [build_pxp, build_rydberg])
     def test_matches_full_basis_dense_oracle(self, p, model, step_dims):
+        """Quenches from build_system's restricted parts, expanded at every
+        snapshot, match the full-basis dense propagation."""
         lat = build_lattice("chain", 12, periodic=True)
         basis = enumerate_blockaded(lat)
         parts = model(lat, basis, p)
@@ -710,9 +700,12 @@ class TestRingSymmetricSubspace:
         names = ("AF1", "AF2", "GGG")
         psi0s = np.column_stack([named_state(lat, basis, name) for name in names])
         ref = self._oracle(parts, drive, psi0s, cfg, nsub)
-        for col in range(len(names)):
+        for col, name in enumerate(names):
+            sys_basis, small, psi0 = build_system(
+                lat, model.__name__.removeprefix("build_"), p, name)
+            assert np.array_equal(sys_basis.states, basis.states)
             step_dims.clear()
-            res = run_quench(lat, basis, parts, drive, psi0s[:, col], cfg,
+            res = run_quench(lat, sys_basis, small, drive, psi0, cfg,
                              entropy_cuts=(half,))
             assert set(step_dims) == {47} and len(step_dims) == 30
             states = [s[:, col] for s in ref]
@@ -728,23 +721,24 @@ class TestRingSymmetricSubspace:
         lat = build_lattice("chain", 12, periodic=True)
         basis = enumerate_blockaded(lat)
         parts = build_pxp(lat, basis, p)
+        psi0 = random_state(basis.dim, 3)
+        assert symmetric_restriction(lat, basis, parts, psi0) is None
+        assert symmetric_restriction(lat, basis, parts,
+                                     named_state(lat, basis, "AF1")).dim == 47
+        # the same lattice without the wrap flag has no isometry at all
+        assert symmetric_restriction(dataclasses.replace(lat, periodic=False), basis,
+                                     parts, named_state(lat, basis, "AF1")) is None
         drive = DriveProfile.cosine(0.5 * p.omega, p.omega, 1.33 * p.omega)
         cfg = EvolutionConfig(total_time=0.01, dt=0.002)
-        psi0 = random_state(basis.dim, 3)
-        res = run_quench(lat, basis, parts, drive, psi0, cfg, entropy_cuts=((0, 1, 2),))
+        run_quench(lat, basis, parts, drive, psi0, cfg, entropy_cuts=((0, 1, 2),))
         assert set(step_dims) == {basis.dim}
-        # the same lattice without the wrap flag has no isometry at all
-        plain = run_quench(dataclasses.replace(lat, periodic=False), basis, parts,
-                           drive, psi0, cfg, entropy_cuts=((0, 1, 2),))
-        for field in ("site_pops", "probs", "entropies", "final_state"):
-            assert np.array_equal(getattr(res, field), getattr(plain, field))
 
     def test_open_chain_is_never_reduced(self, p, step_dims):
         lat = build_lattice("chain", 12)
-        basis = enumerate_blockaded(lat)
-        parts = build_pxp(lat, basis, p)
-        run_quench(lat, basis, parts, DriveProfile.constant(0.0),
-                   named_state(lat, basis, "AF1"),
+        basis, parts, psi0 = build_system(lat, "pxp", p, "AF1")
+        assert parts.iso is None and parts.dim == basis.dim
+        assert np.array_equal(psi0, named_state(lat, basis, "AF1"))
+        run_quench(lat, basis, parts, DriveProfile.constant(0.0), psi0,
                    EvolutionConfig(total_time=0.01, dt=0.002))
         assert set(step_dims) == {basis.dim}
 

@@ -235,9 +235,9 @@ class TestRingSubspaceMaps:
         assert np.abs(m - 1.0).max() < 1e-9
 
     def test_no_full_basis_fallback(self, monkeypatch):
-        import scarsim.floquet as floquet
+        import scarsim.evolve as evolve
 
-        monkeypatch.setattr(floquet, "symmetric_restriction", lambda *args: None)
+        monkeypatch.setattr(evolve, "symmetric_restriction", lambda *args: None)
         with pytest.raises(ConfigError, match="symmetric subspace"):
             revival_fidelity_map(10, "periodic", [0.0], [1.0], n_periods=1)
 
