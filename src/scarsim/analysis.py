@@ -65,12 +65,11 @@ class PlaneFit:
 class Spectrum:
     """Normalized in-phase intensity on a uniform angular-frequency grid.
 
-    ``s2`` and ``stilde`` have one row per series, or are 1-D for one series.
+    ``s2`` has one row per series, or is 1-D for one series.
     """
 
     omegas: np.ndarray
     s2: np.ndarray
-    stilde: np.ndarray
 
     def peak_omega(self) -> float:
         """Frequency of the largest intensity of a single-series spectrum."""
@@ -296,14 +295,14 @@ def _inphase_transform(values: np.ndarray, times: np.ndarray,
 
 
 def _normalized_intensity(values: np.ndarray, times: np.ndarray,
-                          omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                          omegas: np.ndarray) -> np.ndarray:
     window = times[-1] - times[0]
-    stilde = _inphase_transform(values, times, omegas)
-    total = np.trapezoid(stilde**2, omegas, axis=-1)[..., None]
+    transform = _inphase_transform(values, times, omegas)
+    total = np.trapezoid(transform**2, omegas, axis=-1)[..., None]
     # a series with no spectral weight keeps an all-zero intensity
-    s2 = np.zeros_like(stilde)
-    np.divide(stilde**2, 2.0 * total * window / math.tau, out=s2, where=total > 0)
-    return s2, stilde
+    s2 = np.zeros_like(transform)
+    np.divide(transform**2, 2.0 * total * window / math.tau, out=s2, where=total > 0)
+    return s2
 
 
 def spectral_grid(times: np.ndarray) -> np.ndarray:
@@ -323,8 +322,8 @@ def fourier_spectrum(values: np.ndarray, times: np.ndarray, *,
     """Normalized in-phase power spectrum of uniformly sampled series.
 
     ``values`` holds one series, or one series per row of a
-    (series, samples) array; the spectrum's ``s2`` and ``stilde`` then have
-    one row per series.  The grid (:func:`spectral_grid`) spans 0 to the
+    (series, samples) array; the spectrum's ``s2`` then has one row per
+    series.  The grid (:func:`spectral_grid`) spans 0 to the
     sampling Nyquist frequency with spacing 2 pi / (8 T).  ``calibration_omega``
     selects the reference-cosine frequency; by default each series' dominant
     peak is used, so a pure cosine at any grid frequency comes out with peak
@@ -335,15 +334,13 @@ def fourier_spectrum(values: np.ndarray, times: np.ndarray, *,
     omegas = spectral_grid(times)
     tt = times - times[0]
 
-    s2, stilde = _normalized_intensity(values, tt, omegas)
+    s2 = _normalized_intensity(values, tt, omegas)
     flat = np.ptp(values, axis=-1) < 1e-12 * np.maximum(1.0, np.abs(values).max(axis=-1))
-    # row views: the per-series edits below land in s2 and stilde
+    # row views: the per-series edits below land in s2
     s2_rows = s2.reshape(-1, len(omegas))
-    stilde_rows = stilde.reshape(-1, len(omegas))
     for r, is_flat in enumerate(np.ravel(flat)):
         if is_flat:
             s2_rows[r] = 0.0
-            stilde_rows[r] = 0.0
             continue
         if s2_rows[r].max() <= 0:
             continue
@@ -353,12 +350,12 @@ def fourier_spectrum(values: np.ndarray, times: np.ndarray, *,
         if omega_ref <= 0:
             continue
         # the peak at omega_ref of the pipeline applied to cos(omega_ref t)
-        ref_s2, _ = _normalized_intensity(np.cos(omega_ref * tt), tt, omegas)
+        ref_s2 = _normalized_intensity(np.cos(omega_ref * tt), tt, omegas)
         ref_peak = float(np.interp(omega_ref, omegas, ref_s2))
         if ref_peak <= 0:
             raise NumericalError("spectral calibration failed: zero reference peak")
         s2_rows[r] /= ref_peak
-    return Spectrum(omegas=omegas, s2=s2, stilde=stilde)
+    return Spectrum(omegas=omegas, s2=s2)
 
 
 def weight_at(spectrum: Spectrum, omega: float) -> float | np.ndarray:

@@ -76,7 +76,7 @@ from .evolve import (
 )
 from .floquet import pulsed_subharmonic_map, revival_fidelity_map
 from .hamiltonian import DriveProfile, DriveShape
-from .hilbert import order_microstates, reflection_grouping
+from .hilbert import reflection_grouping
 from .lattice import (
     REF_ALPHA,
     REF_BETA,
@@ -226,7 +226,7 @@ def cmd_quench(cfg: ExperimentConfig) -> tuple[dict, str, str]:
     if spec is not None:
         files["spectrum.csv"] = spectrum_to_csv(spec)
     if cfg.observables.microstates:
-        ordering = order_microstates(reflection_grouping(basis, cfg.lattice))
+        ordering = reflection_grouping(basis, cfg.lattice)
         matrix = microstate_matrix(result, ordering)
         files["microstates.csv"] = microstate_matrix_to_csv(result.times, matrix)
     return files, "complete", \

@@ -217,16 +217,20 @@ def _parse_observables(d, lat: Lattice) -> ObservablesSpec:
     entries = d.get("entropy_cuts", [])
     _expect(isinstance(entries, list), f"{path}.entropy_cuts", "must be a list")
     cuts = []
+    n = lat.n_sites
     for k, cut in enumerate(entries):
+        at = f"{path}.entropy_cuts[{k}]"
         if cut == "half":
-            cuts.append(tuple(range(lat.n_sites // 2)))
+            _expect(n >= 2, at, '"half" needs a lattice of at least 2 sites')
+            cuts.append(tuple(range(n // 2)))
         elif isinstance(cut, list) and all(is_int(s) for s in cut):
-            _expect(len(cut) > 0, f"{path}.entropy_cuts[{k}]", "cut must be nonempty")
+            _expect(len(cut) > 0, at, "cut must be nonempty")
+            bad = [s for s in cut if not 0 <= s < n]
+            _expect(not bad, at, f"sites {bad} lie outside 0..{n - 1}")
+            _expect(len(set(cut)) < n, at, f"cut covers all {n} sites")
             cuts.append(tuple(cut))
         else:
-            raise ConfigError(
-                f'{path}.entropy_cuts[{k}]: must be "half" or a list of site indices'
-            )
+            raise ConfigError(f'{at}: must be "half" or a list of site indices')
     return ObservablesSpec(microstates=microstates, entropy_cuts=tuple(cuts))
 
 
@@ -250,7 +254,10 @@ def _parse_sweep(entries) -> tuple[SweepAxis, ...]:
     return tuple(axes)
 
 
-def _parse_floquet(d) -> FloquetSpec:
+def _parse_floquet(d, initial_state: str | None) -> FloquetSpec:
+    """The floquet section; its initial_state defaults to the document's
+    ``initial_state``, and a document that sets both to different states is
+    refused."""
     path = "floquet"
     _fields(d, path, ("l", "boundary", "map", "epsilons", "taus_omega",
                       "taus_over_2pi", "n_periods", "initial_state"))
@@ -273,9 +280,11 @@ def _parse_floquet(d) -> FloquetSpec:
     n_per = d.get("n_periods", 100 if kind == "revival" else 400)
     _expect(is_int(n_per) and n_per >= 1, f"{path}.n_periods",
             "must be an integer >= 1")
-    init = d.get("initial_state", "AF1")
+    init = d.get("initial_state", initial_state or "AF1")
     _expect(init in INITIAL_STATES, f"{path}.initial_state",
             f"must be one of {INITIAL_STATES}")
+    _expect(initial_state in (None, init), f"{path}.initial_state",
+            f"{init!r} differs from initial_state {initial_state!r}")
     return FloquetSpec(l=l, boundary=boundary, map=kind, epsilons=eps, taus=taus,
                        n_periods=n_per, initial_state=init)
 
@@ -284,7 +293,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a raw configuration document and build what a run uses."""
     _fields(doc, "config", ("lattice", "physical", "model", "drive", "initial_state",
                             "evolution", "observables", "sweep", "floquet"))
-    floquet = _parse_floquet(doc["floquet"]) if "floquet" in doc else None
+    initial_state = doc.get("initial_state", "AF1")
+    _expect(initial_state in INITIAL_STATES, "initial_state",
+            f"must be one of {INITIAL_STATES}")
+    floquet = (_parse_floquet(doc["floquet"], doc.get("initial_state"))
+               if "floquet" in doc else None)
     if "lattice" in doc or floquet is None:
         lattice = _parse_lattice(_get(doc, "config", "lattice", required=True))
     else:
@@ -299,10 +312,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     drive = doc.get("drive")
     if drive is not None:
         drive = _resolve_drive(drive, physical, lattice)
-
-    initial_state = doc.get("initial_state", "AF1")
-    _expect(initial_state in INITIAL_STATES, "initial_state",
-            f"must be one of {INITIAL_STATES}")
 
     evolution = _parse_evolution(doc["evolution"]) if "evolution" in doc else None
     if drive is not None and drive.shape is not DriveShape.CONSTANT \

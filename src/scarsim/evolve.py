@@ -87,7 +87,6 @@ class QuenchResult:
     n_b: np.ndarray
     probs: np.ndarray | None = None
     entropies: np.ndarray | None = None
-    final_state: np.ndarray | None = None
 
 
 # A series is never extended past the order whose Bessel bound falls below
@@ -338,11 +337,6 @@ def _run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     step_drive = drives if len(drives) > 1 else drives[0]
     block = psi if len(drives) == 1 else np.repeat(psi[:, None], len(drives), axis=1)
 
-    def full_states() -> np.ndarray:
-        """One contiguous full-basis state per row."""
-        full = block if iso is None else iso.expand(block)
-        return np.ascontiguousarray(full.reshape(len(full), -1).T)
-
     bits = _site_bit_table(basis)
     a_sites = lat.sites_of(0)
     b_sites = lat.sites_of(1)
@@ -352,7 +346,10 @@ def _run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
 
     def snapshot(step: int) -> None:
         times.append(step * cfg.dt)
-        for j, psi_full in enumerate(full_states()):
+        full = block if iso is None else iso.expand(block)
+        # one contiguous full-basis state per row
+        rows = np.ascontiguousarray(full.reshape(len(full), -1).T)
+        for j, psi_full in enumerate(rows):
             pr = np.abs(psi_full) ** 2
             site = pr @ bits
             pops[j].append(site)
@@ -383,9 +380,8 @@ def _run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
             n_b=np.array(nbs[j]),
             probs=np.array(probs[j]) if record_probs else None,
             entropies=np.array(ents[j]) if entropy_cuts else None,
-            final_state=final,
         )
-        for j, final in enumerate(full_states())
+        for j in range(len(drives))
     ]
 
 

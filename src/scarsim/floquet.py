@@ -9,7 +9,7 @@ frequency.  Unit conversion belongs to the CLI layer.
 At theta = pi the kick anticommutes the generator (particle-hole symmetry),
 so two periods form an exact many-body echo: U(pi, tau)^2 = identity.
 
-The (eps, tau) maps run on one engine.  The PXP Hamiltonian is real
+The (eps, tau) maps share one grid function.  The PXP Hamiltonian is real
 symmetric (``HamiltonianParts.dense``), so it is diagonalized once with real
 eigenvectors Q, and every grid point advances together as one column of a
 (dim, P) block: a period is the real GEMM Q^T @ block, a per-column multiply
@@ -55,10 +55,6 @@ class PulsedParams:
     theta: float
     tau: float
 
-    @property
-    def epsilon(self) -> float:
-        return self.theta - math.pi
-
     @classmethod
     def from_epsilon(cls, epsilon: float, tau: float) -> "PulsedParams":
         return cls(theta=math.pi + epsilon, tau=tau)
@@ -83,79 +79,63 @@ def _real_matmul(a: np.ndarray, block: np.ndarray) -> np.ndarray:
     return (a @ block.view(np.float64)).view(np.complex128)
 
 
-class _StroboscopicEngine:
-    """Dense real-eigenbasis propagation of the pulsed drive for one chain.
+def _pulsed_grid(l: int, boundary: str, epsilons, taus, initial_state: str):
+    """The pulsed drive of an (eps, tau) map on the chain or ring of ``l``
+    sites: the start block, a ``period(block)`` function, the start state
+    psi0 and the imbalance weights, all in the propagated basis.
 
-    A (dim, P) block holds one state per column; column p is driven with
-    kick angle ``thetas[p]`` and evolution time ``taus[p]``.  One period is
-    two real GEMMs with the eigenvector matrix and two per-column diagonal
-    multiplies, so a whole (eps, tau) map advances together.
+    The block holds one copy of psi0 per grid point, in row-major order;
+    ``period`` applies one driving period to every column of such a block,
+    column p with kick angle pi + eps and evolution time tau of its point:
+    the real GEMM Q^T @ block, a per-column multiply by exp(-i tau E), the
+    real GEMM Q @ block and a per-column multiply by exp(-i theta N).  The
+    imbalance of every column is ``weights @ |block|**2``.
 
     On a ring the block lives in the start state's symmetric subspace (see
-    :func:`scarsim.evolve.build_system`); ``psi0`` is the start state in
-    the propagated basis.
+    :func:`scarsim.evolve.build_system`).  A propagated dim over the dense
+    limit, or blocks over the byte limit, are refused before the dense
+    eigendecomposition.
     """
-
-    def __init__(self, l: int, boundary: str, initial_state: str = "AF1"):
-        if boundary not in ("open", "periodic"):
-            raise ConfigError("boundary must be 'open' or 'periodic'")
-        self.lat = build_lattice("chain", l, periodic=boundary == "periodic")
-        perms = symmetry_permutations(self.lat)
-        # an orbit holds at most len(perms) states, so a larger basis cannot
-        # restrict to the dense limit
-        self.basis, parts, self.psi0 = build_system(
-            self.lat, "pxp", PhysicalParams(omega=1.0, v0=1.0), initial_state,
-            max_dim=DENSE_DIM_LIMIT * (1 if perms is None else len(perms)))
-        if perms is not None and parts.iso is None:
-            raise ConfigError(
-                f"{initial_state} does not lie in the ring's exact symmetric subspace"
-            )
-        if parts.dim > DENSE_DIM_LIMIT:
-            raise CapacityError(
-                f"pulsed maps need a propagated dim <= {DENSE_DIM_LIMIT}, got {parts.dim}"
-            )
-        self.dim = parts.dim
-        self.evals, self.q = np.linalg.eigh(parts.dense(0.0))
-        self.number = parts.diag_number
-        bits = _site_bit_table(parts.basis)
-        # imbalance = A-site mean minus B-site mean of the site occupations
-        self.imbalance_weights = (bits[:, self.lat.sites_of(0)].mean(axis=1)
-                                  - bits[:, self.lat.sites_of(1)].mean(axis=1))
-
-    def drive(self, thetas, taus) -> tuple[np.ndarray, np.ndarray]:
-        """Per-column eigenphases exp(-i tau E) and kicks exp(-i theta N)."""
-        phases = np.exp(-1j * np.outer(self.evals, taus))
-        kicks = np.exp(-1j * np.outer(self.number, thetas))
-        return phases, kicks
-
-    def apply(self, block: np.ndarray, phases: np.ndarray,
-              kicks: np.ndarray) -> np.ndarray:
-        """One driving period on every column of a (dim, P) complex block."""
-        coef = _real_matmul(self.q.T, block)
-        coef *= phases
-        out = _real_matmul(self.q, coef)
-        out *= kicks
-        return out
-
-    def imbalance(self, block: np.ndarray) -> np.ndarray:
-        """Sublattice imbalance of every column."""
-        return self.imbalance_weights @ (np.abs(block) ** 2)
-
-
-def _start_grid(eng: _StroboscopicEngine, epsilons, taus):
-    """Initial block, one column per (eps, tau) point in row-major order."""
+    if boundary not in ("open", "periodic"):
+        raise ConfigError("boundary must be 'open' or 'periodic'")
+    lat = build_lattice("chain", l, periodic=boundary == "periodic")
+    perms = symmetry_permutations(lat)
+    # an orbit holds at most len(perms) states, so a larger basis cannot
+    # restrict to the dense limit
+    _, parts, psi0 = build_system(
+        lat, "pxp", PhysicalParams(omega=1.0, v0=1.0), initial_state,
+        max_dim=DENSE_DIM_LIMIT * (1 if perms is None else len(perms)))
+    if perms is not None and parts.iso is None:
+        raise ConfigError(
+            f"{initial_state} does not lie in the ring's exact symmetric subspace"
+        )
+    if parts.dim > DENSE_DIM_LIMIT:
+        raise CapacityError(
+            f"pulsed maps need a propagated dim <= {DENSE_DIM_LIMIT}, got {parts.dim}"
+        )
     eps = np.asarray(epsilons, dtype=float)
     taus = np.asarray(taus, dtype=float)
     n_points = len(eps) * len(taus)
-    if _BLOCK_ARRAYS * 16 * eng.dim * n_points > _BLOCK_BYTES_LIMIT:
+    if _BLOCK_ARRAYS * 16 * parts.dim * n_points > _BLOCK_BYTES_LIMIT:
         raise CapacityError(
-            f"a {len(eps)}x{len(taus)} map at dim {eng.dim} needs more than "
+            f"a {len(eps)}x{len(taus)} map at dim {parts.dim} needs more than "
             f"{_BLOCK_BYTES_LIMIT >> 30} GiB of state blocks"
         )
-    phases, kicks = eng.drive(np.repeat(math.pi + eps, len(taus)),
-                              np.tile(taus, len(eps)))
-    block = np.repeat(eng.psi0[:, None], n_points, axis=1)
-    return block, phases, kicks
+    evals, q = np.linalg.eigh(parts.dense(0.0))
+    phases = np.exp(-1j * np.outer(evals, np.tile(taus, len(eps))))
+    kicks = np.exp(-1j * np.outer(parts.diag_number, np.repeat(math.pi + eps, len(taus))))
+    bits = _site_bit_table(parts.basis)
+    # imbalance = A-site mean minus B-site mean of the site occupations
+    weights = bits[:, lat.sites_of(0)].mean(axis=1) - bits[:, lat.sites_of(1)].mean(axis=1)
+
+    def period(block: np.ndarray) -> np.ndarray:
+        coef = _real_matmul(q.T, block)
+        coef *= phases
+        out = _real_matmul(q, coef)
+        out *= kicks
+        return out
+
+    return np.repeat(psi0[:, None], n_points, axis=1), period, psi0, weights
 
 
 def revival_fidelity_map(l: int, boundary: str, epsilons, taus,
@@ -167,12 +147,11 @@ def revival_fidelity_map(l: int, boundary: str, epsilons, taus,
     of the initial state with itself after 2n driving periods at
     theta = pi + epsilons[i], tau = taus[j].
     """
-    eng = _StroboscopicEngine(l, boundary, initial_state)
-    block, phases, kicks = _start_grid(eng, epsilons, taus)
+    block, period, psi0, _ = _pulsed_grid(l, boundary, epsilons, taus, initial_state)
     acc = np.zeros(block.shape[1])
     for _ in range(n_periods):
-        block = eng.apply(eng.apply(block, phases, kicks), phases, kicks)
-        acc += np.abs(eng.psi0.conj() @ block) ** 2
+        block = period(period(block))
+        acc += np.abs(psi0.conj() @ block) ** 2
     return (acc / n_periods).reshape(len(epsilons), len(taus))
 
 
@@ -187,13 +166,13 @@ def pulsed_subharmonic_map(l: int, boundary: str, epsilons, taus,
     """
     from .analysis import fourier_spectrum, weight_at
 
-    eng = _StroboscopicEngine(l, boundary, initial_state)
-    block, phases, kicks = _start_grid(eng, epsilons, taus)
+    block, period, _, weights = _pulsed_grid(l, boundary, epsilons, taus,
+                                             initial_state)
     series = np.empty((block.shape[1], n_periods + 1))
-    series[:, 0] = eng.imbalance(block)
+    series[:, 0] = weights @ (np.abs(block) ** 2)
     for n in range(1, n_periods + 1):
-        block = eng.apply(block, phases, kicks)
-        series[:, n] = eng.imbalance(block)
+        block = period(block)
+        series[:, n] = weights @ (np.abs(block) ** 2)
     times = np.arange(n_periods + 1, dtype=float)
     spec = fourier_spectrum(series, times, calibration_omega=math.pi)
     return weight_at(spec, math.pi).reshape(len(epsilons), len(taus))

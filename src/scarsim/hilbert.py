@@ -52,8 +52,8 @@ class MicrostateOrdering:
     """Reflection classes of chain microstates with their sort keys.
 
     labels holds the class of each basis state; keys holds one
-    (n_A - n_B, n_A + n_B) pair per class.  After :func:`order_microstates`
-    the classes are numbered so that n_A - n_B never increases.
+    (n_A - n_B, n_A + n_B) pair per class, in the presentation order of
+    :func:`reflection_grouping`.
     """
 
     labels: np.ndarray
@@ -240,31 +240,22 @@ def reflection_grouping(basis: ConstrainedBasis, lat: Lattice) -> MicrostateOrde
     which is in the basis because chain bonds depend only on |i - j|.
 
     The classes are the :func:`orbits` of the mirror, so self-symmetric
-    (palindromic) states form singleton classes.  Classes are numbered in
-    ascending order of their smallest member, whose sublattice counts give
-    the key; use :func:`order_microstates` for the canonical presentation
-    order.
+    (palindromic) states form singleton classes.  They are numbered in
+    presentation order: n_A - n_B descending, then n_A + n_B descending,
+    then smallest member ascending, this toolkit's deterministic tie-break.
+    Strings lead with site 0, so on mirror classes the last key orders them
+    by their smallest string too; the representatives (smallest members)
+    ascend, so it is the orbit index.
     """
     if lat.kind not in ("chain", "zigzag_chain"):
         raise GeometryError("reflection grouping is only defined for chains")
     reps, labels, _ = orbits(basis.states, [np.arange(basis.n_sites)[::-1]])
     n_a = np.bitwise_count(reps & sublattice_mask(lat, 0)).astype(int)
     n_b = np.bitwise_count(reps & sublattice_mask(lat, 1)).astype(int)
-    return MicrostateOrdering(
-        labels=labels, keys=tuple(zip((n_a - n_b).tolist(), (n_a + n_b).tolist())))
-
-
-def order_microstates(grouping: MicrostateOrdering) -> MicrostateOrdering:
-    """Renumber classes by (n_A - n_B desc, n_A + n_B desc, smallest string asc).
-
-    The lexicographic third key is this toolkit's deterministic tie-break.
-    Strings lead with site 0, so on mirror classes it orders them by their
-    smallest member, the class's first state in basis order.
-    """
-    keys = np.array(grouping.keys).reshape(-1, 2)
-    first = np.unique(grouping.labels, return_index=True)[1]
-    order = np.lexsort((first, -keys[:, 1], -keys[:, 0]))
+    diff, total = n_a - n_b, n_a + n_b
+    # a stable sort, so equal keys keep the ascending orbit order
+    order = np.lexsort((-total, -diff))
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return MicrostateOrdering(labels=rank[grouping.labels],
-                              keys=tuple(grouping.keys[k] for k in order))
+    keys = zip(diff[order].tolist(), total[order].tolist())
+    return MicrostateOrdering(labels=rank[labels], keys=tuple(keys))

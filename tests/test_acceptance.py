@@ -46,7 +46,6 @@ from scarsim.hamiltonian import (
 from scarsim.hilbert import (
     canonical_states,
     enumerate_blockaded,
-    order_microstates,
     reflection_grouping,
 )
 from scarsim.lattice import (
@@ -93,7 +92,7 @@ def test_criterion_01_constrained_basis_exactness():
     lat9 = build_lattice("chain", 9)
     basis9 = enumerate_blockaded(lat9)
     assert basis9.dim == 89
-    ordering = order_microstates(reflection_grouping(basis9, lat9))
+    ordering = reflection_grouping(basis9, lat9)
     assert ordering.n_classes == 51
     for length in range(3, 21):
         lat = build_lattice("chain", length)

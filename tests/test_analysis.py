@@ -255,9 +255,9 @@ class TestSpectrum:
             for _ in range(3):
                 values = rng.normal(size=len(self.t))
                 spec = fourier_spectrum(values, self.t, calibration_omega=omega_ref)
-                raw, _ = _normalized_intensity(values, tt, spec.omegas)
+                raw = _normalized_intensity(values, tt, spec.omegas)
                 w = omega_ref if omega_ref is not None else spec.omegas[np.argmax(raw)]
-                ref, _ = _normalized_intensity(np.cos(w * tt), tt, spec.omegas)
+                ref = _normalized_intensity(np.cos(w * tt), tt, spec.omegas)
                 expected = raw / float(np.interp(w, spec.omegas, ref))
                 assert np.array_equal(spec.s2, expected)
 
@@ -271,12 +271,11 @@ class TestSpectrum:
                           np.cos(self.grid_frequency() * self.t)[None]])
         spec = fourier_spectrum(rows, self.t, calibration_omega=omega_ref)
         weights = weight_at(spec, 40.0)
-        assert spec.s2.shape == spec.stilde.shape == (5, len(spec.omegas))
+        assert spec.s2.shape == (5, len(spec.omegas))
         assert weights.shape == (5,)
         for r, values in enumerate(rows):
             one = fourier_spectrum(values, self.t, calibration_omega=omega_ref)
             assert np.array_equal(spec.s2[r], one.s2)
-            assert np.array_equal(spec.stilde[r], one.stilde)
             assert weights[r] == weight_at(one, 40.0)
 
     @staticmethod
@@ -392,12 +391,15 @@ class TestSpectrum:
 
     def test_normalization_integral_consistency(self):
         # the intensity normalization uses the same quadrature as the grid sum
+        from scarsim.analysis import _inphase_transform
+
         w0 = self.grid_frequency()
         y = np.cos(w0 * self.t) + 0.3 * np.cos(2.3 * w0 * self.t)
         spec = fourier_spectrum(y, self.t)
         window = self.t[-1] - self.t[0]
-        total = np.trapezoid(spec.stilde**2, spec.omegas)
-        raw = spec.stilde**2 / (2 * total * window / math.tau)
+        transform = _inphase_transform(y, self.t - self.t[0], spec.omegas)
+        total = np.trapezoid(transform**2, spec.omegas)
+        raw = transform**2 / (2 * total * window / math.tau)
         calib = raw.max() / spec.s2.max()
         assert np.allclose(raw / calib, spec.s2, atol=1e-12)
 
@@ -517,11 +519,11 @@ class TestSweepProtocols:
 
 class TestMicrostateMatrix:
     def test_initial_state_and_row_sums(self, chain9, chain9_states):
-        from scarsim.hilbert import order_microstates, reflection_grouping
+        from scarsim.hilbert import reflection_grouping
 
         lat, basis = chain9
         af1, _, _ = chain9_states
-        ordering = order_microstates(reflection_grouping(basis, lat))
+        ordering = reflection_grouping(basis, lat)
         probs = np.zeros((3, basis.dim))
         probs[0, basis.index_of(af1)] = 1.0
         probs[1:] = 1.0 / basis.dim
@@ -531,10 +533,10 @@ class TestMicrostateMatrix:
         assert np.allclose(m.sum(axis=1), 1.0, atol=1e-9)
 
     def test_requires_probabilities(self, chain9):
-        from scarsim.hilbert import order_microstates, reflection_grouping
+        from scarsim.hilbert import reflection_grouping
 
         lat, basis = chain9
-        ordering = order_microstates(reflection_grouping(basis, lat))
+        ordering = reflection_grouping(basis, lat)
         res = synthetic_result(np.arange(3) * 0.1, np.zeros(3), np.zeros(3))
         with pytest.raises(ConfigError):
             microstate_matrix(res, ordering)
@@ -544,14 +546,14 @@ class TestMicrostateMatrix:
         members' probabilities summed per class."""
         from scarsim.evolve import EvolutionConfig, run_quench
         from scarsim.hamiltonian import DriveProfile, build_rydberg
-        from scarsim.hilbert import order_microstates, reflection_grouping
+        from scarsim.hilbert import reflection_grouping
         from scarsim.lattice import PhysicalParams
 
         p = PhysicalParams.from_mhz(4.2, 51.0)
         lat, basis = chain9
         af1, _, _ = chain9_states
         parts = build_rydberg(lat, basis, p)
-        ordering = order_microstates(reflection_grouping(basis, lat))
+        ordering = reflection_grouping(basis, lat)
         psi0 = np.zeros(basis.dim, dtype=complex)
         psi0[basis.index_of(af1)] = 1
         drive = DriveProfile.cosine(0.55 * p.omega, 0.55 * p.omega, 1.15 * p.omega)
@@ -570,14 +572,14 @@ class TestMicrostateMatrix:
         classes closest to the fully ordered state, unlike the bare quench."""
         from scarsim.evolve import EvolutionConfig, run_quench
         from scarsim.hamiltonian import DriveProfile, build_rydberg
-        from scarsim.hilbert import order_microstates, reflection_grouping
+        from scarsim.hilbert import reflection_grouping
         from scarsim.lattice import PhysicalParams
 
         p = PhysicalParams.from_mhz(4.2, 51.0)
         lat, basis = chain9
         af1, _, _ = chain9_states
         parts = build_rydberg(lat, basis, p)
-        ordering = order_microstates(reflection_grouping(basis, lat))
+        ordering = reflection_grouping(basis, lat)
         wm = 1.15 * p.omega
         period = math.tau / wm
         psi0 = np.zeros(basis.dim, dtype=complex)

@@ -122,6 +122,13 @@ class TestSectionChecks:
          "sweep[1].parameter"),
         # the interaction range is not configurable: every pair in the patch counts
         ("quench", "cutoff", 2.5, "config.cutoff"),
+        # cuts are checked against the 7-site lattice when the document is parsed
+        ("quench", "observables", {"entropy_cuts": [[30]]},
+         "observables.entropy_cuts[0]"),
+        ("quench", "observables", {"entropy_cuts": ["half", [-1, 2]]},
+         "observables.entropy_cuts[1]"),
+        ("quench", "observables", {"entropy_cuts": [[6, 5, 4, 3, 2, 1, 0, 3]]},
+         "observables.entropy_cuts[0]"),
     ])
     def test_malformed_section_exits_2(self, tmp_path, capsys, command, section,
                                        value, field):
@@ -137,6 +144,28 @@ class TestSectionChecks:
         assert manifest["status"] == "error"
         assert manifest["error"].startswith("ConfigError: ")
         assert f"{field}:" in manifest["error"]
+
+    def test_half_cut_of_one_site_exits_2(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["lattice"]["extent"] = 1
+        cfg = write_config(tmp_path, doc)
+        assert main(["quench", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "observables.entropy_cuts[0]: " in capsys.readouterr().err
+
+    def test_sweep_with_a_bad_cut_builds_nothing(self, tmp_path, capsys, monkeypatch):
+        import scarsim.cli as cli
+
+        built = []
+        monkeypatch.setattr(cli, "build_system", lambda *a, **k: built.append(a))
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["observables"] = {"entropy_cuts": [[30]]}
+        doc["sweep"] = [{"parameter": "drive.omegam_over_omega", "grid": [1.0, 1.2]}]
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", cfg, "--jobs", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "observables.entropy_cuts[0]: sites [30] lie outside 0..6" \
+            in capsys.readouterr().err
+        assert built == []
 
     def test_drive_without_physical_exits_2(self, tmp_path, capsys):
         doc = {"lattice": {"kind": "chain", "extent": 7},
@@ -1146,6 +1175,39 @@ class TestFloquetCommand:
         assert manifest["status"] == "error"
         assert field in manifest["error"]
 
+    def test_top_level_initial_state_is_the_default(self, tmp_path):
+        """GGG keeps both sublattices equally filled, so its stroboscopic
+        imbalance and subharmonic weight are 0, where AF1's are not."""
+        values = {}
+        for state in ("AF1", "GGG"):
+            doc = {"initial_state": state,
+                   "floquet": {"l": 8, "boundary": "periodic", "map": "subharmonic",
+                               "epsilons": [0.1], "taus_over_2pi": [0.755],
+                               "n_periods": 40}}
+            assert parse_config(doc).floquet.initial_state == state
+            out = tmp_path / state
+            assert main(["floquet", "--config", write_config(tmp_path, doc),
+                         "--out", str(out)]) == 0
+            assert json.loads((out / "map_meta.json").read_text())["initial_state"] \
+                == state
+            line = (out / "map.csv").read_text().strip().splitlines()[1]
+            values[state] = float(line.split(",")[2])
+        assert values["GGG"] == 0.0 and values["AF1"] > 0.5
+        # one state named in both places is accepted
+        doc["floquet"]["initial_state"] = "GGG"
+        assert parse_config(doc).floquet.initial_state == "GGG"
+
+    def test_conflicting_initial_states_exit_2(self, tmp_path, capsys):
+        doc = {"initial_state": "GGG",
+               "floquet": {"l": 8, "boundary": "periodic", "map": "revival",
+                           "epsilons": [0.0], "taus_over_2pi": [0.4],
+                           "n_periods": 10, "initial_state": "AF1"}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["floquet", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "floquet.initial_state: 'AF1' differs from initial_state 'GGG'" in err
+        assert not (tmp_path / "x" / "map.csv").exists()
+
     def test_taus_in_two_units_exits_2(self, tmp_path, capsys):
         doc = {"floquet": {"l": 8, "boundary": "periodic", "map": "revival",
                            "epsilons": [0.0], "taus_omega": [1.0],
@@ -1269,9 +1331,9 @@ class TestFullBasisOperatorFreed:
         assert set(map(repr, steps)) == {repr((47, [True]))}
 
     def test_pulsed_map(self, watch):
-        from scarsim.floquet import _StroboscopicEngine
+        from scarsim.floquet import _pulsed_grid
 
         built, _ = watch
-        eng = _StroboscopicEngine(14, "periodic")
-        assert eng.dim == 89 and len(built) == 1
+        block, *_ = _pulsed_grid(14, "periodic", [0.0], [1.0], "AF1")
+        assert block.shape == (89, 1) and len(built) == 1
         assert built[0]() is None

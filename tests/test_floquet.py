@@ -8,7 +8,7 @@ from scarsim.errors import CapacityError, ConfigError
 from scarsim.floquet import (
     TAU_C,
     PulsedParams,
-    _StroboscopicEngine,
+    _pulsed_grid,
     apply_period,
     excitation_zz_affine_defect,
     pulsed_subharmonic_map,
@@ -69,7 +69,6 @@ class TestApplyPeriod:
     def test_epsilon_bookkeeping(self):
         pp = PulsedParams.from_epsilon(0.3, 1.0)
         assert pp.theta == pytest.approx(math.pi + 0.3)
-        assert pp.epsilon == pytest.approx(0.3)
 
 
 class TestDiagonalIdentities:
@@ -108,6 +107,21 @@ class TestRevivalMap:
                                  n_periods=1)
         with pytest.raises(ConfigError):
             revival_fidelity_map(10, "twisted", [0.0], [1.0], n_periods=1)
+
+    def test_oversize_grid_refused_before_eigendecomposition(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        with pytest.raises(CapacityError, match="1000x800 map at dim 89"):
+            _pulsed_grid(14, "periodic", [0.1] * 1000, [1.0] * 800, "AF1")
+        assert calls == []
+        _pulsed_grid(14, "periodic", [0.1], [1.0], "AF1")
+        assert calls == [(89, 89)]
 
 
 class TestSubharmonicMap:
@@ -214,11 +228,15 @@ class TestRingSubspaceMaps:
     """Ring maps propagate in the <T^2, R>-symmetric subspace of AF1."""
 
     def test_propagated_dims(self):
-        assert (_StroboscopicEngine(14, "periodic").dim,
-                _StroboscopicEngine(20, "periodic").dim) == (89, 881)
+        def dim(l, boundary):
+            block, _, psi0, weights = _pulsed_grid(l, boundary, [0.1, 0.2], [1.0],
+                                                   "AF1")
+            assert block.shape == (len(psi0), 2) and weights.shape == psi0.shape
+            return len(psi0)
+
+        assert (dim(14, "periodic"), dim(20, "periodic")) == (89, 881)
         # open chains keep the full basis
-        eng = _StroboscopicEngine(9, "open")
-        assert eng.dim == eng.basis.dim == 89
+        assert dim(9, "open") == enumerate_blockaded(build_lattice("chain", 9)).dim
 
     # rings over 18 sites were refused while maps ran in the full basis
     @pytest.mark.parametrize("l", [16, 18, 20])
@@ -245,4 +263,4 @@ class TestRingSubspaceMaps:
         # 22 sites: |G| = 22, so enumeration stops past 22 * 1024 states,
         # long before the 39,603-state full basis
         with pytest.raises(CapacityError, match="22528 state bound"):
-            _StroboscopicEngine(22, "periodic")
+            _pulsed_grid(22, "periodic", [0.0], [1.0], "AF1")
