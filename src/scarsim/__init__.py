@@ -12,14 +12,3 @@ Library layout:
 """
 
 __version__ = "0.1.0"
-
-from .lattice import (  # noqa: F401
-    Lattice,
-    PhysicalParams,
-    blockade_radius,
-    build_lattice,
-    decay_predictors,
-    interaction_matrix,
-    optimal_detuning,
-    predict_lifetime,
-)

@@ -475,14 +475,15 @@ def _rigidity_table(cfg: ExperimentConfig, points: list[dict],
 def cmd_floquet(cfg: ExperimentConfig) -> tuple[dict, str, str]:
     if cfg.floquet is None:
         raise ConfigError("floquet: section is required for the floquet command")
-    fq = cfg.floquet
+    fq, lat = cfg.floquet, cfg.lattice
     fn = revival_fidelity_map if fq.map == "revival" else pulsed_subharmonic_map
-    values = fn(fq.l, fq.boundary, fq.epsilons, fq.taus,
-                n_periods=fq.n_periods, initial_state=fq.initial_state)
+    values = fn(lat, fq.epsilons, fq.taus, n_periods=fq.n_periods,
+                initial_state=cfg.initial_state)
     table = [[eps, tau, v] for eps, row in zip(fq.epsilons, values.tolist())
              for tau, v in zip(fq.taus, row)]
-    meta = {"l": fq.l, "boundary": fq.boundary, "map": fq.map,
-            "n_periods": fq.n_periods, "initial_state": fq.initial_state,
+    meta = {"l": lat.n_sites, "boundary": "periodic" if lat.periodic else "open",
+            "map": fq.map, "n_periods": fq.n_periods,
+            "initial_state": cfg.initial_state,
             "epsilons": list(fq.epsilons), "taus_omega": list(fq.taus)}
     files = {"map.csv": csv_text(["epsilon", "tau_omega", "value"], table),
              "map_meta.json": json_text(meta)}

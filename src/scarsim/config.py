@@ -30,6 +30,9 @@ MODELS = ("rydberg", "pxp", "sw2")
 INITIAL_STATES = ("AF1", "AF2", "GGG")
 
 _SWEEPABLE_PREFIXES = ("lattice.", "physical.", "drive.", "evolution.")
+# sections that a document with a floquet section may not have
+_FLOQUET_REFUSES = ("lattice", "physical", "model", "drive", "evolution",
+                    "observables", "sweep")
 
 # Relative tolerance of the total_time / dt whole-multiple check.
 _GRID_RTOL = 1e-9
@@ -82,20 +85,17 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class FloquetSpec:
-    l: int
-    boundary: str
     map: str                  # "revival" or "subharmonic"
     epsilons: tuple
     taus: tuple               # dimensionless Omega*tau values
     n_periods: int
-    initial_state: str = "AF1"
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A validated configuration resolved to the objects a run uses, plus the
-    normalized raw document.  Floquet-only documents get the chain or ring of
-    ``floquet.l`` as their lattice."""
+    normalized raw document.  A floquet document's lattice is the chain or
+    ring of ``floquet.l`` and its start state is ``initial_state``."""
 
     lattice: Lattice
     physical: PhysicalParams | None
@@ -254,10 +254,10 @@ def _parse_sweep(entries) -> tuple[SweepAxis, ...]:
     return tuple(axes)
 
 
-def _parse_floquet(d, initial_state: str | None) -> FloquetSpec:
-    """The floquet section; its initial_state defaults to the document's
-    ``initial_state``, and a document that sets both to different states is
-    refused."""
+def _parse_floquet(d, initial_state: str | None) -> tuple[Lattice, str, FloquetSpec]:
+    """The floquet section's chain or ring, start state and map.  The start
+    state defaults to the document's ``initial_state``, and a document that
+    sets both to different states is refused."""
     path = "floquet"
     _fields(d, path, ("l", "boundary", "map", "epsilons", "taus_omega",
                       "taus_over_2pi", "n_periods", "initial_state"))
@@ -285,8 +285,9 @@ def _parse_floquet(d, initial_state: str | None) -> FloquetSpec:
             f"must be one of {INITIAL_STATES}")
     _expect(initial_state in (None, init), f"{path}.initial_state",
             f"{init!r} differs from initial_state {initial_state!r}")
-    return FloquetSpec(l=l, boundary=boundary, map=kind, epsilons=eps, taus=taus,
-                       n_periods=n_per, initial_state=init)
+    lattice = build_lattice("chain", l, periodic=boundary == "periodic")
+    return lattice, init, FloquetSpec(map=kind, epsilons=eps, taus=taus,
+                                      n_periods=n_per)
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -296,13 +297,16 @@ def parse_config(doc: dict) -> ExperimentConfig:
     initial_state = doc.get("initial_state", "AF1")
     _expect(initial_state in INITIAL_STATES, "initial_state",
             f"must be one of {INITIAL_STATES}")
-    floquet = (_parse_floquet(doc["floquet"], doc.get("initial_state"))
-               if "floquet" in doc else None)
-    if "lattice" in doc or floquet is None:
-        lattice = _parse_lattice(_get(doc, "config", "lattice", required=True))
+    floquet = None
+    if "floquet" in doc:
+        # the map builds its own PXP chain from the floquet section
+        refused = [key for key in _FLOQUET_REFUSES if key in doc]
+        _expect(not refused, "config",
+                f"a floquet document takes none of these sections: {', '.join(refused)}")
+        lattice, initial_state, floquet = _parse_floquet(doc["floquet"],
+                                                         doc.get("initial_state"))
     else:
-        lattice = build_lattice("chain", floquet.l,
-                                periodic=floquet.boundary == "periodic")
+        lattice = _parse_lattice(_get(doc, "config", "lattice", required=True))
 
     physical = _parse_physical(doc["physical"]) if "physical" in doc else None
 

@@ -9,8 +9,10 @@ frequency.  Unit conversion belongs to the CLI layer.
 At theta = pi the kick anticommutes the generator (particle-hole symmetry),
 so two periods form an exact many-body echo: U(pi, tau)^2 = identity.
 
-The (eps, tau) maps share one grid function.  The PXP Hamiltonian is real
-symmetric (``HamiltonianParts.dense``), so it is diagonalized once with real
+The (eps, tau) maps take their chain or ring as a :class:`Lattice`, the one
+``config.parse_config`` builds from a document's ``floquet`` section, and
+share one grid function.  The PXP Hamiltonian is real symmetric
+(``HamiltonianParts.dense``), so it is diagonalized once with real
 eigenvectors Q, and every grid point advances together as one column of a
 (dim, P) block: a period is the real GEMM Q^T @ block, a per-column multiply
 by exp(-i tau E), the real GEMM Q @ block and a per-column multiply by the
@@ -37,7 +39,7 @@ from .errors import CapacityError, ConfigError
 from .evolve import DENSE_DIM_LIMIT, _site_bit_table, build_system, propagate_step
 from .hamiltonian import DriveProfile, HamiltonianParts
 from .hilbert import ConstrainedBasis
-from .lattice import Lattice, PhysicalParams, build_lattice, symmetry_permutations
+from .lattice import Lattice, PhysicalParams, symmetry_permutations
 
 TAU_C = 0.755 * math.tau
 
@@ -79,9 +81,9 @@ def _real_matmul(a: np.ndarray, block: np.ndarray) -> np.ndarray:
     return (a @ block.view(np.float64)).view(np.complex128)
 
 
-def _pulsed_grid(l: int, boundary: str, epsilons, taus, initial_state: str):
-    """The pulsed drive of an (eps, tau) map on the chain or ring of ``l``
-    sites: the start block, a ``period(block)`` function, the start state
+def _pulsed_grid(lat: Lattice, epsilons, taus, initial_state: str):
+    """The pulsed drive of an (eps, tau) map on the chain or ring ``lat``:
+    the start block, a ``period(block)`` function, the start state
     psi0 and the imbalance weights, all in the propagated basis.
 
     The block holds one copy of psi0 per grid point, in row-major order;
@@ -96,9 +98,6 @@ def _pulsed_grid(l: int, boundary: str, epsilons, taus, initial_state: str):
     limit, or blocks over the byte limit, are refused before the dense
     eigendecomposition.
     """
-    if boundary not in ("open", "periodic"):
-        raise ConfigError("boundary must be 'open' or 'periodic'")
-    lat = build_lattice("chain", l, periodic=boundary == "periodic")
     perms = symmetry_permutations(lat)
     # an orbit holds at most len(perms) states, so a larger basis cannot
     # restrict to the dense limit
@@ -138,16 +137,16 @@ def _pulsed_grid(l: int, boundary: str, epsilons, taus, initial_state: str):
     return np.repeat(psi0[:, None], n_points, axis=1), period, psi0, weights
 
 
-def revival_fidelity_map(l: int, boundary: str, epsilons, taus,
-                         n_periods: int = 100,
+def revival_fidelity_map(lat: Lattice, epsilons, taus, n_periods: int = 100,
                          initial_state: str = "AF1") -> np.ndarray:
-    """Mean return probability after even period counts over an (eps, tau) grid.
+    """Mean return probability after even period counts over an (eps, tau) grid
+    of the PXP chain or ring ``lat``, started in ``initial_state``.
 
     Entry [i, j] is the average over n = 1..n_periods of the squared overlap
     of the initial state with itself after 2n driving periods at
     theta = pi + epsilons[i], tau = taus[j].
     """
-    block, period, psi0, _ = _pulsed_grid(l, boundary, epsilons, taus, initial_state)
+    block, period, psi0, _ = _pulsed_grid(lat, epsilons, taus, initial_state)
     acc = np.zeros(block.shape[1])
     for _ in range(n_periods):
         block = period(period(block))
@@ -155,10 +154,10 @@ def revival_fidelity_map(l: int, boundary: str, epsilons, taus,
     return (acc / n_periods).reshape(len(epsilons), len(taus))
 
 
-def pulsed_subharmonic_map(l: int, boundary: str, epsilons, taus,
-                           n_periods: int = 400,
+def pulsed_subharmonic_map(lat: Lattice, epsilons, taus, n_periods: int = 400,
                            initial_state: str = "AF1") -> np.ndarray:
-    """Subharmonic weight of the stroboscopic imbalance over an (eps, tau) grid.
+    """Subharmonic weight of the stroboscopic imbalance over an (eps, tau) grid
+    of the PXP chain or ring ``lat``, started in ``initial_state``.
 
     The imbalance is sampled once per driving period and fed through the
     spectral pipeline with the drive at one cycle per period, so the
@@ -166,8 +165,7 @@ def pulsed_subharmonic_map(l: int, boundary: str, epsilons, taus,
     """
     from .analysis import fourier_spectrum, weight_at
 
-    block, period, _, weights = _pulsed_grid(l, boundary, epsilons, taus,
-                                             initial_state)
+    block, period, _, weights = _pulsed_grid(lat, epsilons, taus, initial_state)
     series = np.empty((block.shape[1], n_periods + 1))
     series[:, 0] = weights @ (np.abs(block) ** 2)
     for n in range(1, n_periods + 1):

@@ -1,9 +1,7 @@
 """Blockade-constrained Hilbert space enumeration and microstate bookkeeping.
 
 Basis states are plain integers: bit ``i`` (value ``1 << i``) is 1 when site
-``i`` is excited.  Display strings written by :func:`state_to_string` list
-site 0 in the most significant (leftmost) position, matching the row format
-used for the grouped microstate tables.
+``i`` is excited.
 
 Every basis symmetry acts through :func:`permute_states` and one orbit
 routine, :func:`orbits`: the ring sectors of quenches and pulsed maps
@@ -70,21 +68,6 @@ class MicrostateOrdering:
         out = np.zeros(weights.shape[:-1] + (self.n_classes,), dtype=weights.dtype)
         np.add.at(out, (..., self.labels), weights)
         return out
-
-
-def state_to_string(state: int, n_sites: int) -> str:
-    """Bit string with site 0 leftmost."""
-    return "".join("1" if (state >> i) & 1 else "0" for i in range(n_sites))
-
-
-def string_to_state(bits: str) -> int:
-    state = 0
-    for i, ch in enumerate(bits):
-        if ch == "1":
-            state |= 1 << i
-        elif ch != "0":
-            raise ConfigError(f"invalid bit character {ch!r}")
-    return state
 
 
 def _neighbour_masks(lat: Lattice) -> np.ndarray:
@@ -243,9 +226,9 @@ def reflection_grouping(basis: ConstrainedBasis, lat: Lattice) -> MicrostateOrde
     (palindromic) states form singleton classes.  They are numbered in
     presentation order: n_A - n_B descending, then n_A + n_B descending,
     then smallest member ascending, this toolkit's deterministic tie-break.
-    Strings lead with site 0, so on mirror classes the last key orders them
-    by their smallest string too; the representatives (smallest members)
-    ascend, so it is the orbit index.
+    A class's smallest member is its orbit representative, and the
+    representatives ascend with the orbit index, so the last key is that
+    index.
     """
     if lat.kind not in ("chain", "zigzag_chain"):
         raise GeometryError("reflection grouping is only defined for chains")

@@ -381,13 +381,12 @@ def test_criterion_11_entropy_properties():
 
 
 def test_criterion_12_pulsed_model_maps():
-    smoke = revival_fidelity_map(14, "periodic", [0.0], [0.5 * math.tau, TAU_C],
-                                 n_periods=100)
+    ring = build_lattice("chain", 14, periodic=True)
+    smoke = revival_fidelity_map(ring, [0.0], [0.5 * math.tau, TAU_C], n_periods=100)
     assert np.allclose(smoke, 1.0, atol=1e-9)
-    rev = revival_fidelity_map(14, "periodic", [0.3, 1.5], [TAU_C], n_periods=100)
+    rev = revival_fidelity_map(ring, [0.3, 1.5], [TAU_C], n_periods=100)
     assert rev[0, 0] > rev[1, 0]
-    sub = pulsed_subharmonic_map(14, "periodic", [0.5], [TAU_C / 2, TAU_C],
-                                 n_periods=400)
+    sub = pulsed_subharmonic_map(ring, [0.5], [TAU_C / 2, TAU_C], n_periods=400)
     assert sub[0, 1] > sub[0, 0]
     _report(12, f"echo row identically 1; revival {rev[0, 0]:.3f} > "
                 f"{rev[1, 0]:.3f} at eps 0.3 vs 1.5; subharmonic weight "

@@ -1162,6 +1162,7 @@ class TestFloquetCommand:
         ("n_periods", True, "floquet.n_periods"),
         ("epsilons", [float("nan")], "floquet.epsilons[0]"),
         ("l", 2, "floquet.l:"),
+        ("boundary", "twisted", "floquet.boundary"),
     ])
     def test_malformed_floquet_exits_2(self, tmp_path, capsys, key, value, field):
         doc = {"floquet": {"l": 8, "boundary": "periodic", "map": "revival",
@@ -1175,6 +1176,32 @@ class TestFloquetCommand:
         assert manifest["status"] == "error"
         assert field in manifest["error"]
 
+    @pytest.mark.parametrize("sections", [
+        "lattice", "physical", "model", "drive", "evolution", "observables", "sweep",
+        # a 10-chain Rydberg document that once ran an 8-ring PXP map, alone
+        # and with the physical section that a Rydberg quench would need
+        "lattice,model", "lattice,physical,model",
+    ])
+    @pytest.mark.parametrize("command", ["floquet", "lattice"])
+    def test_other_sections_exit_2(self, tmp_path, capsys, command, sections):
+        """The map builds its own PXP chain or ring from the floquet section,
+        so a section that would describe another system is refused."""
+        other = {**SMALL_QUENCH, "lattice": {"kind": "chain", "extent": 10},
+                 "sweep": [{"parameter": "physical.v0_mhz", "grid": [45.0]}]}
+        doc = {"floquet": {"l": 8, "boundary": "periodic", "map": "revival",
+                           "epsilons": [0.0], "taus_over_2pi": [0.4],
+                           "n_periods": 10}}
+        doc.update((name, other[name]) for name in sections.split(","))
+        out = tmp_path / "x"
+        assert main([command, "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 2
+        want = ("config: a floquet document takes none of these sections: "
+                + sections.replace(",", ", "))
+        assert want in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error" and want in manifest["error"]
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
     def test_top_level_initial_state_is_the_default(self, tmp_path):
         """GGG keeps both sublattices equally filled, so its stroboscopic
         imbalance and subharmonic weight are 0, where AF1's are not."""
@@ -1184,7 +1211,7 @@ class TestFloquetCommand:
                    "floquet": {"l": 8, "boundary": "periodic", "map": "subharmonic",
                                "epsilons": [0.1], "taus_over_2pi": [0.755],
                                "n_periods": 40}}
-            assert parse_config(doc).floquet.initial_state == state
+            assert parse_config(doc).initial_state == state
             out = tmp_path / state
             assert main(["floquet", "--config", write_config(tmp_path, doc),
                          "--out", str(out)]) == 0
@@ -1195,7 +1222,7 @@ class TestFloquetCommand:
         assert values["GGG"] == 0.0 and values["AF1"] > 0.5
         # one state named in both places is accepted
         doc["floquet"]["initial_state"] = "GGG"
-        assert parse_config(doc).floquet.initial_state == "GGG"
+        assert parse_config(doc).initial_state == "GGG"
 
     def test_conflicting_initial_states_exit_2(self, tmp_path, capsys):
         doc = {"initial_state": "GGG",
@@ -1332,8 +1359,10 @@ class TestFullBasisOperatorFreed:
 
     def test_pulsed_map(self, watch):
         from scarsim.floquet import _pulsed_grid
+        from scarsim.lattice import build_lattice
 
         built, _ = watch
-        block, *_ = _pulsed_grid(14, "periodic", [0.0], [1.0], "AF1")
+        ring = build_lattice("chain", 14, periodic=True)
+        block, *_ = _pulsed_grid(ring, [0.0], [1.0], "AF1")
         assert block.shape == (89, 1) and len(built) == 1
         assert built[0]() is None

@@ -19,6 +19,10 @@ from scarsim.hilbert import canonical_states, enumerate_blockaded, named_state
 from scarsim.lattice import PhysicalParams, build_lattice
 
 
+def chain(l, boundary="periodic"):
+    return build_lattice("chain", l, periodic=boundary == "periodic")
+
+
 @pytest.fixture(scope="module")
 def ring10():
     lat = build_lattice("chain", 10, periodic=True)
@@ -84,29 +88,27 @@ class TestDiagonalIdentities:
 
 class TestRevivalMap:
     def test_perfect_echo_row(self):
-        m = revival_fidelity_map(10, "periodic", [0.0], [0.4, TAU_C, 5.0],
+        m = revival_fidelity_map(chain(10), [0.0], [0.4, TAU_C, 5.0],
                                  n_periods=25)
         assert np.allclose(m, 1.0, atol=1e-10)
 
     def test_plateau_beats_large_detuning_kick(self):
-        m = revival_fidelity_map(12, "periodic", [0.3, 1.5], [TAU_C], n_periods=60)
+        m = revival_fidelity_map(chain(12), [0.3, 1.5], [TAU_C], n_periods=60)
         assert m[0, 0] > m[1, 0]
 
     def test_af_beats_vacuum_start(self):
-        m_af = revival_fidelity_map(12, "periodic", [0.3], [TAU_C], n_periods=60)
-        m_gg = revival_fidelity_map(12, "periodic", [0.3], [TAU_C], n_periods=60,
+        m_af = revival_fidelity_map(chain(12), [0.3], [TAU_C], n_periods=60)
+        m_gg = revival_fidelity_map(chain(12), [0.3], [TAU_C], n_periods=60,
                                     initial_state="GGG")
         assert m_af[0, 0] > m_gg[0, 0]
 
     def test_guards(self):
         with pytest.raises(CapacityError):
-            revival_fidelity_map(22, "periodic", [0.0], [1.0], n_periods=1)
+            revival_fidelity_map(chain(22), [0.0], [1.0], n_periods=1)
         # the block guard counts the propagated dim: 89 on the 14-ring
         with pytest.raises(CapacityError, match="1000x800 map at dim 89"):
-            revival_fidelity_map(14, "periodic", [0.1] * 1000, [1.0] * 800,
+            revival_fidelity_map(chain(14), [0.1] * 1000, [1.0] * 800,
                                  n_periods=1)
-        with pytest.raises(ConfigError):
-            revival_fidelity_map(10, "twisted", [0.0], [1.0], n_periods=1)
 
     def test_oversize_grid_refused_before_eigendecomposition(self, monkeypatch):
         calls = []
@@ -118,19 +120,19 @@ class TestRevivalMap:
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
         with pytest.raises(CapacityError, match="1000x800 map at dim 89"):
-            _pulsed_grid(14, "periodic", [0.1] * 1000, [1.0] * 800, "AF1")
+            _pulsed_grid(chain(14), [0.1] * 1000, [1.0] * 800, "AF1")
         assert calls == []
-        _pulsed_grid(14, "periodic", [0.1], [1.0], "AF1")
+        _pulsed_grid(chain(14), [0.1], [1.0], "AF1")
         assert calls == [(89, 89)]
 
 
 class TestSubharmonicMap:
     def test_echo_gives_unit_weight(self):
-        m = pulsed_subharmonic_map(10, "periodic", [0.0], [TAU_C], n_periods=60)
+        m = pulsed_subharmonic_map(chain(10), [0.0], [TAU_C], n_periods=60)
         assert m[0, 0] == pytest.approx(1.0, abs=1e-6)
 
     def test_exchange_time_outperforms_half(self):
-        m = pulsed_subharmonic_map(12, "periodic", [0.5], [TAU_C / 2, TAU_C],
+        m = pulsed_subharmonic_map(chain(12), [0.5], [TAU_C / 2, TAU_C],
                                    n_periods=120)
         assert m[0, 1] > m[0, 0]
 
@@ -162,7 +164,7 @@ N_PERIODS = {"revival": 12, "subharmonic": 30}
 
 def krylov_map(kind, l, boundary, epsilons, taus, n_periods):
     """Per-point reference through apply_period (Krylov), one point at a time."""
-    lat = build_lattice("chain", l, periodic=boundary == "periodic")
+    lat = chain(l, boundary)
     basis = enumerate_blockaded(lat)
     parts = build_pxp(lat, basis, PhysicalParams(omega=1.0, v0=1.0))
     psi0 = named_state(lat, basis, "AF1")
@@ -204,7 +206,7 @@ class TestBatchedMaps:
     @pytest.mark.parametrize("kind", sorted(MAPS))
     def test_matches_krylov_reference(self, kind, l, boundary):
         n = N_PERIODS[kind]
-        got = MAPS[kind](l, boundary, GRID_EPS, GRID_TAUS, n_periods=n)
+        got = MAPS[kind](chain(l, boundary), GRID_EPS, GRID_TAUS, n_periods=n)
         ref = krylov_map(kind, l, boundary, GRID_EPS, GRID_TAUS, n)
         assert got.shape == (3, 3)
         assert np.abs(got - ref).max() < 1e-9
@@ -212,14 +214,14 @@ class TestBatchedMaps:
     @pytest.mark.parametrize("kind", sorted(MAPS))
     def test_point_alone_equals_point_in_grid(self, kind, l, boundary):
         n = N_PERIODS[kind]
-        full = MAPS[kind](l, boundary, GRID_EPS, GRID_TAUS, n_periods=n)
+        full = MAPS[kind](chain(l, boundary), GRID_EPS, GRID_TAUS, n_periods=n)
         for i, eps in enumerate(GRID_EPS):
             for j, tau in enumerate(GRID_TAUS):
-                alone = MAPS[kind](l, boundary, [eps], [tau], n_periods=n)
+                alone = MAPS[kind](chain(l, boundary), [eps], [tau], n_periods=n)
                 assert abs(alone[0, 0] - full[i, j]) < 1e-12
 
     def test_echo_row(self, l, boundary):
-        m = revival_fidelity_map(l, boundary, GRID_EPS, GRID_TAUS,
+        m = revival_fidelity_map(chain(l, boundary), GRID_EPS, GRID_TAUS,
                                  n_periods=N_PERIODS["revival"])
         assert np.abs(m[0] - 1.0).max() < 1e-9
 
@@ -229,8 +231,8 @@ class TestRingSubspaceMaps:
 
     def test_propagated_dims(self):
         def dim(l, boundary):
-            block, _, psi0, weights = _pulsed_grid(l, boundary, [0.1, 0.2], [1.0],
-                                                   "AF1")
+            block, _, psi0, weights = _pulsed_grid(chain(l, boundary), [0.1, 0.2],
+                                                   [1.0], "AF1")
             assert block.shape == (len(psi0), 2) and weights.shape == psi0.shape
             return len(psi0)
 
@@ -242,13 +244,13 @@ class TestRingSubspaceMaps:
     @pytest.mark.parametrize("l", [16, 18, 20])
     @pytest.mark.parametrize("kind,n_periods", [("revival", 2), ("subharmonic", 5)])
     def test_matches_full_basis_krylov_reference(self, l, kind, n_periods):
-        got = MAPS[kind](l, "periodic", [0.35], [0.9, TAU_C], n_periods=n_periods)
+        got = MAPS[kind](chain(l), [0.35], [0.9, TAU_C], n_periods=n_periods)
         ref = krylov_map(kind, l, "periodic", [0.35], [0.9, TAU_C], n_periods)
         assert got.shape == (1, 2)
         assert np.abs(got - ref).max() < 1e-9
 
     def test_echo_row_at_twenty_sites(self):
-        m = revival_fidelity_map(20, "periodic", [0.0], [0.9, TAU_C, 5.0],
+        m = revival_fidelity_map(chain(20), [0.0], [0.9, TAU_C, 5.0],
                                  n_periods=10)
         assert np.abs(m - 1.0).max() < 1e-9
 
@@ -257,10 +259,10 @@ class TestRingSubspaceMaps:
 
         monkeypatch.setattr(evolve, "symmetric_restriction", lambda *args: None)
         with pytest.raises(ConfigError, match="symmetric subspace"):
-            revival_fidelity_map(10, "periodic", [0.0], [1.0], n_periods=1)
+            revival_fidelity_map(chain(10), [0.0], [1.0], n_periods=1)
 
     def test_oversize_ring_refused_before_full_enumeration(self):
         # 22 sites: |G| = 22, so enumeration stops past 22 * 1024 states,
         # long before the 39,603-state full basis
         with pytest.raises(CapacityError, match="22528 state bound"):
-            _pulsed_grid(22, "periodic", [0.0], [1.0], "AF1")
+            _pulsed_grid(chain(22), [0.0], [1.0], "AF1")

@@ -14,8 +14,13 @@ from scarsim.hamiltonian import (
     detuning_at,
     parity_diagonal,
 )
-from scarsim.hilbert import canonical_states, enumerate_blockaded, string_to_state
+from scarsim.hilbert import canonical_states, enumerate_blockaded
 from scarsim.lattice import PhysicalParams, build_lattice, interaction_matrix, shell_masks
+
+
+def string_to_state(bits):
+    """Basis integer of a bit string with site 0 leftmost."""
+    return int(bits[::-1], 2)
 
 
 @pytest.fixture(scope="module")

@@ -9,12 +9,19 @@ from scarsim.hilbert import (
     enumerate_blockaded,
     permute_states,
     reflection_grouping,
-    state_to_string,
-    string_to_state,
     sublattice_mask,
     symmetric_isometry,
 )
 from scarsim.lattice import build_lattice, symmetry_permutations
+
+def state_to_string(state, n_sites):
+    """Bit string with site 0 leftmost."""
+    return "".join(str((state >> i) & 1) for i in range(n_sites))
+
+
+def string_to_state(bits):
+    return int(bits[::-1], 2)
+
 
 # Reference grouped ordering of the 9-site chain (51 class representatives,
 # one row per class, listed in presentation order).
