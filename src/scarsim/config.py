@@ -310,7 +310,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     physical = _parse_physical(doc["physical"]) if "physical" in doc else None
 
-    model = doc.get("model", "rydberg")
+    # a floquet document has no model section: its map runs PXP
+    model = doc.get("model", "pxp" if floquet is not None else "rydberg")
     _expect(model in MODELS, "model", f"must be one of {MODELS}")
 
     drive = doc.get("drive")

@@ -3,8 +3,12 @@
 The workhorse is a Chebyshev series for exp(-i H dt) |psi>, cut where its
 dropped Bessel tail falls below 1e-15, with the drive sampled at the step
 midpoint, which makes the piecewise constant approximation second order in
-dt.  A step advances a (dim, P) block with one drive per column, and a
-quench runner propagates P drives that share everything else as one
+dt.  The series runs in H / b, with b a Gershgorin bound on the spectral
+radius of H: a quench sizes one b and one set of series coefficients per
+record interval and column, from the largest bound over the interval's
+substep midpoints, while a step called alone sizes its own at its
+midpoint.  A step advances a (dim, P) block with one drive per column, and
+a quench runner propagates P drives that share everything else as one
 block; a single state and a single quench are the P = 1 case.  A dense
 eigendecomposition propagator is an independent oracle for tests only.
 """
@@ -188,7 +192,7 @@ def substep_count(drive: DriveProfile, dt: float) -> int:
 
 
 def propagate_step(parts: HamiltonianParts, drive, psi: np.ndarray,
-                   t: float, dt: float) -> np.ndarray:
+                   t: float, dt: float, series=None) -> np.ndarray:
     """One step psi -> exp(-i H(t + dt/2) dt) psi, renormalized.
 
     ``psi`` is one state and ``drive`` one :class:`DriveProfile`, or ``psi``
@@ -198,9 +202,14 @@ def propagate_step(parts: HamiltonianParts, drive, psi: np.ndarray,
     single state is the P = 1 case without a block axis.  Each drive is
     sampled once at the step midpoint; callers that need finer drive
     resolution should subdivide dt themselves.  A step of any length is one
-    Chebyshev series in H / b per column, with b that column's
-    ``parts.spectral_bound`` (Tal-Ezer & Kosloff 1984); every column gets
-    exactly the arithmetic of a single-state step.
+    Chebyshev series in H / b per column (Tal-Ezer & Kosloff 1984); every
+    column gets exactly the arithmetic of a single-state step.
+
+    ``series`` is ``(b, coef)``: per column a bound b no smaller than
+    ``parts.spectral_bound`` at this step's midpoint, and
+    ``_chebyshev_coefficients(b * dt)``; :func:`_run_block` passes one
+    pair for a whole record interval.  Without it, b is the bound at this
+    step's midpoint.
     """
     drives = (drive,) if isinstance(drive, DriveProfile) else tuple(drive)
     if (len(drives),) != (psi.shape[1:] or (1,)):
@@ -208,21 +217,25 @@ def propagate_step(parts: HamiltonianParts, drive, psi: np.ndarray,
     psi = np.asarray(psi, dtype=complex)
     mid = t + dt / 2.0
     delta = np.array([detuning_at(d, mid) for d in drives]).reshape(psi.shape[1:])
+    if series is None:
+        bound = parts.spectral_bound(delta)
+        series = bound, _chebyshev_coefficients(bound * dt)
+    bound, coef = series
     off = parts.offdiagonal()
-    diag = parts.diagonal(delta)
-    bound = parts.spectral_bound(delta)
-    coef = _chebyshev_coefficients(bound * dt)
+    diag = parts.diagonal(delta).astype(complex)
 
     # T_{k+1}(H/b) psi = 2 (H/b) T_k(H/b) psi - T_{k-1}(H/b) psi, updated
-    # in place; diag and b are cast to complex once, as each product would
-    diag, bound = diag.astype(complex), np.asarray(bound, dtype=complex)
+    # in place; b and b / 2 are cast to complex once, as each product
+    # would, and dividing by b / 2 is dividing by b and doubling, exactly
+    bound, half = np.asarray(bound, dtype=complex), np.asarray(bound / 2.0, dtype=complex)
     out, prev, cur = coef[0] * psi, None, psi
     for c in coef[1:]:
         nxt = off @ cur
         nxt += diag * cur
-        nxt /= bound
-        if prev is not None:
-            nxt *= 2.0
+        if prev is None:
+            nxt /= bound
+        else:
+            nxt /= half
             nxt -= prev
         prev, cur = cur, nxt
         out += c * cur
@@ -316,6 +329,12 @@ def _run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     evolution and observables), and they must share their substep count,
     so one (dim, P) block is propagated with one column per drive.  Each
     column's result equals that drive's own :func:`run_quench` bit for bit.
+
+    Each record interval's series is sized once per column, at the
+    interval's start, from the largest ``parts.spectral_bound`` over its
+    substep midpoints, and each substep is one :func:`propagate_step` with
+    that series.  A constant drive thus gets the series of a step called
+    alone.
     """
     drives = tuple(drives)
     if not drives:
@@ -364,13 +383,23 @@ def _run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
                 ])
 
     snapshot(0)
-    for step in range(n_steps):
-        t = step * cfg.dt
-        for k in range(nsub):
-            block = propagate_step(parts, step_drive, block, t + k * cfg.dt / nsub,
-                                   cfg.dt / nsub)
-        if (step + 1) % cfg.record_stride == 0:
-            snapshot(step + 1)
+    h = cfg.dt / nsub
+    for first in range(0, n_steps, cfg.record_stride):
+        last = min(first + cfg.record_stride, n_steps)
+        # k * dt / nsub rounds differently from k * h; the times keep the former
+        starts = [step * cfg.dt + k * cfg.dt / nsub
+                  for step in range(first, last) for k in range(nsub)]
+        # each diagonal entry of H is monotone in the detuning, also in
+        # floating point, so the largest bound over the midpoints is the
+        # larger of the bounds at the least and the greatest detuning
+        deltas = np.array([[detuning_at(d, t + h / 2.0) for d in drives] for t in starts])
+        bound = parts.spectral_bound(np.stack([deltas.min(axis=0), deltas.max(axis=0)]))
+        bound = bound.max(axis=0).reshape(block.shape[1:])
+        series = bound, _chebyshev_coefficients(bound * h)
+        for t in starts:
+            block = propagate_step(parts, step_drive, block, t, h, series)
+        if last % cfg.record_stride == 0:
+            snapshot(last)
 
     return [
         QuenchResult(

@@ -1224,6 +1224,11 @@ class TestFloquetCommand:
         doc["floquet"]["initial_state"] = "GGG"
         assert parse_config(doc).initial_state == "GGG"
 
+    @pytest.mark.parametrize("name", ["figS9a", "figS9b"])
+    def test_model_is_the_maps_pxp(self, name):
+        """The map always runs PXP, and the parsed config says so."""
+        assert parse_config(get_preset(name)).model == "pxp"
+
     def test_conflicting_initial_states_exit_2(self, tmp_path, capsys):
         doc = {"initial_state": "GGG",
                "floquet": {"l": 8, "boundary": "periodic", "map": "revival",

@@ -367,6 +367,92 @@ class TestBlockRunner:
         assert scarsim.evolve.substep_count(fast, dt) == math.ceil(dt * 200 / period)
 
 
+@pytest.fixture
+def sizing_log(monkeypatch):
+    """Calls of the series sizing (coefficients and bounds) a run makes, and
+    each propagate_step call as (t, dt, psi in, series, psi out)."""
+    calls = {"coef": 0, "bound": 0}
+    steps = []
+    coef = scarsim.evolve._chebyshev_coefficients
+    bound = scarsim.hamiltonian.HamiltonianParts.spectral_bound
+    step = scarsim.evolve.propagate_step
+
+    def spy_coef(x):
+        calls["coef"] += 1
+        return coef(x)
+
+    def spy_bound(parts, delta):
+        calls["bound"] += 1
+        return bound(parts, delta)
+
+    def spy_step(parts, drive, psi, t, dt, *series):
+        out = step(parts, drive, psi, t, dt, *series)
+        steps.append((t, dt, psi, series, out))
+        return out
+
+    monkeypatch.setattr(scarsim.evolve, "_chebyshev_coefficients", spy_coef)
+    monkeypatch.setattr(scarsim.hamiltonian.HamiltonianParts, "spectral_bound", spy_bound)
+    monkeypatch.setattr(scarsim.evolve, "propagate_step", spy_step)
+    return calls, steps
+
+
+class TestIntervalSeries:
+    """A quench sizes one Chebyshev series per record interval and column."""
+
+    @pytest.mark.parametrize("n_drives", [1, 2])
+    def test_driven_run_sizes_once_per_interval(self, p, chain9, sizing_log, n_drives):
+        lat, basis = chain9
+        parts = build_rydberg(lat, basis, p)
+        drives = [DriveProfile.cosine(0.5 * p.omega, 0.5 * p.omega, f * p.omega)
+                  for f in (1.2, 1.25)[:n_drives]]
+        # 10 steps of 3 substeps; strides of 3 make intervals of 3, 3, 3, 1 steps
+        cfg = EvolutionConfig(total_time=0.02, dt=0.002, record_stride=3)
+        assert {scarsim.evolve.substep_count(d, cfg.dt) for d in drives} == {3}
+        scarsim.evolve._run_block(lat, basis, parts, drives,
+                                  named_state(lat, basis, "AF1"), cfg)
+        calls, steps = sizing_log
+        assert calls == {"coef": 4, "bound": 4}
+        assert len(steps) == 30
+
+    def test_constant_drive_equals_single_steps(self, p, chain9, sizing_log):
+        lat, basis = chain9
+        parts = build_rydberg(lat, basis, p)
+        drive = DriveProfile.constant(0.4 * p.omega)
+        psi = named_state(lat, basis, "AF1").astype(complex)
+        cfg = EvolutionConfig(total_time=0.048, dt=0.002, record_stride=4)
+        res = run_quench(lat, basis, parts, drive, psi, cfg)
+        _, steps = sizing_log
+        assert len(steps) == 24 and all(series for *_, series, _ in steps)
+        # the module's own propagate_step, not the spy, sizes each step alone
+        for t, dt, _, _, out in steps:
+            psi = propagate_step(parts, drive, psi, t, dt)
+            assert np.array_equal(_bits(psi), _bits(out))
+        assert np.array_equal(res.probs[-1], np.abs(psi) ** 2)
+
+    @pytest.mark.parametrize("shape", ["square", "cosine"])
+    def test_each_step_matches_the_dense_oracle(self, p, chain9, sizing_log, shape):
+        """Per step, against exp(-i H(midpoint) dt) to 1e-12, where the
+        interval's bound exceeds the step's own: the square wave's intervals
+        straddle its jumps, and the cosine's reach its extrema."""
+        lat, basis = chain9
+        parts = build_rydberg(lat, basis, p)
+        drive = getattr(DriveProfile, shape)(0.55 * p.omega, 0.55 * p.omega,
+                                             1.1 * p.omega)
+        cfg = EvolutionConfig(total_time=0.3, dt=0.002, record_stride=5)
+        run_quench(lat, basis, parts, drive, named_state(lat, basis, "AF1"), cfg,
+                   record_probs=False)
+        _, steps = sizing_log
+        gaps = []
+        for t, dt, psi, (series,), out in steps:
+            delta = detuning_at(drive, t + dt / 2)
+            gaps.append(series[0] - parts.spectral_bound(delta))
+            ref = dense_propagator(parts, delta, dt) @ psi
+            assert np.abs(out - ref).max() < 1e-12
+        assert min(gaps) == 0.0
+        # a jump or an extremum inside an interval widens its steps' bounds
+        assert max(gaps) > (1.0 if shape == "square" else 0.1) * p.omega
+
+
 class TestDensePropagator:
     def test_identity_at_zero(self, system8):
         _, basis, parts = system8
