@@ -331,8 +331,9 @@ def _group_worker(cfgs: list[ExperimentConfig]) -> list:
 # Sweep points share a block only on lattices of at most this many sites
 # (dim <= 377 on a chain).  There the per-step overhead, not the sparse
 # products, dominates a column's step, and a 6-column block step costs
-# 0.35 (dim 89) to 0.57 (dim 377) of six single-state steps; at dim 4181 it
-# costs 0.94 (all measured on one core of a 2-core x86 VM), so larger
+# 0.33 (dim 89) to 0.61-0.66 (dim 377) of six single-state steps; at dim
+# 4181 it costs 1.17-1.25 (all measured on one core of a 2-core x86 VM,
+# with one series per step as a record interval passes it), so larger
 # lattices keep one point per task and their points spread over the workers.
 _BLOCK_MAX_SITES = 12
 

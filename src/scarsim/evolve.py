@@ -9,7 +9,11 @@ record interval and column, from the largest bound over the interval's
 substep midpoints, while a step called alone sizes its own at its
 midpoint.  A step advances a (dim, P) block with one drive per column, and
 a quench runner propagates P drives that share everything else as one
-block; a single state and a single quench are the P = 1 case.  A dense
+block; a single state and a single quench are the P = 1 case.  Each term
+of a series is one product with the operator's ``@``
+(:class:`scarsim.hamiltonian.SparseOperator`), scipy's compiled CSR kernel
+on a complex copy of the operator made once, and in-place vector updates
+that keep the bits of the plain numpy expressions.  A dense
 eigendecomposition propagator is an independent oracle for tests only.
 """
 
@@ -192,7 +196,7 @@ def substep_count(drive: DriveProfile, dt: float) -> int:
 
 
 def propagate_step(parts: HamiltonianParts, drive, psi: np.ndarray,
-                   t: float, dt: float, series=None) -> np.ndarray:
+                   t: float, dt: float, series=None, delta=None) -> np.ndarray:
     """One step psi -> exp(-i H(t + dt/2) dt) psi, renormalized.
 
     ``psi`` is one state and ``drive`` one :class:`DriveProfile`, or ``psi``
@@ -209,14 +213,16 @@ def propagate_step(parts: HamiltonianParts, drive, psi: np.ndarray,
     ``parts.spectral_bound`` at this step's midpoint, and
     ``_chebyshev_coefficients(b * dt)``; :func:`_run_block` passes one
     pair for a whole record interval.  Without it, b is the bound at this
-    step's midpoint.
+    step's midpoint.  ``delta`` holds the columns' midpoint detunings,
+    as :func:`detuning_at` gives them; without it they are computed here.
     """
     drives = (drive,) if isinstance(drive, DriveProfile) else tuple(drive)
     if (len(drives),) != (psi.shape[1:] or (1,)):
         raise ConfigError(f"state of shape {psi.shape} but {len(drives)} drives")
     psi = np.asarray(psi, dtype=complex)
-    mid = t + dt / 2.0
-    delta = np.array([detuning_at(d, mid) for d in drives]).reshape(psi.shape[1:])
+    if delta is None:
+        mid = t + dt / 2.0
+        delta = np.array([detuning_at(d, mid) for d in drives]).reshape(psi.shape[1:])
     if series is None:
         bound = parts.spectral_bound(delta)
         series = bound, _chebyshev_coefficients(bound * dt)
@@ -225,21 +231,32 @@ def propagate_step(parts: HamiltonianParts, drive, psi: np.ndarray,
     diag = parts.diagonal(delta).astype(complex)
 
     # T_{k+1}(H/b) psi = 2 (H/b) T_k(H/b) psi - T_{k-1}(H/b) psi, updated
-    # in place; b and b / 2 are cast to complex once, as each product
-    # would, and dividing by b / 2 is dividing by b and doubling, exactly
-    bound, half = np.asarray(bound, dtype=complex), np.asarray(bound / 2.0, dtype=complex)
-    out, prev, cur = coef[0] * psi, None, psi
-    for c in coef[1:]:
+    # in place.  numpy divides by a complex b + 0j by multiplying with its
+    # reciprocal, so multiplying by 1/b and 1/(b/2) keeps the bits of that
+    # division.  Each column's factors (the two reciprocals, cast to complex
+    # once, and the coefficients) are spread over the block's rows once per
+    # step, as numpy applies a row of factors to a block row by row.
+    factors = np.concatenate([[1.0 / bound, 1.0 / (bound / 2.0)], coef])
+    if psi.ndim > 1:
+        factors = np.repeat(factors[:, None], len(psi), axis=1)
+    inv, inv_half, c0, *cs = factors
+    out, prev, cur = c0 * psi, None, psi
+    # each product with diag or a coefficient is written into one buffer
+    term = np.empty_like(out)
+    for c in cs:
         nxt = off @ cur
-        nxt += diag * cur
+        nxt += np.multiply(diag, cur, out=term)
         if prev is None:
-            nxt /= bound
+            nxt *= inv
         else:
-            nxt /= half
+            nxt *= inv_half
             nxt -= prev
         prev, cur = cur, nxt
-        out += c * cur
-    norms = [float(np.linalg.norm(col)) for col in out.reshape(len(out), -1).T]
+        out += np.multiply(c, cur, out=term)
+    # np.linalg.norm's sum, the strided dots of the real and imaginary
+    # parts, taken on each column in place rather than on a copy of it
+    re, im = (part.reshape(len(out), -1).T for part in (out.real, out.imag))
+    norms = [math.sqrt(r.dot(r) + i.dot(i)) for r, i in zip(re, im)]
     worst = max(norms, key=lambda n: abs(n - 1.0))
     if abs(worst - 1.0) > 1e-6:
         raise NumericalError(f"propagation lost normalization: |psi| = {worst}")
@@ -333,8 +350,8 @@ def _run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     Each record interval's series is sized once per column, at the
     interval's start, from the largest ``parts.spectral_bound`` over its
     substep midpoints, and each substep is one :func:`propagate_step` with
-    that series.  A constant drive thus gets the series of a step called
-    alone.
+    that series and the midpoint detunings computed for the bound.  A
+    constant drive thus gets the series of a step called alone.
     """
     drives = tuple(drives)
     if not drives:
@@ -372,8 +389,9 @@ def _run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
             pr = np.abs(psi_full) ** 2
             site = pr @ bits
             pops[j].append(site)
-            nas[j].append(site[a_sites].mean())
-            nbs[j].append(site[b_sites].mean())
+            # np.mean's sum and division, without its Python dispatch
+            nas[j].append(site[a_sites].sum() / len(a_sites))
+            nbs[j].append(site[b_sites].sum() / len(b_sites))
             if record_probs:
                 probs[j].append(pr)
             if entropy_cuts:
@@ -396,8 +414,8 @@ def _run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
         bound = parts.spectral_bound(np.stack([deltas.min(axis=0), deltas.max(axis=0)]))
         bound = bound.max(axis=0).reshape(block.shape[1:])
         series = bound, _chebyshev_coefficients(bound * h)
-        for t in starts:
-            block = propagate_step(parts, step_drive, block, t, h, series)
+        for t, delta in zip(starts, deltas.reshape(len(starts), *block.shape[1:])):
+            block = propagate_step(parts, step_drive, block, t, h, series, delta)
         if last % cfg.record_stride == 0:
             snapshot(last)
 

@@ -95,6 +95,11 @@ class SparseOperator:
     Row r stores ``data[indptr[r]:indptr[r + 1]]`` at the ascending columns
     ``indices[indptr[r]:indptr[r + 1]]``: bit for bit the arrays that
     scipy's COO to CSR conversion gives.
+
+    ``op @ x`` is the complex product with a state or a (dim, P) block,
+    bit for bit scipy's ``op.matrix @ x``: the same compiled CSR kernel on
+    the same complex cast of ``data``, which is made once, on the first
+    product, rather than on every call.
     """
 
     indptr: np.ndarray
@@ -111,12 +116,34 @@ class SparseOperator:
 
     @cached_property
     def matrix(self):
-        """scipy's CSR view of the same arrays, made on first use; only a
-        process that multiplies a sparse operator imports scipy.sparse."""
+        """scipy's CSR view of the same arrays, made on first use; ``@``
+        does not need it."""
         import scipy.sparse as sp
 
         return sp.csr_matrix((self.data, self.indices, self.indptr),
                              shape=(self.dim, self.dim))
+
+    @cached_property
+    def _kernel(self) -> tuple:
+        """scipy's compiled csr_matvec and csr_matvecs, and the complex copy
+        of ``data`` they read; importing them loads scipy.sparse."""
+        from scipy.sparse import _sparsetools
+
+        return _sparsetools.csr_matvec, _sparsetools.csr_matvecs, self.data.astype(complex)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """A new complex array, op x, for a state or a (dim, P) block; a
+        block that is not C-contiguous is copied first."""
+        n = self.dim
+        if x.ndim not in (1, 2) or x.shape[0] != n:
+            raise ValueError(f"operator of dim {n} cannot multiply shape {x.shape}")
+        matvec, matvecs, data = self._kernel
+        out = np.zeros(x.shape, dtype=complex)
+        if x.ndim == 1:
+            matvec(n, n, self.indptr, self.indices, data, x, out)
+        else:
+            matvecs(n, n, x.shape[1], self.indptr, self.indices, data, x.ravel(), out.ravel())
+        return out
 
 
 def _sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,10 +218,10 @@ class HamiltonianParts:
         sums[nonempty] = np.add.reduceat(np.abs(op.data), op.indptr[nonempty])
         return sums
 
-    def offdiagonal(self):
-        """All non-drive sparse content combined (flip plus sw2 terms), as
-        scipy's CSR matrix (:attr:`SparseOperator.matrix`)."""
-        return self._offdiag.matrix
+    def offdiagonal(self) -> SparseOperator:
+        """All non-drive sparse content combined (flip plus sw2 terms); its
+        ``@`` is the step's sparse product."""
+        return self._offdiag
 
     def diagonal(self, delta) -> np.ndarray:
         """Diagonal of H at detuning delta; an array of P detunings gives a

@@ -299,6 +299,66 @@ class TestBlockStep:
             propagate_step(parts, [DriveProfile.constant(0.0)], block, 0.0, 0.01)
 
 
+def _plain_step(parts, drives, psi, t, dt, series=None):
+    """propagate_step written with plain numpy and scipy expressions: scipy's
+    ``@`` on the float64 CSR matrix, complex division by b and then by
+    b / 2, and one np.linalg.norm per column."""
+    mid = t + dt / 2.0
+    delta = np.array([detuning_at(d, mid) for d in drives]).reshape(psi.shape[1:])
+    if series is None:
+        bound = parts.spectral_bound(delta)
+        series = bound, scarsim.evolve._chebyshev_coefficients(bound * dt)
+    bound, coef = series
+    off = parts.offdiagonal().matrix
+    diag = parts.diagonal(delta).astype(complex)
+    bound, half = np.asarray(bound, dtype=complex), np.asarray(bound / 2.0, dtype=complex)
+    out, prev, cur = coef[0] * psi, None, psi
+    for c in coef[1:]:
+        nxt = off @ cur
+        nxt += diag * cur
+        if prev is None:
+            nxt /= bound
+        else:
+            nxt /= half
+            nxt -= prev
+        prev, cur = cur, nxt
+        out += c * cur
+    norms = [float(np.linalg.norm(col)) for col in out.reshape(len(out), -1).T]
+    return out / np.array(norms).reshape(psi.shape[1:])
+
+
+class TestStepKeepsPlainArithmetic:
+    """propagate_step's cached-kernel products, reciprocal scalings, shared
+    buffer and in-place norms give the bits of the plain expressions."""
+
+    @pytest.mark.parametrize("width", [1, 5])
+    @pytest.mark.parametrize("shape", ["cosine", "square"])
+    @pytest.mark.parametrize("sized", [False, True])
+    def test_bitwise(self, p, chain9, width, shape, sized):
+        lat, basis = chain9
+        parts = build_rydberg(lat, basis, p)
+        drives = [getattr(DriveProfile, shape)((0.3 + 0.1 * j) * p.omega, 0.6 * p.omega,
+                                               (1.1 + 0.05 * j) * p.omega)
+                  for j in range(width)]
+        psi = np.column_stack([random_state(basis.dim, s) for s in range(width)])
+        psi[basis.index_of(0)] = 0.0    # exact zeros keep their signs too
+        psi /= np.linalg.norm(psi, axis=0)
+        if width == 1:
+            drives, psi = drives[0], psi[:, 0].copy()
+        listed = [drives] if width == 1 else drives
+        series = None
+        if sized:
+            # one series for every step, at the largest bound the drives reach
+            top = np.array([[d.delta0 - d.deltam, d.delta0 + d.deltam] for d in listed])
+            bound = parts.spectral_bound(top.T).max(axis=0).reshape(psi.shape[1:])
+            series = bound, scarsim.evolve._chebyshev_coefficients(bound * 0.002)
+        for k in range(40):
+            t = k * 0.002 + 0.0007
+            want = _plain_step(parts, listed, psi, t, 0.002, series)
+            psi = propagate_step(parts, drives, psi, t, 0.002, series)
+            assert np.array_equal(_bits(psi), _bits(want))
+
+
 class TestBlockRunner:
     """Each column of a block quench equals that drive's own run_quench."""
 
@@ -370,7 +430,7 @@ class TestBlockRunner:
 @pytest.fixture
 def sizing_log(monkeypatch):
     """Calls of the series sizing (coefficients and bounds) a run makes, and
-    each propagate_step call as (t, dt, psi in, series, psi out)."""
+    each propagate_step call as (t, dt, psi in, (series, delta), psi out)."""
     calls = {"coef": 0, "bound": 0}
     steps = []
     coef = scarsim.evolve._chebyshev_coefficients
@@ -443,8 +503,10 @@ class TestIntervalSeries:
                    record_probs=False)
         _, steps = sizing_log
         gaps = []
-        for t, dt, psi, (series,), out in steps:
+        for t, dt, psi, (series, passed), out in steps:
             delta = detuning_at(drive, t + dt / 2)
+            # the run passes the detuning the step would sample itself
+            assert passed == delta
             gaps.append(series[0] - parts.spectral_bound(delta))
             ref = dense_propagator(parts, delta, dt) @ psi
             assert np.abs(out - ref).max() < 1e-12

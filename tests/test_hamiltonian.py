@@ -6,6 +6,7 @@ import pytest
 from scarsim.errors import ConfigError
 from scarsim.hamiltonian import (
     DriveProfile,
+    SparseOperator,
     _flip_operator,
     _square_sign,
     build_pxp,
@@ -13,9 +14,16 @@ from scarsim.hamiltonian import (
     build_sw2,
     detuning_at,
     parity_diagonal,
+    restrict_parts,
 )
-from scarsim.hilbert import canonical_states, enumerate_blockaded
-from scarsim.lattice import PhysicalParams, build_lattice, interaction_matrix, shell_masks
+from scarsim.hilbert import canonical_states, enumerate_blockaded, symmetric_isometry
+from scarsim.lattice import (
+    PhysicalParams,
+    build_lattice,
+    interaction_matrix,
+    shell_masks,
+    symmetry_permutations,
+)
 
 
 def string_to_state(bits):
@@ -189,7 +197,7 @@ class TestStepInvariants:
         off = parts.offdiagonal()
         assert parts.offdiagonal() is off
         ref = (parts.flip.matrix + parts.sw2_extra.matrix).tocsr()
-        assert (off != ref).nnz == 0
+        assert (off.matrix != ref).nnz == 0
         row_sums = np.asarray(abs(ref).sum(axis=1)).ravel()
         for delta in (0.0, 0.5 * p.omega, -2.0 * p.omega):
             want = float(np.max(row_sums + np.abs(parts.diagonal(delta))))
@@ -210,6 +218,16 @@ def _same_csr(ours, ref):
     return all(getattr(ours, name).dtype == getattr(ref, name).dtype
                and np.array_equal(getattr(ours, name), getattr(ref, name))
                for name in ("indptr", "indices", "data"))
+
+
+def _assert_product_is_scipys(op, rng):
+    """``op @ x`` equals scipy's ``op.matrix @ x`` bit for bit, for a state
+    and a (dim, 5) block of random complex amplitudes."""
+    for shape in ((op.dim,), (op.dim, 5)):
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        ours, ref = op @ x, op.matrix @ x
+        assert ours.dtype == ref.dtype and ours.shape == ref.shape
+        assert np.array_equal(ours.view(np.float64), ref.view(np.float64))
 
 
 class TestCsrArraysMatchScipy:
@@ -237,6 +255,26 @@ class TestCsrArraysMatchScipy:
         row_sums = np.asarray(abs(ref).sum(axis=1)).ravel()
         assert parts._abs_row_sums.dtype == row_sums.dtype
         assert np.array_equal(parts._abs_row_sums, row_sums)
+        for op in ops + [parts.offdiagonal()]:
+            _assert_product_is_scipys(op, rng)
+
+    def test_product_of_restricted_and_int64_operators(self, p):
+        """The product keeps scipy's bits on a ring-restricted operator,
+        whose data are not all equal, and with int64 indices."""
+        rng = np.random.default_rng(1)
+        lat = build_lattice("chain", 12, periodic=True)
+        basis = enumerate_blockaded(lat)
+        parts = build_pxp(lat, basis, p)
+        small = restrict_parts(parts, symmetric_isometry(basis, symmetry_permutations(lat)))
+        assert small is not None and len(np.unique(small.flip.data)) > 1
+        _assert_product_is_scipys(small.offdiagonal(), rng)
+        # scipy's CSR view may narrow the indices; the product reads them as
+        # they are
+        flip = parts.flip
+        wide = SparseOperator(indptr=flip.indptr.astype(np.int64),
+                              indices=flip.indices.astype(np.int64),
+                              data=rng.normal(size=len(flip.data)))
+        _assert_product_is_scipys(wide, rng)
 
 
 class TestFlipWrittenInPlace:
