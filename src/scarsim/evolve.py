@@ -1,16 +1,17 @@
 """Time evolution in the constrained basis.
 
-The workhorse is a Chebyshev series for exp(-i H dt) |psi>, cut where its
-dropped Bessel tail falls below 1e-15, with the drive sampled at the step
-midpoint, which makes the piecewise constant approximation second order in
-dt.  The series runs in H / b, with b a Gershgorin bound on the spectral
-radius of H: a quench sizes one b and one set of series coefficients per
-record interval and column, from the largest bound over the interval's
-substep midpoints, while a step called alone sizes its own at its
-midpoint.  A step advances a (dim, P) block with one drive per column, and
-a quench runner propagates P drives that share everything else as one
-block; a single state and a single quench are the P = 1 case.  Each term
-of a series is one product with the operator's ``@``
+The workhorse is a Chebyshev series for exp(-i H h) |psi> over a substep
+of length h, cut where its dropped Bessel tail falls below 1e-15, with the
+drive sampled at the substep midpoint, which makes the piecewise constant
+approximation second order in h.  The series runs in H / b, with b a
+Gershgorin bound on the spectral radius of H.  One function,
+:func:`_propagate`, sizes one series per column for a run of substeps,
+from the largest bound over their midpoints, and applies it to each: a
+quench runs one per record interval, and a step called alone
+(:func:`propagate_step`) is a run of one.  A (dim, P) block carries one
+drive per column, so a quench runner propagates P drives that share
+everything else as one block; a single state and a single quench are the
+P = 1 case.  Each term of a series is one product with the operator's ``@``
 (:class:`scarsim.hamiltonian.SparseOperator`), scipy's compiled CSR kernel
 on a complex copy of the operator made once, and in-place vector updates
 that keep the bits of the plain numpy expressions.  A dense
@@ -52,6 +53,10 @@ _ENTROPY_CLIP = 1e-14
 # projection onto it has unit norm to within this tolerance.
 _SUBSPACE_TOL = 1e-12
 
+# Relative tolerance of the total_time / dt whole-multiple check, since
+# e.g. 0.7 / 0.002 is 349.99999999999994.
+_GRID_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class EvolutionConfig:
@@ -59,7 +64,10 @@ class EvolutionConfig:
 
     Also the parsed ``evolution`` section of a config document, so every
     field check lives here and names its ``evolution.<field>`` path.
-    ``krylov_dim`` is checked but unused: the Chebyshev step sizes itself.
+    A total_time that is not a whole multiple of dt, or a record_stride
+    that does not divide the step count, would truncate the run, so both
+    are refused.  ``krylov_dim`` is checked but unused: the Chebyshev step
+    sizes itself.
     """
 
     total_time: float
@@ -78,6 +86,17 @@ class EvolutionConfig:
             raise ConfigError("evolution.krylov_dim: must be an integer >= 4")
         object.__setattr__(self, "total_time", float(self.total_time))
         object.__setattr__(self, "dt", float(self.dt))
+        ratio = self.total_time / self.dt
+        if abs(ratio - self.n_steps) > _GRID_RTOL * ratio:
+            raise ConfigError("evolution.total_time: must be a whole multiple of "
+                              f"dt = {self.dt} (ratio {ratio!r})")
+        if self.n_steps % self.record_stride:
+            raise ConfigError("evolution.record_stride: must divide the step count "
+                              f"{self.n_steps}")
+
+    @property
+    def n_steps(self) -> int:
+        return round(self.total_time / self.dt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,71 +215,78 @@ def substep_count(drive: DriveProfile, dt: float) -> int:
 
 
 def propagate_step(parts: HamiltonianParts, drive, psi: np.ndarray,
-                   t: float, dt: float, series=None, delta=None) -> np.ndarray:
+                   t: float, dt: float) -> np.ndarray:
     """One step psi -> exp(-i H(t + dt/2) dt) psi, renormalized.
 
     ``psi`` is one state and ``drive`` one :class:`DriveProfile`, or ``psi``
     is a (dim, P) block and ``drive`` a sequence of P drives, one per
-    column.  Both run the same code: every per-column quantity (detuning,
-    bound, series coefficient, norm) has the shape ``psi.shape[1:]``, so a
-    single state is the P = 1 case without a block axis.  Each drive is
-    sampled once at the step midpoint; callers that need finer drive
-    resolution should subdivide dt themselves.  A step of any length is one
-    Chebyshev series in H / b per column (Tal-Ezer & Kosloff 1984); every
-    column gets exactly the arithmetic of a single-state step.
-
-    ``series`` is ``(b, coef)``: per column a bound b no smaller than
-    ``parts.spectral_bound`` at this step's midpoint, and
-    ``_chebyshev_coefficients(b * dt)``; :func:`_run_block` passes one
-    pair for a whole record interval.  Without it, b is the bound at this
-    step's midpoint.  ``delta`` holds the columns' midpoint detunings,
-    as :func:`detuning_at` gives them; without it they are computed here.
+    column.  This is the one-substep case of :func:`_propagate`, so every
+    column gets exactly the arithmetic of a single-state step; callers that
+    need finer drive resolution subdivide dt themselves.
     """
     drives = (drive,) if isinstance(drive, DriveProfile) else tuple(drive)
     if (len(drives),) != (psi.shape[1:] or (1,)):
         raise ConfigError(f"state of shape {psi.shape} but {len(drives)} drives")
+    return _propagate(parts, drives, psi, (t,), dt)
+
+
+def _propagate(parts: HamiltonianParts, drives, psi: np.ndarray, starts,
+               h: float) -> np.ndarray:
+    """Advance psi through substeps of length h that start at ``starts``.
+
+    ``drives`` holds one drive per column of psi (one for a single state),
+    and every per-column quantity (detuning, bound, series coefficient,
+    norm) has the shape ``psi.shape[1:]``.  Each substep applies
+    exp(-i H(t + h/2) h) and renormalizes.  All substeps share one
+    Chebyshev series in H / b per column (Tal-Ezer & Kosloff 1984), with b
+    the largest ``parts.spectral_bound`` over the substeps' midpoint
+    detunings, so a single substep gets the series of its own midpoint.
+    """
     psi = np.asarray(psi, dtype=complex)
-    if delta is None:
-        mid = t + dt / 2.0
-        delta = np.array([detuning_at(d, mid) for d in drives]).reshape(psi.shape[1:])
-    if series is None:
-        bound = parts.spectral_bound(delta)
-        series = bound, _chebyshev_coefficients(bound * dt)
-    bound, coef = series
+    shape = psi.shape[1:]
+    deltas = np.array([[detuning_at(d, t + h / 2.0) for d in drives] for t in starts])
+    # each diagonal entry of H is monotone in the detuning, also in floating
+    # point, so the largest bound over the midpoints is the larger of the
+    # bounds at the least and the greatest detuning
+    bound = parts.spectral_bound(np.stack([deltas.min(axis=0), deltas.max(axis=0)]))
+    bound = bound.max(axis=0).reshape(shape)
+    coef = _chebyshev_coefficients(bound * h)
     off = parts.offdiagonal()
-    diag = parts.diagonal(delta).astype(complex)
 
     # T_{k+1}(H/b) psi = 2 (H/b) T_k(H/b) psi - T_{k-1}(H/b) psi, updated
     # in place.  numpy divides by a complex b + 0j by multiplying with its
     # reciprocal, so multiplying by 1/b and 1/(b/2) keeps the bits of that
     # division.  Each column's factors (the two reciprocals, cast to complex
-    # once, and the coefficients) are spread over the block's rows once per
-    # step, as numpy applies a row of factors to a block row by row.
+    # once, and the coefficients) are spread over the block's rows once, as
+    # numpy applies a row of factors to a block row by row.
     factors = np.concatenate([[1.0 / bound, 1.0 / (bound / 2.0)], coef])
     if psi.ndim > 1:
         factors = np.repeat(factors[:, None], len(psi), axis=1)
     inv, inv_half, c0, *cs = factors
-    out, prev, cur = c0 * psi, None, psi
     # each product with diag or a coefficient is written into one buffer
-    term = np.empty_like(out)
-    for c in cs:
-        nxt = off @ cur
-        nxt += np.multiply(diag, cur, out=term)
-        if prev is None:
-            nxt *= inv
-        else:
-            nxt *= inv_half
-            nxt -= prev
-        prev, cur = cur, nxt
-        out += np.multiply(c, cur, out=term)
-    # np.linalg.norm's sum, the strided dots of the real and imaginary
-    # parts, taken on each column in place rather than on a copy of it
-    re, im = (part.reshape(len(out), -1).T for part in (out.real, out.imag))
-    norms = [math.sqrt(r.dot(r) + i.dot(i)) for r, i in zip(re, im)]
-    worst = max(norms, key=lambda n: abs(n - 1.0))
-    if abs(worst - 1.0) > 1e-6:
-        raise NumericalError(f"propagation lost normalization: |psi| = {worst}")
-    return out / np.array(norms).reshape(psi.shape[1:])
+    term = np.empty_like(psi)
+    for delta in deltas.reshape(len(deltas), *shape):
+        diag = parts.diagonal(delta).astype(complex)
+        out, prev, cur = c0 * psi, None, psi
+        for c in cs:
+            nxt = off @ cur
+            nxt += np.multiply(diag, cur, out=term)
+            if prev is None:
+                nxt *= inv
+            else:
+                nxt *= inv_half
+                nxt -= prev
+            prev, cur = cur, nxt
+            out += np.multiply(c, cur, out=term)
+        # np.linalg.norm's sum, the strided dots of the real and imaginary
+        # parts, taken on each column in place rather than on a copy of it
+        re, im = (part.reshape(len(out), -1).T for part in (out.real, out.imag))
+        norms = [math.sqrt(r.dot(r) + i.dot(i)) for r, i in zip(re, im)]
+        worst = max(norms, key=lambda n: abs(n - 1.0))
+        if abs(worst - 1.0) > 1e-6:
+            raise NumericalError(f"propagation lost normalization: |psi| = {worst}")
+        psi = out / np.array(norms).reshape(shape)
+    return psi
 
 
 def symmetric_restriction(lat: Lattice, basis: ConstrainedBasis,
@@ -347,11 +373,12 @@ def _run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     so one (dim, P) block is propagated with one column per drive.  Each
     column's result equals that drive's own :func:`run_quench` bit for bit.
 
-    Each record interval's series is sized once per column, at the
-    interval's start, from the largest ``parts.spectral_bound`` over its
-    substep midpoints, and each substep is one :func:`propagate_step` with
-    that series and the midpoint detunings computed for the bound.  A
-    constant drive thus gets the series of a step called alone.
+    Each record interval is one :func:`_propagate` over its substeps, so
+    its series is sized once per column, from the largest
+    ``parts.spectral_bound`` over the interval's substep midpoints; a
+    constant drive thus gets the series of a step called alone.  The
+    evolution config guarantees whole intervals, so every interval ends in
+    a snapshot.
     """
     drives = tuple(drives)
     if not drives:
@@ -366,11 +393,9 @@ def _run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     if len(counts) > 1:
         raise ConfigError(f"drives of one block need one substep count, got {counts}")
     nsub = counts[0]
-    n_steps = int(round(cfg.total_time / cfg.dt))
 
     psi = psi0.astype(complex)
     # one drive steps the plain state, several a (dim, P) block
-    step_drive = drives if len(drives) > 1 else drives[0]
     block = psi if len(drives) == 1 else np.repeat(psi[:, None], len(drives), axis=1)
 
     bits = _site_bit_table(basis)
@@ -402,22 +427,13 @@ def _run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
 
     snapshot(0)
     h = cfg.dt / nsub
-    for first in range(0, n_steps, cfg.record_stride):
-        last = min(first + cfg.record_stride, n_steps)
-        # k * dt / nsub rounds differently from k * h; the times keep the former
+    for first in range(0, cfg.n_steps, cfg.record_stride):
+        last = first + cfg.record_stride
+        # k * dt / nsub rounds differently from k * h; the starts keep the former
         starts = [step * cfg.dt + k * cfg.dt / nsub
                   for step in range(first, last) for k in range(nsub)]
-        # each diagonal entry of H is monotone in the detuning, also in
-        # floating point, so the largest bound over the midpoints is the
-        # larger of the bounds at the least and the greatest detuning
-        deltas = np.array([[detuning_at(d, t + h / 2.0) for d in drives] for t in starts])
-        bound = parts.spectral_bound(np.stack([deltas.min(axis=0), deltas.max(axis=0)]))
-        bound = bound.max(axis=0).reshape(block.shape[1:])
-        series = bound, _chebyshev_coefficients(bound * h)
-        for t, delta in zip(starts, deltas.reshape(len(starts), *block.shape[1:])):
-            block = propagate_step(parts, step_drive, block, t, h, series, delta)
-        if last % cfg.record_stride == 0:
-            snapshot(last)
+        block = _propagate(parts, drives, block, starts, h)
+        snapshot(last)
 
     return [
         QuenchResult(

@@ -584,7 +584,7 @@ class TestMicrostateMatrix:
         period = math.tau / wm
         psi0 = np.zeros(basis.dim, dtype=complex)
         psi0[basis.index_of(af1)] = 1
-        cfg = EvolutionConfig(total_time=2.0, dt=period / 250, record_stride=250)
+        cfg = EvolutionConfig(total_time=10 * period, dt=period / 250, record_stride=250)
 
         def stroboscopic_weight(drive):
             res = run_quench(lat, basis, parts, drive, psi0, cfg)

@@ -1324,24 +1324,25 @@ class TestFullBasisOperatorFreed:
     @pytest.fixture
     def watch(self, monkeypatch):
         """The parts build_pxp returned (weak references) and, for every
-        step, its operator's dimension and which of those parts are dead."""
+        propagation, its operator's dimension and which of those parts are
+        dead."""
         import scarsim.evolve as evolve
         import scarsim.hamiltonian as hamiltonian
 
         built, steps = [], []
-        build, step = hamiltonian.build_pxp, evolve.propagate_step
+        build, propagate = hamiltonian.build_pxp, evolve._propagate
 
         def spy_build(*args):
             parts = build(*args)
             built.append(weakref.ref(parts))
             return parts
 
-        def spy_step(parts, *args):
+        def spy_propagate(parts, *args):
             steps.append((parts.dim, [ref() is None for ref in built]))
-            return step(parts, *args)
+            return propagate(parts, *args)
 
         monkeypatch.setattr(hamiltonian, "build_pxp", spy_build)
-        monkeypatch.setattr(evolve, "propagate_step", spy_step)
+        monkeypatch.setattr(evolve, "_propagate", spy_propagate)
         return built, steps
 
     def test_quench(self, tmp_path, watch):
@@ -1359,7 +1360,8 @@ class TestFullBasisOperatorFreed:
         cfg = write_config(tmp_path, doc)
         assert main(["sweep", "--config", cfg, "--jobs", "1",
                      "--out", str(tmp_path / "o")]) == 0
-        assert len(built) == 1 and len(steps) == 15
+        # 5 steps at stride 5: one propagation of the group's block
+        assert len(built) == 1 and len(steps) == 1
         assert set(map(repr, steps)) == {repr((47, [True]))}
 
     def test_pulsed_map(self, watch):

@@ -299,37 +299,40 @@ class TestBlockStep:
             propagate_step(parts, [DriveProfile.constant(0.0)], block, 0.0, 0.01)
 
 
-def _plain_step(parts, drives, psi, t, dt, series=None):
-    """propagate_step written with plain numpy and scipy expressions: scipy's
-    ``@`` on the float64 CSR matrix, complex division by b and then by
-    b / 2, and one np.linalg.norm per column."""
-    mid = t + dt / 2.0
-    delta = np.array([detuning_at(d, mid) for d in drives]).reshape(psi.shape[1:])
-    if series is None:
-        bound = parts.spectral_bound(delta)
-        series = bound, scarsim.evolve._chebyshev_coefficients(bound * dt)
-    bound, coef = series
+def _plain_steps(parts, drives, psi, starts, dt):
+    """_propagate written with plain numpy and scipy expressions: the bound
+    is the largest of the midpoints' own bounds, and each substep uses
+    scipy's ``@`` on the float64 CSR matrix, complex division by b and then
+    by b / 2, and one np.linalg.norm per column."""
+    deltas = [np.array([detuning_at(d, t + dt / 2.0) for d in drives])
+              .reshape(psi.shape[1:]) for t in starts]
+    bound = np.max([parts.spectral_bound(delta) for delta in deltas], axis=0)
+    coef = scarsim.evolve._chebyshev_coefficients(bound * dt)
     off = parts.offdiagonal().matrix
-    diag = parts.diagonal(delta).astype(complex)
     bound, half = np.asarray(bound, dtype=complex), np.asarray(bound / 2.0, dtype=complex)
-    out, prev, cur = coef[0] * psi, None, psi
-    for c in coef[1:]:
-        nxt = off @ cur
-        nxt += diag * cur
-        if prev is None:
-            nxt /= bound
-        else:
-            nxt /= half
-            nxt -= prev
-        prev, cur = cur, nxt
-        out += c * cur
-    norms = [float(np.linalg.norm(col)) for col in out.reshape(len(out), -1).T]
-    return out / np.array(norms).reshape(psi.shape[1:])
+    for delta in deltas:
+        diag = parts.diagonal(delta).astype(complex)
+        out, prev, cur = coef[0] * psi, None, psi
+        for c in coef[1:]:
+            nxt = off @ cur
+            nxt += diag * cur
+            if prev is None:
+                nxt /= bound
+            else:
+                nxt /= half
+                nxt -= prev
+            prev, cur = cur, nxt
+            out += c * cur
+        norms = [float(np.linalg.norm(col)) for col in out.reshape(len(out), -1).T]
+        psi = out / np.array(norms).reshape(psi.shape[1:])
+    return psi
 
 
 class TestStepKeepsPlainArithmetic:
-    """propagate_step's cached-kernel products, reciprocal scalings, shared
-    buffer and in-place norms give the bits of the plain expressions."""
+    """propagate_step and _propagate's cached-kernel products, reciprocal
+    scalings, shared buffer and in-place norms give the bits of the plain
+    expressions, for lone steps and for runs of substeps that share one
+    series."""
 
     @pytest.mark.parametrize("width", [1, 5])
     @pytest.mark.parametrize("shape", ["cosine", "square"])
@@ -346,16 +349,15 @@ class TestStepKeepsPlainArithmetic:
         if width == 1:
             drives, psi = drives[0], psi[:, 0].copy()
         listed = [drives] if width == 1 else drives
-        series = None
-        if sized:
-            # one series for every step, at the largest bound the drives reach
-            top = np.array([[d.delta0 - d.deltam, d.delta0 + d.deltam] for d in listed])
-            bound = parts.spectral_bound(top.T).max(axis=0).reshape(psi.shape[1:])
-            series = bound, scarsim.evolve._chebyshev_coefficients(bound * 0.002)
-        for k in range(40):
-            t = k * 0.002 + 0.0007
-            want = _plain_step(parts, listed, psi, t, 0.002, series)
-            psi = propagate_step(parts, drives, psi, t, 0.002, series)
+        # sized: runs of 8 substeps, each sharing the series of its largest bound
+        run = 8 if sized else 1
+        for k in range(0, 40, run):
+            starts = [j * 0.002 + 0.0007 for j in range(k, k + run)]
+            want = _plain_steps(parts, listed, psi, starts, 0.002)
+            if sized:
+                psi = scarsim.evolve._propagate(parts, listed, psi, starts, 0.002)
+            else:
+                psi = propagate_step(parts, drives, psi, starts[0], 0.002)
             assert np.array_equal(_bits(psi), _bits(want))
 
 
@@ -429,13 +431,14 @@ class TestBlockRunner:
 
 @pytest.fixture
 def sizing_log(monkeypatch):
-    """Calls of the series sizing (coefficients and bounds) a run makes, and
-    each propagate_step call as (t, dt, psi in, (series, delta), psi out)."""
+    """Calls of the series sizing (coefficients and bounds) a run makes, the
+    bounds those calls return, and each _propagate call as
+    (starts, h, psi in, psi out)."""
     calls = {"coef": 0, "bound": 0}
-    steps = []
+    bounds, runs = [], []
     coef = scarsim.evolve._chebyshev_coefficients
     bound = scarsim.hamiltonian.HamiltonianParts.spectral_bound
-    step = scarsim.evolve.propagate_step
+    propagate = scarsim.evolve._propagate
 
     def spy_coef(x):
         calls["coef"] += 1
@@ -443,17 +446,18 @@ def sizing_log(monkeypatch):
 
     def spy_bound(parts, delta):
         calls["bound"] += 1
-        return bound(parts, delta)
+        bounds.append(bound(parts, delta))
+        return bounds[-1]
 
-    def spy_step(parts, drive, psi, t, dt, *series):
-        out = step(parts, drive, psi, t, dt, *series)
-        steps.append((t, dt, psi, series, out))
+    def spy_propagate(parts, drives, psi, starts, h):
+        out = propagate(parts, drives, psi, starts, h)
+        runs.append((tuple(starts), h, psi, out))
         return out
 
     monkeypatch.setattr(scarsim.evolve, "_chebyshev_coefficients", spy_coef)
     monkeypatch.setattr(scarsim.hamiltonian.HamiltonianParts, "spectral_bound", spy_bound)
-    monkeypatch.setattr(scarsim.evolve, "propagate_step", spy_step)
-    return calls, steps
+    monkeypatch.setattr(scarsim.evolve, "_propagate", spy_propagate)
+    return calls, bounds, runs
 
 
 class TestIntervalSeries:
@@ -465,14 +469,14 @@ class TestIntervalSeries:
         parts = build_rydberg(lat, basis, p)
         drives = [DriveProfile.cosine(0.5 * p.omega, 0.5 * p.omega, f * p.omega)
                   for f in (1.2, 1.25)[:n_drives]]
-        # 10 steps of 3 substeps; strides of 3 make intervals of 3, 3, 3, 1 steps
-        cfg = EvolutionConfig(total_time=0.02, dt=0.002, record_stride=3)
+        # 12 steps of 3 substeps; strides of 3 make 4 intervals of 9 substeps
+        cfg = EvolutionConfig(total_time=0.024, dt=0.002, record_stride=3)
         assert {scarsim.evolve.substep_count(d, cfg.dt) for d in drives} == {3}
         scarsim.evolve._run_block(lat, basis, parts, drives,
                                   named_state(lat, basis, "AF1"), cfg)
-        calls, steps = sizing_log
+        calls, _, runs = sizing_log
         assert calls == {"coef": 4, "bound": 4}
-        assert len(steps) == 30
+        assert [len(starts) for starts, *_ in runs] == [9] * 4
 
     def test_constant_drive_equals_single_steps(self, p, chain9, sizing_log):
         lat, basis = chain9
@@ -481,19 +485,22 @@ class TestIntervalSeries:
         psi = named_state(lat, basis, "AF1").astype(complex)
         cfg = EvolutionConfig(total_time=0.048, dt=0.002, record_stride=4)
         res = run_quench(lat, basis, parts, drive, psi, cfg)
-        _, steps = sizing_log
-        assert len(steps) == 24 and all(series for *_, series, _ in steps)
-        # the module's own propagate_step, not the spy, sizes each step alone
-        for t, dt, _, _, out in steps:
-            psi = propagate_step(parts, drive, psi, t, dt)
+        _, _, runs = sizing_log
+        intervals = list(runs)
+        assert [len(starts) for starts, *_ in intervals] == [4] * 6
+        # each interval equals lone steps, which size their own series
+        for starts, dt, _, out in intervals:
+            for t in starts:
+                psi = propagate_step(parts, drive, psi, t, dt)
             assert np.array_equal(_bits(psi), _bits(out))
         assert np.array_equal(res.probs[-1], np.abs(psi) ** 2)
 
     @pytest.mark.parametrize("shape", ["square", "cosine"])
     def test_each_step_matches_the_dense_oracle(self, p, chain9, sizing_log, shape):
-        """Per step, against exp(-i H(midpoint) dt) to 1e-12, where the
-        interval's bound exceeds the step's own: the square wave's intervals
-        straddle its jumps, and the cosine's reach its extrema."""
+        """Per interval, against the product of exp(-i H(midpoint) h) over
+        its substeps to 1e-12, where the interval's bound exceeds the
+        substeps' own: the square wave's intervals straddle its jumps, and
+        the cosine's reach its extrema."""
         lat, basis = chain9
         parts = build_rydberg(lat, basis, p)
         drive = getattr(DriveProfile, shape)(0.55 * p.omega, 0.55 * p.omega,
@@ -501,17 +508,22 @@ class TestIntervalSeries:
         cfg = EvolutionConfig(total_time=0.3, dt=0.002, record_stride=5)
         run_quench(lat, basis, parts, drive, named_state(lat, basis, "AF1"), cfg,
                    record_probs=False)
-        _, steps = sizing_log
+        _, bounds, runs = sizing_log
+        bounds, runs = list(bounds), list(runs)
+        assert len(bounds) == len(runs) == 30
         gaps = []
-        for t, dt, psi, (series, passed), out in steps:
-            delta = detuning_at(drive, t + dt / 2)
-            # the run passes the detuning the step would sample itself
-            assert passed == delta
-            gaps.append(series[0] - parts.spectral_bound(delta))
-            ref = dense_propagator(parts, delta, dt) @ psi
+        for (starts, h, psi, out), pair in zip(runs, bounds):
+            ref, own = psi, []
+            for t in starts:
+                delta = detuning_at(drive, t + h / 2)
+                own.append(float(parts.spectral_bound(delta)))
+                ref = dense_propagator(parts, delta, h) @ ref
+            # the bound at the least and greatest detuning is the largest
+            assert pair.max() == max(own)
+            gaps += [pair.max() - b for b in own]
             assert np.abs(out - ref).max() < 1e-12
         assert min(gaps) == 0.0
-        # a jump or an extremum inside an interval widens its steps' bounds
+        # a jump or an extremum inside an interval widens its substeps' bounds
         assert max(gaps) > (1.0 if shape == "square" else 0.1) * p.omega
 
 
@@ -620,6 +632,12 @@ class TestRunQuench:
             EvolutionConfig(total_time=1.0, dt=-0.1)
         with pytest.raises(ConfigError):
             EvolutionConfig(total_time=1.0, krylov_dim=2)
+        # grids a run would truncate, refused also outside a config document
+        with pytest.raises(ConfigError, match="evolution.total_time: must be a whole"):
+            EvolutionConfig(total_time=0.0105, dt=0.002)
+        with pytest.raises(ConfigError, match="evolution.record_stride: must divide"):
+            EvolutionConfig(total_time=0.02, dt=0.002, record_stride=3)
+        assert EvolutionConfig(total_time=0.7, dt=0.002, record_stride=5).n_steps == 350
 
 
 class TestReducedDensityMatrix:
@@ -715,15 +733,15 @@ class TestReducedDensityMatrix:
 
 @pytest.fixture
 def step_dims(monkeypatch):
-    """Dimension of the operator each propagate_step call of run_quench gets."""
+    """Dimension of the operator each _propagate call of run_quench gets."""
     dims = []
-    step = scarsim.evolve.propagate_step
+    propagate = scarsim.evolve._propagate
 
-    def spy(parts, *args, **kwargs):
+    def spy(parts, *args):
         dims.append(parts.dim)
-        return step(parts, *args, **kwargs)
+        return propagate(parts, *args)
 
-    monkeypatch.setattr(scarsim.evolve, "propagate_step", spy)
+    monkeypatch.setattr(scarsim.evolve, "_propagate", spy)
     return dims
 
 
@@ -853,7 +871,8 @@ class TestRingSymmetricSubspace:
             step_dims.clear()
             res = run_quench(lat, sys_basis, small, drive, psi0, cfg,
                              entropy_cuts=(half,))
-            assert set(step_dims) == {47} and len(step_dims) == 30
+            # one propagation per record interval
+            assert set(step_dims) == {47} and len(step_dims) == 5
             states = [s[:, col] for s in ref]
             probs = np.array([np.abs(s) ** 2 for s in states])
             ents = [entanglement_entropy(reduced_density_matrix(s, basis, half))
