@@ -499,6 +499,8 @@ def cmd_analyze(paths: list[str], mode: str, out: Path | None,
     outputs would land on the same files are refused."""
     if mode not in ("fit", "spectrum", "plane"):
         raise ConfigError(f"unknown analyze mode {mode!r}")
+    if omegam_rad is not None and not 0 < omegam_rad < np.inf:
+        raise ConfigError(f"--omegam-rad {omegam_rad:g}: must be a positive finite number")
     owners: dict = {}
     done = []
     for raw_path in paths:
@@ -534,7 +536,7 @@ def _analyze_file(path: Path, mode: str, omegam_rad: float | None) -> tuple[dict
     if mode == "fit":
         text = fit_to_json(fit_damped_cosine(imbalance(result), result.times))
         return {f"{stem}_fit.json": text}, text
-    if omegam_rad:
+    if omegam_rad is not None:
         # the weights are read at omegam / 2, which must lie on the grid
         top = float(spectral_grid(result.times)[-1])
         if omegam_rad / 2 > top:

@@ -26,7 +26,7 @@ from .lattice import (
 )
 from .tables import json_text
 
-MODELS = ("rydberg", "pxp", "sw2")
+MODELS = ("rydberg", "pxp")
 INITIAL_STATES = ("AF1", "AF2", "GGG")
 
 _SWEEPABLE_PREFIXES = ("lattice.", "physical.", "drive.", "evolution.")

@@ -313,7 +313,7 @@ def build_system(lat: Lattice, model: str, p: PhysicalParams, initial_state: str
                  max_dim: int = DEFAULT_MAX_DIM
                  ) -> tuple[ConstrainedBasis, HamiltonianParts, np.ndarray]:
     """The basis, the propagated Hamiltonian parts and the start state of a
-    ``model`` ("rydberg", "pxp" or "sw2") quench from the named state.
+    ``model`` ("rydberg" or "pxp") quench from the named state.
 
     The basis is enumerated under ``max_dim``.  Where the start state
     allows it (:func:`symmetric_restriction`), the parts are restricted to

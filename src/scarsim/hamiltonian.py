@@ -2,20 +2,19 @@
 
 A Hamiltonian is kept as separate pieces so drives stay cheap to apply:
 
-    H(t) = flip + diag(diag_static) - delta(t) * diag(diag_number) [+ sw2_extra]
+    H(t) = flip + diag(diag_static) - delta(t) * diag(diag_number)
 
 ``flip`` holds the Omega/2 off-diagonal matrix elements between valid
 configurations differing by one bit (flips that would violate the blockade
 never connect two valid states, so projection is automatic), ``diag_static``
 the beyond-NN interaction energies, and ``diag_number`` the excitation count
-coupled to the detuning.  ``sw2_extra`` carries the Omega^2/(4 V0)
-second-order corrections when enabled.
+coupled to the detuning.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -180,48 +179,37 @@ def _operator(keys: np.ndarray, values: np.ndarray, dim: int) -> SparseOperator:
 class HamiltonianParts:
     """Separable pieces of H(t) over a constrained basis (see module docs).
 
-    The combined off-diagonal operator and its absolute row sums are
-    computed once per instance, on first use.
+    The absolute row sums of ``flip`` are computed once per instance, on
+    first use.
     """
 
     basis: ConstrainedBasis
     flip: SparseOperator
     diag_static: np.ndarray
     diag_number: np.ndarray
-    sw2_extra: SparseOperator | None = None
     # the isometry P when these are the parts restrict_parts gave, acting
     # in P's orbit space; None for parts in the full basis
     iso: OrbitIsometry | None = None
+    # not a field: perfbench/tracer.py still reads it when counting nnz
+    sw2_extra = None
 
     @property
     def dim(self) -> int:
         return self.basis.dim
 
     @cached_property
-    def _offdiag(self) -> SparseOperator:
-        if self.sw2_extra is None:
-            return self.flip
-        # scipy's sum of the two, which stores no zeros; flip and sw2
-        # entries never share a position (one flipped bit against none or two)
-        parts = (self.flip, self.sw2_extra)
-        keys = np.concatenate([op.rows() * self.dim + op.indices for op in parts])
-        values = np.concatenate([op.data for op in parts])
-        nonzero = values != 0
-        return _operator(keys[nonzero], values[nonzero], self.dim)
-
-    @cached_property
     def _abs_row_sums(self) -> np.ndarray:
         # scipy's abs(csr).sum(axis=1): np.add.reduceat over each nonempty row
-        op = self._offdiag
+        op = self.flip
         sums = np.zeros(self.dim)
         nonempty = np.flatnonzero(np.diff(op.indptr))
         sums[nonempty] = np.add.reduceat(np.abs(op.data), op.indptr[nonempty])
         return sums
 
     def offdiagonal(self) -> SparseOperator:
-        """All non-drive sparse content combined (flip plus sw2 terms); its
-        ``@`` is the step's sparse product."""
-        return self._offdiag
+        """All non-drive sparse content, ``flip``; its ``@`` is the step's
+        sparse product."""
+        return self.flip
 
     def diagonal(self, delta) -> np.ndarray:
         """Diagonal of H at detuning delta; an array of P detunings gives a
@@ -233,7 +221,7 @@ class HamiltonianParts:
     def dense(self, delta: float) -> np.ndarray:
         """H at detuning delta as a dense matrix; every model's H is real
         symmetric, so it is float64."""
-        op = self._offdiag
+        op = self.flip
         h = np.zeros((self.dim, self.dim))
         h[op.rows(), op.indices] = op.data
         h[np.diag_indices_from(h)] += self.diagonal(delta)
@@ -249,7 +237,7 @@ class HamiltonianParts:
 # Relative tolerance of the exactness checks in restrict_parts.
 _RESTRICT_RTOL = 1e-12
 
-# restrict_parts reads a sparse piece in chunks of whole rows that hold
+# restrict_parts reads the flip operator in chunks of whole rows that hold
 # about this many stored entries, so its temporaries do not grow with the
 # operator.
 _RESTRICT_CHUNK = 1 << 16
@@ -260,14 +248,13 @@ def restrict_parts(parts: HamiltonianParts, iso: OrbitIsometry) -> HamiltonianPa
 
     ``iso`` comes from :func:`scarsim.hilbert.symmetric_isometry`, whose
     orbits ascend by representative, the smallest state of each orbit.  The
-    sparse pieces become S = P^T O P, read off the representative rows of
-    O P, and the diagonals are taken at the representatives.  The
+    flip operator O becomes S = P^T O P, read off the representative rows
+    of O P, and the diagonals are taken at the representatives.  The
     restriction is returned only when it is exact: both diagonals are
-    constant on every orbit and, for each sparse piece O, every row of O P
-    stores the columns of its representative's row and
-    ||O P - P S||_F <= 1e-12 ||O||_F (checked on O Q, Q the orbit
-    indicator, whose distance to its representative rows bounds it).  The
-    returned parts carry ``iso``.
+    constant on every orbit, every row of O P stores the columns of its
+    representative's row and ||O P - P S||_F <= 1e-12 ||O||_F (checked on
+    O Q, Q the orbit indicator, whose distance to its representative rows
+    bounds it).  The returned parts carry ``iso``.
     """
     orbit, weight, n = iso.orbit, iso.weight, iso.n_orbits
     dim = len(orbit)
@@ -279,71 +266,67 @@ def restrict_parts(parts: HamiltonianParts, iso: OrbitIsometry) -> HamiltonianPa
                 > _RESTRICT_RTOL * np.abs(diag).max(initial=0.0):
             return None
 
-    def restrict(op: SparseOperator) -> SparseOperator | None:
-        # O Q, Q the orbit indicator (P = Q W, W = diag(weights)): entry
-        # O_kl adds to (k, orbit[l]).  Its keys never interleave across
-        # rows, so each chunk of rows is summed on its own.  The entries of
-        # representative rows are kept (a row of O Q stores at most as many
-        # as its row of O), and every row is compared with its
-        # representative's, which lies in the same chunk or an earlier one.
-        room = int(np.diff(op.indptr)[first].sum())
-        kept_cols = np.empty(room, dtype=op.indices.dtype)
-        kept = np.empty(room)
-        # per row: its entries in O Q and, for a representative, where its
-        # kept entries start
-        counts = np.empty(dim, dtype=op.indptr.dtype)
-        where = np.empty(dim, dtype=op.indptr.dtype)
-        n_kept, dist2, r0, nnz = 0, 0.0, 0, int(op.indptr[-1])
-        while r0 < dim:
-            lo = int(op.indptr[r0])
-            r1 = int(np.searchsorted(op.indptr, min(lo + _RESTRICT_CHUNK, nnz), "right")) - 1
-            r1 = min(max(r1, r0 + 1), dim)
-            hi = int(op.indptr[r1])
-            local = np.repeat(np.arange(r1 - r0), np.diff(op.indptr[r0:r1 + 1]))
-            keys, oq = _sum_by_key(local * n + orbit[op.indices[lo:hi]], op.data[lo:hi])
-            del local
-            rows, cols = np.divmod(keys, n)     # rows counted from r0
-            del keys
-            # O P = P S says that each row of O P, and so of O Q, equals its
-            # representative's row (weights are equal within an orbit): every
-            # row must store the representative's columns, and the distance
-            # bounds ||O P - P S||_F, as every weight is at most 1
-            span = np.bincount(rows, minlength=r1 - r0)
-            counts[r0:r1] = span
-            reps = rep[r0:r1]
-            if not np.array_equal(span, counts[reps]):
-                return None
-            is_rep = reps == np.arange(r0, r1)
-            own = np.where(is_rep, span, 0)
-            where[r0:r1] = n_kept + np.cumsum(own) - own
-            on_rep = is_rep[rows]
-            end = n_kept + int(own.sum())
-            kept_cols[n_kept:end] = cols[on_rep]
-            kept[n_kept:end] = oq[on_rep]
-            n_kept = end
-            same = where[reps[rows]] + np.arange(len(cols)) \
-                - np.repeat(np.cumsum(span) - span, span)
-            if not np.array_equal(cols, kept_cols[same]):
-                return None
-            diff = oq - kept[same]
-            dist2 += float(diff @ diff)
-            r0 = r1
-        if math.sqrt(dist2) > _RESTRICT_RTOL * np.linalg.norm(op.data):
+    op = parts.flip
+    # O Q, Q the orbit indicator (P = Q W, W = diag(weights)): entry
+    # O_kl adds to (k, orbit[l]).  Its keys never interleave across
+    # rows, so each chunk of rows is summed on its own.  The entries of
+    # representative rows are kept (a row of O Q stores at most as many
+    # as its row of O), and every row is compared with its
+    # representative's, which lies in the same chunk or an earlier one.
+    room = int(np.diff(op.indptr)[first].sum())
+    kept_cols = np.empty(room, dtype=op.indices.dtype)
+    kept = np.empty(room)
+    # per row: its entries in O Q and, for a representative, where its
+    # kept entries start
+    counts = np.empty(dim, dtype=op.indptr.dtype)
+    where = np.empty(dim, dtype=op.indptr.dtype)
+    n_kept, dist2, r0, nnz = 0, 0.0, 0, int(op.indptr[-1])
+    while r0 < dim:
+        lo = int(op.indptr[r0])
+        r1 = int(np.searchsorted(op.indptr, min(lo + _RESTRICT_CHUNK, nnz), "right")) - 1
+        r1 = min(max(r1, r0 + 1), dim)
+        hi = int(op.indptr[r1])
+        local = np.repeat(np.arange(r1 - r0), np.diff(op.indptr[r0:r1 + 1]))
+        keys, oq = _sum_by_key(local * n + orbit[op.indices[lo:hi]], op.data[lo:hi])
+        del local
+        rows, cols = np.divmod(keys, n)     # rows counted from r0
+        del keys
+        # O P = P S says that each row of O P, and so of O Q, equals its
+        # representative's row (weights are equal within an orbit): every
+        # row must store the representative's columns, and the distance
+        # bounds ||O P - P S||_F, as every weight is at most 1
+        span = np.bincount(rows, minlength=r1 - r0)
+        counts[r0:r1] = span
+        reps = rep[r0:r1]
+        if not np.array_equal(span, counts[reps]):
             return None
-        # S = P^T O P read off the representative rows, which ascend with
-        # their orbits: S_ab = (O Q)_kb w_b / w_k
-        k, b = np.repeat(first, counts[first]), kept_cols[:n_kept]
-        return _operator(orbit[k] * n + b, kept[:n_kept] * weight[first[b]] / weight[k], n)
-
-    flip = restrict(parts.flip)
-    sw2 = None if parts.sw2_extra is None else restrict(parts.sw2_extra)
-    if flip is None or (parts.sw2_extra is not None and sw2 is None):
+        is_rep = reps == np.arange(r0, r1)
+        own = np.where(is_rep, span, 0)
+        where[r0:r1] = n_kept + np.cumsum(own) - own
+        on_rep = is_rep[rows]
+        end = n_kept + int(own.sum())
+        kept_cols[n_kept:end] = cols[on_rep]
+        kept[n_kept:end] = oq[on_rep]
+        n_kept = end
+        same = where[reps[rows]] + np.arange(len(cols)) \
+            - np.repeat(np.cumsum(span) - span, span)
+        if not np.array_equal(cols, kept_cols[same]):
+            return None
+        diff = oq - kept[same]
+        dist2 += float(diff @ diff)
+        r0 = r1
+    if math.sqrt(dist2) > _RESTRICT_RTOL * np.linalg.norm(op.data):
         return None
+    # S = P^T O P read off the representative rows, which ascend with
+    # their orbits: S_ab = (O Q)_kb w_b / w_k
+    k, b = np.repeat(first, counts[first]), kept_cols[:n_kept]
+    flip = _operator(orbit[k] * n + b, kept[:n_kept] * weight[first[b]] / weight[k], n)
     basis = parts.basis
-    reps = ConstrainedBasis(n_sites=basis.n_sites, states=basis.states[first],
-                            nn_masks=basis.nn_masks)
-    return HamiltonianParts(basis=reps, flip=flip, diag_static=parts.diag_static[first],
-                            diag_number=parts.diag_number[first], sw2_extra=sw2, iso=iso)
+    return HamiltonianParts(
+        basis=ConstrainedBasis(n_sites=basis.n_sites, states=basis.states[first],
+                               nn_masks=basis.nn_masks),
+        flip=flip, diag_static=parts.diag_static[first],
+        diag_number=parts.diag_number[first], iso=iso)
 
 
 def _check_basis(lat: Lattice, basis: ConstrainedBasis) -> None:
@@ -423,47 +406,6 @@ def build_pxp(lat: Lattice, basis: ConstrainedBasis, p: PhysicalParams) -> Hamil
     return HamiltonianParts(basis=basis, flip=flip,
                             diag_static=np.zeros(basis.dim),
                             diag_number=diag_number)
-
-
-def _sw2_operator(lat: Lattice, basis: ConstrainedBasis, p: PhysicalParams) -> SparseOperator:
-    """Second-order corrections: multi-site diagonal plus constrained hopping.
-
-    Diagonal: every site i with m >= 1 excited neighbours contributes
-    -(Omega^2/4V0)/m (an excited i would need m = 0, so only the ground-state
-    branch survives inside the constrained space).  Off-diagonal: an
-    excitation hops between NN sites i, j with amplitude -Omega^2/4V0 when
-    every other neighbour of both sites is in the ground state.
-    """
-    coeff = p.omega**2 / (4.0 * p.v0)
-    states = basis.states
-    dim = basis.dim
-    diag = np.zeros(dim)
-    for i in range(lat.n_sites):
-        mask = int(basis.nn_masks[i])
-        m = np.bitwise_count(states & mask)
-        unexcited = ((states >> i) & 1) == 0
-        has = unexcited & (m >= 1)
-        diag[has] -= coeff / m[has]
-    keys = [np.arange(dim) * (dim + 1)]
-    vals = [diag]
-    for i, j in lat.nn_pairs:
-        i, j = int(i), int(j)
-        bit_i, bit_j = 1 << i, 1 << j
-        other_i = int(basis.nn_masks[i]) & ~bit_j
-        other_j = int(basis.nn_masks[j]) & ~bit_i
-        occ = states & (bit_i | bit_j)
-        movable = ((occ == bit_i) | (occ == bit_j)) \
-            & ((states & other_i) == 0) & ((states & other_j) == 0)
-        src = np.flatnonzero(movable)
-        dst = np.searchsorted(states, states[src] ^ (bit_i | bit_j))
-        keys.append(src * dim + dst)
-        vals.append(np.full(src.shape, -coeff))
-    return _operator(np.concatenate(keys), np.concatenate(vals), dim)
-
-
-def build_sw2(lat: Lattice, basis: ConstrainedBasis, p: PhysicalParams) -> HamiltonianParts:
-    """Effective model with Omega^2/(4 V0) corrections enabled."""
-    return replace(build_rydberg(lat, basis, p), sw2_extra=_sw2_operator(lat, basis, p))
 
 
 def parity_diagonal(basis: ConstrainedBasis) -> np.ndarray:

@@ -68,10 +68,11 @@ class TestConfigParsing:
             optimal_detuning(cfg.lattice, cfg.physical))
 
     def test_rejections(self):
-        bad = json.loads(json.dumps(SMALL_QUENCH))
-        bad["model"] = "ising"
-        with pytest.raises(ConfigError, match="model"):
-            parse_config(bad)
+        for model in ("ising", "sw2"):
+            bad = json.loads(json.dumps(SMALL_QUENCH))
+            bad["model"] = model
+            with pytest.raises(ConfigError, match="model"):
+                parse_config(bad)
         bad = json.loads(json.dumps(SMALL_QUENCH))
         bad["drive"] = {"shape": "pulsed", "theta": 3.14, "tau_omega": 1.0}
         with pytest.raises(ConfigError, match="unknown shape 'pulsed'"):
@@ -304,15 +305,23 @@ class TestQuenchCommand:
         assert header[:4] == ["t", "nA", "nB", "imbalance"]
         assert "S_cut0" in header
 
-    def test_sw2_and_square_drive_models(self, tmp_path):
+    def test_sw2_and_square_drive_models(self, tmp_path, capsys):
+        """The square drive runs.  The second-order ``sw2`` model is no
+        longer built: a document that asks for it exits 2 by field name,
+        and only the manifest is written."""
         doc = json.loads(json.dumps(SMALL_QUENCH))
         doc["model"] = "sw2"
-        doc["observables"] = {}
-        doc["evolution"]["total_time"] = 0.4
         out = tmp_path / "sw2"
         assert main(["quench", "--config", write_config(tmp_path, doc),
-                     "--out", str(out)]) == 0
+                     "--out", str(out)]) == 2
+        assert "model:" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"].startswith("ConfigError: model:")
         doc["model"] = "rydberg"
+        doc["observables"] = {}
+        doc["evolution"]["total_time"] = 0.4
         doc["drive"]["shape"] = "square"
         out = tmp_path / "sq"
         assert main(["quench", "--config", write_config(tmp_path, doc, "sq.json"),
@@ -546,6 +555,21 @@ class TestAnalyzeCommand:
         assert [p.name for p in tmp_path.iterdir()] == ["quench.csv"]
         assert main(["analyze", str(stored), "--mode", "spectrum",
                      "--omegam-rad", "1570"]) == 0
+
+    @pytest.mark.parametrize("value", ["0", "-3", "nan"])
+    def test_omegam_not_positive_finite_exits_2(self, tmp_path, capsys, value):
+        """0 was once ignored, and -3 and nan refused only as frequencies
+        off the spectral grid; each is refused by name before any file is
+        read, so the message carries no file name."""
+        t = np.arange(300) * 0.004
+        stored = tmp_path / "quench.csv"
+        stored.write_text("\r\n".join(["t,nA,nB"] + [
+            f"{ti!r},0.5,0.5" for ti in t.tolist()]) + "\r\n")
+        assert main(["analyze", str(stored), "--mode", "spectrum",
+                     "--omegam-rad", value]) == 2
+        assert capsys.readouterr().err == f"configuration error: --omegam-rad " \
+            f"{float(value):g}: must be a positive finite number\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["quench.csv"]
 
 
 class TestSweepCommand:

@@ -25,7 +25,6 @@ from scarsim.hamiltonian import (
     SparseOperator,
     build_pxp,
     build_rydberg,
-    build_sw2,
     detuning_at,
     restrict_parts,
 )
@@ -375,7 +374,7 @@ class TestBlockRunner:
             assert quench_to_csv(res) == quench_to_csv(one)
             assert np.array_equal(res.probs, one.probs)
 
-    @pytest.mark.parametrize("build", [build_rydberg, build_pxp, build_sw2])
+    @pytest.mark.parametrize("build", [build_rydberg, build_pxp])
     def test_drive_mix_with_one_substep_count(self, p, build):
         lat = build_lattice("chain", 8)
         basis = enumerate_blockaded(lat)
@@ -386,7 +385,7 @@ class TestBlockRunner:
         assert {scarsim.evolve.substep_count(d, cfg.dt) for d in drives} == {1}
         self._check(lat, basis, build(lat, basis, p), drives, cfg)
 
-    @pytest.mark.parametrize("build", [build_rydberg, build_pxp, build_sw2])
+    @pytest.mark.parametrize("build", [build_rydberg, build_pxp])
     def test_ring_in_the_symmetric_subspace(self, p, build, step_dims):
         """The restricted parts and projected state that build_system gives
         run as a block; the state, operator and basis must agree."""
@@ -749,7 +748,7 @@ class TestRingSymmetricSubspace:
     """Ring quenches from symmetric states propagate in the orbit subspace."""
 
     @pytest.mark.parametrize("n", [10, 11, 12])
-    @pytest.mark.parametrize("build", [build_pxp, build_rydberg, build_sw2])
+    @pytest.mark.parametrize("build", [build_pxp, build_rydberg])
     def test_restriction_is_exact(self, p, ring_of, dense_isometry, n, build):
         lat = ring_of(n)
         basis = enumerate_blockaded(lat)
@@ -796,7 +795,7 @@ class TestRingSymmetricSubspace:
         assert restrict_parts(extra, iso) is None
 
     @pytest.mark.parametrize("n", [12, 16, 22])
-    @pytest.mark.parametrize("build", [build_pxp, build_rydberg, build_sw2])
+    @pytest.mark.parametrize("build", [build_pxp, build_rydberg])
     def test_chunked_restriction_equals_one_chunk(self, p, ring_of, monkeypatch,
                                                   n, build):
         """Row chunks give the arrays of one chunk over the whole operator,
@@ -819,12 +818,9 @@ class TestRingSymmetricSubspace:
             assert np.array_equal(small.basis.states, one.basis.states)
             for name in ("diag_static", "diag_number"):
                 assert np.array_equal(getattr(small, name), getattr(one, name))
-            assert (small.sw2_extra is None) == (one.sw2_extra is None)
-            pairs = [(small.flip, one.flip), (small.sw2_extra, one.sw2_extra)]
-            for op, ref in pairs[:1 if one.sw2_extra is None else 2]:
-                for field in ("indptr", "indices", "data"):
-                    a, b = getattr(op, field), getattr(ref, field)
-                    assert a.dtype == b.dtype and np.array_equal(a, b)
+            for field in ("indptr", "indices", "data"):
+                a, b = getattr(small.flip, field), getattr(one.flip, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
     @pytest.mark.parametrize("chunk", [1, 40])
     def test_chunked_restriction_refuses_broken_symmetry(self, p, ring_of,

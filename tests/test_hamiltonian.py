@@ -11,7 +11,6 @@ from scarsim.hamiltonian import (
     _square_sign,
     build_pxp,
     build_rydberg,
-    build_sw2,
     detuning_at,
     parity_diagonal,
     restrict_parts,
@@ -24,11 +23,6 @@ from scarsim.lattice import (
     shell_masks,
     symmetry_permutations,
 )
-
-
-def string_to_state(bits):
-    """Basis integer of a bit string with site 0 leftmost."""
-    return int(bits[::-1], 2)
 
 
 @pytest.fixture(scope="module")
@@ -128,19 +122,18 @@ def _transpose_arrays(op):
 
 
 class TestHermiticityAndSymmetry:
-    @pytest.mark.parametrize("builder", [build_rydberg, build_pxp, build_sw2])
+    @pytest.mark.parametrize("builder", [build_rydberg, build_pxp])
     def test_exact_hermiticity(self, p, builder):
         lat = build_lattice("zigzag_chain", 8, 1.45)
         basis = enumerate_blockaded(lat)
         parts = builder(lat, basis, p)
-        ops = [parts.flip] + ([] if parts.sw2_extra is None else [parts.sw2_extra])
-        for op in ops:
-            # real entries, so the adjoint is the transpose
-            assert op.data.dtype == np.float64
-            indptr, indices, data = _transpose_arrays(op)
-            assert np.array_equal(indptr, op.indptr)
-            assert np.array_equal(indices, op.indices)
-            assert np.abs(data - op.data).max() == 0.0
+        op = parts.flip
+        # real entries, so the adjoint is the transpose
+        assert op.data.dtype == np.float64
+        indptr, indices, data = _transpose_arrays(op)
+        assert np.array_equal(indptr, op.indptr)
+        assert np.array_equal(indices, op.indices)
+        assert np.abs(data - op.data).max() == 0.0
         # every model's H is real symmetric, so its dense form is float64
         h = parts.dense(0.3 * p.omega)
         assert h.dtype == np.float64
@@ -156,49 +149,12 @@ class TestHermiticityAndSymmetry:
         assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
-class TestSw2:
-    def test_two_site_hand_values(self, p):
-        lat = build_lattice("chain", 2)
-        basis = enumerate_blockaded(lat)
-        parts = build_sw2(lat, basis, p)
-        coeff = p.omega**2 / (4 * p.v0)
-        m = parts.sw2_extra.matrix.toarray()
-        i00, i10, i01 = (basis.index_of(s) for s in (0b00, 0b01, 0b10))
-        assert m[i00, i00] == 0
-        assert m[i10, i10] == pytest.approx(-coeff)
-        assert m[i01, i01] == pytest.approx(-coeff)
-        assert m[i10, i01] == pytest.approx(-coeff)
-
-    def test_empty_state_no_correction(self, p, chain9, chain9_states):
-        lat, basis = chain9
-        _, _, ggg = chain9_states
-        parts = build_sw2(lat, basis, p)
-        assert parts.sw2_extra.matrix.diagonal()[basis.index_of(ggg)] == 0
-
-    def test_hop_structure(self, p):
-        # from 10100 only the site-2 excitation can move, and only rightwards:
-        # every other single-site move lands on a blockade-violating pattern
-        lat = build_lattice("chain", 5)
-        basis = enumerate_blockaded(lat)
-        parts = build_sw2(lat, basis, p)
-        m = parts.sw2_extra.matrix.toarray()
-        src = basis.index_of(string_to_state("10100"))
-        row = m[src].copy()
-        row[src] = 0.0
-        (nonzero,) = np.nonzero(row)
-        assert nonzero.tolist() == [basis.index_of(string_to_state("10010"))]
-        assert row[nonzero[0]] == pytest.approx(-p.omega**2 / (4 * p.v0))
-
-
 class TestStepInvariants:
     def test_computed_once_with_unchanged_arithmetic(self, p, chain9):
         lat, basis = chain9
-        parts = build_sw2(lat, basis, p)
-        off = parts.offdiagonal()
-        assert parts.offdiagonal() is off
-        ref = (parts.flip.matrix + parts.sw2_extra.matrix).tocsr()
-        assert (off.matrix != ref).nnz == 0
-        row_sums = np.asarray(abs(ref).sum(axis=1)).ravel()
+        parts = build_rydberg(lat, basis, p)
+        assert parts.offdiagonal() is parts.flip
+        row_sums = np.asarray(abs(parts.flip.matrix).sum(axis=1)).ravel()
         for delta in (0.0, 0.5 * p.omega, -2.0 * p.omega):
             want = float(np.max(row_sums + np.abs(parts.diagonal(delta))))
             assert parts.spectral_bound(delta) == want
@@ -238,25 +194,21 @@ class TestCsrArraysMatchScipy:
         ("chain", 9, {}), ("chain", 12, {"periodic": True}),
         ("zigzag_chain", 8, {"zigzag_nnn_ratio": 1.45}), ("square", 4, {}),
         ("honeycomb", 2.1, {}), ("lieb", 2, {})])
-    @pytest.mark.parametrize("builder", [build_pxp, build_rydberg, build_sw2])
+    @pytest.mark.parametrize("builder", [build_pxp, build_rydberg])
     def test_assembly(self, p, kind, extent, extra, builder):
         lat = build_lattice(kind, extent, **extra)
         basis = enumerate_blockaded(lat)
         parts = builder(lat, basis, p)
         rng = np.random.default_rng(0)
-        ops = [parts.flip] + ([parts.sw2_extra] if parts.sw2_extra is not None else [])
-        for op in ops:
-            assert _same_csr(op, _scipy_csr(op, rng))
-            assert op.matrix.nnz == len(op.data)
-        ref = _scipy_csr(parts.flip, rng)
-        if parts.sw2_extra is not None:
-            ref = (ref + _scipy_csr(parts.sw2_extra, rng)).tocsr()
-        assert _same_csr(parts.offdiagonal(), ref)
+        op = parts.flip
+        ref = _scipy_csr(op, rng)
+        assert _same_csr(op, ref)
+        assert op.matrix.nnz == len(op.data)
+        assert parts.offdiagonal() is op
         row_sums = np.asarray(abs(ref).sum(axis=1)).ravel()
         assert parts._abs_row_sums.dtype == row_sums.dtype
         assert np.array_equal(parts._abs_row_sums, row_sums)
-        for op in ops + [parts.offdiagonal()]:
-            _assert_product_is_scipys(op, rng)
+        _assert_product_is_scipys(op, rng)
 
     def test_product_of_restricted_and_int64_operators(self, p):
         """The product keeps scipy's bits on a ring-restricted operator,
