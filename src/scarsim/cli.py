@@ -11,10 +11,11 @@ once its document is loaded still writes ``manifest.json`` with status
 
 A sweep groups the grid points that differ only in their drive and need
 the same substep count, on lattices of at most 12 sites and at most 6
-points per group; each group runs as one block propagation, every other
-point runs on its own, and ``--jobs N`` (N >= 1) spreads the groups over
-worker processes.  Workers only propagate; the calling process analyses
-each group's points as the group comes back.  Neither the grouping nor the
+points per group; every other point is a group of one.  Every group runs
+as one block propagation, a failed group of several reruns its points as
+groups of one, and ``--jobs N`` (N >= 1) spreads the groups over worker
+processes.  Workers only propagate; the calling process analyses each
+group's points as the group comes back.  Neither the grouping nor the
 output bytes depend on N.
 """
 
@@ -71,7 +72,6 @@ from .evolve import (
     build_system,
     quench_from_csv,
     quench_to_csv,
-    run_quench,
     substep_count,
 )
 from .floquet import pulsed_subharmonic_map, revival_fidelity_map
@@ -145,9 +145,9 @@ def _run(command, doc: dict, out: Path, *args) -> int:
     """Parse ``doc``, run one command on it, and write the files it returns
     (relative path -> text) plus ``resolved_config.json`` and ``manifest.json``.
 
-    When parsing or the command raises a :class:`ScarsimError`, only
-    ``manifest.json`` is written, with status ``error`` and the error, and
-    the exception propagates to :func:`main`, which picks the exit code."""
+    When parsing or the command raises, only ``manifest.json`` is written,
+    with status ``error`` and the error, and the exception propagates to
+    :func:`main`, which picks the exit code."""
     t0 = time.perf_counter()
 
     def write_manifest(outputs, status, error=None) -> None:
@@ -162,7 +162,7 @@ def _run(command, doc: dict, out: Path, *args) -> int:
     try:
         cfg = parse_config(doc)
         files, status, message = command(cfg, *args)
-    except ScarsimError as exc:
+    except Exception as exc:
         write_manifest([], "error", f"{type(exc).__name__}: {exc}")
         raise
     files["resolved_config.json"] = serialize_config(cfg)
@@ -203,22 +203,28 @@ def _analyze_quench(result: QuenchResult,
     return analysis, spec
 
 
-def _run_single_quench(cfg: ExperimentConfig, record_probs: bool):
-    """Basis and quench result of one configured quench."""
+def _run_quenches(cfgs: list[ExperimentConfig], record_probs: bool):
+    """The basis and one quench result per config, for configured quenches
+    that differ only in their drive (see :func:`_sweep_groups`).
+
+    The basis and the Hamiltonian are built once, and every drive becomes
+    one column of :func:`scarsim.evolve._run_block`.
+    """
+    cfg = cfgs[0]
     if cfg.evolution is None:
         raise ConfigError("evolution: section is required for quench runs")
     if cfg.drive is None:
         raise ConfigError("drive: section is required for quench runs")
     basis, parts, psi0 = build_system(cfg.lattice, cfg.model, cfg.physical,
                                       cfg.initial_state)
-    result = run_quench(cfg.lattice, basis, parts, cfg.drive, psi0, cfg.evolution,
-                        entropy_cuts=cfg.observables.entropy_cuts,
-                        record_probs=record_probs)
-    return basis, result
+    results = _run_block(cfg.lattice, basis, parts, [c.drive for c in cfgs], psi0,
+                         cfg.evolution, entropy_cuts=cfg.observables.entropy_cuts,
+                         record_probs=record_probs)
+    return basis, results
 
 
 def cmd_quench(cfg: ExperimentConfig) -> tuple[dict, str, str]:
-    basis, result = _run_single_quench(cfg, cfg.observables.microstates)
+    basis, (result,) = _run_quenches([cfg], cfg.observables.microstates)
     analysis, spec = _analyze_quench(result, cfg.drive)
     files = {"quench.csv": quench_to_csv(result),
              "lattice.json": lattice_to_json(cfg.lattice),
@@ -283,49 +289,28 @@ def _sweep_row(cfg: ExperimentConfig, dim: int, result: QuenchResult) -> dict:
     return row
 
 
-def _sweep_worker(cfg: ExperimentConfig) -> tuple[int, QuenchResult] | dict:
-    """Propagate one parsed sweep point on its own; returns its basis
-    dimension and quench result (no row reads microstate probabilities, so
-    none are recorded), or its error row.
+def _sweep_worker(cfgs: list[ExperimentConfig]) -> list:
+    """Propagate the parsed points of one sweep group as one block (see
+    :func:`_run_quenches`); one (basis dimension, quench result) per point,
+    or its error row.  No row reads microstate probabilities, so none are
+    recorded.
 
-    Never raises: any exception becomes an error row (see
-    :func:`_error_row`), so one bad point cannot abort the sweep.
+    Never raises, so one bad point cannot abort the sweep: a group of one
+    that raises gets its error row (see :func:`_error_row`), and a larger
+    group that raises reruns each of its points as a group of one.
     """
     try:
-        basis, result = _run_single_quench(cfg, record_probs=False)
-        return basis.dim, result
+        basis, results = _run_quenches(cfgs, record_probs=False)
+        return [(basis.dim, r) for r in results]
     except Exception as exc:
-        return _error_row(exc)
-
-
-def _group_worker(cfgs: list[ExperimentConfig]) -> list:
-    """Propagate the parsed points of one sweep group as one block; one
-    :func:`_sweep_worker` result per point.
-
-    The points share everything but their drive (see :func:`_sweep_groups`),
-    so the basis and the Hamiltonian are built once and every drive becomes
-    one column of :func:`scarsim.evolve._run_block`.  A group of one, or a
-    group whose propagation raises anywhere, runs its points one by one
-    through :func:`_sweep_worker`, so a bad point still gives exactly one
-    error row.
-    """
-    if len(cfgs) > 1:
-        try:
-            cfg = cfgs[0]
-            basis, parts, psi0 = build_system(cfg.lattice, cfg.model, cfg.physical,
-                                              cfg.initial_state)
-            results = _run_block(cfg.lattice, basis, parts, [c.drive for c in cfgs],
-                                 psi0, cfg.evolution,
-                                 entropy_cuts=cfg.observables.entropy_cuts,
-                                 record_probs=False)
-            return [(basis.dim, r) for r in results]
-        except Exception as exc:
-            if not isinstance(exc, ScarsimError):
-                traceback.print_exc()
-            print(f"sweep: a group of {len(cfgs)} points failed "
-                  f"({type(exc).__name__}: {exc}); running its points one by one",
-                  file=sys.stderr)
-    return [_sweep_worker(cfg) for cfg in cfgs]
+        if len(cfgs) == 1:
+            return [_error_row(exc)]
+        if not isinstance(exc, ScarsimError):
+            traceback.print_exc()
+        print(f"sweep: a group of {len(cfgs)} points failed "
+              f"({type(exc).__name__}: {exc}); running its points one by one",
+              file=sys.stderr)
+    return [out for cfg in cfgs for out in _sweep_worker([cfg])]
 
 
 # Sweep points share a block only on lattices of at most this many sites
@@ -343,7 +328,7 @@ _BLOCK_WIDTH = 6
 
 
 def _sweep_groups(cfgs: list) -> list[list[int]]:
-    """Point indices grouped for :func:`_group_worker`, groups in order of
+    """Point indices grouped for :func:`_sweep_worker`, groups in order of
     their first point.
 
     ``cfgs`` holds each point's parsed config, or the exception its parse
@@ -410,13 +395,13 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int | None) -> tuple[dict, str, str]:
 
     if jobs == 1:
         for group in groups:
-            analyse(group, _group_worker([cfgs[k] for k in group]))
+            analyse(group, _sweep_worker([cfgs[k] for k in group]))
     else:
         # no more workers than groups: each group is one task, analysed
         # here as it comes back while the workers propagate the rest
         workers = min(jobs or _usable_cpus(), max(len(groups), 1))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            tasks = {pool.submit(_group_worker, [cfgs[k] for k in group]): group
+            tasks = {pool.submit(_sweep_worker, [cfgs[k] for k in group]): group
                      for group in groups}
             for task in concurrent.futures.as_completed(tasks):
                 analyse(tasks[task], task.result())

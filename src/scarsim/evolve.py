@@ -87,6 +87,9 @@ class EvolutionConfig:
         object.__setattr__(self, "total_time", float(self.total_time))
         object.__setattr__(self, "dt", float(self.dt))
         ratio = self.total_time / self.dt
+        if not math.isfinite(ratio):
+            raise ConfigError(f"evolution.dt: {self.dt!r} gives a step count "
+                              "total_time / dt that overflows")
         if abs(ratio - self.n_steps) > _GRID_RTOL * ratio:
             raise ConfigError("evolution.total_time: must be a whole multiple of "
                               f"dt = {self.dt} (ratio {ratio!r})")

@@ -146,6 +146,8 @@ def revival_fidelity_map(lat: Lattice, epsilons, taus, n_periods: int = 100,
     of the initial state with itself after 2n driving periods at
     theta = pi + epsilons[i], tau = taus[j].
     """
+    if n_periods < 1:
+        raise ConfigError(f"n_periods: must be at least 1, got {n_periods!r}")
     block, period, psi0, _ = _pulsed_grid(lat, epsilons, taus, initial_state)
     acc = np.zeros(block.shape[1])
     for _ in range(n_periods):
@@ -165,6 +167,8 @@ def pulsed_subharmonic_map(lat: Lattice, epsilons, taus, n_periods: int = 400,
     """
     from .analysis import fourier_spectrum, weight_at
 
+    if n_periods < 1:
+        raise ConfigError(f"n_periods: must be at least 1, got {n_periods!r}")
     block, period, _, weights = _pulsed_grid(lat, epsilons, taus, initial_state)
     series = np.empty((block.shape[1], n_periods + 1))
     series[:, 0] = weights @ (np.abs(block) ** 2)

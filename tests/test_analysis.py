@@ -111,7 +111,7 @@ _SEED1_OMEGAM = [0.8111398339327717, 0.899136982769386, 0.9888431465864265,
 def simulated_series():
     """(name, times, imbalance) of the seed-1 sweep points and of the
     fig3d-drive and fig3d-bare presets."""
-    from scarsim.cli import _group_worker, _run_single_quench, _sweep_groups
+    from scarsim.cli import _run_quenches, _sweep_groups, _sweep_worker
     from scarsim.config import parse_config
     from scarsim.presets import get_preset
 
@@ -126,10 +126,10 @@ def simulated_series():
             for w in _SEED1_OMEGAM]
     out = []
     for group in _sweep_groups(cfgs):
-        for k, (_, r) in zip(group, _group_worker([cfgs[k] for k in group])):
+        for k, (_, r) in zip(group, _sweep_worker([cfgs[k] for k in group])):
             out.append((f"seed1-point{k}", r.times, imbalance(r)))
     for name in ("fig3d-drive", "fig3d-bare"):
-        _, r = _run_single_quench(parse_config(get_preset(name)), record_probs=False)
+        _, (r,) = _run_quenches([parse_config(get_preset(name))], record_probs=False)
         out.append((name, r.times, imbalance(r)))
     return out
 
@@ -166,7 +166,7 @@ class TestFitAgainstLeastSquares:
         Marquardt's damping at 1e-3 or 0.1 instead of 10 ends in another
         minimum (cost 21.41 against 19.67).  Its cost is flat enough that
         either fit stops up to 1e-5 from the other (3.9e-6 measured)."""
-        from scarsim.cli import _run_single_quench
+        from scarsim.cli import _run_quenches
         from scarsim.config import parse_config
         from scarsim.presets import get_preset
 
@@ -174,7 +174,7 @@ class TestFitAgainstLeastSquares:
         del doc["sweep"]
         doc["drive"]["omegam_over_omega"] = 1.25
         doc["physical"]["v0_mhz"] = 8.0
-        _, r = _run_single_quench(parse_config(doc), record_probs=False)
+        _, (r,) = _run_quenches([parse_config(doc)], record_probs=False)
         self.assert_agrees(imbalance(r), r.times, rtol=1e-5)
 
     @pytest.mark.parametrize("tau,noise", [(0.5, 0.1), (10.0, 0.02)],

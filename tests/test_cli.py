@@ -176,6 +176,28 @@ class TestSectionChecks:
             assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
             assert "physical:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", ["evolution", "drive"])
+    def test_quench_without_section_exits_2(self, tmp_path, capsys, section):
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        del doc[section]
+        out = tmp_path / "o"
+        assert main(["quench", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 2
+        assert f"{section}: section is required" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+    def test_sweep_without_drive_gives_error_rows(self, tmp_path):
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        del doc["drive"]
+        doc["observables"] = {}
+        doc["sweep"] = [{"parameter": "physical.v0_mhz", "grid": [45.0, 51.0]}]
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", write_config(tmp_path, doc),
+                     "--out", str(out), "--jobs", "1"]) == 0
+        lines = (out / "aggregate.csv").read_text().strip().splitlines()
+        assert [ln.split(",")[2:4] for ln in lines[1:]] == \
+            [["error", "ConfigError: drive: section is required for quench runs"]] * 2
+
     def test_sweep_over_unknown_field_gives_error_rows(self, tmp_path):
         doc = json.loads(json.dumps(SMALL_QUENCH))
         doc["observables"] = {}
@@ -336,6 +358,9 @@ class TestQuenchCommand:
                                            ("total_time", float("inf")),
                                            pytest.param("total_time", 10**400,
                                                         id="total_time-10**400"),
+                                           # total_time / dt overflows to inf
+                                           pytest.param("dt", 1e-320,
+                                                        id="dt-step-count-overflows"),
                                            # records every 0.25 us reach 12.6
                                            # rad/us, below omegam / 2 = 15.8
                                            pytest.param("record_stride", 125,
@@ -680,11 +705,11 @@ class TestSweepCommand:
     def test_worker_records_any_exception(self, monkeypatch, capsys):
         import scarsim.cli as cli
 
-        def boom(cfg, record_probs):
+        def boom(cfgs, record_probs):
             raise ZeroDivisionError("division by zero")
 
-        monkeypatch.setattr(cli, "_run_single_quench", boom)
-        row = cli._sweep_worker(parse_config(SMALL_QUENCH))
+        monkeypatch.setattr(cli, "_run_quenches", boom)
+        (row,) = cli._sweep_worker([parse_config(SMALL_QUENCH)])
         assert row["status"] == "error"
         assert row["error"] == "ZeroDivisionError: division by zero"
         assert "Traceback" in capsys.readouterr().err
@@ -815,6 +840,26 @@ class TestFailedRunManifest:
         assert manifest["status"] == "error"
         assert manifest["error"].startswith("CapacityError: constrained basis of 49 sites")
 
+    def test_unexpected_error_manifest(self, tmp_path, monkeypatch):
+        """Any exception, not only a ScarsimError, replaces an earlier run's
+        manifest and still propagates, so the process exits 1 with its
+        traceback."""
+        import scarsim.cli as cli
+
+        def boom(cfg):
+            raise ZeroDivisionError("division by zero")
+
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, SMALL_QUENCH)
+        assert main(["lattice", "--config", cfg, "--out", str(out)]) == 0
+        monkeypatch.setattr(cli, "cmd_quench", boom)
+        with pytest.raises(ZeroDivisionError):
+            main(["quench", "--config", cfg, "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"] == "ZeroDivisionError: division by zero"
+        assert manifest["outputs"] == []
+
     def test_success_has_no_error_field(self, tmp_path):
         out = tmp_path / "lat"
         assert main(["lattice", "--preset", "fig2-chain", "--out", str(out)]) == 0
@@ -921,9 +966,11 @@ class TestSweepGroups:
             outs[jobs] = tmp_path / f"j{jobs}"
             assert main(["sweep", "--config", cfg, "--out", str(outs[jobs]),
                          "--jobs", jobs]) == 0
+        sweep_worker = cli._sweep_worker
         with monkeypatch.context() as m:
-            m.setattr(cli, "_group_worker",
-                      lambda cfgs: [cli._sweep_worker(c) for c in cfgs])
+            # every point a group of one
+            m.setattr(cli, "_sweep_worker",
+                      lambda cfgs: [out for c in cfgs for out in sweep_worker([c])])
             outs["points"] = tmp_path / "points"
             assert main(["sweep", "--config", cfg, "--out", str(outs["points"]),
                          "--jobs", "1"]) == 0
@@ -978,7 +1025,7 @@ class TestSweepGroups:
         clean = tmp_path / "clean"
         assert main(["sweep", "--config", cfg, "--out", str(clean), "--jobs", "1"]) == 0
         bad_omegam = 1.3 * parse_config(doc).physical.omega
-        analyze, group_worker = cli._analyze_quench, cli._group_worker
+        analyze, sweep_worker = cli._analyze_quench, cli._sweep_worker
         runs = []
 
         def broken(result, drive):
@@ -987,12 +1034,12 @@ class TestSweepGroups:
             return analyze(result, drive)
 
         def counted(cfgs):
+            # a rerun would call the counted worker once per point
             runs.append(len(cfgs))
-            return group_worker(cfgs)
+            return sweep_worker(cfgs)
 
         monkeypatch.setattr(cli, "_analyze_quench", broken)
-        monkeypatch.setattr(cli, "_group_worker", counted)
-        monkeypatch.setattr(cli, "_sweep_worker", lambda cfg: runs.append("point"))
+        monkeypatch.setattr(cli, "_sweep_worker", counted)
         out = tmp_path / "bad"
         assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
         assert runs == [3]
@@ -1091,7 +1138,7 @@ def test_group_worker_leaves_fit_modules_unloaded():
         doc["drive"]["omegam_over_omega"] = omegam
         docs.append(json.loads(json.dumps(doc)))
     code = ("import json, sys, scarsim.cli as c; from scarsim.config import parse_config; "
-            f"out = c._group_worker([parse_config(d) for d in json.loads({json.dumps(docs)!r})]); "
+            f"out = c._sweep_worker([parse_config(d) for d in json.loads({json.dumps(docs)!r})]); "
             "print([o[1].probs for o in out], "
             "[m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])")
     assert _python_stdout(code).splitlines()[-1] == "[None, None] []"

@@ -636,6 +636,10 @@ class TestRunQuench:
             EvolutionConfig(total_time=0.0105, dt=0.002)
         with pytest.raises(ConfigError, match="evolution.record_stride: must divide"):
             EvolutionConfig(total_time=0.02, dt=0.002, record_stride=3)
+        # a step count past the float range, refused before round(inf)
+        for total_time, dt in ((1e300, 1e-10), (1.0, 1e-320)):
+            with pytest.raises(ConfigError, match="evolution.dt: .* overflows"):
+                EvolutionConfig(total_time=total_time, dt=dt)
         assert EvolutionConfig(total_time=0.7, dt=0.002, record_stride=5).n_steps == 350
 
 

@@ -226,6 +226,21 @@ class TestBatchedMaps:
         assert np.abs(m[0] - 1.0).max() < 1e-9
 
 
+@pytest.mark.parametrize("n_periods", [0, -1])
+@pytest.mark.parametrize("kind", sorted(MAPS))
+def test_maps_refuse_fewer_than_one_period(kind, n_periods, monkeypatch):
+    """Refused before the grid is built: zero periods would divide by zero
+    (revival) or leave a single sample to transform (subharmonic)."""
+    import scarsim.floquet
+
+    def unreachable(*args):
+        raise AssertionError("_pulsed_grid ran")
+
+    monkeypatch.setattr(scarsim.floquet, "_pulsed_grid", unreachable)
+    with pytest.raises(ConfigError, match="n_periods: must be at least 1"):
+        MAPS[kind](chain(10), [0.1], [1.0], n_periods=n_periods)
+
+
 class TestRingSubspaceMaps:
     """Ring maps propagate in the <T^2, R>-symmetric subspace of AF1."""
 
