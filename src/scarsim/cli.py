@@ -11,12 +11,12 @@ once its document is loaded still writes ``manifest.json`` with status
 
 A sweep groups the grid points that differ only in their drive and need
 the same substep count, on lattices of at most 12 sites and at most 6
-points per group; every other point is a group of one.  Every group runs
-as one block propagation, a failed group of several reruns its points as
-groups of one, and ``--jobs N`` (N >= 1) spreads the groups over worker
-processes.  Workers only propagate; the calling process analyses each
-group's points as the group comes back.  Neither the grouping nor the
-output bytes depend on N.
+points per group; every other point is a group of one.  Every group, like
+a quench, runs as one ``evolve.run_block`` call, a failed group of several
+reruns its points as groups of one, and ``--jobs N`` (N >= 1) spreads the
+groups over worker processes.  Workers only propagate; the calling
+process analyses each group's points as the group comes back.  Neither the
+grouping nor the output bytes depend on N.
 """
 
 from __future__ import annotations
@@ -68,10 +68,10 @@ from .errors import (
 )
 from .evolve import (
     QuenchResult,
-    _run_block,
     build_system,
     quench_from_csv,
     quench_to_csv,
+    run_block,
     substep_count,
 )
 from .floquet import pulsed_subharmonic_map, revival_fidelity_map
@@ -208,7 +208,7 @@ def _run_quenches(cfgs: list[ExperimentConfig], record_probs: bool):
     that differ only in their drive (see :func:`_sweep_groups`).
 
     The basis and the Hamiltonian are built once, and every drive becomes
-    one column of :func:`scarsim.evolve._run_block`.
+    one column of :func:`scarsim.evolve.run_block`.
     """
     cfg = cfgs[0]
     if cfg.evolution is None:
@@ -217,9 +217,9 @@ def _run_quenches(cfgs: list[ExperimentConfig], record_probs: bool):
         raise ConfigError("drive: section is required for quench runs")
     basis, parts, psi0 = build_system(cfg.lattice, cfg.model, cfg.physical,
                                       cfg.initial_state)
-    results = _run_block(cfg.lattice, basis, parts, [c.drive for c in cfgs], psi0,
-                         cfg.evolution, entropy_cuts=cfg.observables.entropy_cuts,
-                         record_probs=record_probs)
+    results = run_block(cfg.lattice, basis, parts, [c.drive for c in cfgs], psi0,
+                        cfg.evolution, entropy_cuts=cfg.observables.entropy_cuts,
+                        record_probs=record_probs)
     return basis, results
 
 

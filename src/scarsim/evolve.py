@@ -4,14 +4,14 @@ The workhorse is a Chebyshev series for exp(-i H h) |psi> over a substep
 of length h, cut where its dropped Bessel tail falls below 1e-15, with the
 drive sampled at the substep midpoint, which makes the piecewise constant
 approximation second order in h.  The series runs in H / b, with b a
-Gershgorin bound on the spectral radius of H.  One function,
-:func:`_propagate`, sizes one series per column for a run of substeps,
-from the largest bound over their midpoints, and applies it to each: a
-quench runs one per record interval, and a step called alone
-(:func:`propagate_step`) is a run of one.  A (dim, P) block carries one
-drive per column, so a quench runner propagates P drives that share
-everything else as one block; a single state and a single quench are the
-P = 1 case.  Each term of a series is one product with the operator's ``@``
+Gershgorin bound on the spectral radius of H.  The layer has two entry
+points.  :func:`propagate` sizes one series per column for a run of
+substeps, from the largest bound over their midpoints, and applies it to
+each; a step called alone is a run of one.  :func:`run_block` runs a
+quench as one :func:`propagate` per record interval.  A (dim, P) block
+carries one drive per column, so P drives that share everything else
+propagate as one block; one drive steps the plain state.  Each term of a
+series is one product with ``parts.flip``'s ``@``
 (:class:`scarsim.hamiltonian.SparseOperator`), scipy's compiled CSR kernel
 on a complex copy of the operator made once, and in-place vector updates
 that keep the bits of the plain numpy expressions.  A dense
@@ -33,12 +33,17 @@ from .hilbert import (
     ConstrainedBasis,
     enumerate_blockaded,
     named_state,
+    site_bit_table,
     symmetric_isometry,
 )
 from .lattice import Lattice, PhysicalParams, symmetry_permutations
 from .tables import csv_text, number_cell, read_csv
 
 DENSE_DIM_LIMIT = 1 << 10
+
+# The most steps a quench may take; the longest preset, fig4ab-chain, takes
+# 2,000.  Pulsed maps cap their period count with it too.
+MAX_STEPS = 1 << 24
 
 # A Chebyshev step stops where the dropped Bessel tail falls below this.
 _CHEBYSHEV_TAIL = 1e-15
@@ -66,8 +71,8 @@ class EvolutionConfig:
     field check lives here and names its ``evolution.<field>`` path.
     A total_time that is not a whole multiple of dt, or a record_stride
     that does not divide the step count, would truncate the run, so both
-    are refused.  ``krylov_dim`` is checked but unused: the Chebyshev step
-    sizes itself.
+    are refused; a step count over ``MAX_STEPS`` is a :class:`CapacityError`.
+    ``krylov_dim`` is checked but unused: the Chebyshev step sizes itself.
     """
 
     total_time: float
@@ -90,6 +95,9 @@ class EvolutionConfig:
         if not math.isfinite(ratio):
             raise ConfigError(f"evolution.dt: {self.dt!r} gives a step count "
                               "total_time / dt that overflows")
+        if self.n_steps > MAX_STEPS:
+            raise CapacityError(f"evolution.total_time: {ratio:.6g} steps of dt = "
+                                f"{self.dt} exceed the bound of {MAX_STEPS}")
         if abs(ratio - self.n_steps) > _GRID_RTOL * ratio:
             raise ConfigError("evolution.total_time: must be a whole multiple of "
                               f"dt = {self.dt} (ratio {ratio!r})")
@@ -217,36 +225,24 @@ def substep_count(drive: DriveProfile, dt: float) -> int:
     return int(math.ceil(dt * _STEPS_PER_PERIOD / period))
 
 
-def propagate_step(parts: HamiltonianParts, drive, psi: np.ndarray,
-                   t: float, dt: float) -> np.ndarray:
-    """One step psi -> exp(-i H(t + dt/2) dt) psi, renormalized.
-
-    ``psi`` is one state and ``drive`` one :class:`DriveProfile`, or ``psi``
-    is a (dim, P) block and ``drive`` a sequence of P drives, one per
-    column.  This is the one-substep case of :func:`_propagate`, so every
-    column gets exactly the arithmetic of a single-state step; callers that
-    need finer drive resolution subdivide dt themselves.
-    """
-    drives = (drive,) if isinstance(drive, DriveProfile) else tuple(drive)
-    if (len(drives),) != (psi.shape[1:] or (1,)):
-        raise ConfigError(f"state of shape {psi.shape} but {len(drives)} drives")
-    return _propagate(parts, drives, psi, (t,), dt)
-
-
-def _propagate(parts: HamiltonianParts, drives, psi: np.ndarray, starts,
-               h: float) -> np.ndarray:
+def propagate(parts: HamiltonianParts, drives, psi: np.ndarray, starts,
+              h: float) -> np.ndarray:
     """Advance psi through substeps of length h that start at ``starts``.
 
-    ``drives`` holds one drive per column of psi (one for a single state),
-    and every per-column quantity (detuning, bound, series coefficient,
-    norm) has the shape ``psi.shape[1:]``.  Each substep applies
-    exp(-i H(t + h/2) h) and renormalizes.  All substeps share one
-    Chebyshev series in H / b per column (Tal-Ezer & Kosloff 1984), with b
-    the largest ``parts.spectral_bound`` over the substeps' midpoint
-    detunings, so a single substep gets the series of its own midpoint.
+    ``psi`` is one state and ``drives`` holds one drive, or ``psi`` is a
+    (dim, P) block and ``drives`` holds P drives, one per column; every
+    per-column quantity (detuning, bound, series coefficient, norm) has the
+    shape ``psi.shape[1:]``, and each column gets exactly the arithmetic of
+    a single-state run.  Each substep applies exp(-i H(t + h/2) h) and
+    renormalizes.  All substeps share one Chebyshev series in H / b per
+    column (Tal-Ezer & Kosloff 1984), with b the largest
+    ``parts.spectral_bound`` over the substeps' midpoint detunings, so a
+    single substep gets the series of its own midpoint.
     """
     psi = np.asarray(psi, dtype=complex)
     shape = psi.shape[1:]
+    if (len(drives),) != (shape or (1,)):
+        raise ConfigError(f"state of shape {psi.shape} but {len(drives)} drives")
     deltas = np.array([[detuning_at(d, t + h / 2.0) for d in drives] for t in starts])
     # each diagonal entry of H is monotone in the detuning, also in floating
     # point, so the largest bound over the midpoints is the larger of the
@@ -254,7 +250,6 @@ def _propagate(parts: HamiltonianParts, drives, psi: np.ndarray, starts,
     bound = parts.spectral_bound(np.stack([deltas.min(axis=0), deltas.max(axis=0)]))
     bound = bound.max(axis=0).reshape(shape)
     coef = _chebyshev_coefficients(bound * h)
-    off = parts.offdiagonal()
 
     # T_{k+1}(H/b) psi = 2 (H/b) T_k(H/b) psi - T_{k-1}(H/b) psi, updated
     # in place.  numpy divides by a complex b + 0j by multiplying with its
@@ -272,7 +267,7 @@ def _propagate(parts: HamiltonianParts, drives, psi: np.ndarray, starts,
         diag = parts.diagonal(delta).astype(complex)
         out, prev, cur = c0 * psi, None, psi
         for c in cs:
-            nxt = off @ cur
+            nxt = parts.flip @ cur
             nxt += np.multiply(diag, cur, out=term)
             if prev is None:
                 nxt *= inv
@@ -334,20 +329,18 @@ def build_system(lat: Lattice, model: str, p: PhysicalParams, initial_state: str
     return basis, small, small.iso.project(psi0)
 
 
-def _site_bit_table(basis: ConstrainedBasis) -> np.ndarray:
-    """(dim, n_sites) float matrix of occupation bits, filled one site at a
-    time so that no integer table of the same size is made."""
-    table = np.empty((basis.dim, basis.n_sites))
-    for i in range(basis.n_sites):
-        table[:, i] = (basis.states >> i) & 1
-    return table
+def run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
+              drives, psi0: np.ndarray, cfg: EvolutionConfig, *,
+              entropy_cuts: tuple[tuple[int, ...], ...] = (),
+              record_probs: bool = True) -> list[QuenchResult]:
+    """Evolve psi0 under each of ``drives`` and record observables every
+    ``record_stride`` steps; one result per drive.
 
-
-def run_quench(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
-               drive: DriveProfile, psi0: np.ndarray, cfg: EvolutionConfig, *,
-               entropy_cuts: tuple[tuple[int, ...], ...] = (),
-               record_probs: bool = True) -> QuenchResult:
-    """Evolve psi0 and record observables every ``record_stride`` steps.
+    The drives share everything else (lattice, basis, Hamiltonian, psi0,
+    evolution and observables), and they must share their substep count,
+    so one (dim, P) block is propagated with one column per drive; one
+    drive steps the plain state.  Each column's result equals that drive's
+    own run bit for bit.
 
     Periodic drives are resolved with at least 200 integrator steps per
     modulation period (:func:`substep_count`); when cfg.dt is coarser, each
@@ -359,24 +352,7 @@ def run_quench(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     ``psi0`` must lie too; each snapshot expands the state back to
     ``basis``, so every recorded quantity is a full-basis one.
 
-    This is the one-drive case of :func:`_run_block`.
-    """
-    return _run_block(lat, basis, parts, (drive,), psi0, cfg,
-                      entropy_cuts=entropy_cuts, record_probs=record_probs)[0]
-
-
-def _run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
-               drives, psi0: np.ndarray, cfg: EvolutionConfig, *,
-               entropy_cuts: tuple[tuple[int, ...], ...] = (),
-               record_probs: bool = True) -> list[QuenchResult]:
-    """:func:`run_quench` for P drives at once; one result per drive.
-
-    The drives share everything else (lattice, basis, Hamiltonian, psi0,
-    evolution and observables), and they must share their substep count,
-    so one (dim, P) block is propagated with one column per drive.  Each
-    column's result equals that drive's own :func:`run_quench` bit for bit.
-
-    Each record interval is one :func:`_propagate` over its substeps, so
+    Each record interval is one :func:`propagate` over its substeps, so
     its series is sized once per column, from the largest
     ``parts.spectral_bound`` over the interval's substep midpoints; a
     constant drive thus gets the series of a step called alone.  The
@@ -401,7 +377,7 @@ def _run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     # one drive steps the plain state, several a (dim, P) block
     block = psi if len(drives) == 1 else np.repeat(psi[:, None], len(drives), axis=1)
 
-    bits = _site_bit_table(basis)
+    bits = site_bit_table(basis)
     a_sites = lat.sites_of(0)
     b_sites = lat.sites_of(1)
 
@@ -435,7 +411,7 @@ def _run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
         # k * dt / nsub rounds differently from k * h; the starts keep the former
         starts = [step * cfg.dt + k * cfg.dt / nsub
                   for step in range(first, last) for k in range(nsub)]
-        block = _propagate(parts, drives, block, starts, h)
+        block = propagate(parts, drives, block, starts, h)
         snapshot(last)
 
     return [

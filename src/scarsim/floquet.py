@@ -17,15 +17,17 @@ eigenvectors Q, and every grid point advances together as one column of a
 (dim, P) block: a period is the real GEMM Q^T @ block, a per-column multiply
 by exp(-i tau E), the real GEMM Q @ block and a per-column multiply by the
 kick.  ``apply_period`` is the independent path for a single state, used as
-a reference: one ``evolve.propagate_step`` at zero detuning followed by the
-kick.
+a reference: one ``evolve.propagate`` substep at zero detuning followed by
+the kick.
 
 On a ring the maps propagate in the subspace invariant under translation by
 two sites and inversion (``lattice.symmetry_permutations``), as ring
 quenches do: the start states, the kick and the imbalance are all
 invariant, so the maps are exact there.  This takes the 14-ring from 843 to
 89 states and lets rings up to 20 sites (881 states) under the dense limit;
-the block-size guard counts the propagated dim.
+the block-size guard counts the propagated dim.  A map of more than
+``evolve.MAX_STEPS`` periods, or whose imbalance series would pass the byte
+limit, is refused before its basis is built.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigError
-from .evolve import DENSE_DIM_LIMIT, _site_bit_table, build_system, propagate_step
+from .evolve import DENSE_DIM_LIMIT, MAX_STEPS, build_system, propagate
 from .hamiltonian import DriveProfile, HamiltonianParts
-from .hilbert import ConstrainedBasis
+from .hilbert import ConstrainedBasis, site_bit_table
 from .lattice import Lattice, PhysicalParams, symmetry_permutations
 
 TAU_C = 0.755 * math.tau
@@ -71,7 +73,7 @@ def apply_period(psi: np.ndarray, params: PulsedParams, basis: ConstrainedBasis,
     """
     if len(psi) != basis.dim or parts_pxp.dim != basis.dim:
         raise ConfigError("state, basis, and operator dimensions disagree")
-    out = propagate_step(parts_pxp, DriveProfile.constant(0.0), psi, 0.0, params.tau)
+    out = propagate(parts_pxp, (DriveProfile.constant(0.0),), psi, (0.0,), params.tau)
     return np.exp(-1j * params.theta * parts_pxp.diag_number) * out
 
 
@@ -123,7 +125,7 @@ def _pulsed_grid(lat: Lattice, epsilons, taus, initial_state: str):
     evals, q = np.linalg.eigh(parts.dense(0.0))
     phases = np.exp(-1j * np.outer(evals, np.tile(taus, len(eps))))
     kicks = np.exp(-1j * np.outer(parts.diag_number, np.repeat(math.pi + eps, len(taus))))
-    bits = _site_bit_table(parts.basis)
+    bits = site_bit_table(parts.basis)
     # imbalance = A-site mean minus B-site mean of the site occupations
     weights = bits[:, lat.sites_of(0)].mean(axis=1) - bits[:, lat.sites_of(1)].mean(axis=1)
 
@@ -137,6 +139,14 @@ def _pulsed_grid(lat: Lattice, epsilons, taus, initial_state: str):
     return np.repeat(psi0[:, None], n_points, axis=1), period, psi0, weights
 
 
+def _check_periods(n_periods: int) -> None:
+    """Refuse a map of fewer than one or more than ``MAX_STEPS`` periods."""
+    if n_periods < 1:
+        raise ConfigError(f"n_periods: must be at least 1, got {n_periods!r}")
+    if n_periods > MAX_STEPS:
+        raise CapacityError(f"n_periods: {n_periods} exceeds the bound of {MAX_STEPS}")
+
+
 def revival_fidelity_map(lat: Lattice, epsilons, taus, n_periods: int = 100,
                          initial_state: str = "AF1") -> np.ndarray:
     """Mean return probability after even period counts over an (eps, tau) grid
@@ -146,8 +156,7 @@ def revival_fidelity_map(lat: Lattice, epsilons, taus, n_periods: int = 100,
     of the initial state with itself after 2n driving periods at
     theta = pi + epsilons[i], tau = taus[j].
     """
-    if n_periods < 1:
-        raise ConfigError(f"n_periods: must be at least 1, got {n_periods!r}")
+    _check_periods(n_periods)
     block, period, psi0, _ = _pulsed_grid(lat, epsilons, taus, initial_state)
     acc = np.zeros(block.shape[1])
     for _ in range(n_periods):
@@ -167,8 +176,11 @@ def pulsed_subharmonic_map(lat: Lattice, epsilons, taus, n_periods: int = 400,
     """
     from .analysis import fourier_spectrum, weight_at
 
-    if n_periods < 1:
-        raise ConfigError(f"n_periods: must be at least 1, got {n_periods!r}")
+    _check_periods(n_periods)
+    if 8 * len(epsilons) * len(taus) * (n_periods + 1) > _BLOCK_BYTES_LIMIT:
+        raise CapacityError(
+            f"a {len(epsilons)}x{len(taus)} map of {n_periods} periods needs more "
+            f"than {_BLOCK_BYTES_LIMIT >> 30} GiB of imbalance series")
     block, period, _, weights = _pulsed_grid(lat, epsilons, taus, initial_state)
     series = np.empty((block.shape[1], n_periods + 1))
     series[:, 0] = weights @ (np.abs(block) ** 2)
@@ -188,7 +200,7 @@ def excitation_zz_affine_defect(lat: Lattice, basis: ConstrainedBasis) -> float:
     exactly 0 in that case.
     """
     n_op = np.bitwise_count(basis.states).astype(float)
-    z = 2.0 * _site_bit_table(basis) - 1.0
+    z = 2.0 * site_bit_table(basis) - 1.0
     zz = (z[:, lat.nn_pairs[:, 0]] * z[:, lat.nn_pairs[:, 1]]).sum(axis=1)
     design = np.column_stack([zz, np.ones(basis.dim)])
     coef, *_ = np.linalg.lstsq(design, n_op, rcond=None)

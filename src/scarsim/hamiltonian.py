@@ -206,11 +206,6 @@ class HamiltonianParts:
         sums[nonempty] = np.add.reduceat(np.abs(op.data), op.indptr[nonempty])
         return sums
 
-    def offdiagonal(self) -> SparseOperator:
-        """All non-drive sparse content, ``flip``; its ``@`` is the step's
-        sparse product."""
-        return self.flip
-
     def diagonal(self, delta) -> np.ndarray:
         """Diagonal of H at detuning delta; an array of P detunings gives a
         (dim, P) block, one column per detuning."""

@@ -122,6 +122,15 @@ def enumerate_blockaded(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> Constra
     return ConstrainedBasis(n_sites=n, states=states, nn_masks=masks)
 
 
+def site_bit_table(basis: ConstrainedBasis) -> np.ndarray:
+    """(dim, n_sites) float matrix of occupation bits, filled one site at a
+    time so that no integer table of the same size is made."""
+    table = np.empty((basis.dim, basis.n_sites))
+    for i in range(basis.n_sites):
+        table[:, i] = (basis.states >> i) & 1
+    return table
+
+
 def sublattice_mask(lat: Lattice, label: int) -> int:
     return sum(1 << i for i in lat.sites_of(label).tolist())
 

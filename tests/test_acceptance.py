@@ -25,9 +25,9 @@ from scarsim.evolve import (
     build_system,
     dense_propagator,
     entanglement_entropy,
-    propagate_step,
+    propagate,
     reduced_density_matrix,
-    run_quench,
+    run_block,
 )
 from scarsim.floquet import (
     TAU_C,
@@ -77,8 +77,8 @@ def af1_quench(lat, basis, parts, drive, total_time, record_stride=2,
         psi0 = unit_state(basis, canonical_states(lat)[0])
     cfg = EvolutionConfig(total_time=total_time, dt=dt,
                           record_stride=record_stride)
-    return run_quench(lat, basis, parts, drive, psi0, cfg,
-                      entropy_cuts=entropy_cuts, record_probs=record_probs)
+    return run_block(lat, basis, parts, [drive], psi0, cfg,
+                     entropy_cuts=entropy_cuts, record_probs=record_probs)[0]
 
 
 def fib(n):
@@ -162,7 +162,7 @@ def test_criterion_04_krylov_vs_dense_oracle():
         dt, steps = 0.002, 2500
         psi = psi0.copy()
         for k in range(steps):
-            psi = propagate_step(parts, drive, psi, k * dt, dt)
+            psi = propagate(parts, (drive,), psi, (k * dt,), dt)
         ref = dense_propagator(parts, drive.delta0, steps * dt) @ psi0
         worst_const = max(worst_const, float(np.abs(psi - ref).max()))
         worst_norm = max(worst_norm, abs(float(np.linalg.norm(psi)) - 1.0))
@@ -171,7 +171,7 @@ def test_criterion_04_krylov_vs_dense_oracle():
         psi, ref = psi0.copy(), psi0.copy()
         for k in range(400):
             t = k * 0.001
-            psi = propagate_step(parts, drive, psi, t, 0.001)
+            psi = propagate(parts, (drive,), psi, (t,), 0.001)
             ref = dense_propagator(parts, detuning_at(drive, t + 0.0005), 0.001) @ ref
         worst_cos = max(worst_cos, float(np.abs(psi - ref).max()))
     assert worst_const < 1e-8 and worst_cos < 1e-8
@@ -250,8 +250,8 @@ def _driven_nine_chain_spectrum(wm_over_omega, initial="AF1", total_time=4.0):
     af1, af2, ggg = canonical_states(lat)
     start = {"AF1": af1, "AF2": af2, "GGG": ggg}[initial]
     cfg = EvolutionConfig(total_time=total_time, dt=0.002, record_stride=2)
-    res = run_quench(lat, basis, parts, drive, unit_state(basis, start), cfg,
-                     record_probs=False)
+    res = run_block(lat, basis, parts, [drive], unit_state(basis, start), cfg,
+                    record_probs=False)[0]
     spec = fourier_spectrum(imbalance(res), res.times, calibration_omega=wm / 2)
     return res, spec, wm
 

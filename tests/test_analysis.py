@@ -479,7 +479,7 @@ class TestSweepProtocols:
     """Simulation-backed checks of the decay-model pipeline on 9-site chains."""
 
     def test_blockade_violation_sweep_slope(self):
-        from scarsim.evolve import EvolutionConfig, run_quench
+        from scarsim.evolve import EvolutionConfig, run_block
         from scarsim.hamiltonian import DriveProfile, build_rydberg
         from scarsim.hilbert import enumerate_blockaded
         from scarsim.lattice import (
@@ -498,9 +498,9 @@ class TestSweepProtocols:
             psi0 = np.zeros(basis.dim, dtype=complex)
             psi0[basis.index_of(sum(1 << i for i in range(0, 9, 2)))] = 1
             cfg = EvolutionConfig(total_time=3.0, dt=0.002, record_stride=1)
-            res = run_quench(lat, basis, parts,
-                             DriveProfile.constant(optimal_detuning(lat, p)),
-                             psi0, cfg, record_probs=False)
+            res = run_block(lat, basis, parts,
+                            [DriveProfile.constant(optimal_detuning(lat, p))],
+                            psi0, cfg, record_probs=False)[0]
             fit = fit_damped_cosine(imbalance(res), res.times)
             assert fit.converged
             x, _ = decay_predictors(lat, p)
@@ -544,7 +544,7 @@ class TestMicrostateMatrix:
     def test_class_sums_match_per_class_sums_bitwise(self, chain9, chain9_states):
         """On the driven 9-chain, class_sums gives each class the bits of its
         members' probabilities summed per class."""
-        from scarsim.evolve import EvolutionConfig, run_quench
+        from scarsim.evolve import EvolutionConfig, run_block
         from scarsim.hamiltonian import DriveProfile, build_rydberg
         from scarsim.hilbert import reflection_grouping
         from scarsim.lattice import PhysicalParams
@@ -557,8 +557,8 @@ class TestMicrostateMatrix:
         psi0 = np.zeros(basis.dim, dtype=complex)
         psi0[basis.index_of(af1)] = 1
         drive = DriveProfile.cosine(0.55 * p.omega, 0.55 * p.omega, 1.15 * p.omega)
-        res = run_quench(lat, basis, parts, drive, psi0,
-                         EvolutionConfig(total_time=0.2, dt=0.002, record_stride=10))
+        res = run_block(lat, basis, parts, [drive], psi0,
+                        EvolutionConfig(total_time=0.2, dt=0.002, record_stride=10))[0]
         want = np.column_stack([
             res.probs[:, np.flatnonzero(ordering.labels == k)].sum(axis=1)
             for k in range(ordering.n_classes)])
@@ -570,7 +570,7 @@ class TestMicrostateMatrix:
             self, chain9, chain9_states):
         """Stroboscopic snapshots of the driven chain keep most weight on the
         classes closest to the fully ordered state, unlike the bare quench."""
-        from scarsim.evolve import EvolutionConfig, run_quench
+        from scarsim.evolve import EvolutionConfig, run_block
         from scarsim.hamiltonian import DriveProfile, build_rydberg
         from scarsim.hilbert import reflection_grouping
         from scarsim.lattice import PhysicalParams
@@ -587,7 +587,7 @@ class TestMicrostateMatrix:
         cfg = EvolutionConfig(total_time=10 * period, dt=period / 250, record_stride=250)
 
         def stroboscopic_weight(drive):
-            res = run_quench(lat, basis, parts, drive, psi0, cfg)
+            res = run_block(lat, basis, parts, [drive], psi0, cfg)[0]
             m = microstate_matrix(res, ordering)
             high = np.array([k[0] >= 3 for k in ordering.keys])
             even_late = (np.arange(len(res.times)) % 2 == 0) & (res.times >= 0.5)

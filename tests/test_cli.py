@@ -840,6 +840,20 @@ class TestFailedRunManifest:
         assert manifest["status"] == "error"
         assert manifest["error"].startswith("CapacityError: constrained basis of 49 sites")
 
+    def test_step_count_over_the_bound_exits_3(self, tmp_path, capsys):
+        """5e302 steps pass every grid check but are refused at parse time,
+        before the quench steps."""
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["evolution"].update(total_time=1e300, dt=0.002)
+        out = tmp_path / "o"
+        assert main(["quench", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 3
+        assert "evolution.total_time" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"].startswith("CapacityError: evolution.total_time: ")
+
     def test_unexpected_error_manifest(self, tmp_path, monkeypatch):
         """Any exception, not only a ScarsimError, replaces an earlier run's
         manifest and still propagates, so the process exits 1 with its
@@ -1327,6 +1341,19 @@ class TestFloquetCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["floquet", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
 
+    def test_period_count_over_the_bound_exits_3(self, tmp_path):
+        """Refused before the series of 10**13 periods is allocated."""
+        doc = {"floquet": {"l": 10, "boundary": "periodic", "map": "subharmonic",
+                           "epsilons": [0.0], "taus_over_2pi": [0.5],
+                           "n_periods": 10**13}}
+        out = tmp_path / "x"
+        assert main(["floquet", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 3
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"].startswith("CapacityError: n_periods: 10000000000000")
+
 
 def _assert_manifest_lists_every_file(out):
     manifest = json.loads((out / "manifest.json").read_text())
@@ -1401,7 +1428,7 @@ class TestFullBasisOperatorFreed:
         import scarsim.hamiltonian as hamiltonian
 
         built, steps = [], []
-        build, propagate = hamiltonian.build_pxp, evolve._propagate
+        build, propagate = hamiltonian.build_pxp, evolve.propagate
 
         def spy_build(*args):
             parts = build(*args)
@@ -1413,7 +1440,7 @@ class TestFullBasisOperatorFreed:
             return propagate(parts, *args)
 
         monkeypatch.setattr(hamiltonian, "build_pxp", spy_build)
-        monkeypatch.setattr(evolve, "_propagate", spy_propagate)
+        monkeypatch.setattr(evolve, "propagate", spy_propagate)
         return built, steps
 
     def test_quench(self, tmp_path, watch):

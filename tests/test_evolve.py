@@ -9,15 +9,16 @@ import scarsim.evolve
 import scarsim.hamiltonian
 from scarsim.errors import CapacityError, ConfigError, NumericalError
 from scarsim.evolve import (
+    MAX_STEPS,
     EvolutionConfig,
     build_system,
     dense_propagator,
     entanglement_entropy,
-    propagate_step,
+    propagate,
     quench_from_csv,
     quench_to_csv,
     reduced_density_matrix,
-    run_quench,
+    run_block,
     symmetric_restriction,
 )
 from scarsim.hamiltonian import (
@@ -32,6 +33,7 @@ from scarsim.hilbert import (
     canonical_states,
     enumerate_blockaded,
     named_state,
+    site_bit_table,
     symmetric_isometry,
 )
 from scarsim.lattice import (
@@ -67,7 +69,7 @@ class TestPropagateStep:
         basis = enumerate_blockaded(lat)
         parts = build_pxp(lat, basis, PhysicalParams(omega=1e-300, v0=1.0))
         psi = random_state(basis.dim, 0)
-        out = propagate_step(parts, DriveProfile.constant(0.0), psi, 0.0, 0.01)
+        out = propagate(parts, (DriveProfile.constant(0.0),), psi, (0.0,), 0.01)
         assert np.allclose(out, psi, atol=1e-12)
 
     def test_diagonal_phases_exact(self, p):
@@ -77,7 +79,7 @@ class TestPropagateStep:
         psi = random_state(basis.dim, 1)
         delta = 0.4 * p.omega
         dt = 0.02
-        out = propagate_step(parts, DriveProfile.constant(delta), psi, 0.0, dt)
+        out = propagate(parts, (DriveProfile.constant(delta),), psi, (0.0,), dt)
         expect = psi * np.exp(-1j * parts.diagonal(delta) * dt)
         assert np.abs(out - expect).max() < 1e-12
 
@@ -88,7 +90,7 @@ class TestPropagateStep:
         dt, steps = 0.002, 400
         out = psi.copy()
         for k in range(steps):
-            out = propagate_step(parts, drive, out, k * dt, dt)
+            out = propagate(parts, (drive,), out, (k * dt,), dt)
         ref = dense_propagator(parts, drive.delta0, steps * dt) @ psi
         assert np.abs(out - ref).max() < 1e-8
 
@@ -100,7 +102,7 @@ class TestPropagateStep:
         out, ref = psi.copy(), psi.copy()
         for k in range(300):
             t = k * dt
-            out = propagate_step(parts, drive, out, t, dt)
+            out = propagate(parts, (drive,), out, (t,), dt)
             ref = dense_propagator(parts, detuning_at(drive, t + dt / 2), dt) @ ref
         assert np.abs(out - ref).max() < 1e-8
 
@@ -113,7 +115,7 @@ class TestPropagateStep:
             n = int(round(0.2 / dt))
             psi = psi0.copy()
             for k in range(n):
-                psi = propagate_step(parts, drive, psi, k * dt, dt)
+                psi = propagate(parts, (drive,), psi, (k * dt,), dt)
             return psi
 
         r1 = np.linalg.norm(final(0.004) - final(0.002))
@@ -127,9 +129,9 @@ class TestPropagateStep:
         dt, n = 0.002, 500
         psi = psi0.copy()
         for k in range(n):
-            psi = propagate_step(parts, drive, psi, k * dt, dt)
+            psi = propagate(parts, (drive,), psi, (k * dt,), dt)
         for k in reversed(range(n)):
-            psi = propagate_step(parts, drive, psi, (k + 1) * dt, -dt)
+            psi = propagate(parts, (drive,), psi, ((k + 1) * dt,), -dt)
         assert np.linalg.norm(psi - psi0) < 1e-7
 
     def test_breakdown_early_termination(self, system8):
@@ -138,7 +140,7 @@ class TestPropagateStep:
         h = parts.dense(0.0)
         evals, vecs = np.linalg.eigh(h)
         psi = vecs[:, 0].astype(complex)
-        out = propagate_step(parts, DriveProfile.constant(0.0), psi, 0.0, 0.01)
+        out = propagate(parts, (DriveProfile.constant(0.0),), psi, (0.0,), 0.01)
         expect = psi * np.exp(-1j * evals[0] * 0.01)
         assert np.abs(out - expect).max() < 1e-10
 
@@ -157,7 +159,7 @@ class TestChebyshevStep:
         delta = 0.4 * p.omega
         dt = bdt / parts.spectral_bound(delta)
         psi = random_state(basis.dim, 7)
-        out = propagate_step(parts, DriveProfile.constant(delta), psi, 0.0, dt)
+        out = propagate(parts, (DriveProfile.constant(delta),), psi, (0.0,), dt)
         ref = dense_propagator(parts, delta, dt) @ psi
         assert np.abs(out - ref).max() < 1e-12
 
@@ -167,7 +169,7 @@ class TestChebyshevStep:
         evals, vecs = np.linalg.eigh(parts.dense(0.0))
         psi = vecs[:, 3].astype(complex)
         dt = bdt / parts.spectral_bound(0.0)
-        out = propagate_step(parts, DriveProfile.constant(0.0), psi, 0.0, dt)
+        out = propagate(parts, (DriveProfile.constant(0.0),), psi, (0.0,), dt)
         assert np.abs(out - psi * np.exp(-1j * evals[3] * dt)).max() < 1e-12
 
     @pytest.mark.parametrize("x", [0.0, 1e-300, 1e-3, 0.25, 7.0, 60.0, -60.0, 3000.0])
@@ -215,11 +217,11 @@ class TestChebyshevStep:
         drive = DriveProfile.cosine(0.55 * p.omega, 0.55 * p.omega, 1.2 * p.omega)
         psi0 = named_state(lat, basis, "AF1")
         texts = [
-            quench_to_csv(run_quench(
-                lat, basis, parts, drive, psi0,
+            quench_to_csv(run_block(
+                lat, basis, parts, [drive], psi0,
                 EvolutionConfig(total_time=0.1, dt=0.002, record_stride=5,
                                 krylov_dim=m),
-                entropy_cuts=((0, 1, 2, 3),), record_probs=False))
+                entropy_cuts=((0, 1, 2, 3),), record_probs=False)[0])
             for m in (4, 16)
         ]
         assert texts[0] == texts[1]
@@ -286,20 +288,20 @@ class TestBlockStep:
                   DriveProfile.constant(-0.4 * p.omega)]
         block = np.column_stack([random_state(basis.dim, s) for s in range(3)])
         for dt in (0.0007, 0.05):
-            out = propagate_step(parts, drives, block, 0.013, dt)
+            out = propagate(parts, drives, block, (0.013,), dt)
             for j, drive in enumerate(drives):
-                one = propagate_step(parts, drive, block[:, j].copy(), 0.013, dt)
+                one = propagate(parts, (drive,), block[:, j].copy(), (0.013,), dt)
                 assert np.array_equal(_bits(out[:, j]), _bits(one))
 
     def test_block_step_checks_the_drive_count(self, p, system8):
         _, basis, parts = system8
         block = np.column_stack([random_state(basis.dim, s) for s in range(2)])
         with pytest.raises(ConfigError):
-            propagate_step(parts, [DriveProfile.constant(0.0)], block, 0.0, 0.01)
+            propagate(parts, [DriveProfile.constant(0.0)], block, (0.0,), 0.01)
 
 
 def _plain_steps(parts, drives, psi, starts, dt):
-    """_propagate written with plain numpy and scipy expressions: the bound
+    """propagate written with plain numpy and scipy expressions: the bound
     is the largest of the midpoints' own bounds, and each substep uses
     scipy's ``@`` on the float64 CSR matrix, complex division by b and then
     by b / 2, and one np.linalg.norm per column."""
@@ -307,7 +309,7 @@ def _plain_steps(parts, drives, psi, starts, dt):
               .reshape(psi.shape[1:]) for t in starts]
     bound = np.max([parts.spectral_bound(delta) for delta in deltas], axis=0)
     coef = scarsim.evolve._chebyshev_coefficients(bound * dt)
-    off = parts.offdiagonal().matrix
+    off = parts.flip.matrix
     bound, half = np.asarray(bound, dtype=complex), np.asarray(bound / 2.0, dtype=complex)
     for delta in deltas:
         diag = parts.diagonal(delta).astype(complex)
@@ -328,7 +330,7 @@ def _plain_steps(parts, drives, psi, starts, dt):
 
 
 class TestStepKeepsPlainArithmetic:
-    """propagate_step and _propagate's cached-kernel products, reciprocal
+    """propagate's cached-kernel products, reciprocal
     scalings, shared buffer and in-place norms give the bits of the plain
     expressions, for lone steps and for runs of substeps that share one
     series."""
@@ -346,31 +348,26 @@ class TestStepKeepsPlainArithmetic:
         psi[basis.index_of(0)] = 0.0    # exact zeros keep their signs too
         psi /= np.linalg.norm(psi, axis=0)
         if width == 1:
-            drives, psi = drives[0], psi[:, 0].copy()
-        listed = [drives] if width == 1 else drives
+            psi = psi[:, 0].copy()
         # sized: runs of 8 substeps, each sharing the series of its largest bound
         run = 8 if sized else 1
         for k in range(0, 40, run):
             starts = [j * 0.002 + 0.0007 for j in range(k, k + run)]
-            want = _plain_steps(parts, listed, psi, starts, 0.002)
-            if sized:
-                psi = scarsim.evolve._propagate(parts, listed, psi, starts, 0.002)
-            else:
-                psi = propagate_step(parts, drives, psi, starts[0], 0.002)
+            want = _plain_steps(parts, drives, psi, starts, 0.002)
+            psi = propagate(parts, drives, psi, starts, 0.002)
             assert np.array_equal(_bits(psi), _bits(want))
 
 
 class TestBlockRunner:
-    """Each column of a block quench equals that drive's own run_quench."""
+    """Each column of a block quench equals that drive's own run."""
 
     def _check(self, lat, basis, parts, drives, cfg, cuts=(), psi0=None):
         if psi0 is None:
             psi0 = named_state(lat, basis, "AF1")
-        block = scarsim.evolve._run_block(lat, basis, parts, drives, psi0, cfg,
-                                          entropy_cuts=cuts)
+        block = run_block(lat, basis, parts, drives, psi0, cfg, entropy_cuts=cuts)
         assert len(block) == len(drives)
         for res, drive in zip(block, drives):
-            one = run_quench(lat, basis, parts, drive, psi0, cfg, entropy_cuts=cuts)
+            one = run_block(lat, basis, parts, [drive], psi0, cfg, entropy_cuts=cuts)[0]
             assert quench_to_csv(res) == quench_to_csv(one)
             assert np.array_equal(res.probs, one.probs)
 
@@ -400,11 +397,11 @@ class TestBlockRunner:
         assert set(step_dims) == {47}
         # a full-basis state, or a basis the isometry does not map into
         with pytest.raises(ConfigError, match="dimensions disagree"):
-            run_quench(lat, basis, parts, drives[0], named_state(lat, basis, "AF1"),
-                       cfg)
+            run_block(lat, basis, parts, [drives[0]], named_state(lat, basis, "AF1"),
+                      cfg)
         with pytest.raises(ConfigError, match="dimensions disagree"):
-            run_quench(lat, enumerate_blockaded(build_lattice("chain", 12)), parts,
-                       drives[0], psi0, cfg)
+            run_block(lat, enumerate_blockaded(build_lattice("chain", 12)), parts,
+                      [drives[0]], psi0, cfg)
 
     def test_refuses_unequal_substep_counts(self, p, chain9):
         lat, basis = chain9
@@ -415,8 +412,7 @@ class TestBlockRunner:
         counts = [scarsim.evolve.substep_count(d, cfg.dt) for d in drives]
         assert counts[0] != counts[1]
         with pytest.raises(ConfigError, match="substep"):
-            scarsim.evolve._run_block(lat, basis, parts, drives,
-                                      named_state(lat, basis, "AF1"), cfg)
+            run_block(lat, basis, parts, drives, named_state(lat, basis, "AF1"), cfg)
 
     def test_substep_rule(self, p):
         dt = 0.002
@@ -431,13 +427,13 @@ class TestBlockRunner:
 @pytest.fixture
 def sizing_log(monkeypatch):
     """Calls of the series sizing (coefficients and bounds) a run makes, the
-    bounds those calls return, and each _propagate call as
+    bounds those calls return, and each propagate call as
     (starts, h, psi in, psi out)."""
     calls = {"coef": 0, "bound": 0}
     bounds, runs = [], []
     coef = scarsim.evolve._chebyshev_coefficients
     bound = scarsim.hamiltonian.HamiltonianParts.spectral_bound
-    propagate = scarsim.evolve._propagate
+    propagate = scarsim.evolve.propagate
 
     def spy_coef(x):
         calls["coef"] += 1
@@ -455,7 +451,7 @@ def sizing_log(monkeypatch):
 
     monkeypatch.setattr(scarsim.evolve, "_chebyshev_coefficients", spy_coef)
     monkeypatch.setattr(scarsim.hamiltonian.HamiltonianParts, "spectral_bound", spy_bound)
-    monkeypatch.setattr(scarsim.evolve, "_propagate", spy_propagate)
+    monkeypatch.setattr(scarsim.evolve, "propagate", spy_propagate)
     return calls, bounds, runs
 
 
@@ -471,8 +467,7 @@ class TestIntervalSeries:
         # 12 steps of 3 substeps; strides of 3 make 4 intervals of 9 substeps
         cfg = EvolutionConfig(total_time=0.024, dt=0.002, record_stride=3)
         assert {scarsim.evolve.substep_count(d, cfg.dt) for d in drives} == {3}
-        scarsim.evolve._run_block(lat, basis, parts, drives,
-                                  named_state(lat, basis, "AF1"), cfg)
+        run_block(lat, basis, parts, drives, named_state(lat, basis, "AF1"), cfg)
         calls, _, runs = sizing_log
         assert calls == {"coef": 4, "bound": 4}
         assert [len(starts) for starts, *_ in runs] == [9] * 4
@@ -483,14 +478,14 @@ class TestIntervalSeries:
         drive = DriveProfile.constant(0.4 * p.omega)
         psi = named_state(lat, basis, "AF1").astype(complex)
         cfg = EvolutionConfig(total_time=0.048, dt=0.002, record_stride=4)
-        res = run_quench(lat, basis, parts, drive, psi, cfg)
+        res = run_block(lat, basis, parts, [drive], psi, cfg)[0]
         _, _, runs = sizing_log
         intervals = list(runs)
         assert [len(starts) for starts, *_ in intervals] == [4] * 6
         # each interval equals lone steps, which size their own series
         for starts, dt, _, out in intervals:
             for t in starts:
-                psi = propagate_step(parts, drive, psi, t, dt)
+                psi = propagate(parts, (drive,), psi, (t,), dt)
             assert np.array_equal(_bits(psi), _bits(out))
         assert np.array_equal(res.probs[-1], np.abs(psi) ** 2)
 
@@ -505,8 +500,8 @@ class TestIntervalSeries:
         drive = getattr(DriveProfile, shape)(0.55 * p.omega, 0.55 * p.omega,
                                              1.1 * p.omega)
         cfg = EvolutionConfig(total_time=0.3, dt=0.002, record_stride=5)
-        run_quench(lat, basis, parts, drive, named_state(lat, basis, "AF1"), cfg,
-                   record_probs=False)
+        run_block(lat, basis, parts, [drive], named_state(lat, basis, "AF1"), cfg,
+                  record_probs=False)
         _, bounds, runs = sizing_log
         bounds, runs = list(bounds), list(runs)
         assert len(bounds) == len(runs) == 30
@@ -556,7 +551,7 @@ class TestRunQuench:
         psi0 = np.zeros(basis.dim, dtype=complex)
         psi0[basis.index_of(af1)] = 1
         cfg = EvolutionConfig(total_time=0.5, dt=0.002, record_stride=5)
-        res = run_quench(lat, basis, parts, DriveProfile.constant(0.0), psi0, cfg)
+        res = run_block(lat, basis, parts, [DriveProfile.constant(0.0)], psi0, cfg)[0]
         assert np.allclose(res.probs.sum(axis=1), 1.0, atol=1e-9)
         stride_t = cfg.dt * cfg.record_stride
         assert np.allclose(res.times, np.arange(len(res.times)) * stride_t)
@@ -564,11 +559,11 @@ class TestRunQuench:
     def test_energy_conservation_constant_drive(self, p, system8):
         _, basis, parts = system8
         drive = DriveProfile.constant(0.3 * p.omega)
-        off, diag = parts.offdiagonal(), parts.diagonal(drive.delta0)
+        off, diag = parts.flip, parts.diagonal(drive.delta0)
         psi = random_state(basis.dim, 6)
         e0 = np.vdot(psi, off @ psi + diag * psi).real
         for k in range(1000):
-            psi = propagate_step(parts, drive, psi, k * 0.002, 0.002)
+            psi = propagate(parts, (drive,), psi, (k * 0.002,), 0.002)
         e1 = np.vdot(psi, off @ psi + diag * psi).real
         assert abs(e1 - e0) / abs(e0) < 1e-6
 
@@ -580,8 +575,8 @@ class TestRunQuench:
         psi0 = np.zeros(basis.dim, dtype=complex)
         psi0[basis.index_of(0)] = 1
         cfg = EvolutionConfig(total_time=0.4, dt=0.002, record_stride=10)
-        res = run_quench(lat, basis, parts, DriveProfile.constant(0.0), psi0, cfg,
-                         record_probs=False)
+        res = run_block(lat, basis, parts, [DriveProfile.constant(0.0)], psi0, cfg,
+                        record_probs=False)[0]
         assert np.abs(res.n_a - res.n_b).max() < 1e-9
 
     def test_scar_revival_frequency_band(self, p, chain9, chain9_states):
@@ -594,8 +589,8 @@ class TestRunQuench:
         psi0[basis.index_of(af1)] = 1
         dq = optimal_detuning(lat, p)
         cfg = EvolutionConfig(total_time=1.5, dt=0.002, record_stride=1)
-        res = run_quench(lat, basis, parts, DriveProfile.constant(dq), psi0, cfg,
-                         record_probs=False)
+        res = run_block(lat, basis, parts, [DriveProfile.constant(dq)], psi0, cfg,
+                        record_probs=False)[0]
         fit = fit_damped_cosine(imbalance(res), res.times)
         assert fit.converged
         assert 0.55 <= fit.omega_tilde / p.omega <= 0.75
@@ -609,13 +604,13 @@ class TestRunQuench:
         psi0 = np.zeros(basis.dim, dtype=complex)
         psi0[basis.index_of(0)] = 1
         cfg = EvolutionConfig(total_time=0.1, dt=0.005, record_stride=4)
-        res = run_quench(lat, basis, parts, drive, psi0, cfg, record_probs=False)
+        res = run_block(lat, basis, parts, [drive], psi0, cfg, record_probs=False)[0]
         # reference with a fine explicit grid
         fine = psi0.copy()
         n = 2000
         dt = 0.1 / n
         for k in range(n):
-            fine = propagate_step(parts, drive, fine, k * dt, dt)
+            fine = propagate(parts, (drive,), fine, (k * dt,), dt)
         pops = np.abs(fine) ** 2
         shifts = np.arange(6)
         site = pops @ ((basis.states[:, None] >> shifts) & 1).astype(float)
@@ -625,8 +620,8 @@ class TestRunQuench:
         lat, basis, parts = system8
         cfg = EvolutionConfig(total_time=0.1)
         with pytest.raises(ConfigError):
-            run_quench(lat, basis, parts, DriveProfile.constant(0.0),
-                       np.ones(basis.dim, dtype=complex), cfg)
+            run_block(lat, basis, parts, [DriveProfile.constant(0.0)],
+                      np.ones(basis.dim, dtype=complex), cfg)
         with pytest.raises(ConfigError):
             EvolutionConfig(total_time=1.0, dt=-0.1)
         with pytest.raises(ConfigError):
@@ -640,6 +635,11 @@ class TestRunQuench:
         for total_time, dt in ((1e300, 1e-10), (1.0, 1e-320)):
             with pytest.raises(ConfigError, match="evolution.dt: .* overflows"):
                 EvolutionConfig(total_time=total_time, dt=dt)
+        # a finite step count over the bound, refused before the run steps
+        for total_time in (1e300, (MAX_STEPS + 1) * 0.5):
+            with pytest.raises(CapacityError, match="evolution.total_time: .* bound"):
+                EvolutionConfig(total_time=total_time, dt=0.5)
+        assert EvolutionConfig(total_time=MAX_STEPS * 0.5, dt=0.5).n_steps == MAX_STEPS
         assert EvolutionConfig(total_time=0.7, dt=0.002, record_stride=5).n_steps == 350
 
 
@@ -736,15 +736,15 @@ class TestReducedDensityMatrix:
 
 @pytest.fixture
 def step_dims(monkeypatch):
-    """Dimension of the operator each _propagate call of run_quench gets."""
+    """Dimension of the operator each propagate call of run_block gets."""
     dims = []
-    propagate = scarsim.evolve._propagate
+    propagate = scarsim.evolve.propagate
 
     def spy(parts, *args):
         dims.append(parts.dim)
         return propagate(parts, *args)
 
-    monkeypatch.setattr(scarsim.evolve, "_propagate", spy)
+    monkeypatch.setattr(scarsim.evolve, "propagate", spy)
     return dims
 
 
@@ -869,8 +869,8 @@ class TestRingSymmetricSubspace:
                 lat, model.__name__.removeprefix("build_"), p, name)
             assert np.array_equal(sys_basis.states, basis.states)
             step_dims.clear()
-            res = run_quench(lat, sys_basis, small, drive, psi0, cfg,
-                             entropy_cuts=(half,))
+            res = run_block(lat, sys_basis, small, [drive], psi0, cfg,
+                            entropy_cuts=(half,))[0]
             # one propagation per record interval
             assert set(step_dims) == {47} and len(step_dims) == 5
             states = [s[:, col] for s in ref]
@@ -885,7 +885,7 @@ class TestRingSymmetricSubspace:
             psi, h = psi0, cfg.dt / nsub
             for step in range(int(round(cfg.total_time / cfg.dt))):
                 for k in range(nsub):
-                    psi = propagate_step(small, drive, psi, step * cfg.dt + k * h, h)
+                    psi = propagate(small, (drive,), psi, (step * cfg.dt + k * h,), h)
             assert np.abs(small.iso.expand(psi) - states[-1]).max() < 1e-10
 
     def test_random_state_runs_unreduced(self, p, step_dims):
@@ -901,7 +901,7 @@ class TestRingSymmetricSubspace:
                                      parts, named_state(lat, basis, "AF1")) is None
         drive = DriveProfile.cosine(0.5 * p.omega, p.omega, 1.33 * p.omega)
         cfg = EvolutionConfig(total_time=0.01, dt=0.002)
-        run_quench(lat, basis, parts, drive, psi0, cfg, entropy_cuts=((0, 1, 2),))
+        run_block(lat, basis, parts, [drive], psi0, cfg, entropy_cuts=((0, 1, 2),))
         assert set(step_dims) == {basis.dim}
 
     def test_open_chain_is_never_reduced(self, p, step_dims):
@@ -909,8 +909,8 @@ class TestRingSymmetricSubspace:
         basis, parts, psi0 = build_system(lat, "pxp", p, "AF1")
         assert parts.iso is None and parts.dim == basis.dim
         assert np.array_equal(psi0, named_state(lat, basis, "AF1"))
-        run_quench(lat, basis, parts, DriveProfile.constant(0.0), psi0,
-                   EvolutionConfig(total_time=0.01, dt=0.002))
+        run_block(lat, basis, parts, [DriveProfile.constant(0.0)], psi0,
+                  EvolutionConfig(total_time=0.01, dt=0.002))
         assert set(step_dims) == {basis.dim}
 
 
@@ -922,8 +922,8 @@ class TestQuenchCsv:
         psi0 = np.zeros(basis.dim, dtype=complex)
         psi0[basis.index_of(af1)] = 1
         cfg = EvolutionConfig(total_time=0.2, dt=0.002, record_stride=5)
-        res = run_quench(lat, basis, parts, DriveProfile.constant(0.1), psi0, cfg,
-                         entropy_cuts=((0, 1, 2, 3),), record_probs=False)
+        res = run_block(lat, basis, parts, [DriveProfile.constant(0.1)], psi0, cfg,
+                        entropy_cuts=((0, 1, 2, 3),), record_probs=False)[0]
         back = quench_from_csv(quench_to_csv(res))
         assert np.array_equal(back.times, res.times)
         assert np.array_equal(back.site_pops, res.site_pops)
@@ -969,7 +969,7 @@ class TestSetupMemory:
 
     def test_site_bit_table(self, ring22):
         _, basis, _ = ring22
-        table, peak = _traced_peak(scarsim.evolve._site_bit_table, basis)
+        table, peak = _traced_peak(site_bit_table, basis)
         assert table.shape == (39_603, 22)
         assert np.array_equal(table, ((basis.states[:, None] >> np.arange(22)) & 1))
         assert peak <= 9 * table.size

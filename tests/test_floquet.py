@@ -5,6 +5,7 @@ import pytest
 
 from scarsim.analysis import fourier_spectrum, weight_at
 from scarsim.errors import CapacityError, ConfigError
+from scarsim.evolve import MAX_STEPS
 from scarsim.floquet import (
     TAU_C,
     PulsedParams,
@@ -226,19 +227,43 @@ class TestBatchedMaps:
         assert np.abs(m[0] - 1.0).max() < 1e-9
 
 
-@pytest.mark.parametrize("n_periods", [0, -1])
-@pytest.mark.parametrize("kind", sorted(MAPS))
-def test_maps_refuse_fewer_than_one_period(kind, n_periods, monkeypatch):
-    """Refused before the grid is built: zero periods would divide by zero
-    (revival) or leave a single sample to transform (subharmonic)."""
+@pytest.fixture
+def grid_unreachable(monkeypatch):
+    """Fail any test that reaches the map's grid set-up."""
     import scarsim.floquet
 
     def unreachable(*args):
         raise AssertionError("_pulsed_grid ran")
 
     monkeypatch.setattr(scarsim.floquet, "_pulsed_grid", unreachable)
+
+
+@pytest.mark.parametrize("n_periods", [0, -1])
+@pytest.mark.parametrize("kind", sorted(MAPS))
+def test_maps_refuse_fewer_than_one_period(kind, n_periods, grid_unreachable):
+    """Refused before the grid is built: zero periods would divide by zero
+    (revival) or leave a single sample to transform (subharmonic)."""
     with pytest.raises(ConfigError, match="n_periods: must be at least 1"):
         MAPS[kind](chain(10), [0.1], [1.0], n_periods=n_periods)
+
+
+@pytest.mark.parametrize("n_periods", [MAX_STEPS + 1, 10**13])
+@pytest.mark.parametrize("kind", sorted(MAPS))
+def test_maps_refuse_more_periods_than_the_step_bound(kind, n_periods,
+                                                      grid_unreachable):
+    with pytest.raises(CapacityError, match="n_periods: .* bound of 16777216"):
+        MAPS[kind](chain(10), [0.1], [1.0], n_periods=n_periods)
+
+
+def test_subharmonic_map_refuses_a_series_over_the_byte_limit(grid_unreachable):
+    """A 3x10 map keeps 30 float64 series of n_periods + 1 samples: 1 GiB
+    holds 4,473,924 samples each, so one period more is refused before the
+    grid is built, and that many periods pass the check."""
+    eps, taus = [0.0, 0.1, 0.2], [1.0 + 0.1 * k for k in range(10)]
+    with pytest.raises(CapacityError, match="3x10 map of 4473924 periods"):
+        pulsed_subharmonic_map(chain(10), eps, taus, n_periods=4_473_924)
+    with pytest.raises(AssertionError, match="_pulsed_grid ran"):
+        pulsed_subharmonic_map(chain(10), eps, taus, n_periods=4_473_923)
 
 
 class TestRingSubspaceMaps:
