@@ -620,8 +620,9 @@ def entry() -> int:
     Freezes what the imports made first, so that neither later collections
     nor the one at interpreter exit walk it, and freezes again after the
     run, so that the exit collection does not walk what the run made either
-    (such as the scipy.sparse that a stepping command imports at its first
-    product); ``main`` leaves the collector alone for in-process callers."""
+    (such as the scipy modules and CSR kernel that a stepping command loads
+    at its first product); ``main`` leaves the collector alone for
+    in-process callers."""
     gc.freeze()
     code = main()
     gc.freeze()

@@ -13,10 +13,14 @@ coupled to the detuning.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -87,6 +91,30 @@ def _square_sign(c: float) -> float:
     return 1.0 if c >= 0.0 else -1.0
 
 
+@cache
+def _sparsetools():
+    """scipy.sparse._sparsetools, once per process: unless already imported,
+    loaded from its file after ``import scipy`` (which checks the numpy
+    version) and kept out of ``sys.modules``, so a stepping process skips the
+    ~0.2 s import of scipy.sparse and a later ``import scipy.sparse`` runs as
+    usual.  The package import is the fallback."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = Path(scipy.__file__).with_name("sparse") / f"_sparsetools{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules.pop(name, None)  # CPython's loader registers it there
+            if hasattr(module, "csr_matvec") and hasattr(module, "csr_matvecs"):
+                return module
+    return importlib.import_module(name)
+
+
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
     """Square matrix in constrained-basis indices as canonical CSR arrays.
@@ -124,11 +152,10 @@ class SparseOperator:
 
     @cached_property
     def _kernel(self) -> tuple:
-        """scipy's compiled csr_matvec and csr_matvecs, and the complex copy
-        of ``data`` they read; importing them loads scipy.sparse."""
-        from scipy.sparse import _sparsetools
-
-        return _sparsetools.csr_matvec, _sparsetools.csr_matvecs, self.data.astype(complex)
+        """scipy's compiled csr_matvec and csr_matvecs from
+        :func:`_sparsetools`, and the complex copy of ``data`` they read."""
+        kernels = _sparsetools()
+        return kernels.csr_matvec, kernels.csr_matvecs, self.data.astype(complex)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """A new complex array, op x, for a state or a (dim, P) block; a

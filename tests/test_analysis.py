@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from scarsim.analysis import (
     RIGIDITY_GRID,
-    Spectrum,
     fit_damped_cosine,
     fit_decay_plane,
     fourier_spectrum,

@@ -1096,12 +1096,12 @@ def test_ring_isometry_leaves_numpy_ma_unloaded():
 
 @pytest.mark.parametrize("command, loads", [
     ("floquet", False), ("lattice", False), ("analyze", False), ("sweep", False),
-    ("quench", True)])
+    ("quench", False)])
 def test_only_processes_that_step_load_scipy_sparse(tmp_path, command, loads):
-    """Operators are numpy arrays until a sparse product needs scipy's CSR
-    view: the pulsed map (dense), the lattice report, ``analyze --mode
-    fit`` and the parent of a ``--jobs 2`` sweep never import
-    scipy.sparse; a quench that steps does."""
+    """Operators are numpy arrays and a sparse product loads only scipy's
+    compiled CSR kernel: the pulsed map (dense), the lattice report,
+    ``analyze --mode fit``, the parent of a ``--jobs 2`` sweep and a quench
+    that steps never import scipy.sparse."""
     out = tmp_path / "o"
     if command in ("floquet", "lattice"):
         preset = "figS9b" if command == "floquet" else "fig3d-drive"
@@ -1121,6 +1121,33 @@ def test_only_processes_that_step_load_scipy_sparse(tmp_path, command, loads):
     code = ("import sys, scarsim.cli as c; "
             f"code = c.main({argv!r}); print(code, 'scipy.sparse' in sys.modules)")
     assert _python_stdout(code).splitlines()[-1] == f"0 {loads}"
+
+
+def test_kernel_loaded_by_quench_keeps_scipys_products(tmp_path):
+    """After a quench has stepped without scipy.sparse, importing it works
+    as usual, and ``op @ x`` on a state and a block, taken before that
+    import, equals scipy's ``op.matrix @ x`` bit for bit."""
+    doc = json.loads(json.dumps(SMALL_QUENCH))
+    doc["observables"] = {}
+    doc["evolution"]["total_time"] = 0.02
+    argv = ["quench", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+    code = f"""
+import sys, numpy as np, scarsim.cli as c
+from scarsim.hamiltonian import build_rydberg
+from scarsim.hilbert import enumerate_blockaded
+from scarsim.lattice import PhysicalParams, build_lattice
+code = c.main({argv!r})
+lat = build_lattice("chain", 9)
+op = build_rydberg(lat, enumerate_blockaded(lat), PhysicalParams.from_mhz(4.2, 51.0)).flip
+rng = np.random.default_rng(0)
+xs = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in ((op.dim,), (op.dim, 5))]
+products = [op @ x for x in xs]
+loaded = "scipy.sparse" in sys.modules
+import scipy.sparse
+same = [np.array_equal(p.view(float), (op.matrix @ x).view(float)) for p, x in zip(products, xs)]
+print(code, loaded, same)
+"""
+    assert _python_stdout(code).splitlines()[-1] == "0 False [True, True]"
 
 
 def test_ring_quench_leaves_scipy_special_unloaded(tmp_path):
@@ -1206,9 +1233,10 @@ def test_only_the_process_entry_freezes_the_heap(tmp_path):
 
 
 def test_process_entry_freezes_what_the_run_made(tmp_path):
-    """A stepping quench imports scipy.sparse during its run; the entry
-    freezes again afterwards, so the collection at interpreter exit walks
-    none of it (gc.get_objects lists only unfrozen objects)."""
+    """A stepping quench loads scipy's CSR kernel during its run, but not
+    scipy.sparse; the entry freezes again afterwards, so the collection at
+    interpreter exit walks none of what the run made (gc.get_objects lists
+    only unfrozen objects)."""
     doc = json.loads(json.dumps(SMALL_QUENCH))
     doc["observables"] = {}
     doc["evolution"]["total_time"] = 0.02
@@ -1216,7 +1244,7 @@ def test_process_entry_freezes_what_the_run_made(tmp_path):
     code = ("import gc, sys, scarsim.cli as c; sys.argv = ['scarsim', 'quench', "
             f"'--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}]; c.entry(); "
             "print(len(gc.get_objects()) < 100, 'scipy.sparse' in sys.modules)")
-    assert _python_stdout(code).splitlines()[-1] == "True True"
+    assert _python_stdout(code).splitlines()[-1] == "True False"
 
 
 class TestFloquetCommand:

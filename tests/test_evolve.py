@@ -30,7 +30,6 @@ from scarsim.hamiltonian import (
     restrict_parts,
 )
 from scarsim.hilbert import (
-    canonical_states,
     enumerate_blockaded,
     named_state,
     site_bit_table,

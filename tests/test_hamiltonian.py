@@ -1,4 +1,7 @@
+import importlib.machinery
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from scarsim.hamiltonian import (
     DriveProfile,
     SparseOperator,
     _flip_operator,
+    _sparsetools,
     _square_sign,
     build_pxp,
     build_rydberg,
@@ -15,7 +19,7 @@ from scarsim.hamiltonian import (
     parity_diagonal,
     restrict_parts,
 )
-from scarsim.hilbert import canonical_states, enumerate_blockaded, symmetric_isometry
+from scarsim.hilbert import enumerate_blockaded, symmetric_isometry
 from scarsim.lattice import (
     PhysicalParams,
     build_lattice,
@@ -225,6 +229,46 @@ class TestCsrArraysMatchScipy:
                               indices=flip.indices.astype(np.int64),
                               data=rng.normal(size=len(flip.data)))
         _assert_product_is_scipys(wide, rng)
+
+
+class TestKernelLoader:
+    """``_sparsetools`` loads scipy's CSR kernel extension by its file when
+    scipy.sparse has not, and falls back to the package import when the file
+    is not found; either way the products keep scipy's bits."""
+
+    NAME = "scipy.sparse._sparsetools"
+
+    @pytest.fixture
+    def unloaded(self, monkeypatch):
+        """The process as if scipy.sparse had not loaded its kernels yet;
+        the loader's cache is cleared before and after."""
+        import scipy.sparse as sp
+
+        monkeypatch.setattr(sp, "_sparsetools", sp._sparsetools)
+        monkeypatch.delitem(sys.modules, self.NAME)
+        _sparsetools.cache_clear()
+        yield sp
+        _sparsetools.cache_clear()
+
+    def _operator(self, p):
+        lat = build_lattice("chain", 9)
+        return build_rydberg(lat, enumerate_blockaded(lat), p).flip
+
+    def test_loads_the_file_outside_sys_modules(self, p, unloaded):
+        module = _sparsetools()
+        assert module is not unloaded._sparsetools and self.NAME not in sys.modules
+        assert Path(module.__file__).parent == Path(unloaded.__file__).parent
+        op = self._operator(p)
+        assert op._kernel[:2] == (module.csr_matvec, module.csr_matvecs)
+        _assert_product_is_scipys(op, np.random.default_rng(2))
+
+    def test_falls_back_to_the_package_import(self, p, unloaded, monkeypatch):
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+        module = _sparsetools()
+        assert module is sys.modules[self.NAME] is unloaded._sparsetools
+        op = self._operator(p)
+        assert op._kernel[:2] == (module.csr_matvec, module.csr_matvecs)
+        _assert_product_is_scipys(op, np.random.default_rng(3))
 
 
 class TestFlipWrittenInPlace:
