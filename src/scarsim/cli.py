@@ -12,17 +12,18 @@ once its document is loaded still writes ``manifest.json`` with status
 A sweep groups the grid points that differ only in their drive and need
 the same substep count, on lattices of at most 12 sites and at most 6
 points per group; every other point is a group of one.  Every group, like
-a quench, runs as one ``evolve.run_block`` call, a failed group of several
-reruns its points as groups of one, and ``--jobs N`` (N >= 1) spreads the
-groups over worker processes.  Workers only propagate; the calling
-process analyses each group's points as the group comes back.  Neither the
-grouping nor the output bytes depend on N.
+a quench, runs as one ``evolve.run_block`` call, and a failed group of
+several reruns its points as groups of one.  ``--jobs N`` (N >= 1) steps
+the groups in N processes: N - 1 workers, which only propagate, and the
+calling process, which also analyses each group and prints a progress line
+for it to stderr.  Neither the grouping nor the output bytes depend on N.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import gc
 import itertools
 import json
@@ -313,6 +314,12 @@ def _sweep_worker(cfgs: list[ExperimentConfig]) -> list:
     return [out for cfg in cfgs for out in _sweep_worker([cfg])]
 
 
+def _timed_worker(cfgs: list[ExperimentConfig]) -> tuple[list, float]:
+    """:func:`_sweep_worker` and the seconds it took in this process."""
+    t0 = time.perf_counter()
+    return _sweep_worker(cfgs), time.perf_counter() - t0
+
+
 # Sweep points share a block only on lattices of at most this many sites
 # (dim <= 377 on a chain).  There the per-step overhead, not the sparse
 # products, dominates a column's step, and a 6-column block step costs
@@ -363,7 +370,7 @@ _AGG_COLUMNS = ("dim", "omega_tilde", "tau", "inv_tau", "sub_weight",
 
 def _usable_cpus() -> int:
     """CPUs this process may run on (its affinity mask, where the platform
-    has one), the default worker count of a sweep."""
+    has one), the default process count of a sweep."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -375,7 +382,7 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int | None) -> tuple[dict, str, str]:
     points = _sweep_points(cfg)
     doc_json = json.dumps(cfg.raw, sort_keys=True)
     # each point is parsed here, once; a point that does not parse gets its
-    # error row here and every other point goes to a worker in its group
+    # error row here and every other point is stepped in its group
     cfgs: list = []
     for pt in points:
         try:
@@ -385,26 +392,34 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int | None) -> tuple[dict, str, str]:
     rows: list = [_error_row(c) if isinstance(c, Exception) else None for c in cfgs]
     groups = [g for g in _sweep_groups(cfgs) if rows[g[0]] is None]
 
-    def analyse(group: list[int], outputs: list) -> None:
+    def analyse(group: list[int], outputs: list, seconds: float) -> None:
         # a point whose analysis raises gets its error row; nothing reruns
         for k, out in zip(group, outputs):
             try:
                 rows[k] = out if isinstance(out, dict) else _sweep_row(cfgs[k], *out)
             except Exception as exc:
                 rows[k] = _error_row(exc)
+        n_ok = sum(rows[k]["status"] == "ok" for k in group)
+        print(f"sweep: points {','.join(map(str, group))}: {n_ok} of {len(group)} ok, "
+              f"stepped in {seconds:.2f} s ({len(points) - rows.count(None)}/"
+              f"{len(points)} points done)", file=sys.stderr)
 
-    if jobs == 1:
-        for group in groups:
-            analyse(group, _sweep_worker([cfgs[k] for k in group]))
-    else:
-        # no more workers than groups: each group is one task, analysed
-        # here as it comes back while the workers propagate the rest
-        workers = min(jobs or _usable_cpus(), max(len(groups), 1))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            tasks = {pool.submit(_sweep_worker, [cfgs[k] for k in group]): group
-                     for group in groups}
-            for task in concurrent.futures.as_completed(tasks):
-                analyse(tasks[task], task.result())
+    # this process and N - 1 workers (none at --jobs 1) step the groups; the
+    # workers start all but the last in order, this one takes them from the end
+    workers = min(jobs or _usable_cpus(), max(len(groups), 1)) - 1
+    with (concurrent.futures.ProcessPoolExecutor(workers) if workers
+          else contextlib.nullcontext()) as pool:
+        tasks = {pool.submit(_timed_worker, [cfgs[k] for k in group]): group
+                 for group in groups[:-1]} if workers else {}
+        mine = groups[len(tasks):]
+        while mine or tasks:
+            for group in mine:
+                analyse(group, *_timed_worker([cfgs[k] for k in group]))
+            for task in [t for t in tasks if t.done()]:
+                analyse(tasks.pop(task), *task.result())
+            mine = [tasks.pop(t) for t in list(tasks)[-1:] if t.cancel()]
+            if tasks and not mine:
+                concurrent.futures.wait(tasks, return_when=concurrent.futures.FIRST_COMPLETED)
 
     files: dict = {}
     axis_names = [ax.parameter for ax in cfg.sweep]
@@ -569,8 +584,8 @@ def _make_parser() -> argparse.ArgumentParser:
                         help="list preset names and exit")
         if jobs:
             sp.add_argument("--jobs", type=int, default=None,
-                            help="worker processes for sweep groups (>= 1; "
-                                 "default: the CPUs this process may run on)")
+                            help="processes that step sweep groups, this one "
+                                 "included (>= 1; default: the CPUs it may run on)")
 
     add_common(sub.add_parser("lattice", help="geometry report and serialization"))
     add_common(sub.add_parser("quench", help="run a single quench"))

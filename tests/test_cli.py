@@ -784,8 +784,9 @@ class TestSweepCommand:
             ("ok", "fit: did not converge", "")
 
     def test_default_jobs_counts_the_usable_cpus(self, tmp_path, monkeypatch):
-        """Without --jobs a sweep starts one worker per CPU in the process's
-        affinity mask (capped by the group count), not per CPU of the host."""
+        """Without --jobs a sweep steps in one process per CPU in the
+        process's affinity mask (capped by the group count), not per CPU of
+        the host: the calling process and two workers for three CPUs."""
         import concurrent.futures
 
         import scarsim.cli as cli
@@ -809,7 +810,7 @@ class TestSweepCommand:
         assert cli._usable_cpus() == 3
         assert main(["sweep", "--config", write_config(tmp_path, doc),
                      "--out", str(tmp_path / "o")]) == 0
-        assert workers == [3]
+        assert workers == [2]
 
 
 class TestFailedRunManifest:
@@ -1067,13 +1068,141 @@ class TestSweepGroups:
         assert not (out / "point_001").exists()
 
 
+
+class TestSweepScheduler:
+    """--jobs N steps groups in N processes: the calling process and
+    N - 1 workers."""
+
+    @staticmethod
+    def _doc(grid):
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["observables"] = {}
+        doc["evolution"]["total_time"] = 0.2
+        # points that differ beyond their drive are groups of their own
+        doc["sweep"] = [{"parameter": "physical.v0_mhz", "grid": grid}]
+        return doc
+
+    @staticmethod
+    def _record_pids(monkeypatch, log: Path, caller_s=0.0, worker_s=0.0):
+        """Make every process that steps a group append its pid to ``log``,
+        after sleeping ``caller_s`` in the calling process and ``worker_s``
+        in a worker."""
+        import time
+
+        import scarsim.cli as cli
+
+        sweep_worker, caller = cli._sweep_worker, os.getpid()
+
+        def recorded(cfgs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            time.sleep(caller_s if os.getpid() == caller else worker_s)
+            return sweep_worker(cfgs)
+
+        monkeypatch.setattr(cli, "_sweep_worker", recorded)
+        return caller
+
+    def test_one_job_starts_no_pool(self, tmp_path, monkeypatch):
+        import scarsim.cli as cli
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("--jobs 1 started a pool")
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
+        log = tmp_path / "pids"
+        caller = self._record_pids(monkeypatch, log)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", write_config(tmp_path, self._doc([45.0, 51.0, 55.0])),
+                     "--out", str(out), "--jobs", "1"]) == 0
+        assert log.read_text().split() == [str(caller)] * 3
+        assert json.loads((out / "manifest.json").read_text())["status"] == "complete"
+
+    def test_caller_and_worker_both_step(self, tmp_path, monkeypatch):
+        """The worker starts the first group at once and holds it for 0.5 s;
+        meanwhile the calling process steps the last group and takes back
+        at least one more that the worker has not started."""
+        log = tmp_path / "pids"
+        caller = self._record_pids(monkeypatch, log, caller_s=0.1, worker_s=0.5)
+        grid = [40.0, 45.0, 48.0, 51.0, 55.0, 60.0]
+        assert main(["sweep", "--config", write_config(tmp_path, self._doc(grid)),
+                     "--out", str(tmp_path / "o"), "--jobs", "2"]) == 0
+        pids = log.read_text().split()
+        assert len(pids) == 6 and len(set(pids)) == 2
+        assert pids.count(str(caller)) >= 2
+
+    def test_data_files_do_not_depend_on_jobs(self, tmp_path, monkeypatch, capsys):
+        """A point that does not parse, a point whose propagation raises (in
+        a block and in a group of one) and groups of one give the same data
+        files at one, two and three processes, and one progress line per
+        group."""
+        import scarsim.evolve
+
+        doc = json.loads(json.dumps(SMALL_QUENCH))
+        doc["observables"] = {}
+        doc["evolution"]["total_time"] = 0.2
+        # extent 7: one block of two; extent 13: two groups of one
+        doc["sweep"] = [{"parameter": "lattice.extent", "grid": [7, 13, "x"]},
+                        {"parameter": "drive.omegam_over_omega", "grid": [1.2, 1.3]}]
+        bad_omegam = 1.3 * parse_config(doc).physical.omega
+        detuning_at = scarsim.evolve.detuning_at
+
+        def broken(drive, t):
+            if drive.omegam == bad_omegam:
+                raise NumericalError("injected")
+            return detuning_at(drive, t)
+
+        monkeypatch.setattr(scarsim.evolve, "detuning_at", broken)
+        cfg = write_config(tmp_path, doc)
+        files = {}
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"j{jobs}"
+            assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
+            files[jobs] = _data_files(out)
+            progress = [ln for ln in capsys.readouterr().err.splitlines()
+                        if ln.startswith("sweep: points ")]
+            assert sorted(ln.split(":")[1] for ln in progress) == \
+                [" points 0,1", " points 2", " points 3"]
+            assert progress[-1].endswith("(6/6 points done)")
+        statuses = [ln.split(",")[3] for ln in
+                    files["1"]["aggregate.csv"].decode().splitlines()[1:]]
+        assert statuses == ["ok", "error", "ok", "error", "error", "error"]
+        assert files["1"] == files["2"] == files["3"]
+
+    def test_worker_that_dies_fails_the_sweep(self, tmp_path):
+        """A worker that exits mid-group breaks the pool: the sweep raises
+        BrokenProcessPool, writes an error manifest and does not hang (the
+        subprocess must exit within two minutes)."""
+        out = tmp_path / "o"
+        argv = ["sweep", "--config", write_config(tmp_path, self._doc([45.0, 51.0])),
+                "--out", str(out), "--jobs", "2"]
+        code = f"""
+import os, time, scarsim.cli as c
+caller, sweep_worker = os.getpid(), c._sweep_worker
+def dying(cfgs):
+    if os.getpid() != caller:
+        os._exit(1)
+    time.sleep(0.3)
+    return sweep_worker(cfgs)
+c._sweep_worker = dying
+try:
+    c.main({argv!r})
+except Exception as exc:
+    print(type(exc).__name__)
+"""
+        assert _python_stdout(code).splitlines()[-1] == "BrokenProcessPool"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"].startswith("BrokenProcessPool:")
+        assert not (out / "aggregate.csv").exists()
+
 def _python_stdout(code: str) -> str:
-    """Standard output of ``code`` run in a fresh interpreter on these sources."""
+    """Standard output of ``code`` run in a fresh interpreter on these
+    sources, which must exit within two minutes."""
     src = str(Path(scarsim.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True).stdout
+                          text=True, check=True, timeout=120).stdout
 
 
 def test_cli_import_defers_optional_scipy_modules():
