@@ -9,10 +9,17 @@ computed optimal static detuning of the lattice.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
+
+try:  # CPython's built-in SHA-256; hashlib's loads OpenSSL (3.6 MB resident)
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import ConfigError, GeometryError, is_int, is_number
 from .evolve import EvolutionConfig
@@ -334,7 +341,7 @@ def config_hash(doc: dict) -> str:
     """Deterministic hash of the semantic content of a config document."""
     canon = json.dumps(normalize_document(doc), sort_keys=True,
                        separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return sha256(canon.encode()).hexdigest()
 
 
 def set_by_path(doc: dict, path: str, value) -> dict:

@@ -8,10 +8,11 @@ Gershgorin bound on the spectral radius of H.  The layer has two entry
 points.  :func:`propagate` sizes one series per column for a run of
 substeps, from the largest bound over their midpoints, and applies it to
 each; a step called alone is a run of one.  :func:`run_block` runs a
-quench as one :func:`propagate` per record interval.  A (dim, P) block
-carries one drive per column, so P drives that share everything else
-propagate as one block; one drive steps the plain state.  Each term of a
-series is one product with ``parts.flip``'s ``@``
+quench as one :func:`propagate` per record interval and reads its site
+populations in the space it propagates in.  A (dim, P) block carries one
+drive per column, so P drives that share everything else propagate as one
+block; one drive steps the plain state.  Each term of a series is one
+product with ``parts.flip``'s ``@``
 (:class:`scarsim.hamiltonian.SparseOperator`), scipy's compiled CSR kernel
 on a complex copy of the operator made once, and in-place vector updates
 that keep the bits of the plain numpy expressions.  A dense
@@ -348,9 +349,9 @@ def run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     multiples of dt * record_stride.
 
     ``parts`` and ``psi0`` are propagated as they are given.  Parts that
-    carry an isometry (:func:`build_system`) act in its orbit space, where
-    ``psi0`` must lie too; each snapshot expands the state back to
-    ``basis``, so every recorded quantity is a full-basis one.
+    carry an isometry P (:func:`build_system`) act in its orbit space, where
+    ``psi0`` must lie too, and read site populations there, equal to those of
+    P psi to rounding; only entropy cuts and probabilities expand the state.
 
     Each record interval is one :func:`propagate` over its substeps, so
     its series is sized once per column, from the largest
@@ -377,7 +378,13 @@ def run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     # one drive steps the plain state, several a (dim, P) block
     block = psi if len(drives) == 1 else np.repeat(psi[:, None], len(drives), axis=1)
 
-    bits = site_bit_table(basis)
+    if iso is None:
+        table = site_bit_table(basis)
+    else:   # row o: orbit o's mean occupations, sum over k in o of w_k^2 bit_ki
+        w2 = iso.weight ** 2
+        table = np.column_stack([np.bincount(iso.orbit, w2 * (basis.states >> i & 1),
+                                             iso.n_orbits) for i in range(basis.n_sites)])
+    indices = [_cut_index(basis, cut) for cut in entropy_cuts]
     a_sites = lat.sites_of(0)
     b_sites = lat.sites_of(1)
 
@@ -386,22 +393,24 @@ def run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
 
     def snapshot(step: int) -> None:
         times.append(step * cfg.dt)
-        full = block if iso is None else iso.expand(block)
-        # one contiguous full-basis state per row
-        rows = np.ascontiguousarray(full.reshape(len(full), -1).T)
-        for j, psi_full in enumerate(rows):
-            pr = np.abs(psi_full) ** 2
-            site = pr @ bits
+        # one contiguous propagated state per row
+        rows = np.ascontiguousarray(block.reshape(len(block), -1).T)
+        for j, psi in enumerate(rows):
+            pr = np.abs(psi) ** 2
+            site = pr @ table
             pops[j].append(site)
             # np.mean's sum and division, without its Python dispatch
             nas[j].append(site[a_sites].sum() / len(a_sites))
             nbs[j].append(site[b_sites].sum() / len(b_sites))
+            # entropy cuts and microstate probabilities need the full basis
+            if iso is not None and (record_probs or entropy_cuts):
+                psi = iso.expand(psi)
             if record_probs:
-                probs[j].append(pr)
+                probs[j].append(pr if iso is None else np.abs(psi) ** 2)
             if entropy_cuts:
                 ents[j].append([
-                    entanglement_entropy(reduced_density_matrix(psi_full, basis, cut))
-                    for cut in entropy_cuts
+                    entanglement_entropy(reduced_density_matrix(psi, basis, cut, index))
+                    for cut, index in zip(entropy_cuts, indices)
                 ])
 
     snapshot(0)
@@ -427,17 +436,9 @@ def run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     ]
 
 
-def reduced_density_matrix(psi: np.ndarray, basis: ConstrainedBasis,
-                           subset: tuple[int, ...] | list[int]) -> np.ndarray:
-    """Trace out the complement of ``subset`` sites.
-
-    Rows and columns are the distinct subsystem patterns that occur in the
-    basis, i.e. the blockade-valid patterns of the kept sites, in ascending
-    pattern order; when every pattern occurs, as for a single site, this is
-    the full 2^|subset| layout.  Complement configurations are indexed the
-    same way, so the cost is (valid subsystem patterns) times the basis
-    dimension.
-    """
+def _cut_index(basis: ConstrainedBasis, subset) -> tuple[np.ndarray, tuple[int, int]]:
+    """Each basis state's flat index into the (subsystem x complement
+    pattern) amplitude matrix of the cut ``subset``, and the matrix's shape."""
     subset = tuple(sorted(set(int(s) for s in subset)))
     if not subset:
         raise ConfigError("subset must be nonempty")
@@ -450,11 +451,28 @@ def reduced_density_matrix(psi: np.ndarray, basis: ConstrainedBasis,
     sub_mask = sum(1 << site for site in subset)
     sub_uniq, sub_index = np.unique(basis.states & sub_mask, return_inverse=True)
     comp_uniq, comp_index = np.unique(basis.states & ~sub_mask, return_inverse=True)
+    sub_index *= len(comp_uniq)
+    sub_index += comp_index
+    return sub_index, (len(sub_uniq), len(comp_uniq))
 
-    m = np.zeros((len(sub_uniq), len(comp_uniq)), dtype=complex)
-    m[sub_index, comp_index] = psi
+
+def reduced_density_matrix(psi: np.ndarray, basis: ConstrainedBasis,
+                           subset: tuple[int, ...] | list[int], index=None) -> np.ndarray:
+    """Trace out the complement of ``subset`` sites.
+
+    Rows and columns are the distinct subsystem patterns that occur in the
+    basis, i.e. the blockade-valid patterns of the kept sites, in ascending
+    pattern order; when every pattern occurs, as for a single site, this is
+    the full 2^|subset| layout.  Complement configurations are indexed the
+    same way, so the cost is (valid subsystem patterns) times the basis
+    dimension.  ``index`` is the cut's :func:`_cut_index`, computed if None.
+    """
+    flat, shape = _cut_index(basis, subset) if index is None else index
+    m = np.zeros(shape, dtype=complex)
+    m.reshape(-1)[flat] = psi
     rho = m @ m.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
+    rho += rho.conj().T     # 0.5 (rho + rho^dagger), in place
+    rho *= 0.5
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > 1e-9:
         raise NumericalError(f"reduced density matrix trace {tr} is not 1")

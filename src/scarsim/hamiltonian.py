@@ -262,7 +262,7 @@ _RESTRICT_RTOL = 1e-12
 # restrict_parts reads the flip operator in chunks of whole rows that hold
 # about this many stored entries, so its temporaries do not grow with the
 # operator.
-_RESTRICT_CHUNK = 1 << 16
+_RESTRICT_CHUNK = 1 << 14
 
 
 def restrict_parts(parts: HamiltonianParts, iso: OrbitIsometry) -> HamiltonianParts | None:

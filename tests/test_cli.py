@@ -53,6 +53,16 @@ class TestConfigParsing:
         reordered["model"] = reordered.pop("model")
         assert config_hash(reordered) == config_hash(SMALL_QUENCH)
 
+    def test_hash_is_hashlib_sha256(self):
+        """The built-in SHA-256 gives hashlib's digests."""
+        import hashlib
+        docs = [SMALL_QUENCH, {}, {"a": [1, 2.5, None, True]},
+                {"lattice": {"kind": "chain", "extent": 9}, "note": "\u00e9\u4e2d"}]
+        for doc in docs:
+            canon = json.dumps(normalize_document(doc), sort_keys=True,
+                               separators=(",", ":"))
+            assert config_hash(doc) == hashlib.sha256(canon.encode()).hexdigest()
+
     def test_unit_variants(self):
         doc = json.loads(json.dumps(SMALL_QUENCH))
         doc["drive"] = {"shape": "constant", "delta0_mhz": 2.0}
@@ -1210,6 +1220,20 @@ def test_cli_import_defers_optional_scipy_modules():
             "'scipy.optimize', 'scipy.sparse', 'scipy.spatial', 'scipy.special') "
             "if m in sys.modules])")
     assert _python_stdout(code).strip() == "[]"
+
+
+def test_quench_leaves_openssl_unloaded(tmp_path):
+    """Config hashes use CPython's built-in SHA-256, so a quench process
+    never loads ``_hashlib`` (OpenSSL, 3.6 MB resident)."""
+    try:
+        import _sha2  # noqa: F401
+    except ImportError:
+        pytest.importorskip("_sha256")
+    argv = ["quench", "--config", write_config(tmp_path, SMALL_QUENCH),
+            "--out", str(tmp_path / "o")]
+    code = ("import sys, scarsim.cli as c; "
+            f"code = c.main({argv!r}); print(code, '_hashlib' in sys.modules)")
+    assert _python_stdout(code).splitlines()[-1] == "0 False"
 
 
 def test_ring_isometry_leaves_numpy_ma_unloaded():

@@ -696,6 +696,24 @@ class TestReducedDensityMatrix:
         with pytest.raises(ConfigError):
             reduced_density_matrix(psi, basis, tuple(range(9)))
 
+    @pytest.mark.parametrize("subset", [(0,), (2, 5, 7), tuple(range(4))])
+    def test_precomputed_index_keeps_the_bits(self, chain9, subset):
+        """A cut index computed once gives the bits of a call that computes
+        its own, and both equal the plain 0.5 (rho + rho^dagger)."""
+        _, basis = chain9
+        index = scarsim.evolve._cut_index(basis, subset)
+        for seed in range(3):
+            psi = random_state(basis.dim, seed)
+            rho = reduced_density_matrix(psi, basis, subset)
+            assert np.array_equal(reduced_density_matrix(psi, basis, subset, index), rho)
+            mask = sum(1 << site for site in subset)
+            _, rows = np.unique(basis.states & mask, return_inverse=True)
+            _, cols = np.unique(basis.states & ~mask, return_inverse=True)
+            m = np.zeros((rows.max() + 1, cols.max() + 1), dtype=complex)
+            m[rows, cols] = psi
+            plain = m @ m.conj().T
+            assert np.array_equal(rho, 0.5 * (plain + plain.conj().T))
+
     def test_entropy_guards(self):
         with pytest.raises(NumericalError):
             entanglement_entropy(np.diag([1.2, -0.2]))
@@ -887,6 +905,68 @@ class TestRingSymmetricSubspace:
                     psi = propagate(small, (drive,), psi, (step * cfg.dt + k * h,), h)
             assert np.abs(small.iso.expand(psi) - states[-1]).max() < 1e-10
 
+    @pytest.mark.parametrize("n", [10, 14, 22])
+    @pytest.mark.parametrize("driven", [True, False])
+    def test_orbit_space_populations_equal_the_full_basis(self, p, n, driven):
+        """Site populations, nA and nB read in the orbit space equal those
+        of the expanded state, |P psi|^2 @ site_bit_table, to 1e-14."""
+        lat = build_lattice("chain", n, periodic=True)
+        basis, parts, psi0 = build_system(lat, "pxp", p, "AF1")
+        assert parts.iso is not None and parts.dim < basis.dim
+        drive = (DriveProfile.cosine(0.5 * p.omega, p.omega, 1.33 * p.omega) if driven
+                 else DriveProfile.constant(0.4 * p.omega))
+        cfg = EvolutionConfig(total_time=0.02, dt=0.002, record_stride=2)
+        res = run_block(lat, basis, parts, [drive], psi0, cfg, record_probs=True)[0]
+        site = res.probs @ site_bit_table(basis)
+        assert np.abs(res.site_pops - site).max() < 1e-14
+        assert np.abs(res.n_a - site[:, lat.sites_of(0)].mean(axis=1)).max() < 1e-14
+        assert np.abs(res.n_b - site[:, lat.sites_of(1)].mean(axis=1)).max() < 1e-14
+        # the populations move away from AF1
+        assert np.abs(np.diff(res.n_a)).max() > 1e-3
+
+    def test_ring_run_never_builds_the_bit_table(self, p, monkeypatch):
+        """A ring run reads populations from its per-orbit table, also with
+        entropy cuts and probabilities; a chain run still uses the bits."""
+        def refuse(basis):
+            raise AssertionError("site_bit_table called")
+
+        monkeypatch.setattr(scarsim.evolve, "site_bit_table", refuse)
+        cfg = EvolutionConfig(total_time=0.01, dt=0.002)
+        ring = build_lattice("chain", 12, periodic=True)
+        basis, parts, psi0 = build_system(ring, "pxp", p, "AF1")
+        assert parts.iso is not None
+        run_block(ring, basis, parts, [DriveProfile.constant(0.0)], psi0, cfg,
+                  entropy_cuts=(tuple(range(6)),), record_probs=True)
+        chain = build_lattice("chain", 12)
+        basis, parts, psi0 = build_system(chain, "pxp", p, "AF1")
+        with pytest.raises(AssertionError, match="site_bit_table"):
+            run_block(chain, basis, parts, [DriveProfile.constant(0.0)], psi0, cfg)
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_cut_index_once_per_cut(self, p, monkeypatch, periodic):
+        """run_block computes each cut's index once, not once per snapshot,
+        and its entropies equal those of reduced_density_matrix alone."""
+        calls = []
+        cut_index = scarsim.evolve._cut_index
+
+        def spy(basis, subset):
+            calls.append(subset)
+            return cut_index(basis, subset)
+
+        monkeypatch.setattr(scarsim.evolve, "_cut_index", spy)
+        lat = build_lattice("chain", 12, periodic=periodic)
+        basis, parts, psi0 = build_system(lat, "pxp", p, "AF1")
+        cuts = (tuple(range(6)), (0, 3, 4))
+        cfg = EvolutionConfig(total_time=0.02, dt=0.002, record_stride=2)
+        res = run_block(lat, basis, parts, [DriveProfile.constant(0.3 * p.omega)],
+                        psi0, cfg, entropy_cuts=cuts)[0]
+        assert calls == list(cuts) and len(res.times) == 6
+        # the start state's entropies, from indices computed per call
+        psi = psi0 if parts.iso is None else parts.iso.expand(psi0)
+        assert res.entropies[0].tolist() == [
+            entanglement_entropy(reduced_density_matrix(psi, basis, cut)) for cut in cuts]
+        assert len(calls) == 2 * len(cuts)
+
     def test_random_state_runs_unreduced(self, p, step_dims):
         lat = build_lattice("chain", 12, periodic=True)
         basis = enumerate_blockaded(lat)
@@ -965,6 +1045,28 @@ class TestSetupMemory:
         small, peak = _traced_peak(restrict_parts, parts, iso)
         assert small.dim == 1990
         assert peak <= 36 * len(parts.flip.data)
+
+    def test_ring_run_block_snapshots(self, p, ring22):
+        """A 22-ring quench with the half-cut entropy reads populations
+        from a 1,990 x 22 per-orbit table (0.35 MB), so the whole run
+        allocates less than the 39,603 x 22 float bit table (6.97 MB) that
+        the full-basis read took alone.  The measured peak is 4.1 MB, most
+        of it the 233 x 233 product m m^dagger of one entropy snapshot
+        (three 0.87 MB matrices)."""
+        lat, basis, parts = ring22
+        small = restrict_parts(parts, symmetric_isometry(basis, symmetry_permutations(lat)))
+        psi0 = small.iso.project(named_state(lat, basis, "AF1"))
+        drive = DriveProfile.cosine(0.5 * p.omega, p.omega, 1.33 * p.omega)
+        cfg = EvolutionConfig(total_time=0.01, dt=0.002, record_stride=5)
+
+        def run():
+            return run_block(lat, basis, small, [drive], psi0, cfg,
+                             entropy_cuts=(tuple(range(11)),), record_probs=False)
+
+        run()    # the operator's complex copy and lazy imports, made once
+        (res,), peak = _traced_peak(run)
+        assert res.entropies.shape == (2, 1)
+        assert peak <= 2 * basis.dim * basis.n_sites * 8 // 3
 
     def test_site_bit_table(self, ring22):
         _, basis, _ = ring22
