@@ -28,10 +28,11 @@ import numpy as np
 
 from . import hamiltonian
 from .errors import CapacityError, ConfigError, NumericalError, is_int, is_number
-from .hamiltonian import DriveProfile, HamiltonianParts, detuning_at, restrict_parts
+from .hamiltonian import DriveProfile, HamiltonianParts, detuning_at
 from .hilbert import (
     DEFAULT_MAX_DIM,
     ConstrainedBasis,
+    OrbitIsometry,
     enumerate_blockaded,
     named_state,
     site_bit_table,
@@ -289,23 +290,19 @@ def propagate(parts: HamiltonianParts, drives, psi: np.ndarray, starts,
 
 
 def symmetric_restriction(lat: Lattice, basis: ConstrainedBasis,
-                          parts: HamiltonianParts, psi0: np.ndarray
-                          ) -> HamiltonianParts | None:
-    """H restricted to the subspace symmetric under the lattice's site
-    permutations (:func:`scarsim.lattice.symmetry_permutations`); the
-    restricted parts carry its isometry P
-    (:func:`scarsim.hilbert.symmetric_isometry`) as ``iso``.
-
-    Returns the restricted parts when the lattice has such a group,
-    ``psi0`` lies in the subspace (||P^T psi0|| = 1 to within 1e-12) and the
-    restriction is exact (see :func:`scarsim.hamiltonian.restrict_parts`);
-    otherwise None.  A state psi_s of the subspace is P psi_s in the full basis.
+                          psi0: np.ndarray) -> OrbitIsometry | None:
+    """The isometry P (:func:`scarsim.hilbert.symmetric_isometry`) onto the
+    subspace symmetric under the lattice's site permutations
+    (:func:`scarsim.lattice.symmetry_permutations`) when the lattice has
+    such a group and ``psi0`` lies in the subspace (||P^T psi0|| = 1 to
+    within 1e-12); otherwise None.  A state psi_s of the subspace is
+    P psi_s in the full basis.
     """
     perms = symmetry_permutations(lat)
     iso = None if perms is None else symmetric_isometry(basis, perms)
     if iso is None or abs(np.linalg.norm(iso.project(psi0)) - 1.0) > _SUBSPACE_TOL:
         return None
-    return restrict_parts(parts, iso)
+    return iso
 
 
 def build_system(lat: Lattice, model: str, p: PhysicalParams, initial_state: str,
@@ -315,19 +312,20 @@ def build_system(lat: Lattice, model: str, p: PhysicalParams, initial_state: str
     ``model`` ("rydberg" or "pxp") quench from the named state.
 
     The basis is enumerated under ``max_dim``.  Where the start state
-    allows it (:func:`symmetric_restriction`), the parts are restricted to
-    its symmetric subspace and the state is projected there; otherwise
-    both stay in the full basis.  Only the propagated parts outlive the
-    call, so a full-basis operator that was restricted is freed here.
-    The builder is looked up on :mod:`scarsim.hamiltonian` at call time.
+    allows it (:func:`symmetric_restriction`), the builder is given the
+    isometry P and, where that is exact, builds the parts restricted to
+    the symmetric subspace from the orbit representatives alone, without
+    the full-basis operator; the state is then projected there.
+    Otherwise both stay in the full basis.  The builder is looked up on
+    :mod:`scarsim.hamiltonian` at call time.
     """
     basis = enumerate_blockaded(lat, max_dim=max_dim)
-    parts = getattr(hamiltonian, f"build_{model}")(lat, basis, p)
     psi0 = named_state(lat, basis, initial_state)
-    small = symmetric_restriction(lat, basis, parts, psi0)
-    if small is None:
+    iso = symmetric_restriction(lat, basis, psi0)
+    parts = getattr(hamiltonian, f"build_{model}")(lat, basis, p, iso)
+    if parts.iso is None:
         return basis, parts, psi0
-    return basis, small, small.iso.project(psi0)
+    return basis, parts, parts.iso.project(psi0)
 
 
 def run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,

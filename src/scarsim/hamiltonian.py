@@ -191,17 +191,6 @@ def _index_dtype(nnz: int, dim: int) -> type:
     return np.int32 if max(nnz, dim) <= np.iinfo(np.int32).max else np.int64
 
 
-def _operator(keys: np.ndarray, values: np.ndarray, dim: int) -> SparseOperator:
-    """The (dim, dim) operator with ``values`` at the positions
-    ``keys = row * dim + column``, duplicates summed, with the indices of
-    :func:`_index_dtype`."""
-    keys, data = _sum_by_key(keys, values)
-    index = _index_dtype(len(keys), dim)
-    indptr = np.searchsorted(keys, np.arange(dim + 1) * dim)
-    return SparseOperator(indptr=indptr.astype(index), indices=(keys % dim).astype(index),
-                          data=data)
-
-
 @dataclass(frozen=True, eq=False)
 class HamiltonianParts:
     """Separable pieces of H(t) over a constrained basis (see module docs).
@@ -214,8 +203,9 @@ class HamiltonianParts:
     flip: SparseOperator
     diag_static: np.ndarray
     diag_number: np.ndarray
-    # the isometry P when these are the parts restrict_parts gave, acting
-    # in P's orbit space; None for parts in the full basis
+    # the isometry P when these are H restricted to its range (build_pxp or
+    # build_rydberg given P), acting in P's orbit space; None for parts in
+    # the full basis
     iso: OrbitIsometry | None = None
     # not a field: perfbench/tracer.py still reads it when counting nnz
     sw2_extra = None
@@ -256,109 +246,15 @@ class HamiltonianParts:
         return np.max(rows + np.abs(self.diagonal(delta)), axis=0)
 
 
-# Relative tolerance of the exactness checks in restrict_parts.
-_RESTRICT_RTOL = 1e-12
-
-# restrict_parts reads the flip operator in chunks of whole rows that hold
-# about this many stored entries, so its temporaries do not grow with the
-# operator.
-_RESTRICT_CHUNK = 1 << 14
-
-
-def restrict_parts(parts: HamiltonianParts, iso: OrbitIsometry) -> HamiltonianParts | None:
-    """H restricted to the range of an orbit isometry P, or None if not exact.
-
-    ``iso`` comes from :func:`scarsim.hilbert.symmetric_isometry`, whose
-    orbits ascend by representative, the smallest state of each orbit.  The
-    flip operator O becomes S = P^T O P, read off the representative rows
-    of O P, and the diagonals are taken at the representatives.  The
-    restriction is returned only when it is exact: both diagonals are
-    constant on every orbit, every row of O P stores the columns of its
-    representative's row and ||O P - P S||_F <= 1e-12 ||O||_F (checked on
-    O Q, Q the orbit indicator, whose distance to its representative rows
-    bounds it).  The returned parts carry ``iso``.
-    """
-    orbit, weight, n = iso.orbit, iso.weight, iso.n_orbits
-    dim = len(orbit)
-    first = np.full(n, dim)
-    np.minimum.at(first, orbit, np.arange(dim))
-    rep = first[orbit]      # each state's representative
-    for diag in (parts.diag_static, parts.diag_number):
-        if np.abs(diag - diag[rep]).max(initial=0.0) \
-                > _RESTRICT_RTOL * np.abs(diag).max(initial=0.0):
-            return None
-
-    op = parts.flip
-    # O Q, Q the orbit indicator (P = Q W, W = diag(weights)): entry
-    # O_kl adds to (k, orbit[l]).  Its keys never interleave across
-    # rows, so each chunk of rows is summed on its own.  The entries of
-    # representative rows are kept (a row of O Q stores at most as many
-    # as its row of O), and every row is compared with its
-    # representative's, which lies in the same chunk or an earlier one.
-    room = int(np.diff(op.indptr)[first].sum())
-    kept_cols = np.empty(room, dtype=op.indices.dtype)
-    kept = np.empty(room)
-    # per row: its entries in O Q and, for a representative, where its
-    # kept entries start
-    counts = np.empty(dim, dtype=op.indptr.dtype)
-    where = np.empty(dim, dtype=op.indptr.dtype)
-    n_kept, dist2, r0, nnz = 0, 0.0, 0, int(op.indptr[-1])
-    while r0 < dim:
-        lo = int(op.indptr[r0])
-        r1 = int(np.searchsorted(op.indptr, min(lo + _RESTRICT_CHUNK, nnz), "right")) - 1
-        r1 = min(max(r1, r0 + 1), dim)
-        hi = int(op.indptr[r1])
-        local = np.repeat(np.arange(r1 - r0), np.diff(op.indptr[r0:r1 + 1]))
-        keys, oq = _sum_by_key(local * n + orbit[op.indices[lo:hi]], op.data[lo:hi])
-        del local
-        rows, cols = np.divmod(keys, n)     # rows counted from r0
-        del keys
-        # O P = P S says that each row of O P, and so of O Q, equals its
-        # representative's row (weights are equal within an orbit): every
-        # row must store the representative's columns, and the distance
-        # bounds ||O P - P S||_F, as every weight is at most 1
-        span = np.bincount(rows, minlength=r1 - r0)
-        counts[r0:r1] = span
-        reps = rep[r0:r1]
-        if not np.array_equal(span, counts[reps]):
-            return None
-        is_rep = reps == np.arange(r0, r1)
-        own = np.where(is_rep, span, 0)
-        where[r0:r1] = n_kept + np.cumsum(own) - own
-        on_rep = is_rep[rows]
-        end = n_kept + int(own.sum())
-        kept_cols[n_kept:end] = cols[on_rep]
-        kept[n_kept:end] = oq[on_rep]
-        n_kept = end
-        same = where[reps[rows]] + np.arange(len(cols)) \
-            - np.repeat(np.cumsum(span) - span, span)
-        if not np.array_equal(cols, kept_cols[same]):
-            return None
-        diff = oq - kept[same]
-        dist2 += float(diff @ diff)
-        r0 = r1
-    if math.sqrt(dist2) > _RESTRICT_RTOL * np.linalg.norm(op.data):
-        return None
-    # S = P^T O P read off the representative rows, which ascend with
-    # their orbits: S_ab = (O Q)_kb w_b / w_k
-    k, b = np.repeat(first, counts[first]), kept_cols[:n_kept]
-    flip = _operator(orbit[k] * n + b, kept[:n_kept] * weight[first[b]] / weight[k], n)
-    basis = parts.basis
-    return HamiltonianParts(
-        basis=ConstrainedBasis(n_sites=basis.n_sites, states=basis.states[first],
-                               nn_masks=basis.nn_masks),
-        flip=flip, diag_static=parts.diag_static[first],
-        diag_number=parts.diag_number[first], iso=iso)
-
-
 def _check_basis(lat: Lattice, basis: ConstrainedBasis) -> None:
     if basis.n_sites != lat.n_sites:
         raise ConfigError("basis and lattice have different site counts")
 
 
-def _flip_operator(lat: Lattice, basis: ConstrainedBasis, omega: float) -> SparseOperator:
-    """Constrained single-site flips with matrix element Omega/2, written
-    straight into the canonical CSR arrays of :class:`SparseOperator`.
+def _flip_rows(basis: ConstrainedBasis, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``indptr`` and ``indices`` of the constrained single-site flips
+    out of the basis states ``rows``, one row each, with the columns
+    searched in the full basis.
 
     Row s stores its partners s ^ (1 << i) in ascending order: first the
     de-excitations s - 2^i, highest site first, so site i sits at slot
@@ -366,32 +262,102 @@ def _flip_operator(lat: Lattice, basis: ConstrainedBasis, omega: float) -> Spars
     first, so site i sits at slot popcount(s) plus the excitations allowed
     below i.
     """
-    states, dim = basis.states, basis.dim
-    bits = [1 << i for i in range(lat.n_sites)]
+    states = basis.states
+    bits = [1 << i for i in range(basis.n_sites)]
     # an excitation of site i needs site i and its neighbours empty
     closed = [int(basis.nn_masks[i]) | bit for i, bit in enumerate(bits)]
-    excited = np.bitwise_count(states)
+    excited = np.bitwise_count(rows)
     lengths = excited.copy()
     for mask in closed:
-        lengths += (states & mask) == 0
+        lengths += (rows & mask) == 0
     nnz = int(lengths.sum(dtype=np.int64))
-    index = _index_dtype(nnz, dim)
-    indptr = np.zeros(dim + 1, dtype=index)
+    index = _index_dtype(nnz, basis.dim)
+    indptr = np.zeros(len(rows) + 1, dtype=index)
     np.cumsum(lengths, dtype=index, out=indptr[1:])
     del lengths
 
     indices = np.empty(nnz, dtype=index)
-    below = np.zeros(dim, dtype=np.uint8)   # excitations allowed below site i
+    below = np.zeros(len(rows), dtype=np.uint8)   # excitations allowed below site i
     for i, (bit, mask) in enumerate(zip(bits, closed)):
-        rows = np.flatnonzero(states & bit)
-        s = states[rows]
-        indices[indptr[rows] + np.bitwise_count(s >> (i + 1))] = \
+        at = np.flatnonzero(rows & bit)
+        s = rows[at]
+        indices[indptr[at] + np.bitwise_count(s >> (i + 1))] = \
             np.searchsorted(states, s ^ bit)
-        rows = np.flatnonzero((states & mask) == 0)
-        indices[indptr[rows] + excited[rows] + below[rows]] = \
-            np.searchsorted(states, states[rows] | bit)
-        below[rows] += 1
-    return SparseOperator(indptr=indptr, indices=indices, data=np.full(nnz, omega / 2.0))
+        at = np.flatnonzero((rows & mask) == 0)
+        indices[indptr[at] + excited[at] + below[at]] = \
+            np.searchsorted(states, rows[at] | bit)
+        below[at] += 1
+    return indptr, indices
+
+
+def _flip_operator(lat: Lattice, basis: ConstrainedBasis, omega: float) -> SparseOperator:
+    """Constrained single-site flips with matrix element Omega/2 over the
+    full basis, written straight into the canonical CSR arrays of
+    :class:`SparseOperator` (:func:`_flip_rows` of every state)."""
+    indptr, indices = _flip_rows(basis, basis.states)
+    return SparseOperator(indptr=indptr, indices=indices,
+                          data=np.full(len(indices), omega / 2.0))
+
+
+# Relative tolerance of the diagonals' constancy on the orbits.
+_RESTRICT_RTOL = 1e-12
+
+
+def _is_exact(lat: Lattice, iso: OrbitIsometry, diags) -> bool:
+    """Whether H restricts exactly to the range of the orbit isometry
+    ``iso``: the rows of ``iso.perms`` are site permutations, closed under
+    composition, that each map ``lat.nn_pairs`` onto itself, and every
+    diagonal in ``diags`` is constant on every orbit to within 1e-12 of its
+    largest entry.  Such a group maps the blockade basis onto itself and
+    commutes exactly with the constrained flip operator, whose entries are
+    all Omega/2."""
+    n, perms = lat.n_sites, iso.perms
+    if perms.shape[1:] != (n,) or (np.sort(perms, axis=1) != np.arange(n)).any():
+        return False
+
+    def bonds(pairs):   # each pair as i * n + j with i < j, ascending
+        return np.sort(np.sort(pairs, axis=-1) @ [n, 1], axis=-1)
+
+    # perms[:, perms][g, h] is the composition i -> perms[g, perms[h, i]]
+    if (bonds(perms[:, lat.nn_pairs]) != bonds(lat.nn_pairs)).any() \
+            or not set(map(tuple, perms[:, perms].reshape(-1, n).tolist())) \
+            <= set(map(tuple, perms.tolist())):
+        return False
+    rep = iso.first[iso.orbit]      # each state's representative
+    return all(np.abs(d - d[rep]).max(initial=0.0)
+               <= _RESTRICT_RTOL * np.abs(d).max(initial=0.0) for d in diags)
+
+
+def _assemble(lat: Lattice, basis: ConstrainedBasis, omega: float,
+              diag_static: np.ndarray, iso: OrbitIsometry | None) -> HamiltonianParts:
+    """The parts of H over the full basis or, where that is exact
+    (:func:`_is_exact`), restricted to the range of an orbit isometry P.
+
+    ``iso`` comes from :func:`scarsim.hilbert.symmetric_isometry`, whose
+    orbits ascend by representative, the smallest state of each orbit.  The
+    restricted flip operator S = P^T O P is built from the representatives'
+    rows alone: row a sums the flips out of orbit a's representative k over
+    the orbits of their partners, S_ab = (O Q)_kb w_b / w_k with Q the orbit
+    indicator (P = Q diag(w)).  The diagonals are taken at the
+    representatives, and the restricted parts carry ``iso``.
+    """
+    diag_number = np.bitwise_count(basis.states).astype(float)
+    if iso is None or not _is_exact(lat, iso, (diag_static, diag_number)):
+        return HamiltonianParts(basis=basis, flip=_flip_operator(lat, basis, omega),
+                                diag_static=diag_static, diag_number=diag_number)
+    first, orbit, weight, n = iso.first, iso.orbit, iso.weight, iso.n_orbits
+    indptr, cols = _flip_rows(basis, basis.states[first])
+    keys, oq = _sum_by_key(np.repeat(np.arange(n), np.diff(indptr)) * n + orbit[cols],
+                           np.full(len(cols), omega / 2.0))
+    a, b = np.divmod(keys, n)
+    index = _index_dtype(len(keys), n)
+    flip = SparseOperator(indptr=np.searchsorted(keys, np.arange(n + 1) * n).astype(index),
+                          indices=b.astype(index), data=oq * weight[first[b]] / weight[first[a]])
+    return HamiltonianParts(
+        basis=ConstrainedBasis(n_sites=basis.n_sites, states=basis.states[first],
+                               nn_masks=basis.nn_masks),
+        flip=flip, diag_static=diag_static[first], diag_number=diag_number[first],
+        iso=iso)
 
 
 def _interaction_diagonal(lat: Lattice, basis: ConstrainedBasis,
@@ -409,25 +375,21 @@ def _interaction_diagonal(lat: Lattice, basis: ConstrainedBasis,
     return diag
 
 
-def build_rydberg(lat: Lattice, basis: ConstrainedBasis, p: PhysicalParams) -> HamiltonianParts:
+def build_rydberg(lat: Lattice, basis: ConstrainedBasis, p: PhysicalParams,
+                  iso: OrbitIsometry | None = None) -> HamiltonianParts:
     """Full long-range Hamiltonian pieces: every pair interaction inside the
-    finite patch."""
+    finite patch.  Given an orbit isometry ``iso``, the pieces are
+    restricted to its range where that is exact (:func:`_assemble`)."""
     _check_basis(lat, basis)
-    flip = _flip_operator(lat, basis, p.omega)
-    diag_static = _interaction_diagonal(lat, basis, p)
-    diag_number = np.bitwise_count(basis.states).astype(float)
-    return HamiltonianParts(basis=basis, flip=flip, diag_static=diag_static,
-                            diag_number=diag_number)
+    return _assemble(lat, basis, p.omega, _interaction_diagonal(lat, basis, p), iso)
 
 
-def build_pxp(lat: Lattice, basis: ConstrainedBasis, p: PhysicalParams) -> HamiltonianParts:
-    """Ideal-blockade model: the constrained flip with no interaction diagonal."""
+def build_pxp(lat: Lattice, basis: ConstrainedBasis, p: PhysicalParams,
+              iso: OrbitIsometry | None = None) -> HamiltonianParts:
+    """Ideal-blockade model: the constrained flip with no interaction
+    diagonal; ``iso`` as for :func:`build_rydberg`."""
     _check_basis(lat, basis)
-    flip = _flip_operator(lat, basis, p.omega)
-    diag_number = np.bitwise_count(basis.states).astype(float)
-    return HamiltonianParts(basis=basis, flip=flip,
-                            diag_static=np.zeros(basis.dim),
-                            diag_number=diag_number)
+    return _assemble(lat, basis, p.omega, np.zeros(basis.dim), iso)
 
 
 def parity_diagonal(basis: ConstrainedBasis) -> np.ndarray:

@@ -189,23 +189,45 @@ def orbits(states, perms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     states = np.asarray(states).astype(np.uint64)
     rep = states.copy()
-    for perm in perms:
-        np.minimum(rep, permute_states(states, perm), out=rep)
+    mirrored = None
+    for perm in np.asarray(perms):
+        # perm is perm[::-1] after the mirror i -> n-1-i: a ring reflection
+        # moves its sites by n displacements, but one mirrored copy by two
+        if _n_shifts(perm[::-1]) < _n_shifts(perm):
+            if mirrored is None:
+                mirrored = permute_states(states, np.arange(len(perm))[::-1])
+            image = permute_states(mirrored, perm[::-1])
+        else:
+            image = permute_states(states, perm)
+        np.minimum(rep, image, out=rep)
     return np.unique(rep, return_inverse=True, return_counts=True)
+
+
+def _n_shifts(perm: np.ndarray) -> int:
+    """The number of distinct displacements, each one pass of
+    :func:`permute_states`."""
+    return len(set((perm - np.arange(len(perm))).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
 class OrbitIsometry:
-    """Isometry P from orbit space into the basis (:func:`symmetric_isometry`).
+    """Isometry P from orbit space into the basis (:func:`symmetric_isometry`),
+    onto the states invariant under the site permutations ``perms``.
 
     Column o of the (dim, n_orbits) matrix P is the indicator of orbit o
     over sqrt(|o|): row k has the one nonzero ``weight[k]`` in column
-    ``orbit[k]``, and P^T P = I.
+    ``orbit[k]``, and P^T P = I.  ``first[o]`` is the basis index of orbit
+    o's representative, its smallest state.
     """
 
     orbit: np.ndarray
     weight: np.ndarray
-    n_orbits: int
+    first: np.ndarray
+    perms: np.ndarray
+
+    @property
+    def n_orbits(self) -> int:
+        return len(self.first)
 
     def project(self, psi: np.ndarray) -> np.ndarray:
         """P^T psi for one state; each orbit adds its members in basis order."""
@@ -214,17 +236,18 @@ class OrbitIsometry:
         return out
 
     def expand(self, psi: np.ndarray) -> np.ndarray:
-        """P psi for one orbit-space state or a (n_orbits, P) block."""
-        return self.weight.reshape(-1, *(1,) * (np.ndim(psi) - 1)) * psi[self.orbit]
+        """P psi for one orbit-space state."""
+        return self.weight * psi[self.orbit]
 
 
 def symmetric_isometry(basis: ConstrainedBasis, perms) -> OrbitIsometry:
     """Isometry onto the states invariant under a group of site permutations
     (:func:`scarsim.lattice.symmetry_permutations`), with the orbits of
     :func:`orbits`, which ascend by representative."""
-    _, orbit, counts = orbits(basis.states, perms)
+    reps, orbit, counts = orbits(basis.states, perms)
     return OrbitIsometry(orbit=orbit, weight=1.0 / np.sqrt(counts[orbit]),
-                         n_orbits=len(counts))
+                         first=np.searchsorted(basis.states, reps.astype(np.int64)),
+                         perms=np.asarray(perms))
 
 
 def reflection_grouping(basis: ConstrainedBasis, lat: Lattice) -> MicrostateOrdering:

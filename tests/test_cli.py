@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1588,9 +1587,9 @@ class TestNormalization:
 
 
 class TestFullBasisOperatorFreed:
-    """The full-basis parts that a ring quench, a ring sweep group or a ring
-    pulsed map builds are dead by the first step, which propagates only
-    their restriction."""
+    """A ring quench, a ring sweep group and a ring pulsed map never build
+    the full-basis flip operator: the builder returns the restricted parts,
+    which every step propagates."""
 
     @staticmethod
     def _ring_doc():
@@ -1602,9 +1601,9 @@ class TestFullBasisOperatorFreed:
 
     @pytest.fixture
     def watch(self, monkeypatch):
-        """The parts build_pxp returned (weak references) and, for every
-        propagation, its operator's dimension and which of those parts are
-        dead."""
+        """The dimension of the parts each build_pxp call returned and of
+        the operator each propagation got; building the full-basis flip
+        operator raises."""
         import scarsim.evolve as evolve
         import scarsim.hamiltonian as hamiltonian
 
@@ -1613,14 +1612,18 @@ class TestFullBasisOperatorFreed:
 
         def spy_build(*args):
             parts = build(*args)
-            built.append(weakref.ref(parts))
+            built.append(parts.dim)
             return parts
 
         def spy_propagate(parts, *args):
-            steps.append((parts.dim, [ref() is None for ref in built]))
+            steps.append(parts.dim)
             return propagate(parts, *args)
 
+        def refuse(*args):
+            raise AssertionError("full-basis flip operator built")
+
         monkeypatch.setattr(hamiltonian, "build_pxp", spy_build)
+        monkeypatch.setattr(hamiltonian, "_flip_operator", refuse)
         monkeypatch.setattr(evolve, "propagate", spy_propagate)
         return built, steps
 
@@ -1628,8 +1631,7 @@ class TestFullBasisOperatorFreed:
         built, steps = watch
         cfg = write_config(tmp_path, self._ring_doc())
         assert main(["quench", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        assert len(built) == 1 and steps
-        assert set(map(repr, steps)) == {repr((47, [True]))}
+        assert built == [47] and steps and set(steps) == {47}
 
     def test_sweep_group(self, tmp_path, watch):
         built, steps = watch
@@ -1640,8 +1642,7 @@ class TestFullBasisOperatorFreed:
         assert main(["sweep", "--config", cfg, "--jobs", "1",
                      "--out", str(tmp_path / "o")]) == 0
         # 5 steps at stride 5: one propagation of the group's block
-        assert len(built) == 1 and len(steps) == 1
-        assert set(map(repr, steps)) == {repr((47, [True]))}
+        assert built == [47] and steps == [47]
 
     def test_pulsed_map(self, watch):
         from scarsim.floquet import _pulsed_grid
@@ -1650,5 +1651,4 @@ class TestFullBasisOperatorFreed:
         built, _ = watch
         ring = build_lattice("chain", 14, periodic=True)
         block, *_ = _pulsed_grid(ring, [0.0], [1.0], "AF1")
-        assert block.shape == (89, 1) and len(built) == 1
-        assert built[0]() is None
+        assert block.shape == (89, 1) and built == [89]

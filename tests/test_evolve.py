@@ -23,11 +23,9 @@ from scarsim.evolve import (
 )
 from scarsim.hamiltonian import (
     DriveProfile,
-    SparseOperator,
     build_pxp,
     build_rydberg,
     detuning_at,
-    restrict_parts,
 )
 from scarsim.hilbert import (
     enumerate_blockaded,
@@ -771,86 +769,105 @@ class TestRingSymmetricSubspace:
     @pytest.mark.parametrize("n", [10, 11, 12])
     @pytest.mark.parametrize("build", [build_pxp, build_rydberg])
     def test_restriction_is_exact(self, p, ring_of, dense_isometry, n, build):
+        """The parts built from the orbit representatives are P^T H P of
+        the full build, and H P = P S."""
         lat = ring_of(n)
         basis = enumerate_blockaded(lat)
         parts = build(lat, basis, p)
         iso = symmetric_isometry(basis, symmetry_permutations(lat))
-        small = restrict_parts(parts, iso)
-        assert small is not None and small.dim == iso.n_orbits
+        small = build(lat, basis, p, iso)
+        assert small.iso is iso and small.dim == iso.n_orbits
         dense_iso = dense_isometry(iso)
         for delta in (0.0, 0.7 * p.omega):
-            err = parts.dense(delta) @ dense_iso - dense_iso @ small.dense(delta)
-            assert np.abs(err).max() < 1e-13
+            h = parts.dense(delta)
+            assert np.abs(dense_iso.T @ h @ dense_iso - small.dense(delta)).max() < 1e-13
+            assert np.abs(h @ dense_iso - dense_iso @ small.dense(delta)).max() < 1e-13
 
-    def test_restriction_refuses_broken_symmetry(self, p, ring_of):
-        lat = ring_of(12)
-        basis = enumerate_blockaded(lat)
-        parts = build_pxp(lat, basis, p)
-        iso = symmetric_isometry(basis, symmetry_permutations(lat))
-        site0 = ((basis.states & 1) * 0.3).astype(float)
-        pinned = dataclasses.replace(parts, diag_static=parts.diag_static + site0)
-        assert restrict_parts(pinned, iso) is None
-        flip = parts.flip
-        rows = flip.rows()
-        pair = ((rows == 0) & (flip.indices == 1)) | ((rows == 1) & (flip.indices == 0))
-        assert pair.sum() == 2
-        bent = dataclasses.replace(parts, flip=SparseOperator(
-            flip.indptr, flip.indices, np.where(pair, 0.5 * flip.data, flip.data)))
-        assert restrict_parts(bent, iso) is None
-        assert restrict_parts(parts, iso) is not None
-
-    def test_restriction_refuses_rows_that_store_other_columns(self, p, ring_of):
-        """Each row of O P must store the columns of its representative's
-        row: a symmetric pair of 1e-30 entries between sites 0 and 2 of one
-        orbit is refused, though the norm check alone would pass it."""
-        lat = ring_of(12)
-        basis = enumerate_blockaded(lat)
-        parts = build_pxp(lat, basis, p)
-        iso = symmetric_isometry(basis, symmetry_permutations(lat))
-        a, b = basis.index_of(0b1), basis.index_of(0b100)
-        assert iso.orbit[a] == iso.orbit[b]
-        m = parts.flip.matrix.tolil()
-        m[a, b] = m[b, a] = 1e-30
-        m = m.tocsr()
-        extra = dataclasses.replace(parts, flip=SparseOperator(m.indptr, m.indices, m.data))
-        assert restrict_parts(extra, iso) is None
-
-    @pytest.mark.parametrize("n", [12, 16, 22])
+    @pytest.mark.parametrize("n", [16, 22])
     @pytest.mark.parametrize("build", [build_pxp, build_rydberg])
-    def test_chunked_restriction_equals_one_chunk(self, p, ring_of, monkeypatch,
-                                                  n, build):
-        """Row chunks give the arrays of one chunk over the whole operator,
-        with their dtypes, at any chunk size (one row per chunk on the
-        smaller rings)."""
-        lat = ring_of(n)
+    def test_restriction_is_the_sparse_product(self, p, n, build):
+        """On the larger rings the restricted flip operator stores the
+        pattern of P^T O P, taken with scipy from the full build, and its
+        values to 1e-14 relative; the diagonals are the representatives'."""
+        import scipy.sparse as sp
+
+        lat = build_lattice("chain", n, periodic=True)
         basis = enumerate_blockaded(lat)
         parts = build(lat, basis, p)
         iso = symmetric_isometry(basis, symmetry_permutations(lat))
-        runs = []
-        chunks = [1 << 30, scarsim.hamiltonian._RESTRICT_CHUNK, 997]
-        if n < 22:
-            chunks.append(1)
-        for chunk in chunks:
-            monkeypatch.setattr(scarsim.hamiltonian, "_RESTRICT_CHUNK", chunk)
-            runs.append(restrict_parts(parts, iso))
-        one = runs[0]
-        for small in runs[1:]:
-            assert small.iso is iso
-            assert np.array_equal(small.basis.states, one.basis.states)
-            for name in ("diag_static", "diag_number"):
-                assert np.array_equal(getattr(small, name), getattr(one, name))
-            for field in ("indptr", "indices", "data"):
-                a, b = getattr(small.flip, field), getattr(one.flip, field)
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+        small = build(lat, basis, p, iso)
+        p_sparse = sp.csr_matrix((iso.weight, (np.arange(basis.dim), iso.orbit)),
+                                 shape=(basis.dim, iso.n_orbits))
+        ref = (p_sparse.T @ parts.flip.matrix @ p_sparse).tocsr()
+        ref.sort_indices()
+        assert np.array_equal(small.flip.indptr, ref.indptr)
+        assert np.array_equal(small.flip.indices, ref.indices)
+        assert np.abs(small.flip.data - ref.data).max() < 1e-14 * np.abs(ref.data).max()
+        for name in ("diag_static", "diag_number"):
+            assert np.array_equal(getattr(small, name), getattr(parts, name)[iso.first])
 
-    @pytest.mark.parametrize("chunk", [1, 40])
-    def test_chunked_restriction_refuses_broken_symmetry(self, p, ring_of,
-                                                         monkeypatch, chunk):
-        """The site-0 potential and the bent flip element are refused when
-        the rows they spoil lie in other chunks than their representatives."""
-        monkeypatch.setattr(scarsim.hamiltonian, "_RESTRICT_CHUNK", chunk)
-        self.test_restriction_refuses_broken_symmetry(p, ring_of)
-        self.test_restriction_refuses_rows_that_store_other_columns(p, ring_of)
+    def test_restriction_refuses_broken_symmetry(self, p, monkeypatch):
+        """A beyond-NN diagonal that is not constant on the orbits (a
+        site-0 potential) runs the Rydberg model in the full basis."""
+        lat = build_lattice("chain", 12, periodic=True)
+        assert build_system(lat, "rydberg", p, "AF1")[1].iso is not None
+        diagonal = scarsim.hamiltonian._interaction_diagonal
+
+        def pinned(lat, basis, p):
+            return diagonal(lat, basis, p) + 0.3 * (basis.states & 1)
+
+        monkeypatch.setattr(scarsim.hamiltonian, "_interaction_diagonal", pinned)
+        basis, parts, psi0 = build_system(lat, "rydberg", p, "AF1")
+        assert parts.iso is None and parts.dim == basis.dim
+        assert np.array_equal(psi0, named_state(lat, basis, "AF1"))
+        assert np.array_equal(parts.diag_static, pinned(lat, basis, p))
+
+    @pytest.mark.parametrize("group", ["swap", "unclosed", "not_a_permutation"])
+    def test_restriction_refuses_a_group_of_non_automorphisms(self, p, monkeypatch, group):
+        """A group with an element that does not map the bonds onto
+        themselves (sites 0 and 2 swapped), automorphisms that are not
+        closed under composition (the translation by two alone) and a row
+        that is no permutation are each refused: the quench runs in the
+        full basis."""
+        lat = build_lattice("chain", 12, periodic=True)
+        sites = np.arange(12)
+        perms = {"swap": [sites, np.r_[2, 1, 0, sites[3:]]],
+                 "unclosed": [(sites + 2) % 12],
+                 "not_a_permutation": [sites, np.r_[0, 0, sites[2:]]]}[group]
+        monkeypatch.setattr(scarsim.evolve, "symmetry_permutations",
+                            lambda lat: np.array(perms))
+        basis, parts, psi0 = build_system(lat, "pxp", p, "AF1")
+        # the start state lies in the group's subspace; the build refuses
+        assert symmetric_restriction(lat, basis, psi0) is not None
+        assert parts.iso is None and parts.dim == basis.dim
+        assert np.array_equal(psi0, named_state(lat, basis, "AF1"))
+
+    def test_restriction_refuses_rows_that_store_other_columns(self, p):
+        """Each orbit member's flip row must store the columns of its
+        representative's: a ring with one extra bond, between sites 0 and
+        2, changes the rows of some members but not of their images, and
+        its ring group is refused."""
+        ring = build_lattice("chain", 12, periodic=True)
+        bent = dataclasses.replace(ring, nn_pairs=np.vstack([ring.nn_pairs, [[0, 2]]]))
+        for lat, exact in ((ring, True), (bent, False)):
+            basis = enumerate_blockaded(lat)
+            iso = symmetric_isometry(basis, symmetry_permutations(ring))
+            parts = build_pxp(lat, basis, p, iso)
+            assert (parts.iso is iso) == exact
+            assert parts.dim == (iso.n_orbits if exact else basis.dim)
+
+    def test_ring_build_never_makes_the_full_operator(self, p, monkeypatch):
+        """A 22-ring build_system builds the restricted parts without the
+        full-basis flip operator; a chain still builds it."""
+        def refuse(*args):
+            raise AssertionError("_flip_operator called")
+
+        monkeypatch.setattr(scarsim.hamiltonian, "_flip_operator", refuse)
+        basis, parts, psi0 = build_system(build_lattice("chain", 22, periodic=True),
+                                          "pxp", p, "AF1")
+        assert (basis.dim, parts.dim, len(parts.flip.data)) == (39_603, 1990, 22_180)
+        with pytest.raises(AssertionError, match="_flip_operator"):
+            build_system(build_lattice("chain", 12), "pxp", p, "AF1")
 
     def _oracle(self, parts, drive, psi0s, cfg, nsub):
         """Full-basis dense midpoint propagation of each column of psi0s, one
@@ -972,12 +989,12 @@ class TestRingSymmetricSubspace:
         basis = enumerate_blockaded(lat)
         parts = build_pxp(lat, basis, p)
         psi0 = random_state(basis.dim, 3)
-        assert symmetric_restriction(lat, basis, parts, psi0) is None
-        assert symmetric_restriction(lat, basis, parts,
-                                     named_state(lat, basis, "AF1")).dim == 47
+        assert symmetric_restriction(lat, basis, psi0) is None
+        assert symmetric_restriction(lat, basis,
+                                     named_state(lat, basis, "AF1")).n_orbits == 47
         # the same lattice without the wrap flag has no isometry at all
         assert symmetric_restriction(dataclasses.replace(lat, periodic=False), basis,
-                                     parts, named_state(lat, basis, "AF1")) is None
+                                     named_state(lat, basis, "AF1")) is None
         drive = DriveProfile.cosine(0.5 * p.omega, p.omega, 1.33 * p.omega)
         cfg = EvolutionConfig(total_time=0.01, dt=0.002)
         run_block(lat, basis, parts, [drive], psi0, cfg, entropy_cuts=((0, 1, 2),))
@@ -1039,12 +1056,16 @@ class TestSetupMemory:
         assert len(op.data) == 481_624
         assert peak <= 22 * len(op.data)
 
-    def test_restriction(self, ring22):
-        lat, basis, parts = ring22
-        iso = symmetric_isometry(basis, symmetry_permutations(lat))
-        small, peak = _traced_peak(restrict_parts, parts, iso)
+    def test_restriction(self, p, ring22):
+        """build_system builds the ring's restricted parts from the orbit
+        representatives and never makes the full flip operator, whose
+        kept arrays alone take 481,624 x 12.3 bytes (5.9 MB).  The measured
+        peak is 3.9 MB."""
+        lat, _, parts = ring22
+        build_system(lat, "pxp", p, "AF1")    # lazy imports, made once
+        (_, small, _), peak = _traced_peak(build_system, lat, "pxp", p, "AF1")
         assert small.dim == 1990
-        assert peak <= 36 * len(parts.flip.data)
+        assert peak <= len(parts.flip.data) * 123 // 10
 
     def test_ring_run_block_snapshots(self, p, ring22):
         """A 22-ring quench with the half-cut entropy reads populations
@@ -1053,9 +1074,8 @@ class TestSetupMemory:
         the full-basis read took alone.  The measured peak is 4.1 MB, most
         of it the 233 x 233 product m m^dagger of one entropy snapshot
         (three 0.87 MB matrices)."""
-        lat, basis, parts = ring22
-        small = restrict_parts(parts, symmetric_isometry(basis, symmetry_permutations(lat)))
-        psi0 = small.iso.project(named_state(lat, basis, "AF1"))
+        lat, basis, _ = ring22
+        _, small, psi0 = build_system(lat, "pxp", p, "AF1")
         drive = DriveProfile.cosine(0.5 * p.omega, p.omega, 1.33 * p.omega)
         cfg = EvolutionConfig(total_time=0.01, dt=0.002, record_stride=5)
 

@@ -17,7 +17,6 @@ from scarsim.hamiltonian import (
     build_rydberg,
     detuning_at,
     parity_diagonal,
-    restrict_parts,
 )
 from scarsim.hilbert import enumerate_blockaded, symmetric_isometry
 from scarsim.lattice import (
@@ -219,8 +218,8 @@ class TestCsrArraysMatchScipy:
         lat = build_lattice("chain", 12, periodic=True)
         basis = enumerate_blockaded(lat)
         parts = build_pxp(lat, basis, p)
-        small = restrict_parts(parts, symmetric_isometry(basis, symmetry_permutations(lat)))
-        assert small is not None and len(np.unique(small.flip.data)) > 1
+        small = build_pxp(lat, basis, p, symmetric_isometry(basis, symmetry_permutations(lat)))
+        assert small.iso is not None and len(np.unique(small.flip.data)) > 1
         _assert_product_is_scipys(small.flip, rng)
         # scipy's CSR view may narrow the indices; the product reads them as
         # they are

@@ -7,6 +7,7 @@ from scarsim.errors import CapacityError, GeometryError
 from scarsim.hilbert import (
     canonical_states,
     enumerate_blockaded,
+    orbits,
     permute_states,
     reflection_grouping,
     sublattice_mask,
@@ -373,9 +374,26 @@ class TestRingSymmetricIsometry:
         rng = np.random.default_rng(n)
         psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
         assert np.abs(iso.project(psi) - p_dense.T @ psi).max() < 1e-13
-        block = rng.normal(size=(iso.n_orbits, 3)) + 1j * rng.normal(size=(iso.n_orbits, 3))
-        assert np.array_equal(iso.expand(block), p_dense @ block)
-        assert np.array_equal(iso.expand(block[:, 1]), p_dense @ block[:, 1])
+        phi = rng.normal(size=iso.n_orbits) + 1j * rng.normal(size=iso.n_orbits)
+        assert np.array_equal(iso.expand(phi), p_dense @ phi)
+
+    @pytest.mark.parametrize("n", [11, 22])
+    def test_orbits_equal_the_plain_images(self, ring_of, n):
+        """Reflections, read as rotations of one mirrored copy, give the
+        representatives, labels and sizes of the minimum over the plain
+        permute_states images, as do arbitrary permutations; the
+        isometry's ``first`` indexes each representative."""
+        basis = enumerate_blockaded(ring_of(n))
+        ring = symmetry_permutations(ring_of(n))
+        shuffle = np.random.default_rng(n).permutation(n)
+        for perms in (np.array([np.arange(n), shuffle, np.argsort(shuffle)]), ring):
+            rep = np.min([permute_states(basis.states, g) for g in perms], axis=0)
+            expect = np.unique(rep, return_inverse=True, return_counts=True)
+            got = orbits(basis.states, perms)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+        iso = symmetric_isometry(basis, ring)
+        assert np.array_equal(basis.states[iso.first], expect[0])
+        assert np.array_equal(iso.orbit[iso.first], np.arange(iso.n_orbits))
 
     def test_open_chain_has_none(self):
         lat = build_lattice("chain", 12)
