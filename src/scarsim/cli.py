@@ -22,7 +22,6 @@ for it to stderr.  Neither the grouping nor the output bytes depend on N.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import gc
 import itertools
@@ -377,6 +376,8 @@ def _usable_cpus() -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, jobs: int | None) -> tuple[dict, str, str]:
+    import concurrent.futures   # here, so that no other command pays its import
+
     if jobs is not None and jobs < 1:
         raise ConfigError(f"--jobs: must be an integer >= 1, got {jobs}")
     points = _sweep_points(cfg)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .hilbert import (
     OrbitIsometry,
     enumerate_blockaded,
     named_state,
+    permute_states,
     site_bit_table,
     symmetric_isometry,
 )
@@ -350,6 +352,9 @@ def run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     carry an isometry P (:func:`build_system`) act in its orbit space, where
     ``psi0`` must lie too, and read site populations there, equal to those of
     P psi to rounding; only entropy cuts and probabilities expand the state.
+    A cut that an involution of the symmetry group maps onto itself takes
+    its entropy from the two reflection blocks of rho
+    (:func:`_reflection_split`), equal to the one-block entropy to rounding.
 
     Each record interval is one :func:`propagate` over its substeps, so
     its series is sized once per column, from the largest
@@ -383,6 +388,9 @@ def run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
         table = np.column_stack([np.bincount(iso.orbit, w2 * (basis.states >> i & 1),
                                              iso.n_orbits) for i in range(basis.n_sites)])
     indices = [_cut_index(basis, cut) for cut in entropy_cuts]
+    if iso is not None:     # P psi is invariant under every row of iso.perms
+        indices = [_reflection_split(index, cut, iso.perms)
+                   for index, cut in zip(indices, entropy_cuts)]
     a_sites = lat.sites_of(0)
     b_sites = lat.sites_of(1)
 
@@ -434,9 +442,21 @@ def run_block(lat: Lattice, basis: ConstrainedBasis, parts: HamiltonianParts,
     ]
 
 
-def _cut_index(basis: ConstrainedBasis, subset) -> tuple[np.ndarray, tuple[int, int]]:
-    """Each basis state's flat index into the (subsystem x complement
-    pattern) amplitude matrix of the cut ``subset``, and the matrix's shape."""
+class _Cut(NamedTuple):
+    """A cut's layout in the (subsystem x complement pattern) amplitude
+    matrix m: each basis state's flat index into m, m's shape and each
+    row's subsystem pattern.  ``pairs`` > 0 marks a layout split by a
+    reflection (:func:`_reflection_split`)."""
+
+    flat: np.ndarray
+    shape: tuple[int, int]
+    rows: np.ndarray
+    pairs: int = 0
+
+
+def _cut_index(basis: ConstrainedBasis, subset) -> _Cut:
+    """The layout of the cut ``subset``, with rows and columns ascending by
+    pattern."""
     subset = tuple(sorted(set(int(s) for s in subset)))
     if not subset:
         raise ConfigError("subset must be nonempty")
@@ -451,11 +471,45 @@ def _cut_index(basis: ConstrainedBasis, subset) -> tuple[np.ndarray, tuple[int, 
     comp_uniq, comp_index = np.unique(basis.states & ~sub_mask, return_inverse=True)
     sub_index *= len(comp_uniq)
     sub_index += comp_index
-    return sub_index, (len(sub_uniq), len(comp_uniq))
+    return _Cut(sub_index, (len(sub_uniq), len(comp_uniq)), sub_uniq)
+
+
+def _reflection_split(cut: _Cut, subset, perms: np.ndarray) -> _Cut:
+    """``cut`` with its rows reordered for the two blocks of rho, by the
+    involution g among the rows of ``perms`` that maps ``subset`` onto
+    itself and pairs the most row patterns a with g a != a; ``cut`` itself
+    when no such g pairs any.
+
+    For a state invariant under g, on a basis that g maps onto itself,
+    m[g a, g b] = m[a, b], so rho = m m^dagger commutes with a -> g a and
+    is block diagonal in the combinations even and odd under g.  The rows
+    run: the lower member a of each pair, the patterns g fixes, then the
+    partners g a in the order of their a.
+    """
+    sites = sorted(set(int(s) for s in subset))
+    ident = np.arange(perms.shape[1])
+    rank = np.arange(len(cut.rows))
+    splits = []
+    for g in perms:
+        if (g == ident).all() or (g[g] != ident).any() \
+                or sorted(g[sites].tolist()) != sites:
+            continue
+        image = np.searchsorted(cut.rows, permute_states(cut.rows, g).astype(np.int64))
+        lower = np.flatnonzero(image > rank)
+        splits.append((lower, np.flatnonzero(image == rank), image[lower]))
+    best = max(splits, key=lambda split: len(split[0]), default=None)
+    if best is None or not len(best[0]):
+        return cut
+    order = np.concatenate(best)
+    position = np.empty_like(order)
+    position[order] = rank
+    row, col = np.divmod(cut.flat, cut.shape[1])
+    return _Cut(position[row] * cut.shape[1] + col, cut.shape, cut.rows[order],
+                len(best[0]))
 
 
 def reduced_density_matrix(psi: np.ndarray, basis: ConstrainedBasis,
-                           subset: tuple[int, ...] | list[int], index=None) -> np.ndarray:
+                           subset: tuple[int, ...] | list[int], index=None):
     """Trace out the complement of ``subset`` sites.
 
     Rows and columns are the distinct subsystem patterns that occur in the
@@ -464,22 +518,44 @@ def reduced_density_matrix(psi: np.ndarray, basis: ConstrainedBasis,
     the full 2^|subset| layout.  Complement configurations are indexed the
     same way, so the cost is (valid subsystem patterns) times the basis
     dimension.  ``index`` is the cut's :func:`_cut_index`, computed if None.
+
+    An index split by a reflection g (:func:`_reflection_split`, for a
+    state invariant under g) gives the tuple (rho_even, rho_odd) of rho's
+    blocks instead, m_e m_e^dagger and m_o m_o^dagger, whose rows are
+    (m[a] + m[g a]) / sqrt 2 with the rows g fixes, and
+    (m[a] - m[g a]) / sqrt 2.  They are formed in m's own rows, and the
+    product m m^dagger is never taken.
     """
-    flat, shape = _cut_index(basis, subset) if index is None else index
-    m = np.zeros(shape, dtype=complex)
-    m.reshape(-1)[flat] = psi
-    rho = m @ m.conj().T
-    rho += rho.conj().T     # 0.5 (rho + rho^dagger), in place
-    rho *= 0.5
-    tr = float(np.trace(rho).real)
+    cut = _cut_index(basis, subset) if index is None else index
+    m = np.zeros(cut.shape, dtype=complex)
+    m.reshape(-1)[cut.flat] = psi
+    blocks = [m]
+    if cut.pairs:
+        lo, hi = m[:cut.pairs], m[len(m) - cut.pairs:]
+        plus = lo + hi
+        np.subtract(lo, hi, out=hi)
+        np.multiply(plus, math.sqrt(0.5), out=lo)
+        hi *= math.sqrt(0.5)
+        del plus
+        blocks = [m[:len(m) - cut.pairs], hi]
+    rhos = []
+    for block in blocks:
+        rho = block @ block.conj().T
+        rho += rho.conj().T     # 0.5 (rho + rho^dagger), in place
+        rho *= 0.5
+        rhos.append(rho)
+    tr = sum(float(np.trace(rho).real) for rho in rhos)
     if abs(tr - 1.0) > 1e-9:
         raise NumericalError(f"reduced density matrix trace {tr} is not 1")
-    return rho
+    return rhos[0] if len(rhos) == 1 else tuple(rhos)
 
 
-def entanglement_entropy(rho: np.ndarray) -> float:
-    """Von Neumann entropy in nats; eigenvalues below 1e-14 are dropped."""
-    evals = np.linalg.eigvalsh(rho)
+def entanglement_entropy(rho) -> float:
+    """Von Neumann entropy in nats of rho, one matrix or the tuple of its
+    diagonal blocks (:func:`reduced_density_matrix`), each diagonalized on
+    its own; eigenvalues below 1e-14 are dropped."""
+    blocks = rho if isinstance(rho, tuple) else (rho,)
+    evals = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
     if evals.min() < -1e-10:
         raise NumericalError(
             f"density matrix not positive semidefinite: min eigenvalue {evals.min()}"

@@ -809,7 +809,7 @@ class TestSweepCommand:
 
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         doc = json.loads(json.dumps(SMALL_QUENCH))
         doc["lattice"]["extent"] = 5
         doc["observables"] = {}
@@ -1112,12 +1112,12 @@ class TestSweepScheduler:
         return caller
 
     def test_one_job_starts_no_pool(self, tmp_path, monkeypatch):
-        import scarsim.cli as cli
+        import concurrent.futures
 
         def no_pool(*args, **kwargs):
             raise AssertionError("--jobs 1 started a pool")
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         log = tmp_path / "pids"
         caller = self._record_pids(monkeypatch, log)
         out = tmp_path / "o"
@@ -1253,7 +1253,8 @@ def test_only_processes_that_step_load_scipy_sparse(tmp_path, command, loads):
     """Operators are numpy arrays and a sparse product loads only scipy's
     compiled CSR kernel: the pulsed map (dense), the lattice report,
     ``analyze --mode fit``, the parent of a ``--jobs 2`` sweep and a quench
-    that steps never import scipy.sparse."""
+    that steps never import scipy.sparse, nor any other scipy module.
+    Only a sweep imports ``concurrent.futures``, inside ``cmd_sweep``."""
     out = tmp_path / "o"
     if command in ("floquet", "lattice"):
         preset = "figS9b" if command == "floquet" else "fig3d-drive"
@@ -1271,8 +1272,28 @@ def test_only_processes_that_step_load_scipy_sparse(tmp_path, command, loads):
         argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out)]
         argv += ["--jobs", "2"] if command == "sweep" else []
     code = ("import sys, scarsim.cli as c; "
-            f"code = c.main({argv!r}); print(code, 'scipy.sparse' in sys.modules)")
-    assert _python_stdout(code).splitlines()[-1] == f"0 {loads}"
+            f"code = c.main({argv!r}); print(code, 'scipy.sparse' in sys.modules, "
+            "[m for m in sys.modules if m.split('.')[0] == 'scipy'], "
+            "'concurrent.futures' in sys.modules)")
+    assert _python_stdout(code).splitlines()[-1] == f"0 {loads} [] {command == 'sweep'}"
+
+
+def test_stepping_quench_holds_no_scipy_module(tmp_path):
+    """A quench loads scipy's CSR kernel from its file without running
+    scipy's package init: after it has stepped, the process holds no scipy
+    module at all, and the kernel it stepped with is kept out of
+    sys.modules."""
+    doc = json.loads(json.dumps(SMALL_QUENCH))
+    doc["evolution"]["total_time"] = 0.02
+    argv = ["quench", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+    code = ("import sys; from pathlib import Path; import scarsim.cli as c; "
+            "from scarsim.hamiltonian import _sparsetools; "
+            f"code = c.main({argv!r}); stepped = _sparsetools.cache_info().currsize; "
+            "kernel = Path(_sparsetools().__file__); "
+            "print(code, stepped, kernel.parent.parent.name, kernel.parent.name, "
+            "kernel.name.startswith('_sparsetools'), "
+            "[m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert _python_stdout(code).splitlines()[-1] == "0 1 scipy sparse True []"
 
 
 def test_kernel_loaded_by_quench_keeps_scipys_products(tmp_path):

@@ -1010,6 +1010,136 @@ class TestRingSymmetricSubspace:
         assert set(step_dims) == {basis.dim}
 
 
+def _plain_entropy(psi, basis, subset):
+    """The one-block entropy written out: m m^dagger over ascending
+    patterns, hermitized, one eigvalsh, eigenvalues below 1e-14 dropped."""
+    mask = sum(1 << site for site in subset)
+    _, rows = np.unique(basis.states & mask, return_inverse=True)
+    _, cols = np.unique(basis.states & ~mask, return_inverse=True)
+    m = np.zeros((rows.max() + 1, cols.max() + 1), dtype=complex)
+    m[rows, cols] = psi
+    rho = m @ m.conj().T
+    evals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+    evals = evals[evals >= 1e-14]
+    return float(-(evals * np.log(evals)).sum())
+
+
+@pytest.fixture
+def snapshot_log(monkeypatch):
+    """Each reduced_density_matrix call of run_block, as (full-basis state,
+    cut index, result, entropy of the result)."""
+    log = []
+    rdm = scarsim.evolve.reduced_density_matrix
+
+    def spy(psi, basis, subset, index=None):
+        rho = rdm(psi, basis, subset, index)
+        log.append((psi, index, rho, entanglement_entropy(rho)))
+        return rho
+
+    monkeypatch.setattr(scarsim.evolve, "reduced_density_matrix", spy)
+    return log
+
+
+class TestReflectionSectors:
+    """Ring runs in the symmetric subspace take a cut's entropy from the
+    two reflection blocks of rho where an involution of the group maps the
+    cut onto itself; every other run and cut keeps the one-block bits."""
+
+    CFG = EvolutionConfig(total_time=0.02, dt=0.002, record_stride=5)
+
+    def _drive(self, p, driven):
+        return (DriveProfile.cosine(0.5 * p.omega, p.omega, 1.33 * p.omega) if driven
+                else DriveProfile.constant(0.4 * p.omega))
+
+    @pytest.mark.parametrize("n, pairs", [(10, 4), (14, 13), (18, 38), (22, 106)])
+    @pytest.mark.parametrize("state", ["AF1", "AF2", "GGG"])
+    @pytest.mark.parametrize("driven", [True, False])
+    def test_half_cut_blocks_equal_the_full_rho(self, p, snapshot_log, n, pairs,
+                                                 state, driven):
+        """On rings of n = 2 mod 4 sites i -> n/2 - 1 - i is in <T^2, R> and
+        fixes the half cut; the two blocks' entropy equals the full rho's to
+        1e-13 at every snapshot, and the blocks hold every row of rho."""
+        lat = build_lattice("chain", n, periodic=True)
+        basis, parts, psi0 = build_system(lat, "pxp", p, state)
+        assert parts.iso is not None
+        half = tuple(range(n // 2))
+        res = run_block(lat, basis, parts, [self._drive(p, driven)], psi0, self.CFG,
+                        entropy_cuts=(half,), record_probs=False)[0]
+        assert len(snapshot_log) == len(res.times) == 3
+        for k, (psi, index, rho, entropy) in enumerate(snapshot_log):
+            assert index.pairs == pairs and isinstance(rho, tuple)
+            assert [len(block) for block in rho] == [len(index.rows) - pairs, pairs]
+            assert entropy == res.entropies[k, 0]
+            assert abs(entropy - _plain_entropy(psi, basis, half)) < 1e-13
+        # the state moved away from a product state
+        assert res.entropies[-1, 0] > 1e-4
+
+    @pytest.mark.parametrize("kind_n, periodic, cuts", [
+        (12, True, ((0, 3, 4), tuple(range(6)))),    # no involution of <T^2, R>
+        (16, True, (tuple(range(8)),)),              # fixes either cut
+        (10, False, tuple(tuple(range(k)) for k in range(1, 10)) + ((0, 3, 4),)),
+    ])
+    @pytest.mark.parametrize("driven", [True, False])
+    def test_other_cuts_keep_the_one_block_bits(self, p, snapshot_log, kind_n,
+                                                periodic, cuts, driven):
+        lat = build_lattice("chain", kind_n, periodic=periodic)
+        basis, parts, psi0 = build_system(lat, "pxp", p, "AF1")
+        assert (parts.iso is not None) == periodic
+        run_block(lat, basis, parts, [self._drive(p, driven)], psi0, self.CFG,
+                  entropy_cuts=cuts, record_probs=False)
+        assert len(snapshot_log) == 3 * len(cuts)
+        for k, (psi, index, rho, entropy) in enumerate(snapshot_log):
+            assert index.pairs == 0 and isinstance(rho, np.ndarray)
+            assert entropy == _plain_entropy(psi, basis, cuts[k % len(cuts)])
+
+    def test_split_picks_an_involution_that_fixes_the_cut(self):
+        """A cut that only a translation maps onto itself is split by it; a
+        cut whose patterns every involution fixes is not split."""
+        lat = build_lattice("chain", 12, periodic=True)
+        basis = enumerate_blockaded(lat)
+        perms = symmetry_permutations(lat)
+        split = scarsim.evolve._reflection_split
+        index = scarsim.evolve._cut_index(basis, (0, 6))    # T^6 swaps the sites
+        assert split(index, (0, 6), perms).pairs == 1
+        index = scarsim.evolve._cut_index(basis, (0,))
+        assert split(index, (0,), perms) is index
+
+    def test_guards_hold_on_the_sector_path(self, p):
+        lat = build_lattice("chain", 14, periodic=True)
+        basis, parts, psi0 = build_system(lat, "pxp", p, "GGG")
+        half = tuple(range(7))
+        index = scarsim.evolve._reflection_split(
+            scarsim.evolve._cut_index(basis, half), half, parts.iso.perms)
+        assert index.pairs == 13
+        psi = parts.iso.expand(random_state(parts.dim, 4))
+        rho = reduced_density_matrix(psi, basis, half, index)
+        assert sum(np.trace(block).real for block in rho) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(NumericalError, match="trace"):
+            reduced_density_matrix(2 * psi, basis, half, index)
+        even, odd = rho
+        with pytest.raises(NumericalError, match="positive semidefinite"):
+            entanglement_entropy((even, odd - np.eye(len(odd))))
+
+    def test_snapshot_holds_less_than_the_one_block_path(self, p):
+        """At a 22-ring half-cut snapshot the two blocks allocate less than
+        the 233 x 233 one-block product (2.74 MB traced)."""
+        lat = build_lattice("chain", 22, periodic=True)
+        basis, parts, _ = build_system(lat, "pxp", p, "AF1")
+        half = tuple(range(11))
+        one = scarsim.evolve._cut_index(basis, half)
+        two = scarsim.evolve._reflection_split(one, half, parts.iso.perms)
+        psi = parts.iso.expand(random_state(parts.dim, 5))
+
+        def snapshot(index):
+            return entanglement_entropy(reduced_density_matrix(psi, basis, half, index))
+
+        snapshot(two)
+        s_one, peak_one = _traced_peak(snapshot, one)
+        s_two, peak_two = _traced_peak(snapshot, two)
+        assert abs(s_one - s_two) < 1e-13
+        assert peak_two < 0.7 * peak_one
+
+
 class TestQuenchCsv:
     def test_round_trip_exact(self, p, chain9, chain9_states):
         lat, basis = chain9
@@ -1071,9 +1201,9 @@ class TestSetupMemory:
         """A 22-ring quench with the half-cut entropy reads populations
         from a 1,990 x 22 per-orbit table (0.35 MB), so the whole run
         allocates less than the 39,603 x 22 float bit table (6.97 MB) that
-        the full-basis read took alone.  The measured peak is 4.1 MB, most
-        of it the 233 x 233 product m m^dagger of one entropy snapshot
-        (three 0.87 MB matrices)."""
+        the full-basis read took alone.  The measured peak is 3.4 MB; an
+        entropy snapshot forms rho's two reflection blocks (127 and 106
+        rows) in the rows of the 233 x 233 amplitude matrix (0.87 MB)."""
         lat, basis, _ = ring22
         _, small, psi0 = build_system(lat, "pxp", p, "AF1")
         drive = DriveProfile.cosine(0.5 * p.omega, p.omega, 1.33 * p.omega)

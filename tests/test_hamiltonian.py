@@ -11,6 +11,7 @@ from scarsim.hamiltonian import (
     DriveProfile,
     SparseOperator,
     _flip_operator,
+    _interaction_diagonal,
     _sparsetools,
     _square_sign,
     build_pxp,
@@ -228,6 +229,25 @@ class TestCsrArraysMatchScipy:
                               indices=flip.indices.astype(np.int64),
                               data=rng.normal(size=len(flip.data)))
         _assert_product_is_scipys(wide, rng)
+
+
+@pytest.mark.parametrize("kind, extent, periodic", [
+    ("chain", 12, False), ("chain", 14, True), ("square", 4, False),
+    ("honeycomb", 2.1, False)])
+def test_interaction_diagonal_keeps_the_masked_bits(p, kind, extent, periodic):
+    """The unmasked pass per pair equals the masked add per pair, in the
+    same ascending pair order, bit for bit."""
+    lat = build_lattice(kind, extent, periodic=periodic)
+    basis = enumerate_blockaded(lat)
+    v = interaction_matrix(lat, p)
+    _, _, beyond = shell_masks(lat)
+    masked = np.zeros(basis.dim)
+    for i, j in zip(*np.nonzero(np.triu(beyond))):
+        pair = (1 << int(i)) | (1 << int(j))
+        masked[(basis.states & pair) == pair] += v[i, j]
+    diag = _interaction_diagonal(lat, basis, p)
+    assert np.count_nonzero(diag) > 0
+    assert np.array_equal(diag.view(np.int64), masked.view(np.int64))
 
 
 class TestKernelLoader:
