@@ -32,6 +32,14 @@ import time
 import traceback
 from pathlib import Path
 
+# One BLAS thread in every CLI process, whatever the caller's environment
+# says; sweep workers fork and inherit it.  A ring's entropy blocks and a
+# few cells of the pulsed maps round differently at two threads, so without
+# the pin the output bytes would depend on the thread count.  BLAS reads
+# these when numpy loads it, so a caller that imported numpy first keeps its
+# own setting.
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
 import numpy as np
 
 from . import __version__

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -19,7 +20,7 @@ from scarsim.config import (
     set_by_path,
 )
 from scarsim.errors import ConfigError, NumericalError
-from scarsim.presets import PRESETS, get_preset, preset_names
+from scarsim.presets import NOTES, PRESETS, get_preset, preset_names
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -220,7 +221,100 @@ class TestSectionChecks:
         assert all("evolution.record_strid: unknown field" in ln for ln in lines[1:])
 
 
+# SHA-256 of each preset's canonical JSON, json.dumps(doc, sort_keys=True).
+# A changed document changes its resolved config and config hash, so a digest
+# changes only with the preset's physics, on purpose.
+PRESET_SHA256 = {
+    "fig1-honeycomb":
+        "3b262015e8ff493e6bf2d6018c1c493236e856150bcf2ab4433f0edcccdf8b02",
+    "fig2-alpha-sweep":
+        "111ffb89dd268c3864dd9750e6d808ded0922c6a18df0bb4464b5f4245d8df79",
+    "fig2-beta-sweep":
+        "5f9f089a179f40a3569f2567810405e4287a52b34833da68581576f019726dd4",
+    "fig2-chain":
+        "4e1740c0149c3194b5955b5229ab47892a8cee0055339ae6e6ef984e55d188e2",
+    "fig2-dechon":
+        "ffd725bfb52a3da40327ceab43970740ac697b8345cdf86d425f2d993d3dc91d",
+    "fig2-eidh":
+        "a9fb5086b077644e8d403f3319b3d7e8a1d3adf79ae7de8a32dd043c5845da49",
+    "fig2-honeycomb":
+        "3b262015e8ff493e6bf2d6018c1c493236e856150bcf2ab4433f0edcccdf8b02",
+    "fig2-lieb":
+        "0e8e9538c2c293a52bbe5e29a21608fcb659765a4206fe7ae0d5d545748990f3",
+    "fig2-plane":
+        "c88e4e5fddfe9223b75e27468fa860dd943cdbeea151e6d6801d65b10c47d4fa",
+    "fig2-square":
+        "ee3a347d3db950f511b355682b213fa530f8210246915cc25deae183a2a52979",
+    "fig3b-bare":
+        "2785d441fa2b09ea1ea8a5cbfb8184554914c9c1ad9d7ade730acb865bee4a13",
+    "fig3b-drive":
+        "2af9c2ba70ac9f6db2b1a9ac8a50dda80b1bd88962f7360b7fc79837db803a30",
+    "fig3c-chain":
+        "982999ffef5d5a05e02f0156bcff6cf96d86c0b04cc8de2a493c9c8b9230eccb",
+    "fig3c-eidh":
+        "afce6c0e46bb85578d22bb711fce7c26f1bc6a10d7aed11c9f373a3a99cdf93b",
+    "fig3c-honeycomb":
+        "5bf7db250df5977bcd2b4be14b855813b1a8f201f94f21f6b089e488902b1716",
+    "fig3d-bare":
+        "d63a36754c73b8f673a5bd3ca7cb2d99f8653d32935783000200e2690ace833f",
+    "fig3d-drive":
+        "b3c8ea91061e1e0880a8e987c2eb944e2d21369d4e936c6186c70be881091276",
+    "fig3e-bare":
+        "b46768e1026feb5631e710d4c593ac8abd2a0dc4f1a06c5f10a75dcef549baa6",
+    "fig3e-drive":
+        "ba1f5fe8e5a29cb856d35dcf77c5e258ee36869d3119e46ab48821cb0aaa8aba",
+    "fig4ab-chain":
+        "64c6e59e747815d05a740fbc49dd168625e7544e480ad58c256ef482407834ee",
+    "fig4c-chain":
+        "ac091a1c19e15590e7d6c18ebf9b09f3a5076dc1d92308df205697fca36b6390",
+    "fig4c-honeycomb":
+        "9aa45471a578c68ad97ace31f11a5c60d5357440a46ab800a8ad5c8e94ad977a",
+    "fig4d-chain":
+        "603ee37dc85bd47ef610b265d2eee147dea0cf49a220eec33b9a7e0e4bde5d6b",
+    "fig4d-honeycomb":
+        "059d7e9ba96bd789f7af243e057a9ef75bd0a9f1c0d3bd2256333f621289304c",
+    "figS5-square":
+        "8c4fc1be68f0a8af63f499ea342ea819283740db594f070b34440902aa8f8c13",
+    "figS6-amplitude":
+        "c60d3ddb71e2bcd2d47bbb95011dda441bc57178748526c1ace29ae38a16aa35",
+    "figS8-pxp-bare":
+        "117406cb87f03f791940d118d4a02867412cff16eb9189883024f5d4d99cd026",
+    "figS8-pxp-drive":
+        "afc47ec6070af3f2a2bc1fbc40b34f4a6e1ed6fa98f602e7ceb3a7a542aae916",
+    "figS9a":
+        "c55e0fed211b9dc9bedb39e40f2549bf333d81bb28ae91f412a91e1c8b93ec2e",
+    "figS9b":
+        "1dac28dfe1c202e92b3d8bc587fe9efd05ff56f0df4bbceb1024978555e66912",
+}
+
+
 class TestPresets:
+    def test_documents_keep_their_digests(self):
+        """Text, not dicts: 9 == 9.0 and 1 == True in Python, but their JSON
+        differs, and so would a resolved config and its hash."""
+        digests = {name: hashlib.sha256(json.dumps(get_preset(name), sort_keys=True)
+                                        .encode()).hexdigest()
+                   for name in preset_names()}
+        assert digests == PRESET_SHA256
+
+    def test_notes_name_presets(self):
+        assert NOTES and set(NOTES) <= set(PRESETS)
+
+    def test_longest_preset_is_fig4ab_chain(self):
+        """fig4ab-chain, at 2,000 steps, is the longest preset, as
+        evolve.MAX_STEPS and docs/schema.md say; no preset sweeps an
+        evolution field."""
+        steps = {}
+        for name in preset_names():
+            doc = get_preset(name)
+            if "evolution" in doc:
+                steps[name] = round(doc["evolution"]["total_time"] / doc["evolution"]["dt"])
+                assert not any(ax["parameter"].startswith("evolution.")
+                               for ax in doc.get("sweep", []))
+        longest = max(steps.values())
+        assert longest == 2000
+        assert [name for name, n in steps.items() if n == longest] == ["fig4ab-chain"]
+
     def test_all_presets_parse(self):
         for name in preset_names():
             parse_config(get_preset(name))
@@ -310,10 +404,13 @@ class TestLatticeCommand:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o" / "lattice.json").exists()
 
-    def test_list_presets(self, capsys, tmp_path):
+    def test_list_presets(self, capsys):
+        """One ``name<TAB>note`` line per preset, in sorted order; a preset
+        without a note ends in the tab."""
         assert main(["lattice", "--list-presets"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == len(preset_names())
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(PRESETS) == 30
+        assert lines == [f"{name}\t{NOTES.get(name, '')}" for name in sorted(PRESETS)]
 
 
 class TestQuenchCommand:
@@ -1294,6 +1391,33 @@ def test_stepping_quench_holds_no_scipy_module(tmp_path):
             "kernel.name.startswith('_sparsetools'), "
             "[m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     assert _python_stdout(code).splitlines()[-1] == "0 1 scipy sparse True []"
+
+
+def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The CLI pins BLAS to one thread whatever its caller's environment
+    says, so a 22-site ring quench (figS8-pxp-bare physics for 0.05 us),
+    whose entropy blocks' ZGEMM rounds by thread count, writes the same
+    data files when its caller asks for one BLAS thread and for two."""
+    import scarsim.cli as cli
+
+    if cli._usable_cpus() < 2:
+        pytest.skip("two BLAS threads need two CPUs")
+    doc = get_preset("figS8-pxp-bare")
+    doc["evolution"]["total_time"] = 0.05
+    argv = [sys.executable, "-m", "scarsim.cli", "quench",
+            "--config", write_config(tmp_path, doc)]
+    src = str(Path(scarsim.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(argv + ["--out", str(out)], env=env, capture_output=True,
+                       check=True, timeout=120)
+        runs.append(_data_files(out))
+    assert "quench.csv" in runs[0]
+    assert runs[0] == runs[1]
 
 
 def test_kernel_loaded_by_quench_keeps_scipys_products(tmp_path):
